@@ -8,7 +8,7 @@ transpose reporting, and Monte Carlo error intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .qmath import (
 )
 
 _PAULI_VEC = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+# _PAULI_PAIRS[i, j] = sigma_i x sigma_j, so T_ij = tr(rho _PAULI_PAIRS[i, j]).
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI_VEC, _PAULI_VEC).reshape(3, 3, 4, 4)
 AXES = {"X": np.array([1.0, 0, 0]), "Y": np.array([0, 1.0, 0]), "Z": np.array([0, 0, 1.0])}
-OUTCOME_LABELS = ("pp", "pm", "mp", "mm")
 
 
 class CertifyError(Exception):
@@ -59,13 +60,9 @@ class MeasurementSetting:
 
     def projectors(self) -> np.ndarray:
         """Outcome projectors in the order ++, +-, -+, --."""
-        out = []
-        pa = bloch_observable(self.basis_a)
-        pb = bloch_observable(self.basis_b)
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                out.append(np.kron((I2 + s1 * pa) / 2, (I2 + s2 * pb) / 2))
-        return np.stack(out)
+        pa, pb = bloch_observable(self.basis_a), bloch_observable(self.basis_b)
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        return np.stack([np.kron((I2 + s1 * pa) / 2, (I2 + s2 * pb) / 2) for s1, s2 in signs])
 
 
 def setting(a: str | np.ndarray, b: str | np.ndarray) -> MeasurementSetting:
@@ -96,28 +93,88 @@ def _check_two_qubit(rho: DensityMatrix) -> None:
         raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
 
 
-def correlator(rho: DensityMatrix, s: MeasurementSetting) -> float:
-    """tr(rho (a.sigma) x (b.sigma))."""
-    _check_two_qubit(rho)
-    return float(np.trace(rho.matrix @ s.observable()).real)
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1).real
+
+
+# ---------------------------------------------------------------------------
+# Derived quantities over a stack of two-qubit states, shape (B, 4, 4).  The
+# single-state functions below are B = 1 calls of these kernels.
+
+
+def _correlations(rhos: np.ndarray) -> np.ndarray:
+    """(B, 3, 3) Pauli correlation matrices T_ij = tr(rho sigma_i x sigma_j)."""
+    return np.einsum("ijlk,bkl->bij", _PAULI_PAIRS, rhos).real
+
+
+def _witness(t: np.ndarray) -> np.ndarray:
+    return 1.0 - np.abs(t[:, 0, 0] + t[:, 1, 1])
+
+
+def _chsh_fixed(t: np.ndarray, settings) -> np.ndarray:
+    a = np.array([s.basis_a for s in settings])
+    b = np.array([s.basis_b for s in settings])
+    e = np.einsum("si,nij,sj->ns", a, t, b)
+    return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+
+
+def _pt_spectra(rhos: np.ndarray) -> np.ndarray:
+    """(B, 4) descending spectra of the partial transposes on the second qubit."""
+    pt = rhos.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    return np.linalg.eigvalsh(pt)[:, ::-1]
+
+
+def _negativity(eigs: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(np.minimum(eigs, 0.0)), axis=1)
+
+
+def _fidelities(rhos: np.ndarray, targets) -> np.ndarray:
+    """Fidelity of rhos[b] to targets[b]: the overlap for a PureState target,
+    the Uhlmann formula (tr sqrt(sqrt(t) rho sqrt(t)))^2 for a DensityMatrix."""
+    out = np.empty(len(rhos))
+    pure = np.array([isinstance(t, PureState) for t in targets])
+    if pure.any():
+        v = np.stack([t.amplitudes for t in targets if isinstance(t, PureState)])
+        out[pure] = np.einsum("bi,bij,bj->b", v.conj(), rhos[pure], v).real
+    if not pure.all():
+        tm = np.stack([t.matrix for t in targets if not isinstance(t, PureState)])
+        tvals, tvecs = np.linalg.eigh(tm)
+        sq = (tvecs * np.sqrt(np.clip(tvals, 0.0, None))[:, None, :]) @ _dagger(tvecs)
+        m = sq @ rhos[~pure] @ sq
+        mvals = np.linalg.eigvalsh((m + _dagger(m)) / 2)
+        out[~pure] = np.sum(np.sqrt(np.clip(mvals, 0.0, None)), axis=1) ** 2
+    return out
+
+
+def _derived(rhos: np.ndarray, targets, chsh_settings) -> dict:
+    t = _correlations(rhos)
+    sv = np.linalg.svd(t, compute_uv=False)
+    norm = np.hypot(sv[:, 0], sv[:, 1])  # chsh_max = 2 sqrt(s1^2 + s2^2), as in chsh_max
+    eigs = _pt_spectra(rhos)
+    return {
+        "fidelity_to_target": _fidelities(rhos, targets),
+        "witness": _witness(t),
+        "chsh_fixed": _chsh_fixed(t, chsh_settings),
+        "chsh_max": np.where(norm < 1e-15, 0.0, 2.0 * norm),
+        "negativity": _negativity(eigs),
+        "ppt_eigenvalues": eigs,
+        "min_pt_eigenvalue": eigs[:, -1],
+    }
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix T_ij = tr(rho sigma_i x sigma_j)."""
     _check_two_qubit(rho)
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(rho.matrix @ np.kron(_PAULI_VEC[i], _PAULI_VEC[j])).real
-    return t
+    return _correlations(rho.matrix[None])[0]
 
 
 def witness_w(rho: DensityMatrix) -> float:
     """W = 1 - |<XX> + <YY>|; W < 0 certifies entanglement."""
-    _check_two_qubit(rho)
-    exx = correlator(rho, setting("X", "X"))
-    eyy = correlator(rho, setting("Y", "Y"))
-    return 1.0 - abs(exx + eyy)
+    return float(_witness(correlation_matrix(rho)[None])[0])
 
 
 def singlet_optimal_settings() -> tuple[MeasurementSetting, ...]:
@@ -135,11 +192,9 @@ def chsh(rho: DensityMatrix, settings) -> float:
     ``settings`` lists the four (A_i, B_j) pairs in the order
     (A0B0, A0B1, A1B0, A1B1).
     """
-    _check_two_qubit(rho)
     if len(settings) != 4:
         raise CertifyError("chsh needs exactly four settings")
-    e = [correlator(rho, s) for s in settings]
-    return abs(e[0] + e[1] + e[2] - e[3])
+    return float(_chsh_fixed(correlation_matrix(rho)[None], settings)[0])
 
 
 def chsh_max(rho: DensityMatrix) -> tuple[float, tuple[MeasurementSetting, ...]]:
@@ -148,24 +203,18 @@ def chsh_max(rho: DensityMatrix) -> tuple[float, tuple[MeasurementSetting, ...]]
     l1 >= l2 are the two largest eigenvalues of T^T T for the Pauli
     correlation matrix T.
     """
-    t = correlation_matrix(rho)
-    u, sv, vt = np.linalg.svd(t)
-    s1, s2 = sv[0], sv[1]
-    value = 2.0 * np.sqrt(s1 * s1 + s2 * s2)
-    # Achieving settings: Alice along the top left singular vectors, Bob
-    # along weighted combinations of the right ones.
-    a0 = u[:, 0]
-    a1 = u[:, 1]
-    norm = np.hypot(s1, s2)
+    u, sv, vt = np.linalg.svd(correlation_matrix(rho))
+    norm = np.hypot(sv[0], sv[1])
     if norm < 1e-15:
         # Zero correlation matrix: any settings achieve the (zero) maximum.
         return 0.0, singlet_optimal_settings()
-    c, s = s1 / norm, s2 / norm
-    # Signs: E(a_i, v_j) = s_i delta_ij with these conventions.
-    b0 = c * vt[0, :] + s * vt[1, :]
-    b1 = c * vt[0, :] - s * vt[1, :]
+    # Alice along the top two left singular vectors, Bob along weighted
+    # combinations of the right ones, so that E(a_i, v_j) = s_i delta_ij.
+    c, s = sv[0] / norm, sv[1] / norm
+    a0, a1 = u[:, 0], u[:, 1]
+    b0, b1 = c * vt[0] + s * vt[1], c * vt[0] - s * vt[1]
     settings = (setting(a0, b0), setting(a0, b1), setting(a1, b0), setting(a1, b1))
-    return float(value), settings
+    return float(2.0 * norm), settings
 
 
 def outcome_probabilities(rho: DensityMatrix, s: MeasurementSetting) -> np.ndarray:
@@ -195,17 +244,42 @@ def _axis_label(v: np.ndarray) -> str | None:
     return None
 
 
-def _index_pauli_records(data) -> dict[tuple[str, str], CountsRecord]:
-    table: dict[tuple[str, str], CountsRecord] = {}
-    for rec in data:
-        la = _axis_label(rec.setting.basis_a)
-        lb = _axis_label(rec.setting.basis_b)
+def _stack(datasets) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
+    """The shared setting tuple and the (B, S, 4) counts of B record lists."""
+    datasets = [list(d) for d in datasets]
+    settings = tuple(rec.setting for rec in datasets[0])
+    axes = [np.array([[r.setting.basis_a, r.setting.basis_b] for r in d]) for d in datasets]
+    if any(not np.array_equal(a, axes[0]) for a in axes[1:]):
+        raise CertifyError("stacked datasets must share one setting tuple")
+    counts = np.array([[rec.counts for rec in d] for d in datasets], dtype=float)
+    return settings, counts.reshape(len(datasets), len(settings), 4)
+
+
+def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) linear-inversion estimates, one (4S, 16) map applied to the
+    outcome frequencies of the nine Pauli-pair settings (the last one of
+    each label when repeated)."""
+    row: dict[tuple[str, str], int] = {}
+    for i, s in enumerate(settings):
+        la, lb = _axis_label(s.basis_a), _axis_label(s.basis_b)
         if la and lb:
-            table[(la, lb)] = rec
-    missing = [(a, b) for a in "XYZ" for b in "XYZ" if (a, b) not in table]
+            row[(la, lb)] = i
+    missing = [(a, b) for a in "XYZ" for b in "XYZ" if (a, b) not in row]
     if missing:
         raise MissingSetting(f"missing Pauli settings: {missing}")
-    return table
+    totals = counts.sum(axis=2)
+    if np.any(totals[:, list(row.values())] == 0):
+        raise MissingSetting("a setting has all-zero counts")
+    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    lmap = np.zeros((len(settings), 4, 4, 4), dtype=complex)
+    for (a, b), i in row.items():
+        # Correlator <ab> from this setting; single-qubit terms from its
+        # marginals, averaged over the three partner axes.
+        lmap[i] += np.multiply.outer([1, -1, -1, 1], np.kron(paulis[a], paulis[b])) / 4
+        lmap[i] += np.multiply.outer([1, 1, -1, -1], np.kron(paulis[a], I2)) / 12
+        lmap[i] += np.multiply.outer([1, -1, 1, -1], np.kron(I2, paulis[b])) / 12
+    freq = (counts / np.where(totals == 0, 1.0, totals)[:, :, None]).reshape(len(counts), -1)
+    return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(-1, 4, 4)
 
 
 def tomography_linear(data) -> np.ndarray:
@@ -214,30 +288,7 @@ def tomography_linear(data) -> np.ndarray:
     Hermitian and unit trace by construction, but possibly not PSD at
     finite counts.
     """
-    table = _index_pauli_records(data)
-
-    def freq(rec: CountsRecord) -> np.ndarray:
-        n = rec.total
-        if n == 0:
-            raise MissingSetting("a setting has all-zero counts")
-        return np.asarray(rec.counts, dtype=float) / n
-
-    rho = np.eye(4, dtype=complex) / 4
-    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-    sign = np.array([1, -1, 1, -1])
-    for a in "XYZ":
-        for b in "XYZ":
-            f = freq(table[(a, b)])
-            e_ab = f[0] - f[1] - f[2] + f[3]
-            rho += e_ab * np.kron(paulis[a], paulis[b]) / 4
-    # Single-qubit terms from marginals, averaged over the partner axis.
-    for a in "XYZ":
-        e_a = np.mean([np.dot(freq(table[(a, b)]), [1, 1, -1, -1]) for b in "XYZ"])
-        rho += e_a * np.kron(paulis[a], I2) / 4
-    for b in "XYZ":
-        e_b = np.mean([np.dot(freq(table[(a, b)]), sign) for a in "XYZ"])
-        rho += e_b * np.kron(I2, paulis[b]) / 4
-    return rho
+    return _linear_inversion(*_stack([data]))[0]
 
 
 @dataclass(frozen=True)
@@ -252,183 +303,184 @@ class TomographyResult:
     converged: bool
     iterations: int
     dropped_settings: int = 0
-    error_intervals: dict = field(default_factory=dict)
 
 
 def _psd_project(rho: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    return rho / np.trace(rho).real
+    """Nearest unit-trace PSD matrix (clipped spectrum) of one matrix or a stack."""
+    vals, vecs = np.linalg.eigh((rho + _dagger(rho)) / 2)
+    rho = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _dagger(vecs)
+    return rho / _trace(rho)[..., None, None]
+
+
+_DILUTION = 0.5 ** np.arange(1, 40)
+
+
+def mle_batch(settings, counts: np.ndarray, init=None, max_iter: int = 100_000):
+    """Maximize the Poisson log-likelihood of every member of a stack at once.
+
+    Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of ``settings[s]``
+    and runs Hradil's fixed point rho <- R rho R / tr(...), R = sum_k (n_k/p_k)
+    Pi_k.  A step that would lower its likelihood becomes the diluted step
+    (I + eps R)/norm with the first eps of 0.5, 0.25, ... > 1e-12 that raises
+    it (Rehacek et al., PRA 75, 042108, 2007).  A member converges once its
+    gain stays below 1e-10 for 10 iterations, or gives up after ``max_iter``.
+    All-zero settings are dropped; a member that drops none starts from linear
+    inversion, else from I/4, unless ``init`` gives one start or one per
+    member.  Returns arrays ``(rho, log_likelihood, converged, iterations,
+    dropped)`` over the members.
+    """
+    counts = np.asarray(counts, dtype=float)
+    b = len(counts)
+    dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
+    if np.any(dropped == len(settings)):
+        raise MissingSetting("no settings with nonzero counts")
+    proj = np.concatenate([s.projectors() for s in settings]).reshape(-1, 16)
+    proj_h = proj.conj().T  # p_k = tr(Pi_k rho) = vec(Pi_k)^* . vec(rho): Pi_k is Hermitian
+    n = counts.reshape(b, -1)
+
+    start = np.broadcast_to(np.eye(4) / 4 if init is None else init, (b, 4, 4)).astype(complex)
+    if init is None and np.any(dropped == 0):
+        start[dropped == 0] = _linear_inversion(settings, counts[dropped == 0])
+    # Blend in a little of the identity: the fixed point cannot leave the
+    # support of the iterate, so the start must be full rank.
+    rho = 0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4
+
+    def probs(r: np.ndarray) -> np.ndarray:
+        return np.maximum((r.reshape(*r.shape[:-2], 16) @ proj_h).real, 1e-300)
+
+    def loglike(r: np.ndarray, nn: np.ndarray) -> np.ndarray:
+        return np.sum(nn * np.log(probs(r)), axis=-1)
+
+    def normalized(m: np.ndarray) -> np.ndarray:
+        m = (m + _dagger(m)) / 2
+        return m / _trace(m)[..., None, None]
+
+    rho_out, ll_out = rho.copy(), loglike(rho, n)
+    converged, iterations = np.zeros(b, dtype=bool), np.full(b, max_iter)
+    live = np.arange(b)  # members still iterating; rho, ll, stall, n follow it
+    ll, stall = ll_out.copy(), np.zeros(b, dtype=int)
+    for it in range(1, max_iter + 1):
+        r = ((n / probs(rho)) @ proj).reshape(-1, 4, 4)
+        new = normalized(r @ rho @ r)
+        ll_new = loglike(new, n)
+        worse = np.flatnonzero(ll_new < ll)
+        if len(worse):
+            rw, pw = r[worse], rho[worse]
+            r_norm = rw / _trace(rw @ pw)[:, None, None]
+            eps = _DILUTION[:, None, None]
+            m = (1 - eps) * np.eye(4) + eps * r_norm[:, None]  # (W, 39, 4, 4)
+            cand = normalized(m @ pw[:, None] @ _dagger(m))
+            ll_cand = loglike(cand, n[worse][:, None])
+            better = ll_cand > ll[worse][:, None]
+            first, ok = better.argmax(axis=1), better.any(axis=1)
+            new[worse[ok]] = cand[ok, first[ok]]
+            ll_new[worse[ok]] = ll_cand[ok, first[ok]]
+        # A member whose step still lowers the likelihood keeps its iterate
+        # and counts the iteration as a stall.
+        step = ~(ll_new < ll)
+        stall = np.where(ll_new - ll < 1e-10, stall + 1, 0)
+        rho[step], ll[step] = new[step], ll_new[step]
+        done = stall >= 10
+        if done.any():
+            idx = live[done]
+            rho_out[idx], ll_out[idx] = rho[done], ll[done]
+            converged[idx], iterations[idx] = True, it
+            live, rho, ll, stall, n = (a[~done] for a in (live, rho, ll, stall, n))
+            if not len(live):
+                break
+    rho_out[live], ll_out[live] = rho, ll
+    return rho_out, ll_out, converged, iterations, dropped
 
 
 def mle_state(data, init: np.ndarray | None = None, max_iter: int = 100_000):
-    """Maximize the Poisson log-likelihood over physical states.
-
-    Uses the expectation-maximization fixed point rho <- R rho R / tr(...)
-    with R = sum_k (n_k / p_k) Pi_k, which keeps the iterate PSD and
-    unit-trace by construction.  A diluted fallback step (I + eps R)/norm
-    with eps halving guarantees the log-likelihood never decreases.
-    Converged when the improvement stays below 1e-10 for 10 consecutive
-    iterations; gives up after ``max_iter``.  Returns
-    ``(rho, log_likelihood, converged, iterations, dropped)``.
-    """
-    data = list(data)
-    kept = [rec for rec in data if rec.total > 0]
-    dropped = len(data) - len(kept)
-    if not kept:
-        raise MissingSetting("no settings with nonzero counts")
-    proj = np.concatenate([rec.setting.projectors() for rec in kept])
-    pmat = proj.transpose(0, 2, 1).reshape(len(proj), 16)  # p_k = pmat @ vec(rho)
-    counts = np.concatenate([np.asarray(rec.counts, dtype=float) for rec in kept])
-
-    if init is None:
-        init = tomography_linear(data) if dropped == 0 else np.eye(4, dtype=complex) / 4
-    # Blend in a little of the identity: the fixed point cannot leave the
-    # support of the iterate, so the start must be full rank.
-    rho = 0.999 * _psd_project(np.asarray(init, dtype=complex)) + 0.001 * np.eye(4) / 4
-
-    def probs_of(r: np.ndarray) -> np.ndarray:
-        return np.maximum((pmat @ r.reshape(16)).real, 1e-300)
-
-    def loglike(r: np.ndarray) -> float:
-        return float(np.dot(counts, np.log(probs_of(r))))
-
-    ll = loglike(rho)
-    stall = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        p = probs_of(rho)
-        r = np.einsum("k,kij->ij", counts / p, proj)
-        new = r @ rho @ r
-        new = (new + new.conj().T) / 2
-        new /= np.trace(new).real
-        ll_new = loglike(new)
-        if ll_new < ll:
-            r_norm = r / np.trace(r @ rho).real
-            eps = 0.5
-            improved = False
-            while eps > 1e-12:
-                m = (1 - eps) * np.eye(4) + eps * r_norm
-                cand = m @ rho @ m.conj().T
-                cand = (cand + cand.conj().T) / 2
-                cand /= np.trace(cand).real
-                ll_cand = loglike(cand)
-                if ll_cand > ll:
-                    new, ll_new, improved = cand, ll_cand, True
-                    break
-                eps /= 2
-            if not improved:
-                stall += 1
-                if stall >= 10:
-                    return rho, ll, True, it, dropped
-                continue
-        gain = ll_new - ll
-        rho, ll = new, ll_new
-        stall = stall + 1 if gain < 1e-10 else 0
-        if stall >= 10:
-            return rho, ll, True, it, dropped
-    return rho, ll, False, it, dropped
+    """``mle_batch`` of one record list: ``(rho, log_likelihood, converged,
+    iterations, dropped)``."""
+    rho, ll, converged, iterations, dropped = mle_batch(*_stack([data]), init, max_iter)
+    return rho[0], float(ll[0]), bool(converged[0]), int(iterations[0]), int(dropped[0])
 
 
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
     """Partial-transpose eigenvalues (descending) and the negativity."""
     _check_two_qubit(rho)
-    pt = qmath.partial_transpose(rho, 1)
-    vals, _ = qmath.hermitian_eig(pt)
-    negativity = float(np.sum(np.abs(vals[vals < 0])))
-    return tuple(float(v) for v in vals), negativity
+    eigs = _pt_spectra(rho.matrix[None])
+    return tuple(float(v) for v in eigs[0]), float(_negativity(eigs)[0])
 
 
 def fidelity(rho: DensityMatrix, target) -> float:
-    """Fidelity to a pure or mixed target state.
-
-    Pure targets use the direct overlap; mixed targets the Uhlmann formula
-    (tr sqrt(sqrt(t) rho sqrt(t)))^2 via eigendecomposition.
-    """
-    if isinstance(target, PureState):
-        return qmath.fidelity_pure(rho, target)
-    tvals, tvecs = qmath.hermitian_eig(target.matrix)
-    sq = (tvecs * np.sqrt(np.clip(tvals, 0.0, None))) @ tvecs.conj().T
-    m = sq @ rho.matrix @ sq
-    mvals, _ = qmath.hermitian_eig((m + m.conj().T) / 2)
-    return float(np.sum(np.sqrt(np.clip(mvals, 0.0, None))) ** 2)
+    """Fidelity to a pure (overlap) or mixed (Uhlmann) target state."""
+    return float(_fidelities(rho.matrix[None], [target])[0])
 
 
-def tomography_mle(
-    data, init: np.ndarray | None = None, target=None
-) -> TomographyResult:
+def tomography_mle_batch(datasets, targets, init: np.ndarray | None = None):
+    """One TomographyResult per record list, the lists sharing one setting
+    tuple and fitted as one stack; ``targets[b]`` (a PureState or
+    DensityMatrix) is the fidelity reference of member b."""
+    settings, counts = _stack(datasets)
+    rho_arr, ll, converged, iterations, dropped = mle_batch(settings, counts, init)
+    rho = _psd_project(rho_arr)
+    eigs = _pt_spectra(rho)
+    neg = _negativity(eigs)
+    fid = _fidelities(rho, targets)
+    return [
+        TomographyResult(
+            DensityMatrix((2, 2), rho[b]), float(ll[b]), float(fid[b]),
+            tuple(float(v) for v in eigs[b]), float(neg[b]), bool(converged[b]),
+            int(iterations[b]), int(dropped[b]),
+        )
+        for b in range(len(rho))
+    ]
+
+
+def tomography_mle(data, init: np.ndarray | None = None, target=None) -> TomographyResult:
     """MLE reconstruction with derived certification quantities.
 
     ``target`` (a PureState or DensityMatrix, default the singlet) is the
     reference for the fidelity figure.
     """
-    if target is None:
-        target = circuit.singlet()
-    rho_arr, ll, converged, iters, dropped = mle_state(data, init)
-    rho = DensityMatrix((2, 2), _psd_project(rho_arr))
-    eigs, neg = ppt_report(rho)
-    return TomographyResult(
-        rho_hat=rho,
-        log_likelihood=ll,
-        fidelity_to_target=fidelity(rho, target),
-        ppt_eigenvalues=eigs,
-        negativity=neg,
-        converged=converged,
-        iterations=iters,
-        dropped_settings=dropped,
-    )
+    target = circuit.singlet() if target is None else target
+    return tomography_mle_batch([data], [target], init)[0]
 
 
 def derived_quantities(rho: DensityMatrix, target, chsh_settings) -> dict:
-    eigs, neg = ppt_report(rho)
-    smax, _ = chsh_max(rho)
-    return {
-        "fidelity_to_target": fidelity(rho, target),
-        "witness": witness_w(rho),
-        "chsh_fixed": chsh(rho, chsh_settings),
-        "chsh_max": smax,
-        "negativity": neg,
-        "ppt_eigenvalues": list(eigs),
-        "min_pt_eigenvalue": eigs[-1],
-    }
+    q = _derived(rho.matrix[None], [target], chsh_settings)
+    return {key: [float(v) for v in val[0]] if val.ndim > 1 else float(val[0])
+            for key, val in q.items()}
+
+
+def bootstrap(
+    data, replicas: int, seed: int, target=None, chsh_settings=None
+) -> tuple[dict, int]:
+    """Per-quantity standard deviations from Poisson resampling of the counts.
+
+    Replica r redraws every count from Poisson(count) with the generator
+    seeded by ``[seed, r]``; all replicas are then fitted as one MLE stack
+    and their derived quantities computed together.  Returns the sample
+    standard deviations and the number of replicas whose MLE converged.
+    Deterministic given the seed.
+    """
+    if replicas < 2:
+        raise CertifyError("replicas must be >= 2")
+    target = circuit.singlet() if target is None else target
+    chsh_settings = singlet_optimal_settings() if chsh_settings is None else chsh_settings
+    settings, counts = _stack([data])
+    resampled = np.stack([
+        np.random.default_rng([seed, rep]).poisson(counts[0]) for rep in range(replicas)
+    ])
+    rho_arr, _, converged, _, _ = mle_batch(settings, resampled)
+    rho = _psd_project(rho_arr)
+    qmath.check_density(rho)
+    out = {}
+    for key, vals in _derived(rho, [target] * replicas, chsh_settings).items():
+        sd = np.std(vals, axis=0, ddof=1)
+        out[key] = float(sd) if vals.ndim == 1 else [float(x) for x in sd]
+    return out, int(np.sum(converged))
 
 
 def monte_carlo_errors(
     data, replicas: int, seed: int, target=None, chsh_settings=None
 ) -> dict:
-    """Per-quantity standard deviations from Poisson resampling of the counts.
-
-    Each replica redraws every count from Poisson(count), reruns the MLE
-    and recomputes the derived quantities; sample standard deviations are
-    returned.  Deterministic given the seed.
-    """
-    if replicas < 2:
-        raise CertifyError("replicas must be >= 2")
-    if target is None:
-        target = circuit.singlet()
-    if chsh_settings is None:
-        chsh_settings = singlet_optimal_settings()
-    samples: dict[str, list] = {}
-    for rep in range(replicas):
-        rng = np.random.default_rng([seed, rep])
-        resampled = [
-            replace(rec, counts=tuple(int(c) for c in rng.poisson(rec.counts)))
-            for rec in data
-        ]
-        rho_arr, _, _, _, _ = mle_state(resampled)
-        rho = DensityMatrix((2, 2), _psd_project(rho_arr))
-        q = derived_quantities(rho, target, chsh_settings)
-        for key, val in q.items():
-            samples.setdefault(key, []).append(val)
-    out = {}
-    for key, vals in samples.items():
-        arr = np.asarray(vals, dtype=float)
-        if arr.ndim == 1:
-            out[key] = float(np.std(arr, ddof=1))
-        else:
-            out[key] = [float(x) for x in np.std(arr, axis=0, ddof=1)]
-    return out
+    """The standard deviations of ``bootstrap``."""
+    return bootstrap(data, replicas, seed, target, chsh_settings)[0]
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:

@@ -18,7 +18,6 @@ from .qmath import DensityMatrix, DimensionMismatch, PureState
 
 # Fixed qubit <-> polarization dictionary (serialized with every output).
 BASIS_CONVENTION = {"0": "V", "1": "H"}
-POL_LABELS = ("VV", "VH", "HV", "HH")
 
 N_QUBITS = 4
 SPIN_QUBITS = (0, 3)
@@ -37,10 +36,6 @@ def ideal_spin_state(phi: float) -> PureState:
     """(|00> + |01> + |10> + e^{i phi}|11>)/2, the post-recombination spin state."""
     v = np.array([1, 1, 1, np.exp(1j * phi)], dtype=complex) / 2
     return PureState((2, 2), v)
-
-
-def cphase(phi: float) -> np.ndarray:
-    return np.diag([1, 1, 1, np.exp(1j * phi)]).astype(complex)
 
 
 CNOT = np.array(

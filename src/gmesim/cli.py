@@ -16,7 +16,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -160,6 +159,19 @@ def load_state_json(path: str) -> qmath.DensityMatrix:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
 
+def write_hom_scan(path: Path, cfg: ExperimentConfig, bs: photonic.BsParams) -> None:
+    """Coincidence probability and the matching delay over the gamma grid."""
+    rows = []
+    for g in map(float, cfg.gamma_grid):
+        delay = (
+            math.inf if g == 0.0
+            else 0.0 if g >= 1.0
+            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
+        )
+        rows.append([g, delay, float(photonic.hom_coincidence(g, bs))])
+    write_csv(path, cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
+
+
 def write_counts_csv(path: Path, cfg: ExperimentConfig, records) -> None:
     def axis_repr(v: np.ndarray) -> str:
         label = certify._axis_label(v)
@@ -185,24 +197,28 @@ def load_counts_csv(path: str, total_expected: float) -> list[certify.CountsReco
     records = []
     try:
         with open(path) as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+            lines = [(no, ln) for no, ln in enumerate(fh, start=1) if not ln.startswith("#")]
     except OSError as exc:
         raise ParseError(f"cannot read counts {path}: {exc}") from exc
-    reader = csv.reader(lines)
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:6]] != [
+    # Keep each row's line number in the file, metadata comments included.
+    rows = list(zip((no for no, _ in lines), csv.reader(ln for _, ln in lines)))
+    if not rows or [h.strip() for h in rows[0][1][:6]] != [
         "setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm",
     ]:
-        raise ParseError(f"{path}:1: bad counts header")
-    for lineno, row in enumerate(reader, start=2):
+        raise ParseError(f"{path}:{rows[0][0] if rows else 1}: bad counts header")
+    for lineno, row in rows[1:]:
         if not row:
             continue
+        if len(row) < 6:
+            raise ParseError(f"{path}:{lineno}: expected 4 counts, got {max(len(row) - 2, 0)}")
         try:
             a = parse_axis(row[0], lineno)
             b = parse_axis(row[1], lineno)
             counts = tuple(int(x) for x in row[2:6])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if any(c < 0 for c in counts):
+            raise ParseError(f"{path}:{lineno}: negative count in {list(counts)}")
         records.append(
             certify.CountsRecord(certify.MeasurementSetting(a, b), counts, total_expected)
         )
@@ -272,15 +288,7 @@ def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) 
     probs = photonic.cz_success_probabilities(net)
     fid = photonic.process_fidelity_to_cz(net)
     vis = photonic.hom_visibility(bs)
-    rows = []
-    for g in cfg.gamma_grid:
-        delay = (
-            math.inf if g == 0.0
-            else 0.0 if g >= 1.0
-            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
-        )
-        rows.append([float(g), float(delay), float(photonic.hom_coincidence(g, bs))])
-    write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
+    write_hom_scan(out / "hom_scan.csv", cfg, bs)
     # Small reflectivity imbalance (the experimental preset) still counts as
     # a working CZ; a fidelity this far below 1 means the wrong gate.
     cz_ok = fid >= 0.99 and np.max(np.abs(probs - probs[0])) < 0.05
@@ -313,8 +321,7 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
     grid = cfg.eta_grid if param == "eta" else cfg.v_grid
     if not grid:
         raise ParseError(f"{param}_grid is empty")
-    rows = []
-    convergence_ok = True
+    rows, ideals, datasets = [], [], []
     for idx, x in enumerate(grid):
         if param == "eta":
             ideal = noise.dephased_singlet(float(x))
@@ -324,30 +331,27 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
             baseline = ideal
         smax, _ = certify.chsh_max(ideal)
         eigs, negativity = certify.ppt_report(ideal)
-        rows.append([
-            float(x),
-            certify.witness_w(ideal),
-            certify.witness_w(baseline),
-            smax,
-            negativity,
-            eigs[-1],
-        ])
+        rows.append([float(x), certify.witness_w(ideal), certify.witness_w(baseline), smax,
+                     negativity, eigs[-1]])
+        ideals.append(ideal)
         if cfg.counts_per_setting > 0:
-            data = certify.simulate_counts(
+            datasets.append(certify.simulate_counts(
                 ideal, certify.PAULI_SETTINGS, cfg.counts_per_setting,
                 int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0]),
-            )
-            res = certify.tomography_mle(data, target=ideal)
-            convergence_ok = convergence_ok and res.converged
-            write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
-                param: float(x),
-                "rho_hat": state_json(res.rho_hat),
-                "log_likelihood": res.log_likelihood,
-                "fidelity_to_truth": res.fidelity_to_target,
-                "ppt_eigenvalues": list(res.ppt_eigenvalues),
-                "negativity": res.negativity,
-                "converged": res.converged,
-            })
+            ))
+    # One stacked MLE solve over every grid point.
+    results = certify.tomography_mle_batch(datasets, ideals) if datasets else []
+    for idx, (x, res) in enumerate(zip(grid, results)):
+        write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
+            param: float(x),
+            "rho_hat": state_json(res.rho_hat),
+            "log_likelihood": res.log_likelihood,
+            "fidelity_to_truth": res.fidelity_to_target,
+            "ppt_eigenvalues": list(res.ppt_eigenvalues),
+            "negativity": res.negativity,
+            "converged": res.converged,
+            "iterations": res.iterations,
+        })
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",
               "pt_min_eigenvalue"]
     write_csv(out / f"scan_{param}.csv", cfg, header, rows)
@@ -363,26 +367,18 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
                 hi = mid
         summary["baseline_witness_zero_crossing"] = (lo + hi) / 2
     write_json(out / f"scan_{param}_summary.json", cfg, summary)
-    return EXIT_OK if convergence_ok else EXIT_NO_CONVERGENCE
+    return EXIT_OK if all(res.converged for res in results) else EXIT_NO_CONVERGENCE
 
 
 def cmd_hom_scan(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     bs = cfg.bs_params()
-    rows = []
     vrows = []
     for g in cfg.gamma_grid:
-        g = float(g)
-        delay = (
-            math.inf if g == 0.0
-            else 0.0 if g >= 1.0
-            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
-        )
-        rows.append([g, float(delay), float(photonic.hom_coincidence(g, bs))])
-        rho, _ = photonic.simulate_pipeline(bs=bs, gamma=g)
+        rho, _ = photonic.simulate_pipeline(bs=bs, gamma=float(g))
         v, dist = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
-        vrows.append([g, float(v)])
-    write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
+        vrows.append([float(g), float(v)])
+    write_hom_scan(out / "hom_scan.csv", cfg, bs)
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
     write_json(out / "hom_summary.json", cfg, {
         "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
@@ -443,7 +439,7 @@ def cmd_certify(
     settings = certify.singlet_optimal_settings()
     res = certify.tomography_mle(data, target=target)
     summary = certify.derived_quantities(res.rho_hat, target, settings)
-    errors = certify.monte_carlo_errors(
+    errors, mc_converged = certify.bootstrap(
         data, cfg.mc_replicas, cfg.seed, target=target, chsh_settings=settings
     )
     verdict = _verdict(summary, errors)
@@ -452,10 +448,12 @@ def cmd_certify(
         "rho_hat": state_json(res.rho_hat),
         "log_likelihood": res.log_likelihood,
         "converged": res.converged,
+        "iterations": res.iterations,
         "dropped_settings": res.dropped_settings,
         "quantities": summary,
         "error_intervals": errors,
         "mc_replicas": cfg.mc_replicas,
+        "mc_converged": mc_converged,
     })
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
@@ -510,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # GME_SIM_THREADS caps worker parallelism; the current implementation is
-    # single-threaded, so any value short-circuits to serial execution.
-    os.environ.setdefault("GME_SIM_THREADS", "0")
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {

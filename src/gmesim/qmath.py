@@ -22,7 +22,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
-PAULIS = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 
 class QmathError(Exception):
@@ -102,6 +101,22 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def check_density(m: np.ndarray) -> None:
+    """Raise unless every matrix of ``m``, one (d, d) matrix or a stack of them,
+    is a density matrix: finite, Hermitian, unit trace and PSD within tolerance."""
+    if not np.all(np.isfinite(m)):
+        raise QmathError("density matrix contains NaN or Inf entries")
+    mh = np.swapaxes(m.conj(), -1, -2)
+    if np.max(np.abs(m - mh)) > NORM_TOL:
+        raise NotHermitian("density matrix is not Hermitian")
+    tr = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
+    bad = np.abs(tr - 1.0) > NORM_TOL
+    if bad.any():
+        raise QmathError(f"trace is {tr[bad][0]!r}, expected 1")
+    if np.min(np.linalg.eigvalsh((m + mh) / 2)) < -PSD_TOL:
+        raise QmathError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator with subsystem dimension list."""
@@ -116,12 +131,7 @@ class DensityMatrix:
         d = prod(self.dims)
         if m.shape != (d, d):
             raise DimensionMismatch(f"matrix shape {m.shape} does not match dims {self.dims}")
-        if np.max(np.abs(m - m.conj().T)) > NORM_TOL:
-            raise NotHermitian("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > NORM_TOL:
-            raise QmathError(f"trace is {np.trace(m).real!r}, expected 1")
-        if float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2))) < -PSD_TOL:
-            raise QmathError("density matrix has a negative eigenvalue")
+        check_density(m)
 
     @property
     def dim(self) -> int:
@@ -131,40 +141,8 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a complex Jacobi rotation, accumulating into v."""
-    apq = a[p, q]
-    mag = abs(apq)
-    if mag == 0.0:
-        return
-    u = apq / mag  # phase factor carrying the complex part
-    app = a[p, p].real
-    aqq = a[q, q].real
-    tau = (aqq - app) / (2.0 * mag)
-    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.hypot(1.0, t)
-    s = t * c
-    # Unitary J = identity except J[p,p]=c, J[p,q]=s, J[q,p]=-s*conj(u), J[q,q]=c*conj(u).
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(u) * col_q
-    a[:, q] = s * col_p + c * np.conj(u) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * u * row_q
-    a[q, :] = s * row_p + c * u * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p - s * np.conj(u) * col_q
-    v[:, q] = s * col_p + c * np.conj(u) * col_q
-
-
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted in
     descending order and orthonormal eigenvectors as columns.  Each
@@ -179,31 +157,10 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("matrix must be square")
     if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    a = ((h + h.conj().T) / 2).astype(complex)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off = max(off, abs(a[p, q]))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > 1e-16 * scale:
-                    _jacobi_rotate(a, v, p, q)
-    vals = np.real(np.diag(a))
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    for k in range(n):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if len(nz):
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vecs[:, k] = col / phase
-    return vals, vecs
+    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
+    return vals, vecs * (np.abs(lead) / lead)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

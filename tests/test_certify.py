@@ -178,3 +178,189 @@ class TestFidelityAndErrors:
         recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
         with pytest.raises(certify.CertifyError):
             certify.monte_carlo_errors(recs, 1, 0)
+
+
+def _resampled_stack(truth, n_per_setting, seed, members):
+    recs = certify.simulate_counts(truth, certify.PAULI_SETTINGS, n_per_setting, seed)
+    settings, counts = certify._stack([recs])
+    rng = np.random.default_rng(seed)
+    return settings, np.stack([rng.poisson(counts[0]) for _ in range(members)])
+
+
+def _records(settings, counts):
+    return [certify.CountsRecord(s, tuple(int(c) for c in row), float(row.sum()))
+            for s, row in zip(settings, counts)]
+
+
+def _serial_em(data, max_iter, init=None):
+    """Reference for the batched engine: one state at a time, halving the
+    dilution step until the likelihood rises."""
+    kept = [rec for rec in data if rec.total > 0]
+    proj = np.concatenate([rec.setting.projectors() for rec in kept])
+    counts = np.concatenate([np.asarray(rec.counts, dtype=float) for rec in kept])
+    if init is None:
+        init = certify.tomography_linear(data) if len(kept) == len(data) else np.eye(4) / 4
+    rho = 0.999 * certify._psd_project(init) + 0.001 * np.eye(4) / 4
+
+    def probs(r):
+        return np.maximum(np.einsum("kij,ji->k", proj, r).real, 1e-300)
+
+    def loglike(r):
+        return float(np.dot(counts, np.log(probs(r))))
+
+    def normalized(m):
+        m = (m + m.conj().T) / 2
+        return m / np.trace(m).real
+
+    ll, stall = loglike(rho), 0
+    for it in range(1, max_iter + 1):
+        r = np.einsum("k,kij->ij", counts / probs(rho), proj)
+        new = normalized(r @ rho @ r)
+        ll_new = loglike(new)
+        if ll_new < ll:
+            r_norm = r / np.trace(r @ rho).real
+            eps = 0.5
+            while eps > 1e-12:
+                m = (1 - eps) * np.eye(4) + eps * r_norm
+                cand = normalized(m @ rho @ m.conj().T)
+                if loglike(cand) > ll:
+                    new, ll_new = cand, loglike(cand)
+                    break
+                eps /= 2
+            else:
+                stall += 1
+                if stall >= 10:
+                    return rho, ll, True, it
+                continue
+        stall = stall + 1 if ll_new - ll < 1e-10 else 0
+        rho, ll = new, ll_new
+        if stall >= 10:
+            return rho, ll, True, it
+    return rho, ll, False, max_iter
+
+
+def _overshooting_stack(seeds=(239, 535, 635, 754)):
+    """Counts and nearly pure start points for which the plain fixed-point
+    step lowers the likelihood, so the first iteration takes the fallback.
+    The seeds were picked by searching for that property, checked here."""
+    proj = np.concatenate([s.projectors() for s in certify.PAULI_SETTINGS])
+    counts, starts = [], []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 17])
+        truth = certify.random_pure_state(rng).density()
+        recs = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed)
+        start = certify.random_pure_state(rng).density().matrix
+        rho = certify.mle_batch(*certify._stack([recs]), init=start, max_iter=0)[0][0]
+        n = np.concatenate([r.counts for r in recs])
+        p = np.einsum("kij,ji->k", proj, rho).real
+        r = np.einsum("k,kij->ij", n / p, proj)
+        step = r @ rho @ r
+        p_step = np.einsum("kij,ji->k", proj, step / np.trace(step).real).real
+        assert np.dot(n, np.log(p_step)) < np.dot(n, np.log(p)) - 1.0
+        counts.append([rec.counts for rec in recs])
+        starts.append(start)
+    return np.array(counts, dtype=float), np.array(starts)
+
+
+class TestBatchedEngine:
+    def test_fallback_steps_match_the_serial_reference(self):
+        # Every iterate must be the one the serial halving search takes.
+        counts, starts = _overshooting_stack()
+        settings = certify.PAULI_SETTINGS
+        prev = certify.mle_batch(settings, counts, init=starts, max_iter=0)[1]
+        for k in range(1, 9):
+            rho, ll, _, _, _ = certify.mle_batch(settings, counts, init=starts, max_iter=k)
+            assert np.all(ll >= prev)
+            prev = ll
+            for b in range(len(counts)):
+                ref = _serial_em(_records(settings, counts[b]), k, starts[b])
+                assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
+        rho, ll, converged, _, _ = certify.mle_batch(settings, counts, init=starts)
+        for b in range(len(counts)):
+            ref = _serial_em(_records(settings, counts[b]), 100_000, starts[b])
+            assert converged[b] and ref[2]
+            assert ll[b] == pytest.approx(ref[1], rel=1e-12)
+
+    def test_members_match_their_own_single_solve(self):
+        settings, counts = _resampled_stack(noise.dephased_singlet(0.6), 10_000, 31, 100)
+        rho, ll, converged, iterations, dropped = certify.mle_batch(settings, counts)
+        assert rho.shape == (100, 4, 4) and converged.all() and not dropped.any()
+        for b in range(100):
+            single = certify.mle_state(_records(settings, counts[b]))
+            assert np.max(np.abs(rho[b] - single[0])) <= 1e-9
+            assert ll[b] == pytest.approx(single[1], rel=1e-12)
+            assert converged[b] == single[2]
+
+    def test_log_likelihood_never_decreases(self):
+        # A stack of members that need few and many iterations, with the
+        # maximally mixed state among them.  The engine is deterministic, so
+        # the iterate after k steps is the result of a run with max_iter=k.
+        stacks = [_resampled_stack(truth, 2000, 7, 4)
+                  for truth in (SINGLET, noise.rho_dist(), noise.rho_mix(),
+                                qmath.DensityMatrix((2, 2), np.eye(4) / 4))]
+        settings = stacks[0][0]
+        counts = np.concatenate([c for _, c in stacks])
+        prev = certify.mle_batch(settings, counts, max_iter=0)[1]
+        for k in range(1, 60):
+            ll = certify.mle_batch(settings, counts, max_iter=k)[1]
+            assert np.all(ll >= prev)
+            prev = ll
+
+    def test_zero_setting_member_starts_from_identity(self):
+        settings, counts = _resampled_stack(SINGLET, 5000, 5, 2)
+        counts[1, 0] = 0
+        start = certify.mle_batch(settings, counts, max_iter=0)[0]
+        assert np.allclose(start[1], np.eye(4) / 4, atol=1e-15)
+        assert not np.allclose(start[0], np.eye(4) / 4, atol=1e-2)
+        rho, _, converged, _, dropped = certify.mle_batch(settings, counts)
+        assert list(dropped) == [0, 1] and converged.all()
+        single = certify.mle_state(_records(settings, counts[1]))
+        assert single[4] == 1 and np.max(np.abs(rho[1] - single[0])) <= 1e-9
+
+    def test_maximally_mixed_counts_take_the_dilution_fallback(self):
+        recs = certify.simulate_counts(
+            qmath.DensityMatrix((2, 2), np.eye(4) / 4), certify.PAULI_SETTINGS, 10_000, 5
+        )
+        settings, counts = certify._stack([recs])
+        proj = np.concatenate([s.projectors() for s in settings])
+        n = counts.reshape(-1)
+
+        def loglike(r):
+            return float(np.dot(n, np.log(np.einsum("kij,ji->k", proj, r).real)))
+
+        fallbacks = 0
+        for k in range(40):
+            rho, ll, _, _, _ = certify.mle_state(recs, max_iter=k)
+            r = np.einsum("k,kij->ij", n / np.einsum("kij,ji->k", proj, rho).real, proj)
+            plain = r @ rho @ r
+            if loglike(plain / np.trace(plain).real) < ll:
+                fallbacks += 1
+                assert certify.mle_state(recs, max_iter=k + 1)[1] >= ll
+        assert fallbacks > 0
+        res = certify.tomography_mle(recs)
+        assert res.converged and res.fidelity_to_target == pytest.approx(0.25, abs=0.01)
+
+    def test_stacked_tomography_matches_single_fits(self):
+        truths = [noise.dephased_singlet(eta) for eta in (0.0, 0.5, 1.0)]
+        datasets = [certify.simulate_counts(t, certify.PAULI_SETTINGS, 3000, i)
+                    for i, t in enumerate(truths)]
+        batch = certify.tomography_mle_batch(datasets, truths)
+        for data, truth, res in zip(datasets, truths, batch):
+            single = certify.tomography_mle(data, target=truth)
+            assert np.max(np.abs(res.rho_hat.matrix - single.rho_hat.matrix)) <= 1e-9
+            assert res.fidelity_to_target == pytest.approx(single.fidelity_to_target, abs=1e-9)
+            assert res.converged and res.iterations > 0
+
+    def test_stacked_datasets_must_share_settings(self):
+        a = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
+        b = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[::-1], 100, 1)
+        with pytest.raises(certify.CertifyError):
+            certify.tomography_mle_batch([a, b], [circuit.singlet()] * 2)
+
+    def test_bootstrap_reports_converged_replicas(self):
+        recs = certify.simulate_counts(
+            noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
+        )
+        errors, converged = certify.bootstrap(recs, 20, 5)
+        assert converged == 20
+        assert errors == certify.monte_carlo_errors(recs, 20, 5)

@@ -134,6 +134,15 @@ class TestScan:
         assert d["converged"] is True
         assert d["fidelity_to_truth"] > 0.98
 
+    def test_scan_tomography_files_carry_iterations(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"v_grid": [0.0, 0.5, 1.0], "counts_per_setting": 2000}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", "v") == 0
+        for idx in range(3):
+            d = read_json(tmp_path / f"tomography_v_{idx:02d}.json")
+            assert d["converged"] is True
+            assert isinstance(d["iterations"], int) and d["iterations"] > 0
+
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eta_grid": []}))
@@ -172,6 +181,13 @@ class TestSimulateCountsAndCertify:
         p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,X,1,2,three,4\n")
         with pytest.raises(cli.ParseError, match=":2"):
             cli.load_counts_csv(str(p), 10.0)
+
+    def test_counts_short_row_reports_line(self, tmp_path):
+        p = tmp_path / "short.csv"
+        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,Y,1,2,3,4\nX,X,1,2\n")
+        with pytest.raises(cli.ParseError, match=":3: expected 4 counts, got 2"):
+            cli.load_counts_csv(str(p), 10.0)
+        assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
 
     def test_counts_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -226,6 +242,32 @@ class TestSimulateCountsAndCertify:
     def test_certify_without_input_is_parse_error(self, tmp_path):
         assert run("--out", str(tmp_path), "certify") == 2
 
+    def test_negative_count_is_parse_error_with_line(self, tmp_path, capsys):
+        run("--out", str(tmp_path), "--seed", "3", "simulate-counts", "--model", "singlet")
+        lines = (tmp_path / "counts.csv").read_text().splitlines()
+        idx = next(i for i, ln in enumerate(lines) if ln.startswith("Y,Z,"))
+        lines[idx] = "Y,Z,10,-1,20,30"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        where = f"bad.csv:{idx + 1}: negative count"  # the file line, comments included
+        assert lines[0].startswith("#")
+        with pytest.raises(cli.ParseError, match=where):
+            cli.load_counts_csv(str(bad), 10_000.0)
+        capsys.readouterr()
+        assert run("--out", str(tmp_path / "v"), "certify", "--counts", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+        assert not (tmp_path / "v" / "verdict.json").exists()
+
+    def test_certify_reports_fit_diagnostics(self, tmp_path):
+        run("--out", str(tmp_path), "--seed", "8", "simulate-counts", "--model", "singlet")
+        assert run("--out", str(tmp_path), "--seed", "8", "certify",
+                   "--counts", str(tmp_path / "counts.csv"), "--mc-replicas", "25") == 0
+        v = read_json(tmp_path / "verdict.json")
+        assert v["mc_replicas"] == 25 and v["mc_converged"] == 25
+        assert isinstance(v["iterations"], int) and v["iterations"] > 10
+        assert set(v["error_intervals"]) == set(v["quantities"])
+
 
 class TestDeterminism:
     def test_certify_rerun_byte_identical(self, tmp_path):
@@ -238,6 +280,18 @@ class TestDeterminism:
         a = (tmp_path / "a" / "verdict.json").read_bytes()
         b = (tmp_path / "b" / "verdict.json").read_bytes()
         assert a == b
+
+    def test_certify_default_replicas_rerun_byte_identical(self, tmp_path):
+        run("--out", str(tmp_path / "c"), "--seed", "4", "simulate-counts",
+            "--model", "baseline", "--eta", "0.6")
+        counts = tmp_path / "c" / "counts.csv"
+        for d in ("a", "b"):
+            assert run("--out", str(tmp_path / d), "--seed", "4", "certify",
+                       "--counts", str(counts)) == 0
+        a = (tmp_path / "a" / "verdict.json").read_bytes()
+        assert a == (tmp_path / "b" / "verdict.json").read_bytes()
+        v = json.loads(a)
+        assert v["mc_replicas"] == 100 and v["mc_converged"] == 100
 
     def test_scan_rerun_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -40,6 +40,23 @@ class TestTypes:
         assert rho.purity() == pytest.approx(1.0)
         assert qmath.fidelity_pure(rho, psi) == pytest.approx(1.0)
 
+    def test_density_check_covers_every_member_of_a_stack(self):
+        good = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        qmath.check_density(good)
+        bad = good.copy()
+        bad[2, 0, 0], bad[2, 1, 1] = 0.5, 0.0
+        bad[2, 0, 1] = bad[2, 1, 0] = 0.3
+        with pytest.raises(qmath.QmathError, match="negative eigenvalue"):
+            qmath.check_density(bad)
+        bad = good.copy()
+        bad[1, 0, 1] = 0.1
+        with pytest.raises(qmath.NotHermitian):
+            qmath.check_density(bad)
+        bad = good.copy()
+        bad[0] *= 2
+        with pytest.raises(qmath.QmathError, match="trace"):
+            qmath.check_density(bad)
+
     def test_nan_rejected(self):
         with pytest.raises(qmath.QmathError):
             qmath.as_matrix(np.array([[np.nan, 0], [0, 1]]))
