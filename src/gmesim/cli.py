@@ -5,8 +5,8 @@ certify.  All outputs are deterministic for a fixed (config, seed) pair and
 carry a metadata header with the config hash, seed, artifact version and
 basis convention.
 
-Exit codes: 0 success, 2 parse/config error, 3 numerical non-convergence,
-4 verification failure.
+Exit codes: 0 success, 2 parse/config error or out-of-range physics input,
+3 numerical non-convergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -159,19 +159,6 @@ def load_state_json(path: str) -> qmath.DensityMatrix:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
 
-def write_hom_scan(path: Path, cfg: ExperimentConfig, bs: photonic.BsParams) -> None:
-    """Coincidence probability and the matching delay over the gamma grid."""
-    rows = []
-    for g in map(float, cfg.gamma_grid):
-        delay = (
-            math.inf if g == 0.0
-            else 0.0 if g >= 1.0
-            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
-        )
-        rows.append([g, delay, float(photonic.hom_coincidence(g, bs))])
-    write_csv(path, cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
-
-
 def write_counts_csv(path: Path, cfg: ExperimentConfig, records) -> None:
     def axis_repr(v: np.ndarray) -> str:
         label = certify._axis_label(v)
@@ -288,7 +275,6 @@ def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) 
     probs = photonic.cz_success_probabilities(net)
     fid = photonic.process_fidelity_to_cz(net)
     vis = photonic.hom_visibility(bs)
-    write_hom_scan(out / "hom_scan.csv", cfg, bs)
     # Small reflectivity imbalance (the experimental preset) still counts as
     # a working CZ; a fidelity this far below 1 means the wrong gate.
     cz_ok = fid >= 0.99 and np.max(np.abs(probs - probs[0])) < 0.05
@@ -357,15 +343,9 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
     write_csv(out / f"scan_{param}.csv", cfg, header, rows)
     summary: dict = {"param": param, "grid": [float(x) for x in grid]}
     if param == "eta":
-        # Bisect the baseline-model witness zero crossing.
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if certify.witness_w(noise.baseline_state(mid, cfg.baseline_weight)) < 0:
-                lo = mid
-            else:
-                hi = mid
-        summary["baseline_witness_zero_crossing"] = (lo + hi) / 2
+        summary["baseline_witness_zero_crossing"] = noise.baseline_witness_zero_crossing(
+            cfg.baseline_weight
+        )
     write_json(out / f"scan_{param}_summary.json", cfg, summary)
     return EXIT_OK if all(res.converged for res in results) else EXIT_NO_CONVERGENCE
 
@@ -373,12 +353,18 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
 def cmd_hom_scan(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     bs = cfg.bs_params()
-    vrows = []
-    for g in cfg.gamma_grid:
-        rho, _ = photonic.simulate_pipeline(bs=bs, gamma=float(g))
-        v, dist = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
-        vrows.append([float(g), float(v)])
-    write_hom_scan(out / "hom_scan.csv", cfg, bs)
+    rows, vrows = [], []
+    for g in map(float, cfg.gamma_grid):
+        delay = (
+            math.inf if g == 0.0
+            else 0.0 if g >= 1.0
+            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
+        )
+        rows.append([g, delay, float(photonic.hom_coincidence(g, bs))])
+        rho, _ = photonic.simulate_pipeline(bs=bs, gamma=g)
+        v, _ = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
+        vrows.append([g, float(v)])
+    write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
     write_json(out / "hom_summary.json", cfg, {
         "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
@@ -471,8 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="RNG seed override")
     parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv",
-                        help="preferred tabular output format (informational)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("circuit", help="run the abstract circuit and dump states")
@@ -533,7 +517,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg, args.counts, args.state)
         raise ParseError(f"unknown command {args.command!r}")
-    except ParseError as exc:
+    except (ParseError, photonic.OutOfRange, noise.OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationFailure as exc:

@@ -85,6 +85,18 @@ def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
     return dephase(mix(singlet().density(), rho_mix(), weight), eta)
 
 
+def baseline_witness_zero_crossing(weight: float = 0.86) -> float | None:
+    """Dephasing eta at which the baseline witness W(eta) = 1 - 2 w (1 - eta) is zero.
+
+    The crossing eta* = 1 - 1/(2w) exists only for w >= 1/2; below that the
+    witness never goes negative and there is no crossing (None).
+    """
+    weight = _check_unit(weight, "weight")
+    if weight < 0.5:
+        return None
+    return 1.0 - 1.0 / (2.0 * weight)
+
+
 def dephase_choi(eta: float) -> np.ndarray:
     """Choi matrix of the dephasing channel (16x16), for CPTP checks."""
     eta = _check_unit(eta, "eta")

@@ -3,8 +3,10 @@
 Two photons propagate over 24 single-photon modes: six spatial paths
 (out1, 1, 2, 3, 4, out4) times two polarizations (H, V) times a
 two-dimensional temporal label used to model partial distinguishability.
-The two-photon sector is held as a multiset-keyed amplitude map, which is
-small enough (~300 basis states) for exhaustive exact evolution.
+A two-photon state is its symmetric 24x24 creation tensor t, with
+state = sum_ij t_ij a_i^dag a_j^dag |0>.  A network with mode unitary U acts
+on it as t -> A^T t A with A = U^dag; coincidence masses and post-selection
+are index masks on t.
 
 Logical path encoding of the geometry qubits follows the coupler layout:
 qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3.
@@ -27,12 +29,10 @@ POLS = ("H", "V")
 LABELS = (0, 1)
 N_MODES = len(PATHS) * len(POLS) * len(LABELS)
 
-# Coincidence path sets: one photon in each certifies a post-selected event.
-PATH_SET_A = ("1", "2")
-PATH_SET_B = ("3", "4")
-
-# Logical value carried by each path (geometry-qubit encoding).
-PATH_LOGICAL = {"1": 0, "2": 1, "3": 1, "4": 0}
+# Path carrying logical value 0 / 1 of each photon (geometry-qubit encoding).
+# One photon in each pair of paths certifies a post-selected coincidence.
+LOGICAL_PATHS_A = ("1", "2")
+LOGICAL_PATHS_B = ("4", "3")
 
 
 class PhotonicError(Exception):
@@ -55,10 +55,21 @@ def mode_index(path: str, pol: str, label: int = 0) -> int:
     return (PATHS.index(path) * 2 + POLS.index(pol)) * 2 + label
 
 
-def mode_tuple(index: int) -> tuple[str, str, int]:
-    path, rest = divmod(index, 4)
-    pol, label = divmod(rest, 2)
-    return PATHS[path], POLS[pol], label
+def _path_modes(paths) -> np.ndarray:
+    return np.array([mode_index(p, pol, l) for p in paths for pol in POLS for l in LABELS])
+
+
+def _decoded_modes(paths) -> np.ndarray:
+    """[qubit, label] -> mode whose path and polarization (V=0, H=1) agree.
+
+    These are the modes the recombining beam displacers merge into the
+    polarization qubit; every other coincidence mode exits an unused port.
+    """
+    return np.array([[mode_index(paths[q], "VH"[q], l) for l in LABELS] for q in (0, 1)])
+
+
+DECODE_A = _decoded_modes(LOGICAL_PATHS_A)
+DECODE_B = _decoded_modes(LOGICAL_PATHS_B)
 
 
 @dataclass(frozen=True)
@@ -80,59 +91,43 @@ BS_PRESETS = {"ideal": IDEAL_BS, "experimental": EXPERIMENTAL_BS}
 
 
 class FockState:
-    """Two-photon Fock state keyed by unordered mode pairs.
+    """Two-photon state held as its symmetric creation tensor.
 
-    Amplitudes are stored in the normalized Fock convention: a doubly
-    occupied mode carries the sqrt(2) bosonic factor, i.e. the key (i, i)
-    holds the amplitude of |2>_i.
+    ``tensor`` is t with state = sum_ij t_ij a_i^dag a_j^dag |0>; the
+    constructor symmetrizes it.  The Fock amplitude of |1_i 1_j> (i != j) is
+    2 t_ij and that of |2_i> is sqrt(2) t_ii.
     """
 
-    def __init__(self, terms: dict[tuple[int, int], complex]):
-        self.terms = {
-            (min(i, j), max(i, j)): complex(a)
-            for (i, j), a in terms.items()
-            if a != 0
-        }
+    def __init__(self, tensor: np.ndarray):
+        t = np.asarray(tensor, dtype=complex)
+        if t.shape != (N_MODES, N_MODES):
+            raise PhotonicError(f"creation tensor must be {N_MODES}x{N_MODES}, got {t.shape}")
+        self.tensor = (t + t.T) / 2
 
     def norm(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
+        return float(2 * np.sum(np.abs(self.tensor) ** 2))
 
     def amplitude(self, m1: tuple[str, str, int], m2: tuple[str, str, int]) -> complex:
         i, j = mode_index(*m1), mode_index(*m2)
-        return self.terms.get((min(i, j), max(i, j)), 0.0 + 0.0j)
+        return complex(self.tensor[i, j] * (np.sqrt(2) if i == j else 2))
 
-    def to_tensor(self) -> np.ndarray:
-        """Symmetric creation-operator coefficient tensor t with
-        state = sum_ij t_ij a_i^dag a_j^dag |0>."""
-        t = np.zeros((N_MODES, N_MODES), dtype=complex)
-        for (i, j), a in self.terms.items():
-            if i == j:
-                t[i, i] = a / np.sqrt(2)
-            else:
-                t[i, j] = t[j, i] = a / 2
-        return t
-
-    @classmethod
-    def from_tensor(cls, t: np.ndarray, tol: float = 1e-15) -> "FockState":
-        t = (t + t.T) / 2
-        terms: dict[tuple[int, int], complex] = {}
-        for i in range(N_MODES):
-            if abs(t[i, i]) > tol:
-                terms[(i, i)] = t[i, i] * np.sqrt(2)
-            for j in range(i + 1, N_MODES):
-                if abs(t[i, j]) > tol:
-                    terms[(i, j)] = 2 * t[i, j]
-        return cls(terms)
+    @property
+    def terms(self) -> dict[tuple[int, int], complex]:
+        """Fock amplitudes keyed by mode pairs i <= j; entries |t_ij| <= 1e-15 are left out."""
+        i, j = np.triu_indices(N_MODES)
+        t = self.tensor[i, j]
+        keep = np.abs(t) > 1e-15
+        amps = t[keep] * np.where(i[keep] == j[keep], np.sqrt(2), 2)
+        return {(int(a), int(b)): complex(z) for a, b, z in zip(i[keep], j[keep], amps)}
 
 
 def product_state(photon_a: np.ndarray, photon_b: np.ndarray) -> FockState:
     """Two-photon state from two normalized single-photon amplitude vectors."""
-    t = (np.outer(photon_a, photon_b) + np.outer(photon_b, photon_a)) / 2
-    state = FockState.from_tensor(t)
+    state = FockState(np.outer(photon_a, photon_b))
     n = state.norm()
     if n < 1e-14:
         raise PhotonicError("photon amplitude vectors cancel")
-    return FockState({k: a / np.sqrt(n) for k, a in state.terms.items()})
+    return FockState(state.tensor / np.sqrt(n))
 
 
 def single_photon(path: str, pol: str, label: int = 0) -> np.ndarray:
@@ -143,10 +138,9 @@ def single_photon(path: str, pol: str, label: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpticalNetwork:
-    """Single-photon mode unitary plus the element list that produced it."""
+    """Single-photon mode unitary of a passive linear network."""
 
     mode_unitary: np.ndarray = field(repr=False)
-    elements: tuple[dict, ...] = ()
 
     def __post_init__(self):
         u = self.mode_unitary
@@ -179,8 +173,7 @@ def build_cz_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
         for label in LABELS:
             for pa, pb in (("out1", "1"), ("2", "3"), ("4", "out4")):
                 _embed_pair(u, block, mode_index(pa, pol, label), mode_index(pb, pol, label))
-    meta = ({"element": "BS", "R_H": bs.R_H, "R_V": bs.R_V},)
-    return OpticalNetwork(u, meta)
+    return OpticalNetwork(u)
 
 
 def _swap_modes(pairs) -> np.ndarray:
@@ -217,38 +210,31 @@ def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
     u_bd = beam_displacer_unitary(2) @ beam_displacer_unitary(1)
     u_hwp = hwp_unitary()
     u_bs = build_cz_network(bs).mode_unitary
-    u = u_hwp @ u_bs @ u_hwp @ u_bd
-    meta = (
-        {"element": "BD", "photon": 1},
-        {"element": "BD", "photon": 2},
-        {"element": "HWP45", "paths": ["2", "3"]},
-        {"element": "BS", "R_H": bs.R_H, "R_V": bs.R_V},
-        {"element": "HWP45", "paths": ["2", "3"]},
-    )
-    return OpticalNetwork(u, meta)
+    return OpticalNetwork(u_hwp @ u_bs @ u_hwp @ u_bd)
 
 
 def evolve_two_photon(state: FockState, net: OpticalNetwork) -> FockState:
-    """Push every creation-operator monomial through the mode unitary."""
+    """Push the creation tensor through the mode unitary."""
     n = state.norm()
     if abs(n - 1.0) > 1e-9:
         raise PhotonNumberMismatch(f"input not a normalized two-photon state (norm {n!r})")
     a = net.mode_unitary.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
-    t = state.to_tensor()
-    return FockState.from_tensor(a.T @ t @ a)
+    return FockState(a.T @ state.tensor @ a)
+
+
+def pair_mass(state: FockState, paths_a, paths_b) -> float:
+    """Probability of one photon in ``paths_a`` and the other in ``paths_b``.
+
+    The two path sets must be disjoint: every such pair of modes (i, j) has
+    Fock amplitude 2 t_ij, so the mass is 4 sum |t[A, B]|^2.
+    """
+    block = state.tensor[np.ix_(_path_modes(paths_a), _path_modes(paths_b))]
+    return float(4 * np.sum(np.abs(block) ** 2))
 
 
 def coincidence_mass(state: FockState) -> float:
     """Probability mass with exactly one photon in paths {1,2} and one in {3,4}."""
-    mass = 0.0
-    for (i, j), amp in state.terms.items():
-        pa, _, _ = mode_tuple(i)
-        pb, _, _ = mode_tuple(j)
-        if (pa in PATH_SET_A and pb in PATH_SET_B) or (
-            pb in PATH_SET_A and pa in PATH_SET_B
-        ):
-            mass += abs(amp) ** 2
-    return mass
+    return pair_mass(state, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
 
 
 def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
@@ -261,25 +247,11 @@ def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
     unused ports and are dropped.  Temporal labels are traced out.  Returns
     the decoded density matrix and the pre-normalization coincidence mass.
     """
-    # Axes: (qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
-    psi = np.zeros((2, 2, 2, 2), dtype=complex)
-    mass = 0.0
-    for (i, j), amp in state.terms.items():
-        pa, la, ka = mode_tuple(i)
-        pb, lb, kb = mode_tuple(j)
-        if pa in PATH_SET_A and pb in PATH_SET_B:
-            m1, m2 = (pa, la, ka), (pb, lb, kb)
-        elif pb in PATH_SET_A and pa in PATH_SET_B:
-            m1, m2 = (pb, lb, kb), (pa, la, ka)
-        else:
-            continue
-        mass += abs(amp) ** 2
-        qa = 1 if m1[1] == "H" else 0
-        qb = 1 if m2[1] == "H" else 0
-        if PATH_LOGICAL[m1[0]] == qa and PATH_LOGICAL[m2[0]] == qb:
-            psi[qa, m1[2], qb, m2[2]] += amp
+    mass = coincidence_mass(state)
     if mass < 1e-14:
         raise EmptyPostSelection("post-selected mass below 1e-14")
+    # Axes: (qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
+    psi = 2 * state.tensor[DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
     decoded = float(np.sum(np.abs(psi) ** 2))
     if decoded < 1e-14:
         raise EmptyPostSelection("no path-polarization-consistent coincidence terms")
@@ -291,46 +263,37 @@ def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
 
 def logical_path_input(q1: int, q2: int, pol: str = "V", label2: int = 0) -> FockState:
     """Two-photon path-encoded logical input |q1, q2> at fixed polarization."""
-    path1 = "2" if q1 else "1"
-    path2 = "3" if q2 else "4"
-    return product_state(single_photon(path1, pol, 0), single_photon(path2, pol, label2))
+    return product_state(
+        single_photon(LOGICAL_PATHS_A[q1], pol, 0),
+        single_photon(LOGICAL_PATHS_B[q2], pol, label2),
+    )
+
+
+def _logical_outputs(net: OpticalNetwork, pol: str) -> list[FockState]:
+    """Evolved states of the logical inputs 00, 01, 10, 11."""
+    return [evolve_two_photon(logical_path_input(q1, q2, pol), net)
+            for q1 in (0, 1) for q2 in (0, 1)]
 
 
 def effective_gate_truth_table(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
     """Post-selected coincidence amplitudes for logical inputs 00, 01, 10, 11."""
-    amps = np.zeros(4, dtype=complex)
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            out = evolve_two_photon(logical_path_input(q1, q2, pol), net)
-            path1 = "2" if q1 else "1"
-            path2 = "3" if q2 else "4"
-            amps[2 * q1 + q2] = out.amplitude((path1, pol, 0), (path2, pol, 0))
-    return amps
+    return np.diagonal(post_selected_channel_matrix(net, pol)).copy()
 
 
 def cz_success_probabilities(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
     """Coincidence mass per logical input branch (1/9 each for the ideal network)."""
-    probs = np.zeros(4)
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            out = evolve_two_photon(logical_path_input(q1, q2, pol), net)
-            probs[2 * q1 + q2] = coincidence_mass(out)
-    return probs
+    return np.array([coincidence_mass(out) for out in _logical_outputs(net, pol)])
 
 
 def post_selected_channel_matrix(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
     """4x4 matrix of the post-selected path-qubit map in the logical basis."""
     m = np.zeros((4, 4), dtype=complex)
-    paths_a = {0: "1", 1: "2"}
-    paths_b = {0: "4", 1: "3"}
-    for q1 in (0, 1):
-        for q2 in (0, 1):
-            out = evolve_two_photon(logical_path_input(q1, q2, pol), net)
-            for r1 in (0, 1):
-                for r2 in (0, 1):
-                    m[2 * r1 + r2, 2 * q1 + q2] = out.amplitude(
-                        (paths_a[r1], pol, 0), (paths_b[r2], pol, 0)
-                    )
+    for col, out in enumerate(_logical_outputs(net, pol)):
+        for r1 in (0, 1):
+            for r2 in (0, 1):
+                m[2 * r1 + r2, col] = out.amplitude(
+                    (LOGICAL_PATHS_A[r1], pol, 0), (LOGICAL_PATHS_B[r2], pol, 0)
+                )
     return m
 
 
@@ -359,15 +322,8 @@ def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS, pol: str = "V") -> 
     d = np.sqrt(max(0.0, 1.0 - g * g))
     photon_a = single_photon("2", pol, 0)
     photon_b = g * single_photon("3", pol, 0) + d * single_photon("3", pol, 1)
-    state = product_state(photon_a, photon_b)
-    out = evolve_two_photon(state, build_cz_network(bs))
-    prob = 0.0
-    for (i, j), amp in out.terms.items():
-        pa, _, _ = mode_tuple(i)
-        pb, _, _ = mode_tuple(j)
-        if {pa, pb} == {"2", "3"}:
-            prob += abs(amp) ** 2
-    return prob
+    out = evolve_two_photon(product_state(photon_a, photon_b), build_cz_network(bs))
+    return pair_mass(out, ("2",), ("3",))
 
 
 def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> list[float]:

@@ -77,25 +77,41 @@ def test_04_witness_endpoints():
     )
 
 
+def bisect_baseline_crossing(weight: float) -> float:
+    """Baseline-model witness zero crossing by bisection of the computed witness."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if certify.witness_w(noise.baseline_state(mid, weight)) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def test_05_dephasing_law_and_baseline_crossing():
     grid = np.linspace(0.0, 1.0, 101)
     err = max(
         abs(certify.witness_w(noise.dephased_singlet(e)) - (2 * e - 1)) for e in grid
     )
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if certify.witness_w(noise.baseline_state(mid)) < 0:
-            lo = mid
-        else:
-            hi = mid
-    crossing = (lo + hi) / 2
+    crossing = bisect_baseline_crossing(0.86)
     ok = err <= 1e-12 and abs(crossing - 0.419) <= 1e-3
     report(
         "W(eta) = 2 eta - 1 and baseline crossing at 0.419",
         ok,
         f"max law error {err:.2e}, crossing {crossing:.6f}",
     )
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.6, 0.86, 1.0])
+def test_closed_form_crossing_matches_bisection(weight):
+    crossing = noise.baseline_witness_zero_crossing(weight)
+    assert abs(crossing - bisect_baseline_crossing(weight)) < 1e-12
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3])
+def test_no_crossing_below_half_weight(weight):
+    assert noise.baseline_witness_zero_crossing(weight) is None
 
 
 def test_06_distinguishability_law_and_fock_family():

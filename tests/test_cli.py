@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmesim import certify, cli
 
@@ -93,6 +96,10 @@ class TestPhotonicVerify:
         assert d["hom_visibility_ideal_theory"] == 0.8
         assert 0.7 < d["hom_visibility"] < 0.9
 
+    def test_writes_only_the_verification_json(self, tmp_path):
+        assert run("--out", str(tmp_path), "photonic-verify") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cz_verification.json"]
+
     def test_half_reflectivity_fails_with_exit_4(self, tmp_path, capsys):
         code = run("--out", str(tmp_path), "photonic-verify", "--reflectivity", "0.5")
         assert code == 4
@@ -115,6 +122,15 @@ class TestScan:
         assert w == pytest.approx([-1, -0.5, 0, 0.5, 1], abs=1e-9)
         s = read_json(tmp_path / "scan_eta_summary.json")
         assert s["baseline_witness_zero_crossing"] == pytest.approx(0.419, abs=1e-3)
+
+    def test_no_crossing_below_half_weight_is_null(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_grid": [0.0, 1.0], "baseline_weight": 0.3,
+                                   "counts_per_setting": 0}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "scan",
+                   "--param", "eta") == 0
+        s = read_json(tmp_path / "scan_eta_summary.json")
+        assert s["baseline_witness_zero_crossing"] is None
 
     def test_v_scan_single_point(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -267,6 +283,42 @@ class TestSimulateCountsAndCertify:
         assert v["mc_replicas"] == 25 and v["mc_converged"] == 25
         assert isinstance(v["iterations"], int) and v["iterations"] > 10
         assert set(v["error_intervals"]) == set(v["quantities"])
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("argv", [
+        ("photonic-verify", "--reflectivity", "1.5"),
+        ("simulate-counts", "--model", "dephased", "--eta", "1.5"),
+        ("simulate-counts", "--model", "distinguishable", "--v", "-0.1"),
+    ])
+    def test_exit_2_with_one_line_error(self, tmp_path, capsys, argv):
+        assert run("--out", str(tmp_path), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "outside [0, 1]" in err
+        assert err.count("\n") == 1
+
+    # The --flag=value form keeps argparse from reading -1e-05 or -inf as an option.
+    @pytest.mark.parametrize("argv", [
+        ("photonic-verify", "--reflectivity={}"),
+        ("simulate-counts", "--model", "dephased", "--eta={}"),
+        ("simulate-counts", "--model", "distinguishable", "--v={}"),
+    ])
+    def test_any_float_exits_0_2_or_4(self, tmp_path, argv):
+        @given(st.floats(allow_nan=True, allow_infinity=True))
+        @settings(max_examples=40, deadline=None)
+        def check(x):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("--out", str(tmp_path), "--config", str(cfg),
+                           *(a.format(repr(x)) for a in argv))
+            assert code in (0, 2, 4)
+            assert "Traceback" not in err.getvalue()
+            if not 0.0 <= x <= 1.0:
+                assert code == 2 and err.getvalue().startswith("error: ")
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"counts_per_setting": 10}))
+        check()
 
 
 class TestDeterminism:

@@ -4,11 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from gmesim import circuit, noise, photonic, qmath
 
+# Mode tuples in mode_index order.
+MODES = [(p, pol, l) for p in photonic.PATHS for pol in photonic.POLS for l in photonic.LABELS]
+
 
 class TestModes:
     def test_index_round_trip(self):
-        for idx in range(photonic.N_MODES):
-            assert photonic.mode_index(*photonic.mode_tuple(idx)) == idx
+        # (path, pol, label) -> mode_index is a bijection onto range(N_MODES).
+        idx = [photonic.mode_index(p, pol, l) for p, pol, l in MODES]
+        assert sorted(idx) == list(range(photonic.N_MODES))
 
     def test_mode_count(self):
         assert photonic.N_MODES == 24
@@ -18,11 +22,20 @@ class TestFockState:
     def test_tensor_round_trip_with_bunching(self):
         i = photonic.mode_index("2", "V", 0)
         j = photonic.mode_index("3", "V", 0)
-        s = photonic.FockState({(i, i): 0.6, (i, j): 0.8})
-        back = photonic.FockState.from_tensor(s.to_tensor())
-        assert back.terms[(i, i)] == pytest.approx(0.6)
-        assert back.terms[(i, j)] == pytest.approx(0.8)
+        t = np.zeros((photonic.N_MODES, photonic.N_MODES), dtype=complex)
+        t[i, i] = 0.6 / np.sqrt(2)  # |2>_i carries the sqrt(2) bosonic factor
+        t[i, j] = 0.8               # 0.8 a_i^dag a_j^dag, held as t_ij = t_ji = 0.4
+        s = photonic.FockState(t)
+        assert np.allclose(s.tensor, s.tensor.T)
+        assert s.tensor[i, j] == pytest.approx(0.4)
+        assert s.terms == pytest.approx({(i, i): 0.6, (i, j): 0.8})
+        assert s.amplitude(("2", "V", 0), ("2", "V", 0)) == pytest.approx(0.6)
+        assert s.amplitude(("3", "V", 0), ("2", "V", 0)) == pytest.approx(0.8)
         assert s.norm() == pytest.approx(1.0)
+
+    def test_wrong_tensor_shape_rejected(self):
+        with pytest.raises(photonic.PhotonicError):
+            photonic.FockState(np.zeros((4, 4)))
 
     def test_product_state_same_mode_gives_doubly_occupied(self):
         v = photonic.single_photon("2", "V")
@@ -49,10 +62,34 @@ class TestFockState:
 
     def test_unnormalized_input_rejected(self):
         i = photonic.mode_index("1", "V", 0)
+        t = np.zeros((photonic.N_MODES, photonic.N_MODES))
+        t[i, i] = 0.5 / np.sqrt(2)  # amplitude 0.5 on |2>_i: norm 0.25
+        s = photonic.FockState(t)
+        assert s.norm() == pytest.approx(0.25)
         with pytest.raises(photonic.PhotonNumberMismatch):
-            photonic.evolve_two_photon(
-                photonic.FockState({(i, i): 0.5}), photonic.build_cz_network()
-            )
+            photonic.evolve_two_photon(s, photonic.build_cz_network())
+
+    def test_output_amplitudes_are_permanents(self):
+        net = photonic.build_full_network(photonic.EXPERIMENTAL_BS)
+        # a_i^dag -> sum_r (U^dag)_ir b_r^dag: a single photon entering mode i
+        # leaves in mode r with amplitude m[r, i].
+        m = net.mode_unitary.conj()
+        n = photonic.N_MODES
+        eye = np.eye(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                out = photonic.evolve_two_photon(photonic.product_state(eye[i], eye[j]), net)
+                # perm[[m_ri, m_rj], [m_si, m_sj]] off the diagonal, sqrt(2) m_ri m_rj on it.
+                expect = np.outer(m[:, i], m[:, j])
+                expect = expect + expect.T
+                np.fill_diagonal(expect, np.sqrt(2) * m[:, i] * m[:, j])
+                got = np.zeros((n, n), dtype=complex)
+                for (r, s), amp in out.terms.items():
+                    got[r, s] = amp
+                assert np.max(np.abs(got - np.triu(expect))) < 1e-12
+        r, s = photonic.mode_index("2", "H", 1), photonic.mode_index("3", "V", 0)
+        assert out.amplitude(MODES[r], MODES[s]) == pytest.approx(expect[r, s], abs=1e-12)
+        assert out.amplitude(MODES[s], MODES[s]) == pytest.approx(expect[s, s], abs=1e-12)
 
 
 class TestNetworks:
@@ -112,6 +149,12 @@ class TestHom:
         assert photonic.hom_coincidence(0.0) == pytest.approx(5 / 9, abs=1e-12)
         assert photonic.hom_coincidence(1.0) == pytest.approx(1 / 9, abs=1e-12)
 
+    def test_dip_law_interior(self):
+        # R = 1/3 coupler: P = R^2 + T^2 - 2 R T gamma^2 = (5 - 4 gamma^2) / 9.
+        gammas = np.linspace(0.05, 0.95, 19)
+        probs = np.array(photonic.hom_scan(gammas))
+        assert np.max(np.abs(probs - (5 - 4 * gammas ** 2) / 9)) < 1e-12
+
     def test_dip_is_monotone(self):
         probs = photonic.hom_scan(np.linspace(0, 1, 11))
         assert np.all(np.diff(probs) < 0)
@@ -147,6 +190,36 @@ class TestPipeline:
             rho, _ = photonic.simulate_pipeline(gamma=gamma)
             v, _ = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
             assert v == pytest.approx(expect, abs=1e-9)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_post_selection_matches_a_walk_over_fock_terms(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
+                for _ in range(2))
+        s = photonic.evolve_two_photon(
+            photonic.product_state(a / np.linalg.norm(a), b / np.linalg.norm(b)),
+            photonic.build_full_network(photonic.EXPERIMENTAL_BS),
+        )
+        # Reference: decode each coincidence term by its path and polarization names.
+        logical = {"1": 0, "2": 1, "3": 1, "4": 0}
+        psi = np.zeros((2, 2, 2, 2), dtype=complex)
+        mass = 0.0
+        for (i, j), amp in s.terms.items():
+            m1, m2 = MODES[i], MODES[j]
+            if m1[0] in ("3", "4") and m2[0] in ("1", "2"):
+                m1, m2 = m2, m1
+            if not (m1[0] in ("1", "2") and m2[0] in ("3", "4")):
+                continue
+            mass += abs(amp) ** 2
+            qa, qb = int(m1[1] == "H"), int(m2[1] == "H")
+            if logical[m1[0]] == qa and logical[m2[0]] == qb:
+                psi[qa, m1[2], qb, m2[2]] += amp
+        psi /= np.linalg.norm(psi)
+        expect = np.einsum("akbl,ckdl->abcd", psi, psi.conj()).reshape(4, 4)
+        rho, got_mass = photonic.post_select_coincidence(s)
+        assert got_mass == pytest.approx(mass, abs=1e-12)
+        assert np.max(np.abs(rho.matrix - expect)) < 1e-12
 
     def test_empty_post_selection_raises(self):
         s = photonic.product_state(
