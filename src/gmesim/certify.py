@@ -81,7 +81,6 @@ class CountsRecord:
 
     setting: MeasurementSetting
     counts: tuple[int, int, int, int]
-    total_expected: float
 
     @property
     def total(self) -> int:
@@ -233,7 +232,7 @@ def simulate_counts(
     for s in settings:
         p = outcome_probabilities(rho, s)
         counts = tuple(int(c) for c in rng.poisson(n_per_setting * p))
-        records.append(CountsRecord(s, counts, float(n_per_setting)))
+        records.append(CountsRecord(s, counts))
     return records
 
 

@@ -41,6 +41,15 @@ EXIT_VERIFICATION = 4
 DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x, lo: float = -sys.float_info.max, hi: float = sys.float_info.max) -> bool:
+    """An int or float in [lo, hi] (finite by default); JSON true/false and strings are not."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and lo <= x <= hi
+
+
 @dataclass
 class ExperimentConfig:
     phi: float = math.pi
@@ -56,16 +65,29 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        for name in ("eta_grid", "v_grid", "gamma_grid"):
-            grid = getattr(self, name)
-            if any(not 0.0 <= float(x) <= 1.0 for x in grid):
-                raise ParseError(f"{name} values must lie in [0, 1]")
-        if self.counts_per_setting < 0:
-            raise ParseError("counts_per_setting must be >= 0")
-        if self.bs not in photonic.BS_PRESETS:
-            raise ParseError(f"unknown bs preset {self.bs!r}")
-        if not 0.0 <= self.baseline_weight <= 1.0:
-            raise ParseError("baseline_weight must lie in [0, 1]")
+        """Type and range checks of every field, from a config file or a flag alike."""
+        checks = [
+            (name, isinstance(getattr(self, name), list)
+             and all(_is_real(x, 0.0, 1.0) for x in getattr(self, name)),
+             "a list of numbers in [0, 1]")
+            for name in ("eta_grid", "v_grid", "gamma_grid")
+        ] + [
+            ("phi", _is_real(self.phi), "a finite number"),
+            ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
+            ("counts_per_setting", _is_int(self.counts_per_setting)
+             and self.counts_per_setting >= 0, "an integer >= 0"),
+            ("mc_replicas", _is_int(self.mc_replicas) and self.mc_replicas >= 2,
+             "an integer >= 2"),
+            ("bs", isinstance(self.bs, str) and self.bs in photonic.BS_PRESETS,
+             f"one of {sorted(photonic.BS_PRESETS)}"),
+            ("baseline_weight", _is_real(self.baseline_weight, 0.0, 1.0), "a number in [0, 1]"),
+            ("coherence_sigma_ps", _is_real(self.coherence_sigma_ps)
+             and self.coherence_sigma_ps > 0, "a finite number > 0"),
+            ("output_dir", isinstance(self.output_dir, str), "a string"),
+        ]
+        for name, ok, what in checks:
+            if not ok:
+                raise ParseError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
     def bs_params(self) -> photonic.BsParams:
         return photonic.BS_PRESETS[self.bs]
@@ -85,6 +107,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ParseError(f"config {path} is not a JSON object")
         known = set(asdict(cfg))
         unknown = set(raw) - known
         if unknown:
@@ -171,7 +195,8 @@ def write_counts_csv(path: Path, cfg: ExperimentConfig, records) -> None:
     write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"], rows)
 
 
-def load_counts_csv(path: str, total_expected: float) -> list[certify.CountsRecord]:
+def load_counts_csv(path: str, total_expected: float | None = None) -> list[certify.CountsRecord]:
+    """Records of a counts CSV; ``total_expected`` is unused, kept for callers that pass it."""
     def parse_axis(tok: str, lineno: int) -> np.ndarray:
         tok = tok.strip()
         if tok in certify.AXES:
@@ -206,9 +231,7 @@ def load_counts_csv(path: str, total_expected: float) -> list[certify.CountsReco
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if any(c < 0 for c in counts):
             raise ParseError(f"{path}:{lineno}: negative count in {list(counts)}")
-        records.append(
-            certify.CountsRecord(certify.MeasurementSetting(a, b), counts, total_expected)
-        )
+        records.append(certify.CountsRecord(certify.MeasurementSetting(a, b), counts))
     return records
 
 
@@ -270,10 +293,9 @@ def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) 
         bs = photonic.BsParams(r_override, r_override)
     else:
         bs = cfg.bs_params()
-    net = photonic.build_cz_network(bs)
-    amps = photonic.effective_gate_truth_table(net)
-    probs = photonic.cz_success_probabilities(net)
-    fid = photonic.process_fidelity_to_cz(net)
+    channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
+    amps = np.diagonal(channel)
+    fid = photonic.channel_fidelity_to_cz(channel)
     vis = photonic.hom_visibility(bs)
     # Small reflectivity imbalance (the experimental preset) still counts as
     # a working CZ; a fidelity this far below 1 means the wrong gate.
@@ -380,6 +402,10 @@ def cmd_simulate_counts(
     out = Path(cfg.output_dir)
     if cfg.counts_per_setting < 1:
         raise ParseError("simulate-counts needs counts_per_setting >= 1")
+    for flag, value, readers in (("--eta", eta, ("dephased", "baseline")),
+                                 ("--v", v, ("distinguishable",))):
+        if value is not None and model not in readers:
+            raise ParseError(f"--model {model} does not read {flag}")
     rho = model_state(model, cfg, eta, v)
     records = certify.simulate_counts(
         rho, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed
@@ -401,7 +427,8 @@ def _verdict(summary: dict, errors: dict) -> str:
         return "certified_witness"
     if min_pt + 3 * pt_sig < 0.0:
         return "certified_ppt"
-    if min_pt + 3 * pt_sig >= 0.0 and min_pt >= -3 * pt_sig:
+    # Strictly PPT two-qubit states are separable (Peres 1996; Horodecki et al. 1996).
+    if min_pt - 3 * pt_sig > 0.0:
         return "separable_certified"
     return "inconclusive"
 
@@ -411,7 +438,7 @@ def cmd_certify(
 ) -> int:
     out = Path(cfg.output_dir)
     if counts_path is not None:
-        data = load_counts_csv(counts_path, float(cfg.counts_per_setting))
+        data = load_counts_csv(counts_path)
     elif state_path is not None:
         if cfg.counts_per_setting < 1:
             raise ParseError("certify --state needs counts_per_setting >= 1")
@@ -517,7 +544,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg, args.counts, args.state)
         raise ParseError(f"unknown command {args.command!r}")
-    except (ParseError, photonic.OutOfRange, noise.OutOfRange) as exc:
+    except (ParseError, certify.CertifyError, photonic.OutOfRange, noise.OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationFailure as exc:

@@ -3,20 +3,20 @@
 Two photons propagate over 24 single-photon modes: six spatial paths
 (out1, 1, 2, 3, 4, out4) times two polarizations (H, V) times a
 two-dimensional temporal label used to model partial distinguishability.
+No optical element touches the label, so every network is U_12 (x) I_2.
 A two-photon state is its symmetric 24x24 creation tensor t, with
 state = sum_ij t_ij a_i^dag a_j^dag |0>.  A network with mode unitary U acts
 on it as t -> A^T t A with A = U^dag; coincidence masses and post-selection
 are index masks on t.
 
 Logical path encoding of the geometry qubits follows the coupler layout:
-qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3.
-The beam displacers copy the polarization qubit (V=0, H=1) onto the path,
-so photon 1 routes V -> path 1, H -> path 2 and photon 2 routes
-H -> path 3, V -> path 4.
+qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3;
+the beam displacers copy the polarization qubit (V=0, H=1) onto the path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +68,21 @@ def _decoded_modes(paths) -> np.ndarray:
     return np.array([[mode_index(paths[q], "VH"[q], l) for l in LABELS] for q in (0, 1)])
 
 
+def _swap_table(pairs) -> np.ndarray:
+    """Permutation of the (path, polarization) modes that exchanges each pair."""
+    perm = np.arange(N_MODES // len(LABELS))
+    for a, b in pairs:
+        i, j = mode_index(*a) // len(LABELS), mode_index(*b) // len(LABELS)
+        perm[[i, j]] = j, i
+    return perm
+
+
 DECODE_A = _decoded_modes(LOGICAL_PATHS_A)
 DECODE_B = _decoded_modes(LOGICAL_PATHS_B)
+# The beam displacers and the 45-degree half-wave plates on paths 2 and 3.
+BEAM_DISPLACERS = _swap_table([(("out1", "V"), ("1", "V")), (("out1", "H"), ("2", "H")),
+                               (("out4", "H"), ("3", "H")), (("out4", "V"), ("4", "V"))])
+HALF_WAVE_PLATES = _swap_table([(("2", "H"), ("2", "V")), (("3", "H"), ("3", "V"))])
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ def single_photon(path: str, pol: str, label: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OpticalNetwork:
-    """Single-photon mode unitary of a passive linear network."""
+    """Single-photon mode unitary of a passive linear network, made read-only to be shared."""
 
     mode_unitary: np.ndarray = field(repr=False)
 
@@ -146,6 +159,7 @@ class OpticalNetwork:
         u = self.mode_unitary
         if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
             raise PhotonicError("mode matrix is not unitary")
+        u.flags.writeable = False
 
 
 def coupler_unitary(R: float) -> np.ndarray:
@@ -157,60 +171,28 @@ def coupler_unitary(R: float) -> np.ndarray:
     return np.array([[r, t], [t, r]], dtype=complex)
 
 
-def _embed_pair(u: np.ndarray, block: np.ndarray, i: int, j: int) -> None:
-    u[np.ix_([i, j], [i, j])] = block
-
-
+@functools.cache
 def build_cz_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
-    """Three parallel couplers on path pairs (out1,1), (2,3), (4,out4).
+    """Three parallel couplers on path pairs (out1,1), (2,3), (4,out4), built once per ``bs``.
 
-    The reflectivity may differ between the H and V polarization sectors;
-    temporal labels are untouched.
+    The polarization sector with reflectivity R sees I_3 (x) C(R) on the
+    paths; no element touches the temporal label, so U = U_12 (x) I_2.
     """
-    u = np.eye(N_MODES, dtype=complex)
-    for pol, r in (("H", bs.R_H), ("V", bs.R_V)):
-        block = coupler_unitary(r)
-        for label in LABELS:
-            for pa, pb in (("out1", "1"), ("2", "3"), ("4", "out4")):
-                _embed_pair(u, block, mode_index(pa, pol, label), mode_index(pb, pol, label))
-    return OpticalNetwork(u)
+    sectors = ((bs.R_H, np.diag([1.0, 0.0])), (bs.R_V, np.diag([0.0, 1.0])))
+    u = sum(np.kron(np.kron(np.eye(3), coupler_unitary(r)), proj) for r, proj in sectors)
+    return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
 
 
-def _swap_modes(pairs) -> np.ndarray:
-    u = np.eye(N_MODES, dtype=complex)
-    for a, b in pairs:
-        i, j = mode_index(*a), mode_index(*b)
-        u[[i, j], :] = u[[j, i], :]
-    return u
-
-
-def beam_displacer_unitary(photon: int) -> np.ndarray:
-    """Path <- polarization copy for one photon (V=0, H=1 onto the path encoding)."""
-    if photon == 1:
-        pairs = [(("out1", "V", l), ("1", "V", l)) for l in LABELS]
-        pairs += [(("out1", "H", l), ("2", "H", l)) for l in LABELS]
-    elif photon == 2:
-        pairs = [(("out4", "H", l), ("3", "H", l)) for l in LABELS]
-        pairs += [(("out4", "V", l), ("4", "V", l)) for l in LABELS]
-    else:
-        raise PhotonicError("photon must be 1 or 2")
-    return _swap_modes(pairs)
-
-
-def hwp_unitary(paths=("2", "3")) -> np.ndarray:
-    """45-degree half waveplates: swap H and V on the given paths."""
-    pairs = []
-    for p in paths:
-        pairs += [((p, "H", l), (p, "V", l)) for l in LABELS]
-    return _swap_modes(pairs)
-
-
+@functools.cache
 def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
-    """BDs + HWPs + BS + HWPs: everything up to the coincidence detection."""
-    u_bd = beam_displacer_unitary(2) @ beam_displacer_unitary(1)
-    u_hwp = hwp_unitary()
-    u_bs = build_cz_network(bs).mode_unitary
-    return OpticalNetwork(u_hwp @ u_bs @ u_hwp @ u_bd)
+    """BDs + HWPs + BS + HWPs up to the coincidence detection, built once per ``bs``.
+
+    The displacers and wave plates permute modes, so U_hwp U_bs U_hwp U_bd is
+    a gather of the coupler's (path, polarization) block U_12.
+    """
+    u = build_cz_network(bs).mode_unitary[::2, ::2]
+    u = u[np.ix_(HALF_WAVE_PLATES, HALF_WAVE_PLATES[BEAM_DISPLACERS])]
+    return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
 
 
 def evolve_two_photon(state: FockState, net: OpticalNetwork) -> FockState:
@@ -261,56 +243,47 @@ def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
     return pol, mass
 
 
-def logical_path_input(q1: int, q2: int, pol: str = "V", label2: int = 0) -> FockState:
-    """Two-photon path-encoded logical input |q1, q2> at fixed polarization."""
+def logical_path_input(q1: int, q2: int) -> FockState:
+    """Two-photon path-encoded logical input |q1, q2>, both photons V."""
     return product_state(
-        single_photon(LOGICAL_PATHS_A[q1], pol, 0),
-        single_photon(LOGICAL_PATHS_B[q2], pol, label2),
+        single_photon(LOGICAL_PATHS_A[q1], "V"), single_photon(LOGICAL_PATHS_B[q2], "V")
     )
 
 
-def _logical_outputs(net: OpticalNetwork, pol: str) -> list[FockState]:
-    """Evolved states of the logical inputs 00, 01, 10, 11."""
-    return [evolve_two_photon(logical_path_input(q1, q2, pol), net)
-            for q1 in (0, 1) for q2 in (0, 1)]
+def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Post-selected path-qubit map of the logical inputs 00, 01, 10, 11, each evolved once.
 
-
-def effective_gate_truth_table(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
-    """Post-selected coincidence amplitudes for logical inputs 00, 01, 10, 11."""
-    return np.diagonal(post_selected_channel_matrix(net, pol)).copy()
-
-
-def cz_success_probabilities(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
-    """Coincidence mass per logical input branch (1/9 each for the ideal network)."""
-    return np.array([coincidence_mass(out) for out in _logical_outputs(net, pol)])
-
-
-def post_selected_channel_matrix(net: OpticalNetwork, pol: str = "V") -> np.ndarray:
-    """4x4 matrix of the post-selected path-qubit map in the logical basis."""
-    m = np.zeros((4, 4), dtype=complex)
-    for col, out in enumerate(_logical_outputs(net, pol)):
-        for r1 in (0, 1):
-            for r2 in (0, 1):
-                m[2 * r1 + r2, col] = out.amplitude(
-                    (LOGICAL_PATHS_A[r1], pol, 0), (LOGICAL_PATHS_B[r2], pol, 0)
-                )
-    return m
-
-
-def process_fidelity_to_cz(net: OpticalNetwork, pol: str = "V") -> float:
-    """Process fidelity of the post-selected channel to the ideal CZ gate.
-
-    The channel is proportional to a fixed matrix M; fidelity is
-    |tr(CZ^dag M)|^2 / (4 tr(M^dag M)), which is 1 iff M is CZ up to a
-    global complex factor.
+    Returns the 4x4 channel matrix in the logical basis, whose diagonal is the
+    truth table, and the coincidence mass of each input.
     """
-    m = post_selected_channel_matrix(net, pol)
+    a, b = ([mode_index(p, "V") for p in paths] for paths in (LOGICAL_PATHS_A, LOGICAL_PATHS_B))
+    outs = [evolve_two_photon(logical_path_input(q1, q2), net) for q1 in (0, 1) for q2 in (0, 1)]
+    m = np.stack([2 * out.tensor[np.ix_(a, b)].reshape(4) for out in outs], axis=1)
+    return m, np.array([coincidence_mass(out) for out in outs])
+
+
+def cz_success_probabilities(net: OpticalNetwork) -> np.ndarray:
+    """Coincidence mass per logical input branch (1/9 each for the ideal network)."""
+    return cz_channel(net)[1]
+
+
+def channel_fidelity_to_cz(m: np.ndarray) -> float:
+    """Process fidelity of a post-selected channel matrix M to the ideal CZ gate.
+
+    The channel is proportional to M; fidelity is |tr(CZ^dag M)|^2 /
+    (4 tr(M^dag M)), which is 1 iff M is CZ up to a global complex factor.
+    """
     cz = np.diag([1, 1, 1, -1]).astype(complex)
     denom = 4 * np.trace(m.conj().T @ m).real
     return float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom)
 
 
-def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS, pol: str = "V") -> float:
+def process_fidelity_to_cz(net: OpticalNetwork) -> float:
+    """Process fidelity of the post-selected channel of ``net`` to the ideal CZ gate."""
+    return channel_fidelity_to_cz(cz_channel(net)[0])
+
+
+def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS) -> float:
     """Coincidence probability for photons meeting on paths 2 and 3.
 
     ``overlap`` is the temporal wavepacket overlap amplitude gamma; the
@@ -320,8 +293,8 @@ def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS, pol: str = "V") -> 
         raise OutOfRange(f"overlap {overlap!r} outside [0, 1]")
     g = float(overlap)
     d = np.sqrt(max(0.0, 1.0 - g * g))
-    photon_a = single_photon("2", pol, 0)
-    photon_b = g * single_photon("3", pol, 0) + d * single_photon("3", pol, 1)
+    photon_a = single_photon("2", "V", 0)
+    photon_b = g * single_photon("3", "V", 0) + d * single_photon("3", "V", 1)
     out = evolve_two_photon(product_state(photon_a, photon_b), build_cz_network(bs))
     return pair_mass(out, ("2",), ("3",))
 

@@ -94,9 +94,7 @@ class TestTomography:
         recs = []
         for s in certify.PAULI_SETTINGS:
             p = certify.outcome_probabilities(SINGLET, s)
-            recs.append(
-                certify.CountsRecord(s, tuple(int(round(1e9 * x)) for x in p), 1e9)
-            )
+            recs.append(certify.CountsRecord(s, tuple(int(round(1e9 * x)) for x in p)))
         rho = certify.tomography_linear(recs)
         assert np.max(np.abs(rho - SINGLET.matrix)) < 1e-6
 
@@ -130,7 +128,7 @@ class TestTomography:
 
     def test_mle_drops_empty_settings(self):
         recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
-        recs[0] = certify.CountsRecord(recs[0].setting, (0, 0, 0, 0), 5000.0)
+        recs[0] = certify.CountsRecord(recs[0].setting, (0, 0, 0, 0))
         res = certify.tomography_mle(recs)
         assert res.dropped_settings == 1
         assert res.converged
@@ -188,7 +186,7 @@ def _resampled_stack(truth, n_per_setting, seed, members):
 
 
 def _records(settings, counts):
-    return [certify.CountsRecord(s, tuple(int(c) for c in row), float(row.sum()))
+    return [certify.CountsRecord(s, tuple(int(c) for c in row))
             for s, row in zip(settings, counts)]
 
 

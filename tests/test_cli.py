@@ -184,7 +184,7 @@ class TestSimulateCountsAndCertify:
         assert run("--out", str(tmp_path), "--seed", "3", "simulate-counts",
                    "--model", "singlet") == 0
         path = tmp_path / "counts.csv"
-        records = cli.load_counts_csv(str(path), 10_000.0)
+        records = cli.load_counts_csv(str(path))
         assert len(records) == 9
         direct = certify.simulate_counts(
             cli.model_state("singlet", cli.ExperimentConfig(), None, None),
@@ -196,20 +196,20 @@ class TestSimulateCountsAndCertify:
         p = tmp_path / "bad.csv"
         p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,X,1,2,three,4\n")
         with pytest.raises(cli.ParseError, match=":2"):
-            cli.load_counts_csv(str(p), 10.0)
+            cli.load_counts_csv(str(p))
 
     def test_counts_short_row_reports_line(self, tmp_path):
         p = tmp_path / "short.csv"
         p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,Y,1,2,3,4\nX,X,1,2\n")
         with pytest.raises(cli.ParseError, match=":3: expected 4 counts, got 2"):
-            cli.load_counts_csv(str(p), 10.0)
+            cli.load_counts_csv(str(p))
         assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
 
     def test_counts_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n")
         with pytest.raises(cli.ParseError, match=":1"):
-            cli.load_counts_csv(str(p), 10.0)
+            cli.load_counts_csv(str(p))
 
     def test_bloch_vector_settings_parse(self, tmp_path):
         p = tmp_path / "counts.csv"
@@ -218,7 +218,7 @@ class TestSimulateCountsAndCertify:
             "Z,0:0:1,10,10,10,10\n"
             "0.70710678118654752:0:0.70710678118654752,X,10,10,10,10\n"
         )
-        records = cli.load_counts_csv(str(p), 40.0)
+        records = cli.load_counts_csv(str(p))
         assert np.allclose(records[0].setting.basis_b, [0, 0, 1])
         assert records[1].setting.basis_a[0] == pytest.approx(1 / math.sqrt(2))
 
@@ -239,13 +239,29 @@ class TestSimulateCountsAndCertify:
         assert v["entanglement_verdict"] == "certified_ppt"
         assert v["quantities"]["witness"] >= 0
 
-    def test_certify_eta1_is_separable_certified(self, tmp_path):
+    def test_certify_eta1_is_inconclusive(self, tmp_path):
+        # A boundary state: its min PT eigenvalue is 0, and the estimate here is
+        # -0.0045 +- 0.0024, so it is neither certified entangled nor separable.
         run("--out", str(tmp_path), "--seed", "8", "simulate-counts",
             "--model", "dephased", "--eta", "1.0")
         assert run("--out", str(tmp_path), "--seed", "8", "certify",
                    "--counts", str(tmp_path / "counts.csv"), "--mc-replicas", "25") == 0
         v = read_json(tmp_path / "verdict.json")
-        assert v["entanglement_verdict"] == "separable_certified"
+        assert v["entanglement_verdict"] == "inconclusive"
+
+    @pytest.mark.parametrize("seed, replicas, argv, verdict", [
+        ("8", "25", ("--model", "distinguishable", "--v", "0.6"), "certified_witness"),
+        # Min PT 0.25: strictly PPT, and a strictly PPT two-qubit state is separable.
+        ("8", "25", ("--model", "maximally-mixed"), "separable_certified"),
+        # Entangled (true min PT -0.0075), but its estimate -0.0077 +- 0.0029
+        # at the default seed and replicas is 2.7 sigma from zero.
+        ("12345", "100", ("--model", "dephased", "--eta", "0.985"), "inconclusive"),
+    ], ids=["witness", "separable", "inconclusive"])
+    def test_verdict_classes(self, tmp_path, seed, replicas, argv, verdict):
+        run("--out", str(tmp_path), "--seed", seed, "simulate-counts", *argv)
+        assert run("--out", str(tmp_path), "--seed", seed, "certify",
+                   "--counts", str(tmp_path / "counts.csv"), "--mc-replicas", replicas) == 0
+        assert read_json(tmp_path / "verdict.json")["entanglement_verdict"] == verdict
 
     def test_certify_from_state_json(self, tmp_path):
         run("--out", str(tmp_path), "circuit")
@@ -268,7 +284,7 @@ class TestSimulateCountsAndCertify:
         where = f"bad.csv:{idx + 1}: negative count"  # the file line, comments included
         assert lines[0].startswith("#")
         with pytest.raises(cli.ParseError, match=where):
-            cli.load_counts_csv(str(bad), 10_000.0)
+            cli.load_counts_csv(str(bad))
         capsys.readouterr()
         assert run("--out", str(tmp_path / "v"), "certify", "--counts", str(bad)) == 2
         err = capsys.readouterr().err
@@ -286,6 +302,46 @@ class TestSimulateCountsAndCertify:
 
 
 class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("config, argv", [
+        (None, ("circuit", "--phi", "nan")),
+        (None, ("--seed", "-1", "circuit")),
+        ({"counts_per_setting": "10"}, ("circuit",)),
+        ({"phi": "x"}, ("circuit",)),
+        ({"eta_grid": 0.5}, ("scan", "--param", "eta")),
+        ({"mc_replicas": 1}, ("circuit",)),
+        ({"baseline_weight": True}, ("circuit",)),
+        ([], ("circuit",)),
+        (None, ("certify", "--mc-replicas", "1", "--counts", "{all}")),
+        (None, ("certify", "--counts", "{no_zz}")),
+        (None, ("simulate-counts", "--model", "singlet", "--eta", "1.5")),
+        (None, ("simulate-counts", "--model", "dephased", "--v", "7")),
+    ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
+            "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
+            "missing-setting", "singlet-eta", "dephased-v"])
+    def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
+        paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv"}
+        for name, path in paths.items():
+            path.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n" + "".join(
+                f"{a},{b},10,20,30,40\n" for a in "XYZ" for b in "XYZ"
+                if name == "all" or a + b != "ZZ"))
+        prefix = ()
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            prefix = ("--config", str(tmp_path / "cfg.json"))
+        argv = [a.format(**paths) for a in argv]
+        assert run(*prefix, "--out", str(tmp_path / "out"), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_model_flags_are_read_by_their_models(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path), "simulate-counts", "--model", "singlet",
+                   "--eta", "0.5") == 2
+        assert "--model singlet does not read --eta" in capsys.readouterr().err
+        for argv in (("dephased", "--eta", "0.5"), ("baseline", "--eta", "0.5"),
+                     ("distinguishable", "--v", "0.5")):
+            assert run("--out", str(tmp_path), "simulate-counts", "--model", *argv) == 0
+
     @pytest.mark.parametrize("argv", [
         ("photonic-verify", "--reflectivity", "1.5"),
         ("simulate-counts", "--model", "dephased", "--eta", "1.5"),

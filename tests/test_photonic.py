@@ -1,11 +1,44 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from gmesim import circuit, noise, photonic, qmath
+from gmesim import circuit, cli, noise, photonic, qmath
 
 # Mode tuples in mode_index order.
 MODES = [(p, pol, l) for p in photonic.PATHS for pol in photonic.POLS for l in photonic.LABELS]
+
+
+# Reference builders: the per-mode loops over every (path, polarization,
+# label) that the structured builders replace.
+def _ref_swaps(pairs) -> np.ndarray:
+    u = np.eye(photonic.N_MODES, dtype=complex)
+    for a, b in pairs:
+        i, j = photonic.mode_index(*a), photonic.mode_index(*b)
+        u[[i, j], :] = u[[j, i], :]
+    return u
+
+
+def reference_cz_unitary(bs) -> np.ndarray:
+    u = np.eye(photonic.N_MODES, dtype=complex)
+    for pol, r in (("H", bs.R_H), ("V", bs.R_V)):
+        block = photonic.coupler_unitary(r)
+        for label in photonic.LABELS:
+            for pa, pb in (("out1", "1"), ("2", "3"), ("4", "out4")):
+                i, j = photonic.mode_index(pa, pol, label), photonic.mode_index(pb, pol, label)
+                u[np.ix_([i, j], [i, j])] = block
+    return u
+
+
+def reference_full_unitary(bs) -> np.ndarray:
+    labels = photonic.LABELS
+    bd1 = _ref_swaps([(("out1", "V", l), ("1", "V", l)) for l in labels]
+                     + [(("out1", "H", l), ("2", "H", l)) for l in labels])
+    bd2 = _ref_swaps([(("out4", "H", l), ("3", "H", l)) for l in labels]
+                     + [(("out4", "V", l), ("4", "V", l)) for l in labels])
+    hwp = _ref_swaps([((p, "H", l), (p, "V", l)) for p in ("2", "3") for l in labels])
+    return hwp @ reference_cz_unitary(bs) @ hwp @ (bd2 @ bd1)
 
 
 class TestModes:
@@ -105,6 +138,27 @@ class TestNetworks:
         with pytest.raises(photonic.OutOfRange):
             photonic.BsParams(R_H=-0.1)
 
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @example(1 / 3, 1 / 3)  # the ideal preset
+    @example(0.329, 0.337)  # the experimental preset
+    @settings(max_examples=25, deadline=None)
+    def test_networks_equal_the_per_mode_reference(self, r_h, r_v):
+        bs = photonic.BsParams(r_h, r_v)
+        assert np.array_equal(photonic.build_cz_network(bs).mode_unitary, reference_cz_unitary(bs))
+        assert np.array_equal(photonic.build_full_network(bs).mode_unitary,
+                              reference_full_unitary(bs))
+
+    def test_networks_are_cached_and_read_only(self):
+        for build in (photonic.build_cz_network, photonic.build_full_network):
+            net = build(photonic.EXPERIMENTAL_BS)
+            assert build(photonic.BsParams(0.329, 0.337)) is net
+            with pytest.raises(ValueError):
+                net.mode_unitary[0, 0] = 0.0
+
+    def test_non_unitary_matrix_rejected(self):
+        with pytest.raises(photonic.PhotonicError):
+            photonic.OpticalNetwork(2 * np.eye(photonic.N_MODES))
+
     def test_all_networks_unitary(self):
         for net in (
             photonic.build_cz_network(),
@@ -117,7 +171,8 @@ class TestNetworks:
 
 class TestCzGate:
     def test_truth_table_signs(self):
-        amps = photonic.effective_gate_truth_table(photonic.build_cz_network())
+        channel, _ = photonic.cz_channel(photonic.build_cz_network())
+        amps = np.diagonal(channel)
         # Equal magnitude 1/3 on every branch, one branch with opposite sign.
         assert np.allclose(np.abs(amps), 1 / 3, atol=1e-12)
         signs = amps / amps[0]
@@ -135,6 +190,31 @@ class TestCzGate:
     def test_process_fidelity_degrades_off_third(self):
         net = photonic.build_cz_network(photonic.BsParams(0.5, 0.5))
         assert photonic.process_fidelity_to_cz(net) < 0.99
+
+
+class TestCommandCosts:
+    def test_photonic_verify_evolves_six_states(self, tmp_path, monkeypatch):
+        # Four logical inputs for the CZ channel, two HOM endpoints.
+        calls = []
+        evolve = photonic.evolve_two_photon
+        monkeypatch.setattr(photonic, "evolve_two_photon",
+                            lambda *a: calls.append(1) or evolve(*a))
+        assert cli.main(["--out", str(tmp_path), "photonic-verify"]) == 0
+        assert len(calls) == 6
+
+    def test_hom_scan_builds_each_network_once(self, tmp_path, monkeypatch):
+        built = []
+        check = photonic.OpticalNetwork.__post_init__
+        monkeypatch.setattr(photonic.OpticalNetwork, "__post_init__",
+                            lambda net: built.append(1) or check(net))
+        photonic.build_cz_network.cache_clear()
+        photonic.build_full_network.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_grid": [k / 99 for k in range(100)]}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "hom-scan"]) == 0
+        assert photonic.build_cz_network.cache_info().misses == 1
+        assert photonic.build_full_network.cache_info().misses == 1
+        assert len(built) == 2
 
 
 class TestHom:
