@@ -24,9 +24,27 @@ from .qmath import (
 )
 
 _PAULI_VEC = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+
+
+def _outer_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kron(a[..., i], b[..., j]) of two stacks of 2x2 matrices, on the axes (..., i, j, 4, 4):
+    a broadcast multiply like np.kron's (einsum rounds complex products differently)."""
+    pairs = a[..., :, None, :, None, :, None] * b[..., None, :, None, :, None, :]
+    return pairs.reshape(*pairs.shape[:-4], 4, 4)
+
+
 # _PAULI_PAIRS[i, j] = sigma_i x sigma_j, so T_ij = tr(rho _PAULI_PAIRS[i, j]).
-_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULI_VEC, _PAULI_VEC).reshape(3, 3, 4, 4)
+_PAULI_PAIRS = _outer_kron(_PAULI_VEC, _PAULI_VEC)
 AXES = {"X": np.array([1.0, 0, 0]), "Y": np.array([0, 1.0, 0]), "Z": np.array([0, 0, 1.0])}
+AXIS_NAMES = "XYZ"
+# Linear-inversion rows of Pauli-pair setting 3 a + b, outcomes ++, +-, -+, --:
+# the correlator <ab> from its outcome frequencies, and the single-qubit
+# terms from its marginals, averaged over the three partner axes.
+_LINEAR_BLOCKS = (
+    np.multiply.outer([1, -1, -1, 1], _PAULI_PAIRS) / 4
+    + np.multiply.outer([1, 1, -1, -1], _outer_kron(_PAULI_VEC, I2[None])) / 12
+    + np.multiply.outer([1, -1, 1, -1], _outer_kron(I2[None], _PAULI_VEC)) / 12
+).transpose(1, 2, 0, 3, 4).reshape(9, 4, 4, 4)
 
 
 class CertifyError(Exception):
@@ -35,10 +53,6 @@ class CertifyError(Exception):
 
 class MissingSetting(CertifyError):
     pass
-
-
-def bloch_observable(axis: np.ndarray) -> np.ndarray:
-    return np.tensordot(np.asarray(axis, dtype=float), _PAULI_VEC, axes=1)
 
 
 @dataclass(frozen=True)
@@ -56,13 +70,11 @@ class MeasurementSetting:
             object.__setattr__(self, name, v)
 
     def observable(self) -> np.ndarray:
-        return np.kron(bloch_observable(self.basis_a), bloch_observable(self.basis_b))
+        return np.kron(*np.tensordot([self.basis_a, self.basis_b], _PAULI_VEC, axes=1))
 
     def projectors(self) -> np.ndarray:
         """Outcome projectors in the order ++, +-, -+, --."""
-        pa, pb = bloch_observable(self.basis_a), bloch_observable(self.basis_b)
-        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        return np.stack([np.kron((I2 + s1 * pa) / 2, (I2 + s2 * pb) / 2) for s1, s2 in signs])
+        return projector_table([self])[0]
 
 
 def setting(a: str | np.ndarray, b: str | np.ndarray) -> MeasurementSetting:
@@ -73,6 +85,22 @@ def setting(a: str | np.ndarray, b: str | np.ndarray) -> MeasurementSetting:
 
 
 PAULI_SETTINGS = tuple(setting(a, b) for a in "XYZ" for b in "XYZ")
+
+
+def projector_table(settings) -> np.ndarray:
+    """(S, 4, 4, 4) outcome projectors of every setting, outcomes ordered ++, +-, -+, --:
+    kron((I + s_a a.sigma)/2, (I + s_b b.sigma)/2) for outcome signs (s_a, s_b)."""
+    bases = np.array([[s.basis_a, s.basis_b] for s in settings]).reshape(-1, 2, 3)
+    obs = np.tensordot(bases, _PAULI_VEC, axes=1)[:, None]  # (S, sign, qubit, 2, 2)
+    half = (I2 + np.array([1, -1])[:, None, None, None] * obs) / 2
+    return _outer_kron(half[:, :, 0], half[:, :, 1]).reshape(-1, 4, 4, 4)
+
+
+def axis_index(vectors) -> np.ndarray:
+    """Index into ``AXIS_NAMES`` of the coordinate axis each Bloch vector (the last
+    array axis) matches within ``np.allclose(atol=1e-9)``; -1 where none does."""
+    hit = np.isclose(np.asarray(vectors, dtype=float)[..., None, :], np.eye(3), atol=1e-9).all(-1)
+    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
 @dataclass(frozen=True)
@@ -216,31 +244,25 @@ def chsh_max(rho: DensityMatrix) -> tuple[float, tuple[MeasurementSetting, ...]]
     return float(2.0 * norm), settings
 
 
+def _probabilities(rho: DensityMatrix, settings) -> np.ndarray:
+    """(S, 4) outcome probabilities tr(rho Pi), clipped to [0, 1]."""
+    _check_two_qubit(rho)
+    return np.clip(_trace(rho.matrix @ projector_table(settings)), 0.0, 1.0)
+
+
 def outcome_probabilities(rho: DensityMatrix, s: MeasurementSetting) -> np.ndarray:
-    p = np.array([np.trace(rho.matrix @ pi).real for pi in s.projectors()])
-    return np.clip(p, 0.0, 1.0)
+    return _probabilities(rho, [s])[0]
 
 
 def simulate_counts(
     rho: DensityMatrix, settings, n_per_setting: int, seed: int
 ) -> list[CountsRecord]:
-    """Draw independent Poisson counts with means N p(outcome) per setting."""
+    """Draw independent Poisson counts with means N p(outcome) per setting, as one
+    (S, 4) draw: numpy fills it in C order, the order of a draw of four per setting."""
     if n_per_setting < 1:
         raise CertifyError("n_per_setting must be >= 1")
-    rng = np.random.default_rng(seed)
-    records = []
-    for s in settings:
-        p = outcome_probabilities(rho, s)
-        counts = tuple(int(c) for c in rng.poisson(n_per_setting * p))
-        records.append(CountsRecord(s, counts))
-    return records
-
-
-def _axis_label(v: np.ndarray) -> str | None:
-    for name, axis in AXES.items():
-        if np.allclose(v, axis, atol=1e-9):
-            return name
-    return None
+    counts = np.random.default_rng(seed).poisson(n_per_setting * _probabilities(rho, settings))
+    return [CountsRecord(s, tuple(int(c) for c in row)) for s, row in zip(settings, counts)]
 
 
 def _stack(datasets) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
@@ -258,25 +280,19 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     """(B, 4, 4) linear-inversion estimates, one (4S, 16) map applied to the
     outcome frequencies of the nine Pauli-pair settings (the last one of
     each label when repeated)."""
-    row: dict[tuple[str, str], int] = {}
-    for i, s in enumerate(settings):
-        la, lb = _axis_label(s.basis_a), _axis_label(s.basis_b)
-        if la and lb:
-            row[(la, lb)] = i
-    missing = [(a, b) for a in "XYZ" for b in "XYZ" if (a, b) not in row]
+    bases = np.array([[s.basis_a, s.basis_b] for s in settings]).reshape(-1, 2, 3)
+    ia, ib = axis_index(bases).T
+    labelled = (ia >= 0) & (ib >= 0)
+    row = np.full(9, -1)  # setting index of each Pauli pair, 3 a + b
+    row[3 * ia[labelled] + ib[labelled]] = np.flatnonzero(labelled)  # the last one wins
+    missing = [(AXIS_NAMES[k // 3], AXIS_NAMES[k % 3]) for k in np.flatnonzero(row < 0)]
     if missing:
         raise MissingSetting(f"missing Pauli settings: {missing}")
     totals = counts.sum(axis=2)
-    if np.any(totals[:, list(row.values())] == 0):
+    if np.any(totals[:, row] == 0):
         raise MissingSetting("a setting has all-zero counts")
-    paulis = {"X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
     lmap = np.zeros((len(settings), 4, 4, 4), dtype=complex)
-    for (a, b), i in row.items():
-        # Correlator <ab> from this setting; single-qubit terms from its
-        # marginals, averaged over the three partner axes.
-        lmap[i] += np.multiply.outer([1, -1, -1, 1], np.kron(paulis[a], paulis[b])) / 4
-        lmap[i] += np.multiply.outer([1, 1, -1, -1], np.kron(paulis[a], I2)) / 12
-        lmap[i] += np.multiply.outer([1, -1, 1, -1], np.kron(I2, paulis[b])) / 12
+    lmap[row] = _LINEAR_BLOCKS
     freq = (counts / np.where(totals == 0, 1.0, totals)[:, :, None]).reshape(len(counts), -1)
     return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(-1, 4, 4)
 
@@ -333,7 +349,7 @@ def mle_batch(settings, counts: np.ndarray, init=None, max_iter: int = 100_000):
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     if np.any(dropped == len(settings)):
         raise MissingSetting("no settings with nonzero counts")
-    proj = np.concatenate([s.projectors() for s in settings]).reshape(-1, 16)
+    proj = projector_table(settings).reshape(-1, 16)
     proj_h = proj.conj().T  # p_k = tr(Pi_k rho) = vec(Pi_k)^* . vec(rho): Pi_k is Hermitian
     n = counts.reshape(b, -1)
 

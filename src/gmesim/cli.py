@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -39,6 +40,9 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
 DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
+# Largest counts_per_setting: numpy's Poisson sampler rejects means above
+# about 9.2e18, and a count this large is far beyond any experiment.
+MAX_COUNTS_PER_SETTING = 10**15
 
 
 def _is_int(x) -> bool:
@@ -50,7 +54,7 @@ def _is_real(x, lo: float = -sys.float_info.max, hi: float = sys.float_info.max)
     return isinstance(x, (int, float)) and not isinstance(x, bool) and lo <= x <= hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     phi: float = math.pi
     eta_grid: list = field(default_factory=lambda: list(DEFAULT_GRID))
@@ -75,7 +79,8 @@ class ExperimentConfig:
             ("phi", _is_real(self.phi), "a finite number"),
             ("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0"),
             ("counts_per_setting", _is_int(self.counts_per_setting)
-             and self.counts_per_setting >= 0, "an integer >= 0"),
+             and 0 <= self.counts_per_setting <= MAX_COUNTS_PER_SETTING,
+             f"an integer in [0, {MAX_COUNTS_PER_SETTING}]"),
             ("mc_replicas", _is_int(self.mc_replicas) and self.mc_replicas >= 2,
              "an integer >= 2"),
             ("bs", isinstance(self.bs, str) and self.bs in photonic.BS_PRESETS,
@@ -93,6 +98,10 @@ class ExperimentConfig:
         return photonic.BS_PRESETS[self.bs]
 
     def hash(self) -> str:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> str:
         d = asdict(self)
         d.pop("output_dir")  # reruns into a different directory stay byte-identical
         blob = json.dumps(d, sort_keys=True).encode()
@@ -128,10 +137,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _complex_matrix_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def _meta(cfg: ExperimentConfig) -> dict:
     return {
         "artifact_version": __version__,
@@ -162,7 +167,7 @@ def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> Non
 def state_json(rho: qmath.DensityMatrix) -> dict:
     return {
         "dims": list(rho.dims),
-        "matrix": _complex_matrix_json(rho.matrix),
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.matrix],
     }
 
 
@@ -178,20 +183,21 @@ def load_state_json(path: str) -> qmath.DensityMatrix:
         with open(path) as fh:
             raw = json.load(fh)
         m = np.array([[complex(re, im) for re, im in row] for row in raw["matrix"]])
-        return qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        rho = qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
+    except (OSError, KeyError, ValueError, TypeError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
+    if rho.dims != (2, 2):
+        raise ParseError(f"state {path} has dims {list(rho.dims)}, expected two qubits [2, 2]")
+    return rho
 
 
 def write_counts_csv(path: Path, cfg: ExperimentConfig, records) -> None:
-    def axis_repr(v: np.ndarray) -> str:
-        label = certify._axis_label(v)
-        return label if label else ":".join(_fmt(x) for x in v)
+    def axis_repr(i: int, v: np.ndarray) -> str:
+        return certify.AXIS_NAMES[i] if i >= 0 else ":".join(_fmt(x) for x in v)
 
-    rows = [
-        [axis_repr(r.setting.basis_a), axis_repr(r.setting.basis_b), *r.counts]
-        for r in records
-    ]
+    axes = np.array([[r.setting.basis_a, r.setting.basis_b] for r in records]).reshape(-1, 2, 3)
+    rows = [[*map(axis_repr, idx, pair), *r.counts]
+            for idx, pair, r in zip(certify.axis_index(axes), axes, records)]
     write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"], rows)
 
 
@@ -231,6 +237,9 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> list[cert
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if any(c < 0 for c in counts):
             raise ParseError(f"{path}:{lineno}: negative count in {list(counts)}")
+        if any(c > MAX_COUNTS_PER_SETTING for c in counts):
+            raise ParseError(
+                f"{path}:{lineno}: count above {MAX_COUNTS_PER_SETTING} in {list(counts)}")
         records.append(certify.CountsRecord(certify.MeasurementSetting(a, b), counts))
     return records
 
@@ -289,10 +298,7 @@ def cmd_circuit(cfg: ExperimentConfig) -> int:
 
 def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) -> int:
     out = Path(cfg.output_dir)
-    if r_override is not None:
-        bs = photonic.BsParams(r_override, r_override)
-    else:
-        bs = cfg.bs_params()
+    bs = cfg.bs_params() if r_override is None else photonic.BsParams(r_override, r_override)
     channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
     amps = np.diagonal(channel)
     fid = photonic.channel_fidelity_to_cz(channel)
@@ -331,12 +337,8 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
         raise ParseError(f"{param}_grid is empty")
     rows, ideals, datasets = [], [], []
     for idx, x in enumerate(grid):
-        if param == "eta":
-            ideal = noise.dephased_singlet(float(x))
-            baseline = noise.baseline_state(float(x), cfg.baseline_weight)
-        else:
-            ideal = noise.distinguishable_state(float(x))
-            baseline = ideal
+        ideal = noise.dephased_singlet(x) if param == "eta" else noise.distinguishable_state(x)
+        baseline = noise.baseline_state(x, cfg.baseline_weight) if param == "eta" else ideal
         smax, _ = certify.chsh_max(ideal)
         eigs, negativity = certify.ppt_report(ideal)
         rows.append([float(x), certify.witness_w(ideal), certify.witness_w(baseline), smax,

@@ -25,21 +25,29 @@ def _check_unit(x: float, name: str) -> float:
     return x
 
 
+# Read-only two-qubit matrices the state families are built from.
+SINGLET = singlet().density().matrix
+RHO_MIX = np.diag([0, 0.5, 0.5, 0]).astype(complex)
+# (|HV> + |HH>)/sqrt(2) and (|VH> + |HH>)/sqrt(2)
+_H_PLUS, _PLUS_H = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=complex) / np.sqrt(2)
+RHO_DIST = (np.outer(_H_PLUS, _H_PLUS.conj()) + np.outer(_PLUS_H, _PLUS_H.conj())) / 2
+_Z2 = kron(I2, SIGMA_Z)
+for _m in (SINGLET, RHO_MIX, RHO_DIST, _Z2):
+    _m.setflags(write=False)
+
+
 def rho_mix() -> DensityMatrix:
     """Fully dephased singlet: (|HV><HV| + |VH><VH|)/2."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = m[2, 2] = 0.5
-    return DensityMatrix((2, 2), m)
+    return DensityMatrix((2, 2), RHO_MIX.copy())
 
 
 def rho_dist() -> DensityMatrix:
     """Fully distinguishable-photon state: (|H+><H+| + |+H><+H|)/2."""
-    h_plus = np.zeros(4, dtype=complex)
-    h_plus[[2, 3]] = 1 / np.sqrt(2)  # |HV>, |HH>
-    plus_h = np.zeros(4, dtype=complex)
-    plus_h[[1, 3]] = 1 / np.sqrt(2)  # |VH>, |HH>
-    m = (np.outer(h_plus, h_plus.conj()) + np.outer(plus_h, plus_h.conj())) / 2
-    return DensityMatrix((2, 2), m)
+    return DensityMatrix((2, 2), RHO_DIST.copy())
+
+
+def _dephased(m: np.ndarray, eta: float) -> np.ndarray:
+    return (1 - eta) * m + eta * (0.5 * (m + _Z2 @ m @ _Z2))
 
 
 def dephase(rho: DensityMatrix, eta: float) -> DensityMatrix:
@@ -52,20 +60,18 @@ def dephase(rho: DensityMatrix, eta: float) -> DensityMatrix:
     eta = _check_unit(eta, "eta")
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
-    z2 = kron(I2, SIGMA_Z)
-    dephased = 0.5 * (rho.matrix + z2 @ rho.matrix @ z2)
-    return DensityMatrix((2, 2), (1 - eta) * rho.matrix + eta * dephased)
+    return DensityMatrix((2, 2), _dephased(rho.matrix, eta))
 
 
 def dephased_singlet(eta: float) -> DensityMatrix:
     """(1 - eta)|S><S| + eta rho_mix."""
-    return dephase(singlet().density(), eta)
+    return DensityMatrix((2, 2), _dephased(SINGLET, _check_unit(eta, "eta")))
 
 
 def distinguishable_state(v: float) -> DensityMatrix:
     """v |S><S| + (1 - v) rho_dist."""
     v = _check_unit(v, "v")
-    return mix(singlet().density(), rho_dist(), v)
+    return DensityMatrix((2, 2), v * SINGLET + (1 - v) * RHO_DIST)
 
 
 def mix(a: DensityMatrix, b: DensityMatrix, p: float) -> DensityMatrix:
@@ -82,7 +88,9 @@ def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
     The default weight 0.86 reproduces the measured witness value of the
     undecohered setup (W = 1 - 2 * weight = -0.72).
     """
-    return dephase(mix(singlet().density(), rho_mix(), weight), eta)
+    weight = _check_unit(weight, "weight")
+    m = weight * SINGLET + (1 - weight) * RHO_MIX
+    return DensityMatrix((2, 2), _dephased(m, _check_unit(eta, "eta")))
 
 
 def baseline_witness_zero_crossing(weight: float = 0.86) -> float | None:
@@ -100,12 +108,5 @@ def baseline_witness_zero_crossing(weight: float = 0.86) -> float | None:
 def dephase_choi(eta: float) -> np.ndarray:
     """Choi matrix of the dephasing channel (16x16), for CPTP checks."""
     eta = _check_unit(eta, "eta")
-    choi = np.zeros((16, 16), dtype=complex)
-    z2 = kron(I2, SIGMA_Z)
-    for i in range(4):
-        for j in range(4):
-            e = np.zeros((4, 4), dtype=complex)
-            e[i, j] = 1.0
-            out = (1 - eta) * e + eta * 0.5 * (e + z2 @ e @ z2)
-            choi += np.kron(out, e)
-    return choi
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)  # E_ij, row-major in (i, j)
+    return sum(np.kron(_dephased(e, eta), e) for e in units)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import circuit, qmath
+from . import noise, qmath
 from .qmath import DensityMatrix
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
@@ -361,10 +361,7 @@ def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
     Returns (v, trace_distance) where the distance is between the input and
     the best member of the family.
     """
-    from . import noise  # local import to avoid a cycle at module load
-
-    s = circuit.singlet().density().matrix
-    rd = noise.rho_dist().matrix
+    s, rd = noise.SINGLET, noise.RHO_DIST
     diff = s - rd
     num = np.trace((rho_canonical.matrix - rd).conj().T @ diff).real
     den = np.trace(diff.conj().T @ diff).real

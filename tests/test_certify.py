@@ -362,3 +362,112 @@ class TestBatchedEngine:
         errors, converged = certify.bootstrap(recs, 20, 5)
         assert converged == 20
         assert errors == certify.monte_carlo_errors(recs, 20, 5)
+
+
+# ---------------------------------------------------------------------------
+# Per-setting reference builders: the vectorised projector table, counts
+# draw, axis labels and linear-inversion map must reproduce them exactly.
+
+def _kron_projectors(s):
+    pa, pb = (np.tensordot(v, certify._PAULI_VEC, axes=1) for v in (s.basis_a, s.basis_b))
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    return np.stack([np.kron((qmath.I2 + s1 * pa) / 2, (qmath.I2 + s2 * pb) / 2)
+                     for s1, s2 in signs])
+
+
+def _loop_counts(rho, settings, n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for s in settings:
+        p = np.clip(np.array([np.trace(rho.matrix @ pi).real for pi in _kron_projectors(s)]),
+                    0.0, 1.0)
+        out.append(tuple(int(c) for c in rng.poisson(n * p)))
+    return out
+
+
+def _axis_label(v):
+    for name, axis in certify.AXES.items():
+        if np.allclose(v, axis, atol=1e-9):
+            return name
+    return None
+
+
+def _loop_linear_inversion(settings, counts):
+    row = {}
+    for i, s in enumerate(settings):
+        la, lb = _axis_label(s.basis_a), _axis_label(s.basis_b)
+        if la and lb:
+            row[(la, lb)] = i
+    paulis = {"X": qmath.SIGMA_X, "Y": qmath.SIGMA_Y, "Z": qmath.SIGMA_Z}
+    lmap = np.zeros((len(settings), 4, 4, 4), dtype=complex)
+    for (a, b), i in row.items():
+        lmap[i] += np.multiply.outer([1, -1, -1, 1], np.kron(paulis[a], paulis[b])) / 4
+        lmap[i] += np.multiply.outer([1, 1, -1, -1], np.kron(paulis[a], qmath.I2)) / 12
+        lmap[i] += np.multiply.outer([1, -1, 1, -1], np.kron(qmath.I2, paulis[b])) / 12
+    totals = counts.sum(axis=1)
+    freq = (counts / np.where(totals == 0, 1.0, totals)[:, None]).reshape(1, -1)
+    return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(4, 4)
+
+
+bloch = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v) / np.linalg.norm(v))
+
+
+class TestVectorisedMeasurement:
+    def test_pauli_table_equals_per_setting_kron(self):
+        table = certify.projector_table(certify.PAULI_SETTINGS)
+        assert table.shape == (9, 4, 4, 4)
+        assert np.array_equal(table, np.stack([_kron_projectors(s)
+                                               for s in certify.PAULI_SETTINGS]))
+
+    @given(st.lists(st.tuples(bloch, bloch), min_size=1, max_size=5))
+    @settings(max_examples=50)
+    def test_table_equals_per_setting_kron_for_any_axes(self, pairs):
+        settings_ = [certify.setting(a, b) for a, b in pairs]
+        table = certify.projector_table(settings_)
+        for s, t in zip(settings_, table):
+            assert np.array_equal(t, _kron_projectors(s))
+            assert np.array_equal(s.projectors(), t)
+
+    def test_counts_equal_the_per_setting_draws(self):
+        rng = np.random.default_rng(3)
+        states = [SINGLET, noise.baseline_state(0.3), noise.rho_dist(),
+                  certify.random_density_matrix(rng), certify.random_density_matrix(rng)]
+        general = certify.PAULI_SETTINGS + (certify.setting([0.6, 0.8, 0.0], "Z"),)
+        for rho in states:
+            for seed, n in ((0, 1), (7, 10_000), (12345, 123_456), (99, 10**15)):
+                for settings_ in (certify.PAULI_SETTINGS, general):
+                    recs = certify.simulate_counts(rho, settings_, n, seed)
+                    assert [r.counts for r in recs] == _loop_counts(rho, settings_, n, seed)
+                    assert [r.setting for r in recs] == list(settings_)
+
+    def test_no_settings_give_no_counts(self):
+        assert certify.projector_table([]).shape == (0, 4, 4, 4)
+        assert certify.simulate_counts(SINGLET, [], 10, 1) == []
+        with pytest.raises(certify.MissingSetting):
+            certify.tomography_linear([])
+
+    def test_outcome_probabilities_need_two_qubits(self):
+        with pytest.raises(qmath.DimensionMismatch):
+            certify.simulate_counts(qmath.DensityMatrix((2, 2, 2), np.eye(8) / 8),
+                                    certify.PAULI_SETTINGS, 10, 1)
+
+    @pytest.mark.parametrize("offset, labelled", [(1e-10, True), (1e-8, False)])
+    def test_axis_labels_match_allclose(self, offset, labelled):
+        rng = np.random.default_rng(5)
+        vectors = [axis + sign * offset * d for axis in np.eye(3) for sign in (1, -1)
+                   for d in (*np.eye(3), rng.normal(size=3) / np.sqrt(3))]
+        vectors += [-np.eye(3)[0], np.ones(3) / np.sqrt(3), np.array([np.nan, 0, 1])]
+        idx = certify.axis_index(np.array(vectors))
+        for v, i in zip(vectors, idx):
+            assert (certify.AXIS_NAMES[i] if i >= 0 else None) == _axis_label(v)
+        assert (idx[:24] >= 0).all() == labelled
+
+    def test_linear_inversion_equals_the_per_label_loop(self):
+        rng = np.random.default_rng(11)
+        settings_ = (*certify.PAULI_SETTINGS, certify.setting([0.6, 0.8, 0.0], "Z"),
+                     certify.setting("X", "Y"), certify.setting([1.0, 1e-10, 0.0], "Z"))
+        for _ in range(5):
+            counts = rng.poisson(500.0, size=(len(settings_), 4)).astype(float)
+            ref = _loop_linear_inversion(settings_, counts)
+            assert np.array_equal(certify._linear_inversion(settings_, counts[None])[0], ref)

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -159,6 +161,16 @@ class TestScan:
             assert d["converged"] is True
             assert isinstance(d["iterations"], int) and d["iterations"] > 0
 
+    def test_config_hash_is_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda blob: calls.append(blob) or sha256(blob))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_grid": [0.0, 0.5, 1.0], "counts_per_setting": 500}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", "eta") == 0
+        assert len(list(tmp_path.glob("tomography_eta_*.json"))) == 3
+        assert len(calls) == 1
+
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eta_grid": []}))
@@ -315,15 +327,30 @@ class TestOutOfRangeInputs:
         (None, ("certify", "--counts", "{no_zz}")),
         (None, ("simulate-counts", "--model", "singlet", "--eta", "1.5")),
         (None, ("simulate-counts", "--model", "dephased", "--v", "7")),
+        (None, ("certify", "--state", "{three_qubits}")),
+        (None, ("certify", "--state", "{not_density}")),
+        ({"counts_per_setting": 10**19}, ("simulate-counts",)),
+        ({"counts_per_setting": 10**20}, ("simulate-counts",)),
+        (None, ("simulate-counts", "--counts-per-setting", str(10**15 + 1))),
+        (None, ("certify", "--counts", "{huge}")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
-            "missing-setting", "singlet-eta", "dephased-v"])
+            "missing-setting", "singlet-eta", "dephased-v", "state-three-qubits",
+            "state-not-density", "counts-1e19", "counts-1e20", "counts-flag-above-cap",
+            "csv-count-above-cap"])
     def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
-        paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv"}
+        paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv",
+                 "huge": tmp_path / "huge.csv"}
         for name, path in paths.items():
+            last = 10**20 if name == "huge" else 40
             path.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n" + "".join(
-                f"{a},{b},10,20,30,40\n" for a in "XYZ" for b in "XYZ"
-                if name == "all" or a + b != "ZZ"))
+                f"{a},{b},10,20,30,{last}\n" for a in "XYZ" for b in "XYZ"
+                if name != "no_zz" or a + b != "ZZ"))
+        for name, dim, diag in (("three_qubits", 8, 1 / 8), ("not_density", 4, 1 / 2)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({
+                "dims": [2] * int(math.log2(dim)),
+                "matrix": [[[diag * (i == j), 0.0] for j in range(dim)] for i in range(dim)]}))
         prefix = ()
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -333,6 +360,20 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_state_dims_are_named(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"dims": [2, 2, 2], "matrix": [
+            [[0.125 * (i == j), 0.0] for j in range(8)] for i in range(8)]}))
+        assert run("--out", str(tmp_path / "o"), "certify", "--state", str(state)) == 2
+        assert "dims [2, 2, 2]" in capsys.readouterr().err
+
+    def test_counts_at_the_cap_still_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"counts_per_setting": cli.MAX_COUNTS_PER_SETTING}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "simulate-counts") == 0
+        records = cli.load_counts_csv(str(tmp_path / "counts.csv"))
+        assert all(r.total == pytest.approx(10**15, rel=1e-6) for r in records)
 
     def test_model_flags_are_read_by_their_models(self, tmp_path, capsys):
         assert run("--out", str(tmp_path), "simulate-counts", "--model", "singlet",
@@ -375,6 +416,102 @@ class TestOutOfRangeInputs:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"counts_per_setting": 10}))
         check()
+
+
+# Exit-code fuzz: config values for every field and values of the flags the
+# cheap commands read.  Each field draws a valid value three times in four,
+# else any JSON value, and each flag a value of its type three times in four
+# (counts around and far above the cap among them), else any text, so most
+# inputs pass validation and run a command.  certify and scan are left out
+# for their run time.
+ANY_VALUE = st.one_of(
+    st.booleans(),
+    st.integers(-10**25, 10**25),
+    st.sampled_from([-1, 0, 1, 2, 10**15, 10**15 + 1, 2**63, 10**20]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True),
+                       st.integers(-2, 2), st.text(max_size=2), st.booleans()), max_size=5),
+)
+GRID = st.lists(st.floats(0.0, 1.0), max_size=5)
+VALID_VALUES = {
+    "phi": st.floats(-1e3, 1e3), "eta_grid": GRID, "v_grid": GRID, "gamma_grid": GRID,
+    "bs": st.sampled_from(["ideal", "experimental"]),
+    "counts_per_setting": st.integers(0, cli.MAX_COUNTS_PER_SETTING),
+    "mc_replicas": st.integers(2, 10**6), "seed": st.integers(0, 10**25),
+    "baseline_weight": st.floats(0.0, 1.0), "coherence_sigma_ps": st.floats(1e-3, 1e6),
+    "output_dir": st.text(max_size=6),
+}
+FUZZ_COMMANDS = ("circuit", "hom-scan", "photonic-verify", "simulate-counts")
+MODEL_FLAGS = {"singlet": [], "dephased": ["--eta"], "baseline": ["--eta"],
+               "distinguishable": ["--v"], "maximally-mixed": [], "circuit": []}
+FLAG_VALUES = {
+    "--seed": st.integers(0, 10**25), "--phi": st.floats(-1e3, 1e3),
+    "--reflectivity": st.floats(0.0, 1.0), "--bs": st.sampled_from(["ideal", "experimental"]),
+    "--eta": st.floats(0.0, 1.0), "--v": st.floats(0.0, 1.0),
+    "--counts-per-setting": st.one_of(st.integers(1, 10**4), st.integers(10**15 - 2, 10**15 + 2),
+                                      st.integers(10**18, 10**25)),
+}
+ANY_FLAG_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**25, 10**25),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def fuzz_config(draw):
+    fields = draw(st.lists(st.sampled_from(sorted(VALID_VALUES) + ["nonsense"]),
+                           max_size=3, unique=True))
+    return {f: draw(ANY_VALUE if f not in VALID_VALUES or draw(st.integers(0, 3)) == 0
+                    else VALID_VALUES[f]) for f in fields}
+
+
+@st.composite
+def fuzz_argv(draw):
+    def flag(name):
+        value = draw(ANY_FLAG_TEXT if draw(st.integers(0, 3)) == 0 else FLAG_VALUES[name])
+        # The --flag=value form keeps argparse from reading -1 or -inf as an option.
+        return f"{name}={value}"
+
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    argv = [flag("--seed")] if draw(st.booleans()) else []
+    argv.append(command)
+    flags = {"circuit": ["--phi"], "photonic-verify": ["--reflectivity", "--bs"],
+             "hom-scan": ["--bs"]}.get(command, [])
+    if command == "simulate-counts":
+        model = draw(st.sampled_from(sorted(MODEL_FLAGS)))
+        argv += ["--model", model]
+        flags = MODEL_FLAGS[model] + ["--counts-per-setting"]
+        if draw(st.integers(0, 7)) == 0:
+            flags.append(draw(st.sampled_from(["--eta", "--v"])))  # maybe one it does not read
+    argv += [flag(name) for name in dict.fromkeys(flags) if draw(st.booleans())]
+    return argv
+
+
+class TestExitCodeFuzz:
+    def test_exit_codes_are_documented_and_tracebacks_absent(self, tmp_path):
+        ran = set()
+
+        @given(fuzz_config(), fuzz_argv())
+        @settings(max_examples=300)
+        def check(config, argv):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = run("--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
+                except SystemExit as exc:  # argparse rejecting a flag value
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                ran.add(next(a for a in argv if a in FUZZ_COMMANDS))
+
+        assert set(VALID_VALUES) == {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
+        check()
+        assert ran == set(FUZZ_COMMANDS)  # the draws reach past validation into every command
 
 
 class TestDeterminism:

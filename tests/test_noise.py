@@ -89,3 +89,67 @@ class TestMixAndBaseline:
     def test_baseline_witness_is_scaled_ideal_law(self, eta):
         w = certify.witness_w(noise.baseline_state(eta))
         assert w == pytest.approx(1 - 2 * 0.86 * (1 - eta), abs=1e-12)
+
+
+def _old_rho_mix():
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, 1] = m[2, 2] = 0.5
+    return m
+
+
+def _old_rho_dist():
+    h_plus = np.zeros(4, dtype=complex)
+    h_plus[[2, 3]] = 1 / np.sqrt(2)
+    plus_h = np.zeros(4, dtype=complex)
+    plus_h[[1, 3]] = 1 / np.sqrt(2)
+    return (np.outer(h_plus, h_plus.conj()) + np.outer(plus_h, plus_h.conj())) / 2
+
+
+def _old_dephase(m, eta):
+    z2 = np.kron(qmath.I2, qmath.SIGMA_Z)
+    dephased = 0.5 * (m + z2 @ m @ z2)
+    return (1 - eta) * m + eta * dephased
+
+
+def _old_mix(a, b, p):
+    return p * a + (1 - p) * b
+
+
+CONSTANTS = (noise.SINGLET, noise.RHO_MIX, noise.RHO_DIST, noise._Z2)
+
+
+class TestConstantStates:
+    """The state families built from module constants against the parent
+    code's channel compositions, kept here as references."""
+
+    @given(unit, unit)
+    @settings(max_examples=40)
+    def test_equal_to_the_channel_compositions(self, x, w):
+        s = circuit.singlet().density()
+        assert np.array_equal(noise.rho_mix().matrix, _old_rho_mix())
+        assert np.array_equal(noise.rho_dist().matrix, _old_rho_dist())
+        baseline = _old_dephase(_old_mix(s.matrix, _old_rho_mix(), w), x)
+        for state, matrix in [
+            (noise.dephased_singlet(x), _old_dephase(s.matrix, x)),
+            (noise.distinguishable_state(x), _old_mix(s.matrix, _old_rho_dist(), x)),
+            (noise.baseline_state(x, w), baseline),
+            (noise.dephase(noise.mix(s, noise.rho_mix(), w), x), baseline),
+        ]:
+            assert np.array_equal(state.matrix, matrix)
+
+    def test_returned_states_share_no_memory_with_constants(self):
+        states = [noise.rho_mix(), noise.rho_dist()] + [
+            f(x) for f in (noise.dephased_singlet, noise.distinguishable_state,
+                           noise.baseline_state) for x in (0.0, 1.0)]
+        states += [noise.baseline_state(0.0, 1.0), noise.baseline_state(1.0, 0.0)]
+        for rho in states:
+            assert rho.matrix.flags.writeable
+            assert not any(np.shares_memory(rho.matrix, c) for c in CONSTANTS)
+        for c in CONSTANTS:
+            assert not c.flags.writeable
+
+    def test_out_of_range_parameters(self):
+        for call in (lambda: noise.baseline_state(1.5), lambda: noise.baseline_state(0.5, -0.1),
+                     lambda: noise.distinguishable_state(float("nan"))):
+            with pytest.raises(noise.OutOfRange):
+                call()
