@@ -55,42 +55,15 @@ class MissingSetting(CertifyError):
     pass
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """A pair of local projective bases given as unit Bloch vectors."""
-
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("basis_a", "basis_b"):
-            v = np.asarray(getattr(self, name), dtype=float).reshape(3)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise CertifyError(f"{name} is not a unit Bloch vector: {v}")
-            object.__setattr__(self, name, v)
-
-    def observable(self) -> np.ndarray:
-        return np.kron(*np.tensordot([self.basis_a, self.basis_b], _PAULI_VEC, axes=1))
-
-    def projectors(self) -> np.ndarray:
-        """Outcome projectors in the order ++, +-, -+, --."""
-        return projector_table([self])[0]
+PAULI_SETTINGS = np.array([[AXES[a], AXES[b]] for a in AXIS_NAMES for b in AXIS_NAMES])
+PAULI_SETTINGS.setflags(write=False)
 
 
-def setting(a: str | np.ndarray, b: str | np.ndarray) -> MeasurementSetting:
-    """Build a setting from axis labels X/Y/Z or explicit Bloch vectors."""
-    av = AXES[a] if isinstance(a, str) else np.asarray(a, dtype=float)
-    bv = AXES[b] if isinstance(b, str) else np.asarray(b, dtype=float)
-    return MeasurementSetting(av, bv)
-
-
-PAULI_SETTINGS = tuple(setting(a, b) for a in "XYZ" for b in "XYZ")
-
-
-def projector_table(settings) -> np.ndarray:
-    """(S, 4, 4, 4) outcome projectors of every setting, outcomes ordered ++, +-, -+, --:
-    kron((I + s_a a.sigma)/2, (I + s_b b.sigma)/2) for outcome signs (s_a, s_b)."""
-    bases = np.array([[s.basis_a, s.basis_b] for s in settings]).reshape(-1, 2, 3)
+def projector_table(bases) -> np.ndarray:
+    """(S, 4, 4, 4) outcome projectors of the setting tuples ``bases`` (S, 2, 3),
+    outcomes ordered ++, +-, -+, --: kron((I + s_a a.sigma)/2, (I + s_b b.sigma)/2)
+    for outcome signs (s_a, s_b) and Bloch vectors a = bases[s, 0], b = bases[s, 1]."""
+    bases = np.asarray(bases, dtype=float).reshape(-1, 2, 3)
     obs = np.tensordot(bases, _PAULI_VEC, axes=1)[:, None]  # (S, sign, qubit, 2, 2)
     half = (I2 + np.array([1, -1])[:, None, None, None] * obs) / 2
     return _outer_kron(half[:, :, 0], half[:, :, 1]).reshape(-1, 4, 4, 4)
@@ -103,16 +76,43 @@ def axis_index(vectors) -> np.ndarray:
     return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
 
 
-@dataclass(frozen=True)
-class CountsRecord:
-    """Poisson-sampled outcome counts for one measurement setting."""
+class InvalidCounts(CertifyError):
+    """A row of a dataset that is not a measurement: ``setting`` is its index."""
 
-    setting: MeasurementSetting
-    counts: tuple[int, int, int, int]
+    def __init__(self, setting: int, what: str):
+        super().__init__(f"setting {setting}: {what}")
+        self.setting, self.what = setting, what
 
-    @property
-    def total(self) -> int:
-        return int(sum(self.counts))
+
+@dataclass(frozen=True, eq=False)
+class Counts:
+    """Outcome counts ``n`` (S, 4), ordered ++, +-, -+, --, of the setting tuples
+    ``bases`` (S, 2, 3): one unit Bloch vector per qubit.  Validated once and
+    stored read-only."""
+
+    bases: np.ndarray
+    n: np.ndarray
+
+    def __post_init__(self):
+        bases = np.array(self.bases, dtype=float).reshape(-1, 2, 3)
+        n = np.array(self.n).reshape(-1, 4)  # ints beyond int64 stay exact until checked
+        if len(n) != len(bases):
+            raise CertifyError(f"{len(n)} rows of counts for {len(bases)} settings")
+        with np.errstate(all="ignore"):  # NaN, inf and an overflowing norm fail the test
+            unit = np.abs(np.linalg.norm(bases, axis=2) - 1.0) <= 1e-12
+        if not unit.all():
+            s, q = np.argwhere(~unit)[0]
+            raise InvalidCounts(int(s), f"axis {'ab'[q]} is not a finite unit Bloch vector: "
+                                        f"{bases[s, q].tolist()}")
+        if np.any(n < 0):
+            s = int(np.flatnonzero((n < 0).any(axis=1))[0])
+            raise InvalidCounts(s, f"negative count in {n[s].tolist()}")
+        for name, arr in (("bases", bases), ("n", n.astype(np.int64))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.n)
 
 
 def _check_two_qubit(rho: DensityMatrix) -> None:
@@ -143,10 +143,28 @@ def _witness(t: np.ndarray) -> np.ndarray:
 
 
 def _chsh_fixed(t: np.ndarray, settings) -> np.ndarray:
-    a = np.array([s.basis_a for s in settings])
-    b = np.array([s.basis_b for s in settings])
-    e = np.einsum("si,nij,sj->ns", a, t, b)
+    settings = np.asarray(settings, dtype=float)
+    e = np.einsum("si,nij,sj->ns", settings[:, 0], t, settings[:, 1])
     return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
+
+
+def _chsh_max(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) maximal CHSH values 2 sqrt(s1^2 + s2^2) over all settings, s1 >= s2 the
+    two largest singular values of each T, and (B, 4, 2, 3) settings reaching them.
+
+    Alice measures along the top two left singular vectors, Bob along weighted
+    combinations of the right ones, so that E(a_i, v_j) = s_i delta_ij.
+    """
+    u, sv, vt = np.linalg.svd(t)
+    norm = np.hypot(sv[:, 0], sv[:, 1])
+    zero = norm < 1e-15  # zero correlation matrix: any settings reach the zero maximum
+    cs = sv[:, :2, None] / np.where(zero, 1.0, norm)[:, None, None]
+    a0, a1 = u[:, :, 0], u[:, :, 1]
+    b0, b1 = cs[:, 0] * vt[:, 0] + cs[:, 1] * vt[:, 1], cs[:, 0] * vt[:, 0] - cs[:, 1] * vt[:, 1]
+    settings = np.stack([a0, b0, a0, b1, a1, b0, a1, b1], axis=1).reshape(-1, 4, 2, 3)
+    if zero.any():
+        settings[zero] = singlet_optimal_settings()
+    return np.where(zero, 0.0, 2.0 * norm), settings
 
 
 def _pt_spectra(rhos: np.ndarray) -> np.ndarray:
@@ -177,20 +195,24 @@ def _fidelities(rhos: np.ndarray, targets) -> np.ndarray:
     return out
 
 
-def _derived(rhos: np.ndarray, targets, chsh_settings) -> dict:
+def derived_batch(rhos: np.ndarray, targets=None, chsh_settings=None) -> dict:
+    """Witness, maximal CHSH and partial-transpose spectrum of every member of a
+    (B, 4, 4) stack; also the fidelity to ``targets[b]`` and CHSH at the four
+    ``chsh_settings`` when those are given."""
     t = _correlations(rhos)
-    sv = np.linalg.svd(t, compute_uv=False)
-    norm = np.hypot(sv[:, 0], sv[:, 1])  # chsh_max = 2 sqrt(s1^2 + s2^2), as in chsh_max
     eigs = _pt_spectra(rhos)
-    return {
-        "fidelity_to_target": _fidelities(rhos, targets),
+    q = {
         "witness": _witness(t),
-        "chsh_fixed": _chsh_fixed(t, chsh_settings),
-        "chsh_max": np.where(norm < 1e-15, 0.0, 2.0 * norm),
+        "chsh_max": _chsh_max(t)[0],
         "negativity": _negativity(eigs),
         "ppt_eigenvalues": eigs,
         "min_pt_eigenvalue": eigs[:, -1],
     }
+    if targets is not None:
+        q["fidelity_to_target"] = _fidelities(rhos, targets)
+    if chsh_settings is not None:
+        q["chsh_fixed"] = _chsh_fixed(t, chsh_settings)
+    return q
 
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
@@ -204,19 +226,19 @@ def witness_w(rho: DensityMatrix) -> float:
     return float(_witness(correlation_matrix(rho)[None])[0])
 
 
-def singlet_optimal_settings() -> tuple[MeasurementSetting, ...]:
-    """CHSH settings reaching 2 sqrt(2) on the singlet."""
+def singlet_optimal_settings() -> np.ndarray:
+    """(4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
     z = AXES["Z"]
     x = AXES["X"]
     b0 = -(z + x) / np.sqrt(2)
     b1 = (x - z) / np.sqrt(2)
-    return (setting(z, b0), setting(z, b1), setting(x, b0), setting(x, b1))
+    return np.array([[z, b0], [z, b1], [x, b0], [x, b1]])
 
 
 def chsh(rho: DensityMatrix, settings) -> float:
     """|E(A0 B0) + E(A0 B1) + E(A1 B0) - E(A1 B1)| for four settings.
 
-    ``settings`` lists the four (A_i, B_j) pairs in the order
+    ``settings`` (4, 2, 3) lists the four (A_i, B_j) pairs in the order
     (A0B0, A0B1, A1B0, A1B1).
     """
     if len(settings) != 4:
@@ -224,63 +246,35 @@ def chsh(rho: DensityMatrix, settings) -> float:
     return float(_chsh_fixed(correlation_matrix(rho)[None], settings)[0])
 
 
-def chsh_max(rho: DensityMatrix) -> tuple[float, tuple[MeasurementSetting, ...]]:
-    """Maximal CHSH value 2 sqrt(l1 + l2) over all settings, plus achieving settings.
-
-    l1 >= l2 are the two largest eigenvalues of T^T T for the Pauli
-    correlation matrix T.
-    """
-    u, sv, vt = np.linalg.svd(correlation_matrix(rho))
-    norm = np.hypot(sv[0], sv[1])
-    if norm < 1e-15:
-        # Zero correlation matrix: any settings achieve the (zero) maximum.
-        return 0.0, singlet_optimal_settings()
-    # Alice along the top two left singular vectors, Bob along weighted
-    # combinations of the right ones, so that E(a_i, v_j) = s_i delta_ij.
-    c, s = sv[0] / norm, sv[1] / norm
-    a0, a1 = u[:, 0], u[:, 1]
-    b0, b1 = c * vt[0] + s * vt[1], c * vt[0] - s * vt[1]
-    settings = (setting(a0, b0), setting(a0, b1), setting(a1, b0), setting(a1, b1))
-    return float(2.0 * norm), settings
+def chsh_max(rho: DensityMatrix) -> tuple[float, np.ndarray]:
+    """Maximal CHSH value 2 sqrt(l1 + l2) over all settings, plus (4, 2, 3) settings
+    reaching it; l1 >= l2 are the two largest eigenvalues of T^T T for the Pauli
+    correlation matrix T."""
+    value, settings = _chsh_max(correlation_matrix(rho)[None])
+    return float(value[0]), settings[0]
 
 
-def _probabilities(rho: DensityMatrix, settings) -> np.ndarray:
+def _probabilities(rho: DensityMatrix, bases) -> np.ndarray:
     """(S, 4) outcome probabilities tr(rho Pi), clipped to [0, 1]."""
     _check_two_qubit(rho)
-    return np.clip(_trace(rho.matrix @ projector_table(settings)), 0.0, 1.0)
+    return np.clip(_trace(rho.matrix @ projector_table(bases)), 0.0, 1.0)
 
 
-def outcome_probabilities(rho: DensityMatrix, s: MeasurementSetting) -> np.ndarray:
-    return _probabilities(rho, [s])[0]
-
-
-def simulate_counts(
-    rho: DensityMatrix, settings, n_per_setting: int, seed: int
-) -> list[CountsRecord]:
-    """Draw independent Poisson counts with means N p(outcome) per setting, as one
-    (S, 4) draw: numpy fills it in C order, the order of a draw of four per setting."""
+def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) -> Counts:
+    """Draw independent Poisson counts with means N p(outcome) for each setting tuple
+    of ``bases`` (S, 2, 3), as one (S, 4) draw: numpy fills it in C order, the order
+    of a draw of four per setting."""
     if n_per_setting < 1:
         raise CertifyError("n_per_setting must be >= 1")
-    counts = np.random.default_rng(seed).poisson(n_per_setting * _probabilities(rho, settings))
-    return [CountsRecord(s, tuple(int(c) for c in row)) for s, row in zip(settings, counts)]
+    rng = np.random.default_rng(seed)
+    return Counts(bases, rng.poisson(n_per_setting * _probabilities(rho, bases)))
 
 
-def _stack(datasets) -> tuple[tuple[MeasurementSetting, ...], np.ndarray]:
-    """The shared setting tuple and the (B, S, 4) counts of B record lists."""
-    datasets = [list(d) for d in datasets]
-    settings = tuple(rec.setting for rec in datasets[0])
-    axes = [np.array([[r.setting.basis_a, r.setting.basis_b] for r in d]) for d in datasets]
-    if any(not np.array_equal(a, axes[0]) for a in axes[1:]):
-        raise CertifyError("stacked datasets must share one setting tuple")
-    counts = np.array([[rec.counts for rec in d] for d in datasets], dtype=float)
-    return settings, counts.reshape(len(datasets), len(settings), 4)
-
-
-def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
-    """(B, 4, 4) linear-inversion estimates, one (4S, 16) map applied to the
-    outcome frequencies of the nine Pauli-pair settings (the last one of
-    each label when repeated)."""
-    bases = np.array([[s.basis_a, s.basis_b] for s in settings]).reshape(-1, 2, 3)
+def _linear_inversion(bases: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) linear-inversion estimates from the (B, S, 4) counts of the setting
+    tuples ``bases`` (S, 2, 3): one (4S, 16) map applied to the outcome frequencies
+    of the nine Pauli-pair settings (the last one of each label when repeated).
+    Hermitian and unit trace by construction, but possibly not PSD at finite counts."""
     ia, ib = axis_index(bases).T
     labelled = (ia >= 0) & (ib >= 0)
     row = np.full(9, -1)  # setting index of each Pauli pair, 3 a + b
@@ -291,19 +285,10 @@ def _linear_inversion(settings, counts: np.ndarray) -> np.ndarray:
     totals = counts.sum(axis=2)
     if np.any(totals[:, row] == 0):
         raise MissingSetting("a setting has all-zero counts")
-    lmap = np.zeros((len(settings), 4, 4, 4), dtype=complex)
+    lmap = np.zeros((len(bases), 4, 4, 4), dtype=complex)
     lmap[row] = _LINEAR_BLOCKS
     freq = (counts / np.where(totals == 0, 1.0, totals)[:, :, None]).reshape(len(counts), -1)
     return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(-1, 4, 4)
-
-
-def tomography_linear(data) -> np.ndarray:
-    """Linear-inversion estimate from the nine Pauli-pair settings.
-
-    Hermitian and unit trace by construction, but possibly not PSD at
-    finite counts.
-    """
-    return _linear_inversion(*_stack([data]))[0]
 
 
 @dataclass(frozen=True)
@@ -330,32 +315,32 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
 _DILUTION = 0.5 ** np.arange(1, 40)
 
 
-def mle_batch(settings, counts: np.ndarray, init=None, max_iter: int = 100_000):
+def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 100_000):
     """Maximize the Poisson log-likelihood of every member of a stack at once.
 
-    Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of ``settings[s]``
-    and runs Hradil's fixed point rho <- R rho R / tr(...), R = sum_k (n_k/p_k)
-    Pi_k.  A step that would lower its likelihood becomes the diluted step
-    (I + eps R)/norm with the first eps of 0.5, 0.25, ... > 1e-12 that raises
-    it (Rehacek et al., PRA 75, 042108, 2007).  A member converges once its
-    gain stays below 1e-10 for 10 iterations, or gives up after ``max_iter``.
-    All-zero settings are dropped; a member that drops none starts from linear
-    inversion, else from I/4, unless ``init`` gives one start or one per
-    member.  Returns arrays ``(rho, log_likelihood, converged, iterations,
-    dropped)`` over the members.
+    Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of the setting
+    tuple ``bases[s]`` (shape (S, 2, 3)) and runs Hradil's fixed point
+    rho <- R rho R / tr(...), R = sum_k (n_k/p_k) Pi_k.  A step that would
+    lower its likelihood becomes the diluted step (I + eps R)/norm with the
+    first eps of 0.5, 0.25, ... > 1e-12 that raises it (Rehacek et al., PRA 75,
+    042108, 2007).  A member converges once its gain stays below 1e-10 for 10
+    iterations, or gives up after ``max_iter``.  All-zero settings are dropped;
+    a member that drops none starts from linear inversion, else from I/4,
+    unless ``init`` gives one start or one per member.  Returns arrays ``(rho,
+    log_likelihood, converged, iterations, dropped)`` over the members.
     """
     counts = np.asarray(counts, dtype=float)
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
-    if np.any(dropped == len(settings)):
+    if np.any(dropped == len(bases)):
         raise MissingSetting("no settings with nonzero counts")
-    proj = projector_table(settings).reshape(-1, 16)
+    proj = projector_table(bases).reshape(-1, 16)
     proj_h = proj.conj().T  # p_k = tr(Pi_k rho) = vec(Pi_k)^* . vec(rho): Pi_k is Hermitian
     n = counts.reshape(b, -1)
 
     start = np.broadcast_to(np.eye(4) / 4 if init is None else init, (b, 4, 4)).astype(complex)
     if init is None and np.any(dropped == 0):
-        start[dropped == 0] = _linear_inversion(settings, counts[dropped == 0])
+        start[dropped == 0] = _linear_inversion(bases, counts[dropped == 0])
     # Blend in a little of the identity: the fixed point cannot leave the
     # support of the iterate, so the start must be full rank.
     rho = 0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4
@@ -407,13 +392,6 @@ def mle_batch(settings, counts: np.ndarray, init=None, max_iter: int = 100_000):
     return rho_out, ll_out, converged, iterations, dropped
 
 
-def mle_state(data, init: np.ndarray | None = None, max_iter: int = 100_000):
-    """``mle_batch`` of one record list: ``(rho, log_likelihood, converged,
-    iterations, dropped)``."""
-    rho, ll, converged, iterations, dropped = mle_batch(*_stack([data]), init, max_iter)
-    return rho[0], float(ll[0]), bool(converged[0]), int(iterations[0]), int(dropped[0])
-
-
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
     """Partial-transpose eigenvalues (descending) and the negativity."""
     _check_two_qubit(rho)
@@ -426,12 +404,11 @@ def fidelity(rho: DensityMatrix, target) -> float:
     return float(_fidelities(rho.matrix[None], [target])[0])
 
 
-def tomography_mle_batch(datasets, targets, init: np.ndarray | None = None):
-    """One TomographyResult per record list, the lists sharing one setting
-    tuple and fitted as one stack; ``targets[b]`` (a PureState or
-    DensityMatrix) is the fidelity reference of member b."""
-    settings, counts = _stack(datasets)
-    rho_arr, ll, converged, iterations, dropped = mle_batch(settings, counts, init)
+def tomography_mle_batch(bases: np.ndarray, counts: np.ndarray, targets, init=None):
+    """One TomographyResult per member of the (B, S, 4) counts of the setting
+    tuples ``bases`` (S, 2, 3), fitted as one stack; ``targets[b]`` (a PureState
+    or DensityMatrix) is the fidelity reference of member b."""
+    rho_arr, ll, converged, iterations, dropped = mle_batch(bases, counts, init)
     rho = _psd_project(rho_arr)
     eigs = _pt_spectra(rho)
     neg = _negativity(eigs)
@@ -446,24 +423,24 @@ def tomography_mle_batch(datasets, targets, init: np.ndarray | None = None):
     ]
 
 
-def tomography_mle(data, init: np.ndarray | None = None, target=None) -> TomographyResult:
-    """MLE reconstruction with derived certification quantities.
+def tomography_mle(data: Counts, init: np.ndarray | None = None, target=None) -> TomographyResult:
+    """MLE reconstruction of one dataset with derived certification quantities.
 
     ``target`` (a PureState or DensityMatrix, default the singlet) is the
     reference for the fidelity figure.
     """
     target = circuit.singlet() if target is None else target
-    return tomography_mle_batch([data], [target], init)[0]
+    return tomography_mle_batch(data.bases, data.n[None], [target], init)[0]
 
 
 def derived_quantities(rho: DensityMatrix, target, chsh_settings) -> dict:
-    q = _derived(rho.matrix[None], [target], chsh_settings)
+    q = derived_batch(rho.matrix[None], [target], chsh_settings)
     return {key: [float(v) for v in val[0]] if val.ndim > 1 else float(val[0])
             for key, val in q.items()}
 
 
 def bootstrap(
-    data, replicas: int, seed: int, target=None, chsh_settings=None
+    data: Counts, replicas: int, seed: int, target=None, chsh_settings=None
 ) -> tuple[dict, int]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
@@ -477,22 +454,21 @@ def bootstrap(
         raise CertifyError("replicas must be >= 2")
     target = circuit.singlet() if target is None else target
     chsh_settings = singlet_optimal_settings() if chsh_settings is None else chsh_settings
-    settings, counts = _stack([data])
     resampled = np.stack([
-        np.random.default_rng([seed, rep]).poisson(counts[0]) for rep in range(replicas)
+        np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
     ])
-    rho_arr, _, converged, _, _ = mle_batch(settings, resampled)
+    rho_arr, _, converged, _, _ = mle_batch(data.bases, resampled)
     rho = _psd_project(rho_arr)
     qmath.check_density(rho)
     out = {}
-    for key, vals in _derived(rho, [target] * replicas, chsh_settings).items():
+    for key, vals in derived_batch(rho, [target] * replicas, chsh_settings).items():
         sd = np.std(vals, axis=0, ddof=1)
         out[key] = float(sd) if vals.ndim == 1 else [float(x) for x in sd]
     return out, int(np.sum(converged))
 
 
 def monte_carlo_errors(
-    data, replicas: int, seed: int, target=None, chsh_settings=None
+    data: Counts, replicas: int, seed: int, target=None, chsh_settings=None
 ) -> dict:
     """The standard deviations of ``bootstrap``."""
     return bootstrap(data, replicas, seed, target, chsh_settings)[0]
@@ -505,22 +481,3 @@ def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatr
     m /= np.trace(m).real
     dims = (2, 2) if dim == 4 else (dim,)
     return DensityMatrix(dims, m)
-
-
-def random_pure_state(rng: np.random.Generator, dims=(2, 2)) -> PureState:
-    """Haar-random pure state."""
-    d = int(np.prod(dims))
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(tuple(dims), v / np.linalg.norm(v))
-
-
-def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> DensityMatrix:
-    """Convex mixture of random product states (separable by construction)."""
-    weights = rng.dirichlet(np.ones(n_terms))
-    m = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        a = random_pure_state(rng, (2,)).amplitudes
-        b = random_pure_state(rng, (2,)).amplitudes
-        v = np.kron(a, b)
-        m += w * np.outer(v, v.conj())
-    return DensityMatrix((2, 2), m)

@@ -191,18 +191,17 @@ def load_state_json(path: str) -> qmath.DensityMatrix:
     return rho
 
 
-def write_counts_csv(path: Path, cfg: ExperimentConfig, records) -> None:
+def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) -> None:
     def axis_repr(i: int, v: np.ndarray) -> str:
         return certify.AXIS_NAMES[i] if i >= 0 else ":".join(_fmt(x) for x in v)
 
-    axes = np.array([[r.setting.basis_a, r.setting.basis_b] for r in records]).reshape(-1, 2, 3)
-    rows = [[*map(axis_repr, idx, pair), *r.counts]
-            for idx, pair, r in zip(certify.axis_index(axes), axes, records)]
+    rows = [[*map(axis_repr, idx, pair), *n]
+            for idx, pair, n in zip(certify.axis_index(data.bases), data.bases, data.n.tolist())]
     write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"], rows)
 
 
-def load_counts_csv(path: str, total_expected: float | None = None) -> list[certify.CountsRecord]:
-    """Records of a counts CSV; ``total_expected`` is unused, kept for callers that pass it."""
+def load_counts_csv(path: str, total_expected: float | None = None) -> certify.Counts:
+    """The dataset of a counts CSV; ``total_expected`` is unused, kept for callers that pass it."""
     def parse_axis(tok: str, lineno: int) -> np.ndarray:
         tok = tok.strip()
         if tok in certify.AXES:
@@ -212,7 +211,7 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> list[cert
             raise ParseError(f"{path}:{lineno}: bad setting axis {tok!r}")
         return np.array([float(p) for p in parts])
 
-    records = []
+    linenos, bases, counts = [], [], []
     try:
         with open(path) as fh:
             lines = [(no, ln) for no, ln in enumerate(fh, start=1) if not ln.startswith("#")]
@@ -230,18 +229,19 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> list[cert
         if len(row) < 6:
             raise ParseError(f"{path}:{lineno}: expected 4 counts, got {max(len(row) - 2, 0)}")
         try:
-            a = parse_axis(row[0], lineno)
-            b = parse_axis(row[1], lineno)
-            counts = tuple(int(x) for x in row[2:6])
+            pair = [parse_axis(row[0], lineno), parse_axis(row[1], lineno)]
+            n = [int(x) for x in row[2:6]]
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if any(c < 0 for c in counts):
-            raise ParseError(f"{path}:{lineno}: negative count in {list(counts)}")
-        if any(c > MAX_COUNTS_PER_SETTING for c in counts):
-            raise ParseError(
-                f"{path}:{lineno}: count above {MAX_COUNTS_PER_SETTING} in {list(counts)}")
-        records.append(certify.CountsRecord(certify.MeasurementSetting(a, b), counts))
-    return records
+        if any(c > MAX_COUNTS_PER_SETTING for c in n):
+            raise ParseError(f"{path}:{lineno}: count above {MAX_COUNTS_PER_SETTING} in {n}")
+        linenos.append(lineno)
+        bases.append(pair)
+        counts.append(n)
+    try:
+        return certify.Counts(bases, counts)
+    except certify.InvalidCounts as exc:
+        raise ParseError(f"{path}:{linenos[exc.setting]}: {exc.what}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +335,24 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
     grid = cfg.eta_grid if param == "eta" else cfg.v_grid
     if not grid:
         raise ParseError(f"{param}_grid is empty")
-    rows, ideals, datasets = [], [], []
-    for idx, x in enumerate(grid):
-        ideal = noise.dephased_singlet(x) if param == "eta" else noise.distinguishable_state(x)
-        baseline = noise.baseline_state(x, cfg.baseline_weight) if param == "eta" else ideal
-        smax, _ = certify.chsh_max(ideal)
-        eigs, negativity = certify.ppt_report(ideal)
-        rows.append([float(x), certify.witness_w(ideal), certify.witness_w(baseline), smax,
-                     negativity, eigs[-1]])
-        ideals.append(ideal)
-        if cfg.counts_per_setting > 0:
-            datasets.append(certify.simulate_counts(
-                ideal, certify.PAULI_SETTINGS, cfg.counts_per_setting,
-                int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0]),
-            ))
-    # One stacked MLE solve over every grid point.
-    results = certify.tomography_mle_batch(datasets, ideals) if datasets else []
+    ideals = [noise.dephased_singlet(x) if param == "eta" else noise.distinguishable_state(x)
+              for x in grid]
+    baselines = ([noise.baseline_state(x, cfg.baseline_weight) for x in grid]
+                 if param == "eta" else ideals)
+    # One kernel call over the ideal and the baseline states of every grid point.
+    q = certify.derived_batch(np.stack([rho.matrix for rho in ideals + baselines]))
+    g = len(grid)
+    columns = (q["witness"][:g], q["witness"][g:], q["chsh_max"][:g], q["negativity"][:g],
+               q["min_pt_eigenvalue"][:g])
+    rows = [[float(x), *vals] for x, *vals in zip(grid, *(c.tolist() for c in columns))]
+    results = []
+    if cfg.counts_per_setting > 0:
+        # Each point's counts from its own seed, then one stacked MLE solve.
+        counts = np.stack([certify.simulate_counts(
+            rho, certify.PAULI_SETTINGS, cfg.counts_per_setting,
+            int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0]),
+        ).n for idx, rho in enumerate(ideals)])
+        results = certify.tomography_mle_batch(certify.PAULI_SETTINGS, counts, ideals)
     for idx, (x, res) in enumerate(zip(grid, results)):
         write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
             param: float(x),
@@ -409,10 +411,8 @@ def cmd_simulate_counts(
         if value is not None and model not in readers:
             raise ParseError(f"--model {model} does not read {flag}")
     rho = model_state(model, cfg, eta, v)
-    records = certify.simulate_counts(
-        rho, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed
-    )
-    write_counts_csv(out / "counts.csv", cfg, records)
+    data = certify.simulate_counts(rho, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed)
+    write_counts_csv(out / "counts.csv", cfg, data)
     return EXIT_OK
 
 

@@ -5,23 +5,78 @@ from hypothesis import given, settings, strategies as st
 from gmesim import certify, circuit, noise, qmath
 
 SINGLET = circuit.singlet().density()
+X, Y, Z = certify.AXES["X"], certify.AXES["Y"], certify.AXES["Z"]
+
+
+def random_pure_state(rng: np.random.Generator, dims=(2, 2)) -> qmath.PureState:
+    """Haar-random pure state."""
+    d = int(np.prod(dims))
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return qmath.PureState(tuple(dims), v / np.linalg.norm(v))
+
+
+def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> qmath.DensityMatrix:
+    """Convex mixture of random product states (separable by construction)."""
+    weights = rng.dirichlet(np.ones(n_terms))
+    m = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        a = random_pure_state(rng, (2,)).amplitudes
+        b = random_pure_state(rng, (2,)).amplitudes
+        v = np.kron(a, b)
+        m += w * np.outer(v, v.conj())
+    return qmath.DensityMatrix((2, 2), m)
 
 
 class TestSettings:
     def test_axis_setting_observable(self):
-        s = certify.setting("Z", "Z")
-        assert np.allclose(s.observable(), np.kron(qmath.SIGMA_Z, qmath.SIGMA_Z))
+        # The outcome signs of the projectors weight them into a.sigma x b.sigma.
+        table = certify.projector_table([[Z, Z]])[0]
+        obs = np.tensordot([1, -1, -1, 1], table, axes=1)
+        assert np.allclose(obs, np.kron(qmath.SIGMA_Z, qmath.SIGMA_Z))
 
     def test_projectors_resolve_identity(self):
-        s = certify.setting("X", "Y")
-        assert np.allclose(np.sum(s.projectors(), axis=0), np.eye(4), atol=1e-14)
+        table = certify.projector_table([[X, Y]])[0]
+        assert np.allclose(np.sum(table, axis=0), np.eye(4), atol=1e-14)
 
     def test_non_unit_vector_rejected(self):
         with pytest.raises(certify.CertifyError):
-            certify.setting(np.array([1.0, 1.0, 0.0]), "Z")
+            certify.Counts([[[1.0, 1.0, 0.0], Z]], [[1, 2, 3, 4]])
+
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0],
+                                      [0.0, 0.0, 1.0 + 1e-11]])
+    def test_non_finite_or_off_unit_axis_names_its_setting(self, axis):
+        with pytest.raises(certify.InvalidCounts, match="setting 1: axis b") as exc:
+            certify.Counts([[X, Z], [Z, axis]], [[1, 2, 3, 4]] * 2)
+        assert exc.value.setting == 1
 
     def test_pauli_settings_complete(self):
-        assert len(certify.PAULI_SETTINGS) == 9
+        assert certify.PAULI_SETTINGS.shape == (9, 2, 3)
+        assert not certify.PAULI_SETTINGS.flags.writeable
+        labels = [certify.AXIS_NAMES[i] + certify.AXIS_NAMES[j]
+                  for i, j in certify.axis_index(certify.PAULI_SETTINGS)]
+        assert labels == [a + b for a in "XYZ" for b in "XYZ"]
+
+
+class TestCountsValue:
+    def test_fields_are_read_only_copies(self):
+        bases = np.array(certify.PAULI_SETTINGS)
+        n = np.ones((9, 4), dtype=int)
+        data = certify.Counts(bases, n)
+        bases[0, 0], n[0] = Y, 7
+        assert np.array_equal(data.bases, certify.PAULI_SETTINGS) and (data.n == 1).all()
+        assert len(data) == 9 and data.n.dtype == np.int64
+        for arr in (data.bases, data.n):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_negative_count_names_its_setting(self):
+        with pytest.raises(certify.InvalidCounts, match="setting 2: negative count") as exc:
+            certify.Counts(certify.PAULI_SETTINGS[:3], [[1, 1, 1, 1]] * 2 + [[1, -1, 1, 1]])
+        assert exc.value.setting == 2
+
+    def test_rows_must_match_settings(self):
+        with pytest.raises(certify.CertifyError, match="8 rows of counts for 9 settings"):
+            certify.Counts(certify.PAULI_SETTINGS, np.ones((8, 4), dtype=int))
 
 
 class TestCorrelatorsAndWitness:
@@ -63,7 +118,7 @@ class TestChsh:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_separable_states_respect_classical_bound(self, seed):
-        rho = certify.random_separable_state(np.random.default_rng(seed))
+        rho = random_separable_state(np.random.default_rng(seed))
         val, _ = certify.chsh_max(rho)
         assert val <= 2.0 + 1e-9
 
@@ -71,17 +126,29 @@ class TestChsh:
         with pytest.raises(certify.CertifyError):
             certify.chsh(SINGLET, certify.singlet_optimal_settings()[:3])
 
+    def test_stacked_chsh_max_equals_the_single_state_call(self):
+        rng = np.random.default_rng(17)
+        states = [certify.random_density_matrix(rng) for _ in range(200)]
+        states += [noise.distinguishable_state(v) for v in np.linspace(0.0, 1.0, 21)]
+        states += [qmath.DensityMatrix((2, 2), np.eye(4) / 4)]  # zero correlation matrix
+        stacked = certify.derived_batch(np.stack([rho.matrix for rho in states]))["chsh_max"]
+        single = np.array([certify.chsh_max(rho)[0] for rho in states])
+        assert np.array_equal(stacked, single)
+        assert single[-1] == 0.0
+        assert np.array_equal(certify.chsh_max(states[-1])[1], certify.singlet_optimal_settings())
+
 
 class TestCounts:
     def test_simulation_is_deterministic(self):
         a = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 7)
         b = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 7)
-        assert [r.counts for r in a] == [r.counts for r in b]
+        assert np.array_equal(a.n, b.n)
+        assert np.array_equal(a.bases, certify.PAULI_SETTINGS)
 
     def test_counts_track_probabilities(self):
-        recs = certify.simulate_counts(SINGLET, [certify.setting("Z", "Z")], 100_000, 1)
-        f = np.asarray(recs[0].counts) / recs[0].total
-        p = certify.outcome_probabilities(SINGLET, recs[0].setting)
+        data = certify.simulate_counts(SINGLET, [[Z, Z]], 100_000, 1)
+        f = data.n[0] / data.n[0].sum()
+        p = _trace(SINGLET.matrix @ certify.projector_table([[Z, Z]])[0])
         assert np.allclose(f, p, atol=0.01)
 
     def test_bad_count_target(self):
@@ -91,45 +158,41 @@ class TestCounts:
 
 class TestTomography:
     def test_linear_inversion_recovers_truth_asymptotically(self):
-        recs = []
-        for s in certify.PAULI_SETTINGS:
-            p = certify.outcome_probabilities(SINGLET, s)
-            recs.append(certify.CountsRecord(s, tuple(int(round(1e9 * x)) for x in p)))
-        rho = certify.tomography_linear(recs)
+        p = _trace(SINGLET.matrix @ certify.projector_table(certify.PAULI_SETTINGS))
+        rho = certify._linear_inversion(certify.PAULI_SETTINGS, np.round(1e9 * p)[None])[0]
         assert np.max(np.abs(rho - SINGLET.matrix)) < 1e-6
 
     def test_linear_inversion_missing_setting(self):
-        recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
+        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
         with pytest.raises(certify.MissingSetting):
-            certify.tomography_linear(recs)
+            certify._linear_inversion(data.bases, data.n[None])
 
     def test_mle_recovers_mixed_truth(self):
         truth = noise.dephased_singlet(0.5)
-        recs = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, 11)
-        res = certify.tomography_mle(recs, target=truth)
+        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, 11)
+        res = certify.tomography_mle(data, target=truth)
         assert res.converged
         assert res.fidelity_to_target > 0.99
 
     def test_mle_monotone_likelihood_vs_linear(self):
-        recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 2000, 3)
-        res = certify.tomography_mle(recs)
+        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 2000, 3)
+        res = certify.tomography_mle(data)
 
         def ll(rho):
             out = 0.0
-            for rec in recs:
-                p = certify.outcome_probabilities(
-                    qmath.DensityMatrix((2, 2), rho), rec.setting
-                )
-                out += np.dot(rec.counts, np.log(np.maximum(p, 1e-300)))
+            for pair, n in zip(data.bases, data.n):
+                p = np.array([np.trace(rho @ pi).real for pi in _kron_projectors(pair)])
+                out += np.dot(n, np.log(np.maximum(p, 1e-300)))
             return out
 
-        lin = certify._psd_project(certify.tomography_linear(recs))
+        lin = certify._psd_project(certify._linear_inversion(data.bases, data.n[None])[0])
         assert res.log_likelihood >= ll(lin) - 1e-6
 
     def test_mle_drops_empty_settings(self):
-        recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
-        recs[0] = certify.CountsRecord(recs[0].setting, (0, 0, 0, 0))
-        res = certify.tomography_mle(recs)
+        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
+        n = data.n.copy()
+        n[0] = 0
+        res = certify.tomography_mle(certify.Counts(data.bases, n))
         assert res.dropped_settings == 1
         assert res.converged
 
@@ -145,7 +208,7 @@ class TestPpt:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_separable_states_have_ppt(self, seed):
-        rho = certify.random_separable_state(np.random.default_rng(seed))
+        rho = random_separable_state(np.random.default_rng(seed))
         eigs, neg = certify.ppt_report(rho)
         assert eigs[-1] >= -1e-10
         assert neg <= 1e-10
@@ -163,41 +226,46 @@ class TestFidelityAndErrors:
         assert certify.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
 
     def test_monte_carlo_errors_deterministic_and_sized(self):
-        recs = certify.simulate_counts(
+        data = certify.simulate_counts(
             noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
         )
-        e1 = certify.monte_carlo_errors(recs, 20, 5)
-        e2 = certify.monte_carlo_errors(recs, 20, 5)
+        e1 = certify.monte_carlo_errors(data, 20, 5)
+        e2 = certify.monte_carlo_errors(data, 20, 5)
         assert e1 == e2
         assert 1e-4 < e1["witness"] < 0.1
         assert 1e-4 < e1["min_pt_eigenvalue"] < 0.1
 
     def test_monte_carlo_needs_replicas(self):
-        recs = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
+        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
         with pytest.raises(certify.CertifyError):
-            certify.monte_carlo_errors(recs, 1, 0)
+            certify.monte_carlo_errors(data, 1, 0)
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1).real
 
 
 def _resampled_stack(truth, n_per_setting, seed, members):
-    recs = certify.simulate_counts(truth, certify.PAULI_SETTINGS, n_per_setting, seed)
-    settings, counts = certify._stack([recs])
+    data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, n_per_setting, seed)
     rng = np.random.default_rng(seed)
-    return settings, np.stack([rng.poisson(counts[0]) for _ in range(members)])
+    return data.bases, np.stack([rng.poisson(data.n) for _ in range(members)])
 
 
-def _records(settings, counts):
-    return [certify.CountsRecord(s, tuple(int(c) for c in row))
-            for s, row in zip(settings, counts)]
+def _single_fit(bases, counts, **kwargs):
+    """One member's own ``mle_batch`` solve: (rho, log_likelihood, converged,
+    iterations, dropped)."""
+    return [x[0] for x in certify.mle_batch(bases, counts[None], **kwargs)]
 
 
-def _serial_em(data, max_iter, init=None):
+def _serial_em(bases, counts, max_iter, init=None):
     """Reference for the batched engine: one state at a time, halving the
     dilution step until the likelihood rises."""
-    kept = [rec for rec in data if rec.total > 0]
-    proj = np.concatenate([rec.setting.projectors() for rec in kept])
-    counts = np.concatenate([np.asarray(rec.counts, dtype=float) for rec in kept])
+    kept = counts.sum(axis=1) > 0
+    proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
     if init is None:
-        init = certify.tomography_linear(data) if len(kept) == len(data) else np.eye(4) / 4
+        init = (certify._linear_inversion(bases, counts[None])[0] if kept.all()
+                else np.eye(4) / 4)
+    counts = counts[kept].reshape(-1)
     rho = 0.999 * certify._psd_project(init) + 0.001 * np.eye(4) / 4
 
     def probs(r):
@@ -241,21 +309,21 @@ def _overshooting_stack(seeds=(239, 535, 635, 754)):
     """Counts and nearly pure start points for which the plain fixed-point
     step lowers the likelihood, so the first iteration takes the fallback.
     The seeds were picked by searching for that property, checked here."""
-    proj = np.concatenate([s.projectors() for s in certify.PAULI_SETTINGS])
+    proj = certify.projector_table(certify.PAULI_SETTINGS).reshape(-1, 4, 4)
     counts, starts = [], []
     for seed in seeds:
         rng = np.random.default_rng([seed, 17])
-        truth = certify.random_pure_state(rng).density()
-        recs = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed)
-        start = certify.random_pure_state(rng).density().matrix
-        rho = certify.mle_batch(*certify._stack([recs]), init=start, max_iter=0)[0][0]
-        n = np.concatenate([r.counts for r in recs])
+        truth = random_pure_state(rng).density()
+        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed)
+        start = random_pure_state(rng).density().matrix
+        rho = _single_fit(data.bases, data.n, init=start, max_iter=0)[0]
+        n = data.n.reshape(-1)
         p = np.einsum("kij,ji->k", proj, rho).real
         r = np.einsum("k,kij->ij", n / p, proj)
         step = r @ rho @ r
         p_step = np.einsum("kij,ji->k", proj, step / np.trace(step).real).real
         assert np.dot(n, np.log(p_step)) < np.dot(n, np.log(p)) - 1.0
-        counts.append([rec.counts for rec in recs])
+        counts.append(data.n)
         starts.append(start)
     return np.array(counts, dtype=float), np.array(starts)
 
@@ -271,11 +339,11 @@ class TestBatchedEngine:
             assert np.all(ll >= prev)
             prev = ll
             for b in range(len(counts)):
-                ref = _serial_em(_records(settings, counts[b]), k, starts[b])
+                ref = _serial_em(settings, counts[b], k, starts[b])
                 assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
         rho, ll, converged, _, _ = certify.mle_batch(settings, counts, init=starts)
         for b in range(len(counts)):
-            ref = _serial_em(_records(settings, counts[b]), 100_000, starts[b])
+            ref = _serial_em(settings, counts[b], 100_000, starts[b])
             assert converged[b] and ref[2]
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
 
@@ -284,7 +352,7 @@ class TestBatchedEngine:
         rho, ll, converged, iterations, dropped = certify.mle_batch(settings, counts)
         assert rho.shape == (100, 4, 4) and converged.all() and not dropped.any()
         for b in range(100):
-            single = certify.mle_state(_records(settings, counts[b]))
+            single = _single_fit(settings, counts[b])
             assert np.max(np.abs(rho[b] - single[0])) <= 1e-9
             assert ll[b] == pytest.approx(single[1], rel=1e-12)
             assert converged[b] == single[2]
@@ -312,76 +380,70 @@ class TestBatchedEngine:
         assert not np.allclose(start[0], np.eye(4) / 4, atol=1e-2)
         rho, _, converged, _, dropped = certify.mle_batch(settings, counts)
         assert list(dropped) == [0, 1] and converged.all()
-        single = certify.mle_state(_records(settings, counts[1]))
+        single = _single_fit(settings, counts[1])
         assert single[4] == 1 and np.max(np.abs(rho[1] - single[0])) <= 1e-9
 
     def test_maximally_mixed_counts_take_the_dilution_fallback(self):
-        recs = certify.simulate_counts(
+        data = certify.simulate_counts(
             qmath.DensityMatrix((2, 2), np.eye(4) / 4), certify.PAULI_SETTINGS, 10_000, 5
         )
-        settings, counts = certify._stack([recs])
-        proj = np.concatenate([s.projectors() for s in settings])
-        n = counts.reshape(-1)
+        proj = certify.projector_table(data.bases).reshape(-1, 4, 4)
+        n = data.n.reshape(-1)
 
         def loglike(r):
             return float(np.dot(n, np.log(np.einsum("kij,ji->k", proj, r).real)))
 
         fallbacks = 0
         for k in range(40):
-            rho, ll, _, _, _ = certify.mle_state(recs, max_iter=k)
+            rho, ll, _, _, _ = _single_fit(data.bases, data.n, max_iter=k)
             r = np.einsum("k,kij->ij", n / np.einsum("kij,ji->k", proj, rho).real, proj)
             plain = r @ rho @ r
             if loglike(plain / np.trace(plain).real) < ll:
                 fallbacks += 1
-                assert certify.mle_state(recs, max_iter=k + 1)[1] >= ll
+                assert _single_fit(data.bases, data.n, max_iter=k + 1)[1] >= ll
         assert fallbacks > 0
-        res = certify.tomography_mle(recs)
+        res = certify.tomography_mle(data)
         assert res.converged and res.fidelity_to_target == pytest.approx(0.25, abs=0.01)
 
     def test_stacked_tomography_matches_single_fits(self):
         truths = [noise.dephased_singlet(eta) for eta in (0.0, 0.5, 1.0)]
         datasets = [certify.simulate_counts(t, certify.PAULI_SETTINGS, 3000, i)
                     for i, t in enumerate(truths)]
-        batch = certify.tomography_mle_batch(datasets, truths)
+        batch = certify.tomography_mle_batch(
+            certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]), truths)
         for data, truth, res in zip(datasets, truths, batch):
             single = certify.tomography_mle(data, target=truth)
             assert np.max(np.abs(res.rho_hat.matrix - single.rho_hat.matrix)) <= 1e-9
             assert res.fidelity_to_target == pytest.approx(single.fidelity_to_target, abs=1e-9)
             assert res.converged and res.iterations > 0
 
-    def test_stacked_datasets_must_share_settings(self):
-        a = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
-        b = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[::-1], 100, 1)
-        with pytest.raises(certify.CertifyError):
-            certify.tomography_mle_batch([a, b], [circuit.singlet()] * 2)
-
     def test_bootstrap_reports_converged_replicas(self):
-        recs = certify.simulate_counts(
+        data = certify.simulate_counts(
             noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
         )
-        errors, converged = certify.bootstrap(recs, 20, 5)
+        errors, converged = certify.bootstrap(data, 20, 5)
         assert converged == 20
-        assert errors == certify.monte_carlo_errors(recs, 20, 5)
+        assert errors == certify.monte_carlo_errors(data, 20, 5)
 
 
 # ---------------------------------------------------------------------------
 # Per-setting reference builders: the vectorised projector table, counts
 # draw, axis labels and linear-inversion map must reproduce them exactly.
 
-def _kron_projectors(s):
-    pa, pb = (np.tensordot(v, certify._PAULI_VEC, axes=1) for v in (s.basis_a, s.basis_b))
+def _kron_projectors(pair):
+    pa, pb = (np.tensordot(v, certify._PAULI_VEC, axes=1) for v in pair)
     signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
     return np.stack([np.kron((qmath.I2 + s1 * pa) / 2, (qmath.I2 + s2 * pb) / 2)
                      for s1, s2 in signs])
 
 
-def _loop_counts(rho, settings, n, seed):
+def _loop_counts(rho, bases, n, seed):
     rng = np.random.default_rng(seed)
     out = []
-    for s in settings:
-        p = np.clip(np.array([np.trace(rho.matrix @ pi).real for pi in _kron_projectors(s)]),
+    for pair in bases:
+        p = np.clip(np.array([np.trace(rho.matrix @ pi).real for pi in _kron_projectors(pair)]),
                     0.0, 1.0)
-        out.append(tuple(int(c) for c in rng.poisson(n * p)))
+        out.append([int(c) for c in rng.poisson(n * p)])
     return out
 
 
@@ -392,14 +454,14 @@ def _axis_label(v):
     return None
 
 
-def _loop_linear_inversion(settings, counts):
+def _loop_linear_inversion(bases, counts):
     row = {}
-    for i, s in enumerate(settings):
-        la, lb = _axis_label(s.basis_a), _axis_label(s.basis_b)
+    for i, (a, b) in enumerate(bases):
+        la, lb = _axis_label(a), _axis_label(b)
         if la and lb:
             row[(la, lb)] = i
     paulis = {"X": qmath.SIGMA_X, "Y": qmath.SIGMA_Y, "Z": qmath.SIGMA_Z}
-    lmap = np.zeros((len(settings), 4, 4, 4), dtype=complex)
+    lmap = np.zeros((len(bases), 4, 4, 4), dtype=complex)
     for (a, b), i in row.items():
         lmap[i] += np.multiply.outer([1, -1, -1, 1], np.kron(paulis[a], paulis[b])) / 4
         lmap[i] += np.multiply.outer([1, 1, -1, -1], np.kron(paulis[a], qmath.I2)) / 12
@@ -417,35 +479,36 @@ class TestVectorisedMeasurement:
     def test_pauli_table_equals_per_setting_kron(self):
         table = certify.projector_table(certify.PAULI_SETTINGS)
         assert table.shape == (9, 4, 4, 4)
-        assert np.array_equal(table, np.stack([_kron_projectors(s)
-                                               for s in certify.PAULI_SETTINGS]))
+        assert np.array_equal(table, np.stack([_kron_projectors(pair)
+                                               for pair in certify.PAULI_SETTINGS]))
 
     @given(st.lists(st.tuples(bloch, bloch), min_size=1, max_size=5))
     @settings(max_examples=50)
     def test_table_equals_per_setting_kron_for_any_axes(self, pairs):
-        settings_ = [certify.setting(a, b) for a, b in pairs]
-        table = certify.projector_table(settings_)
-        for s, t in zip(settings_, table):
-            assert np.array_equal(t, _kron_projectors(s))
-            assert np.array_equal(s.projectors(), t)
+        bases = np.array(pairs)
+        table = certify.projector_table(bases)
+        for pair, t in zip(bases, table):
+            assert np.array_equal(t, _kron_projectors(pair))
+            assert np.array_equal(certify.projector_table(pair)[0], t)
 
     def test_counts_equal_the_per_setting_draws(self):
         rng = np.random.default_rng(3)
         states = [SINGLET, noise.baseline_state(0.3), noise.rho_dist(),
                   certify.random_density_matrix(rng), certify.random_density_matrix(rng)]
-        general = certify.PAULI_SETTINGS + (certify.setting([0.6, 0.8, 0.0], "Z"),)
+        general = np.concatenate([certify.PAULI_SETTINGS, [[[0.6, 0.8, 0.0], Z]]])
         for rho in states:
             for seed, n in ((0, 1), (7, 10_000), (12345, 123_456), (99, 10**15)):
-                for settings_ in (certify.PAULI_SETTINGS, general):
-                    recs = certify.simulate_counts(rho, settings_, n, seed)
-                    assert [r.counts for r in recs] == _loop_counts(rho, settings_, n, seed)
-                    assert [r.setting for r in recs] == list(settings_)
+                for bases in (certify.PAULI_SETTINGS, general):
+                    data = certify.simulate_counts(rho, bases, n, seed)
+                    assert data.n.tolist() == _loop_counts(rho, bases, n, seed)
+                    assert np.array_equal(data.bases, bases)
 
     def test_no_settings_give_no_counts(self):
         assert certify.projector_table([]).shape == (0, 4, 4, 4)
-        assert certify.simulate_counts(SINGLET, [], 10, 1) == []
+        data = certify.simulate_counts(SINGLET, [], 10, 1)
+        assert len(data) == 0 and data.bases.shape == (0, 2, 3) and data.n.shape == (0, 4)
         with pytest.raises(certify.MissingSetting):
-            certify.tomography_linear([])
+            certify._linear_inversion(data.bases, data.n[None])
 
     def test_outcome_probabilities_need_two_qubits(self):
         with pytest.raises(qmath.DimensionMismatch):
@@ -465,9 +528,9 @@ class TestVectorisedMeasurement:
 
     def test_linear_inversion_equals_the_per_label_loop(self):
         rng = np.random.default_rng(11)
-        settings_ = (*certify.PAULI_SETTINGS, certify.setting([0.6, 0.8, 0.0], "Z"),
-                     certify.setting("X", "Y"), certify.setting([1.0, 1e-10, 0.0], "Z"))
+        bases = np.concatenate([certify.PAULI_SETTINGS,
+                                [[[0.6, 0.8, 0.0], Z], [X, Y], [[1.0, 1e-10, 0.0], Z]]])
         for _ in range(5):
-            counts = rng.poisson(500.0, size=(len(settings_), 4)).astype(float)
-            ref = _loop_linear_inversion(settings_, counts)
-            assert np.array_equal(certify._linear_inversion(settings_, counts[None])[0], ref)
+            counts = rng.poisson(500.0, size=(len(bases), 4)).astype(float)
+            ref = _loop_linear_inversion(bases, counts)
+            assert np.array_equal(certify._linear_inversion(bases, counts[None])[0], ref)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmesim import certify, cli
+from gmesim import certify, cli, noise
 
 
 def run(*argv):
@@ -171,6 +171,22 @@ class TestScan:
         assert len(list(tmp_path.glob("tomography_eta_*.json"))) == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("param", ["eta", "v"])
+    def test_rows_equal_the_single_state_kernels(self, tmp_path, param):
+        assert run("--out", str(tmp_path), "scan", "--param", param,
+                   "--counts-per-setting", "0") == 0
+        _, rows = read_csv_rows(tmp_path / f"scan_{param}.csv")
+        cfg = cli.ExperimentConfig()
+        assert len(rows) == len(cfg.eta_grid) == len(cfg.v_grid) == 21
+        for row, x in zip(rows, cfg.eta_grid if param == "eta" else cfg.v_grid):
+            ideal = (noise.dephased_singlet(x) if param == "eta"
+                     else noise.distinguishable_state(x))
+            baseline = noise.baseline_state(x, cfg.baseline_weight) if param == "eta" else ideal
+            eigs, negativity = certify.ppt_report(ideal)
+            assert [float(v) for v in row] == [
+                float(x), certify.witness_w(ideal), certify.witness_w(baseline),
+                certify.chsh_max(ideal)[0], negativity, eigs[-1]]
+
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eta_grid": []}))
@@ -196,13 +212,14 @@ class TestSimulateCountsAndCertify:
         assert run("--out", str(tmp_path), "--seed", "3", "simulate-counts",
                    "--model", "singlet") == 0
         path = tmp_path / "counts.csv"
-        records = cli.load_counts_csv(str(path))
-        assert len(records) == 9
+        data = cli.load_counts_csv(str(path))
+        assert len(data) == 9
         direct = certify.simulate_counts(
             cli.model_state("singlet", cli.ExperimentConfig(), None, None),
             certify.PAULI_SETTINGS, 10_000, 3,
         )
-        assert [r.counts for r in records] == [r.counts for r in direct]
+        assert np.array_equal(data.n, direct.n)
+        assert np.array_equal(data.bases, certify.PAULI_SETTINGS)
 
     def test_counts_parse_error_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -217,6 +234,14 @@ class TestSimulateCountsAndCertify:
             cli.load_counts_csv(str(p))
         assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
 
+    def test_counts_axis_not_unit_reports_line(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("# comment\nsetting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
+                     "X,Y,1,2,3,4\nX,nan:0:1,1,2,3,4\n")
+        with pytest.raises(cli.ParseError, match=r":4: axis b is not a finite unit Bloch "
+                                                 r"vector: \[nan, 0.0, 1.0\]"):
+            cli.load_counts_csv(str(p))
+
     def test_counts_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n")
@@ -230,9 +255,9 @@ class TestSimulateCountsAndCertify:
             "Z,0:0:1,10,10,10,10\n"
             "0.70710678118654752:0:0.70710678118654752,X,10,10,10,10\n"
         )
-        records = cli.load_counts_csv(str(p))
-        assert np.allclose(records[0].setting.basis_b, [0, 0, 1])
-        assert records[1].setting.basis_a[0] == pytest.approx(1 / math.sqrt(2))
+        data = cli.load_counts_csv(str(p))
+        assert np.allclose(data.bases[0, 1], [0, 0, 1])
+        assert data.bases[1, 0, 0] == pytest.approx(1 / math.sqrt(2))
 
     def test_certify_singlet_is_certified_bell(self, tmp_path):
         run("--out", str(tmp_path), "--seed", "8", "simulate-counts", "--model", "singlet")
@@ -333,19 +358,23 @@ class TestOutOfRangeInputs:
         ({"counts_per_setting": 10**20}, ("simulate-counts",)),
         (None, ("simulate-counts", "--counts-per-setting", str(10**15 + 1))),
         (None, ("certify", "--counts", "{huge}")),
+        (None, ("certify", "--counts", "{nan_axis}")),
+        (None, ("certify", "--counts", "{far_negative}")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
             "missing-setting", "singlet-eta", "dephased-v", "state-three-qubits",
             "state-not-density", "counts-1e19", "counts-1e20", "counts-flag-above-cap",
-            "csv-count-above-cap"])
+            "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64"])
     def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
         paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv",
-                 "huge": tmp_path / "huge.csv"}
+                 "huge": tmp_path / "huge.csv", "nan_axis": tmp_path / "nan_axis.csv",
+                 "far_negative": tmp_path / "far_negative.csv"}
         for name, path in paths.items():
-            last = 10**20 if name == "huge" else 40
+            last = {"huge": 10**20, "far_negative": -10**30}.get(name, 40)
             path.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n" + "".join(
                 f"{a},{b},10,20,30,{last}\n" for a in "XYZ" for b in "XYZ"
-                if name != "no_zz" or a + b != "ZZ"))
+                if name != "no_zz" or a + b != "ZZ")
+                + ("nan:0:1,Z,10,10,10,10\n" if name == "nan_axis" else ""))
         for name, dim, diag in (("three_qubits", 8, 1 / 8), ("not_density", 4, 1 / 2)):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps({
@@ -372,8 +401,8 @@ class TestOutOfRangeInputs:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"counts_per_setting": cli.MAX_COUNTS_PER_SETTING}))
         assert run("--config", str(cfg), "--out", str(tmp_path), "simulate-counts") == 0
-        records = cli.load_counts_csv(str(tmp_path / "counts.csv"))
-        assert all(r.total == pytest.approx(10**15, rel=1e-6) for r in records)
+        data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
+        assert data.n.sum(axis=1) == pytest.approx(10**15, rel=1e-6)
 
     def test_model_flags_are_read_by_their_models(self, tmp_path, capsys):
         assert run("--out", str(tmp_path), "simulate-counts", "--model", "singlet",
@@ -422,8 +451,8 @@ class TestOutOfRangeInputs:
 # cheap commands read.  Each field draws a valid value three times in four,
 # else any JSON value, and each flag a value of its type three times in four
 # (counts around and far above the cap among them), else any text, so most
-# inputs pass validation and run a command.  certify and scan are left out
-# for their run time.
+# inputs pass validation and run a command.  certify and scan are fuzzed
+# separately below, on small inputs that keep their run time short.
 ANY_VALUE = st.one_of(
     st.booleans(),
     st.integers(-10**25, 10**25),
@@ -489,6 +518,54 @@ def fuzz_argv(draw):
     return argv
 
 
+# certify --counts reads a generated CSV: each Pauli-pair row is kept, left
+# out, all zero, or given a Bloch-vector axis (unit, not unit, NaN or inf),
+# with counts of at most 50.  scan runs grids of up to three points.
+BLOCH_TEXT = st.one_of(
+    st.sampled_from(["0.6:0.8:0", "0:0:-1", "0.7071067811865476:0:0.7071067811865476",
+                     "nan:0:1", "inf:0:0", "1:1:0", "0:0"]),
+    st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 3).map(
+        lambda v: ":".join(map(repr, v))),
+)
+
+
+COUNTS_ROW = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+
+
+@st.composite
+def counts_csv_text(draw):
+    lines = ["setting_a,setting_b,n_pp,n_pm,n_mp,n_mm"]
+    for a in "XYZ":
+        for b in "XYZ":
+            kind = draw(st.sampled_from(["keep"] * 6 + ["missing", "zero", "bloch"]))
+            if kind == "missing":
+                continue
+            if kind == "bloch":
+                a, b = draw(st.sampled_from([(draw(BLOCH_TEXT), b), (a, draw(BLOCH_TEXT))]))
+            n = [0] * 4 if kind == "zero" else draw(COUNTS_ROW)
+            lines.append(",".join([a, b, *map(str, n)]))
+    for _ in range(draw(st.integers(0, 2))):  # extra rows along general axes
+        a, b = draw(st.sampled_from("XYZ")), draw(BLOCH_TEXT)
+        pair = draw(st.sampled_from([(a, b), (b, a)]))
+        lines.append(",".join([*pair, *map(str, draw(COUNTS_ROW))]))
+    return "\n".join(lines) + "\n"
+
+
+SMALL_GRID = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
+
+
+@st.composite
+def certify_or_scan(draw):
+    config = {"seed": draw(st.integers(0, 10**6)), "mc_replicas": 2}
+    if draw(st.booleans()):
+        return config, ("certify", "--counts", "{csv}"), draw(counts_csv_text())
+    param = draw(st.sampled_from(["eta", "v"]))
+    config.update({f"{param}_grid": draw(SMALL_GRID),
+                   "counts_per_setting": draw(st.integers(0, 50)),
+                   "baseline_weight": draw(st.floats(0.0, 1.0))})
+    return config, ("scan", "--param", param), None
+
+
 class TestExitCodeFuzz:
     def test_exit_codes_are_documented_and_tracebacks_absent(self, tmp_path):
         ran = set()
@@ -512,6 +589,30 @@ class TestExitCodeFuzz:
         assert set(VALID_VALUES) == {f.name for f in dataclasses.fields(cli.ExperimentConfig)}
         check()
         assert ran == set(FUZZ_COMMANDS)  # the draws reach past validation into every command
+
+    def test_certify_and_scan_exit_codes_on_small_inputs(self, tmp_path):
+        outcomes = set()
+
+        @given(certify_or_scan())
+        @settings(max_examples=60)
+        def check(case):
+            config, argv, csv_text = case
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            if csv_text is not None:
+                (tmp_path / "counts.csv").write_text(csv_text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+                           *(a.format(csv=tmp_path / "counts.csv") for a in argv))
+            assert code in (0, 2, 3, 4), (code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            outcomes.add((argv[0], code))
+
+        check()
+        # Both commands run to the end, and certify also meets inputs it rejects.
+        assert {("certify", 0), ("certify", 2), ("scan", 0)} <= outcomes
 
 
 class TestDeterminism:
