@@ -15,7 +15,6 @@ import numpy as np
 from . import circuit, qmath
 from .qmath import (
     DensityMatrix,
-    DimensionMismatch,
     I2,
     PureState,
     SIGMA_X,
@@ -115,11 +114,6 @@ class Counts:
         return len(self.n)
 
 
-def _check_two_qubit(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
@@ -217,7 +211,7 @@ def derived_batch(rhos: np.ndarray, targets=None, chsh_settings=None) -> dict:
 
 def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
     """3x3 matrix T_ij = tr(rho sigma_i x sigma_j)."""
-    _check_two_qubit(rho)
+    qmath.check_two_qubit(rho)
     return _correlations(rho.matrix[None])[0]
 
 
@@ -256,7 +250,7 @@ def chsh_max(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 
 def _probabilities(rho: DensityMatrix, bases) -> np.ndarray:
     """(S, 4) outcome probabilities tr(rho Pi), clipped to [0, 1]."""
-    _check_two_qubit(rho)
+    qmath.check_two_qubit(rho)
     return np.clip(_trace(rho.matrix @ projector_table(bases)), 0.0, 1.0)
 
 
@@ -328,8 +322,13 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     a member that drops none starts from linear inversion, else from I/4,
     unless ``init`` gives one start or one per member.  Returns arrays ``(rho,
     log_likelihood, converged, iterations, dropped)`` over the members.
+    Non-finite ``bases``, ``counts`` or ``init`` raise CertifyError, since a
+    NaN likelihood never stalls.
     """
     counts = np.asarray(counts, dtype=float)
+    for name, arr in (("bases", bases), ("counts", counts), ("init", init)):
+        if arr is not None and not np.all(np.isfinite(arr)):
+            raise CertifyError(f"mle_batch: {name} has NaN or Inf entries")
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     if np.any(dropped == len(bases)):
@@ -394,14 +393,9 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
 
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
     """Partial-transpose eigenvalues (descending) and the negativity."""
-    _check_two_qubit(rho)
+    qmath.check_two_qubit(rho)
     eigs = _pt_spectra(rho.matrix[None])
     return tuple(float(v) for v in eigs[0]), float(_negativity(eigs)[0])
-
-
-def fidelity(rho: DensityMatrix, target) -> float:
-    """Fidelity to a pure (overlap) or mixed (Uhlmann) target state."""
-    return float(_fidelities(rho.matrix[None], [target])[0])
 
 
 def tomography_mle_batch(bases: np.ndarray, counts: np.ndarray, targets, init=None):

@@ -7,7 +7,6 @@ leftmost tensor factor.  Qubit value 0 maps to vertical polarization V and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import pi
 
@@ -64,9 +63,6 @@ class GmeCircuit:
             "phases": [float(p) for p in self.phases],
             "gates": [{"name": g.name, "targets": list(g.targets)} for g in self.gates],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def geometry_phase_gate(phases) -> np.ndarray:
@@ -127,14 +123,6 @@ def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> PureState:
     return PureState((2, 2, 2, 2), psi)
 
 
-def full_unitary(c: GmeCircuit) -> np.ndarray:
-    """End-to-end 16x16 unitary of the circuit."""
-    u = np.eye(16, dtype=complex)
-    for gate in c.gates:
-        u = np.column_stack([apply_gate(u[:, k], gate.matrix, gate.targets) for k in range(16)])
-    return u
-
-
 def reduced_spin_state(full: PureState) -> DensityMatrix:
     """Trace the geometry ququart out of the 16-dimensional state."""
     if full.dim != 16:
@@ -168,12 +156,5 @@ def canonicalize_to_singlet(rho: DensityMatrix) -> DensityMatrix:
     consistently; it never changes negativity or any other local-unitary
     invariant.
     """
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
+    qmath.check_two_qubit(rho)
     return DensityMatrix((2, 2), U_CANON @ rho.matrix @ U_CANON.conj().T)
-
-
-def canonicalize_pure(psi: PureState) -> PureState:
-    if psi.dim != 4:
-        raise DimensionMismatch(f"expected a two-qubit state, got dim {psi.dim}")
-    return PureState((2, 2), U_CANON @ psi.amplitudes)

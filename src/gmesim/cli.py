@@ -546,7 +546,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg, args.counts, args.state)
         raise ParseError(f"unknown command {args.command!r}")
-    except (ParseError, certify.CertifyError, photonic.OutOfRange, noise.OutOfRange) as exc:
+    except (ParseError, certify.CertifyError, qmath.OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except VerificationFailure as exc:

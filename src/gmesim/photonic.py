@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import noise, qmath
-from .qmath import DensityMatrix
+from .qmath import DensityMatrix, OutOfRange, check_unit  # noqa: F401
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
 POLS = ("H", "V")
@@ -36,10 +36,6 @@ LOGICAL_PATHS_B = ("4", "3")
 
 
 class PhotonicError(Exception):
-    pass
-
-
-class OutOfRange(PhotonicError):
     pass
 
 
@@ -94,8 +90,7 @@ class BsParams:
 
     def __post_init__(self):
         for r in (self.R_H, self.R_V):
-            if not 0.0 <= r <= 1.0:
-                raise OutOfRange(f"reflectivity {r!r} outside [0, 1]")
+            check_unit(r, "reflectivity")
 
 
 IDEAL_BS = BsParams()
@@ -119,10 +114,6 @@ class FockState:
 
     def norm(self) -> float:
         return float(2 * np.sum(np.abs(self.tensor) ** 2))
-
-    def amplitude(self, m1: tuple[str, str, int], m2: tuple[str, str, int]) -> complex:
-        i, j = mode_index(*m1), mode_index(*m2)
-        return complex(self.tensor[i, j] * (np.sqrt(2) if i == j else 2))
 
     @property
     def terms(self) -> dict[tuple[int, int], complex]:
@@ -164,8 +155,7 @@ class OpticalNetwork:
 
 def coupler_unitary(R: float) -> np.ndarray:
     """Two-mode coupler [[i sqrt(R), sqrt(1-R)], [sqrt(1-R), i sqrt(R)]]."""
-    if not 0.0 <= R <= 1.0:
-        raise OutOfRange(f"reflectivity {R!r} outside [0, 1]")
+    R = check_unit(R, "reflectivity")
     r = 1j * np.sqrt(R)
     t = np.sqrt(1.0 - R)
     return np.array([[r, t], [t, r]], dtype=complex)
@@ -214,11 +204,6 @@ def pair_mass(state: FockState, paths_a, paths_b) -> float:
     return float(4 * np.sum(np.abs(block) ** 2))
 
 
-def coincidence_mass(state: FockState) -> float:
-    """Probability mass with exactly one photon in paths {1,2} and one in {3,4}."""
-    return pair_mass(state, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
-
-
 def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
     """Project onto exactly one photon in paths {1,2} and one in {3,4}.
 
@@ -229,7 +214,7 @@ def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
     unused ports and are dropped.  Temporal labels are traced out.  Returns
     the decoded density matrix and the pre-normalization coincidence mass.
     """
-    mass = coincidence_mass(state)
+    mass = pair_mass(state, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
     if mass < 1e-14:
         raise EmptyPostSelection("post-selected mass below 1e-14")
     # Axes: (qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
@@ -259,7 +244,7 @@ def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
     a, b = ([mode_index(p, "V") for p in paths] for paths in (LOGICAL_PATHS_A, LOGICAL_PATHS_B))
     outs = [evolve_two_photon(logical_path_input(q1, q2), net) for q1 in (0, 1) for q2 in (0, 1)]
     m = np.stack([2 * out.tensor[np.ix_(a, b)].reshape(4) for out in outs], axis=1)
-    return m, np.array([coincidence_mass(out) for out in outs])
+    return m, np.array([pair_mass(out, LOGICAL_PATHS_A, LOGICAL_PATHS_B) for out in outs])
 
 
 def cz_success_probabilities(net: OpticalNetwork) -> np.ndarray:
@@ -289,18 +274,12 @@ def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS) -> float:
     ``overlap`` is the temporal wavepacket overlap amplitude gamma; the
     second photon enters with label state gamma|0> + sqrt(1-gamma^2)|1>.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise OutOfRange(f"overlap {overlap!r} outside [0, 1]")
-    g = float(overlap)
+    g = check_unit(overlap, "overlap")
     d = np.sqrt(max(0.0, 1.0 - g * g))
     photon_a = single_photon("2", "V", 0)
     photon_b = g * single_photon("3", "V", 0) + d * single_photon("3", "V", 1)
     out = evolve_two_photon(product_state(photon_a, photon_b), build_cz_network(bs))
     return pair_mass(out, ("2",), ("3",))
-
-
-def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> list[float]:
-    return [hom_coincidence(g, bs) for g in overlaps]
 
 
 def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
@@ -312,8 +291,7 @@ def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
 
 def prepared_input(gamma: float = 1.0) -> FockState:
     """Both photons in (|H> + |V>)/sqrt(2) on the interferometer inputs."""
-    if not 0.0 <= gamma <= 1.0:
-        raise OutOfRange(f"gamma {gamma!r} outside [0, 1]")
+    gamma = check_unit(gamma, "gamma")
     d = np.sqrt(max(0.0, 1.0 - gamma * gamma))
     photon_a = (single_photon("out1", "H", 0) + single_photon("out1", "V", 0)) / np.sqrt(2)
     photon_b = (
@@ -332,27 +310,6 @@ def simulate_pipeline(
     """
     state = evolve_two_photon(prepared_input(gamma), build_full_network(bs))
     return post_select_coincidence(state)
-
-
-def delayed_singlet(eta: float) -> DensityMatrix:
-    """Polarization state after a birefringent delay on the second photon.
-
-    Builds the delayed two-photon ket explicitly with temporal labels
-    (overlap 1 - eta between the delayed and undelayed wavepackets) and
-    traces the labels out.  Cross-checks the density-matrix dephasing
-    channel of the noise module.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise OutOfRange(f"eta {eta!r} outside [0, 1]")
-    g = 1.0 - eta
-    d = np.sqrt(max(0.0, 1.0 - g * g))
-    # Axes: (pol_1, pol_2, label_2) with qubit value 0=V, 1=H.
-    psi = np.zeros((2, 2, 2), dtype=complex)
-    psi[1, 0, 0] = 1 / np.sqrt(2)       # |H>|V, t_V>
-    psi[0, 1, 0] = -g / np.sqrt(2)      # -|V>|H, t_H>, overlap with t_V
-    psi[0, 1, 1] = -d / np.sqrt(2)      # orthogonal remainder of t_H
-    full = DensityMatrix((2, 2, 2), np.outer(psi.reshape(-1), psi.reshape(-1).conj()))
-    return qmath.partial_trace(full, keep=(0, 1))
 
 
 def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small multi-qubit systems (dimension <= 16).
 
-Provides the tensor-product, eigendecomposition, partial-trace and
-partial-transpose primitives that the rest of the simulator is built on,
-together with the validated ``PureState`` / ``DensityMatrix`` value types.
+Provides the validated ``PureState`` / ``DensityMatrix`` value types, the
+partial trace and the pure-state fidelity, together with the checks every
+module shares: ``check_unit`` for a parameter in [0, 1] (raising the one
+``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from math import prod
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-12
 PSD_TOL = 1e-10
 
@@ -40,6 +40,18 @@ class DimensionMismatch(QmathError):
     pass
 
 
+class OutOfRange(QmathError):
+    """A physical parameter out of the unit interval; noise and photonic re-export it."""
+
+
+def check_unit(x: float, name: str) -> float:
+    """``x`` as a float; OutOfRange unless 0 <= x <= 1, so NaN is rejected too."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise OutOfRange(f"{name} = {x!r} outside [0, 1]")
+    return x
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite, 2-D complex ndarray."""
     a = np.asarray(m, dtype=complex)
@@ -48,19 +60,6 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise QmathError("matrix contains NaN or Inf entries")
     return a
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two complex matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def kron_all(*ms) -> np.ndarray:
-    """Left-to-right Kronecker product of several matrices."""
-    out = as_matrix(ms[0])
-    for m in ms[1:]:
-        out = np.kron(out, as_matrix(m))
-    return out
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,6 @@ class PureState:
         """Projector |psi><psi| as a DensityMatrix."""
         v = self.amplitudes
         return DensityMatrix(self.dims, np.outer(v, v.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 def check_density(m: np.ndarray) -> None:
@@ -137,31 +133,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted in
-    descending order and orthonormal eigenvectors as columns.  Each
-    eigenvector is phase-fixed so its first nonzero component is real and
-    positive, making the output deterministic.
-
-    Raises NotHermitian if the symmetry check fails.
-    """
-    h = as_matrix(h)
-    n = h.shape[0]
-    if h.shape[1] != n:
-        raise DimensionMismatch("matrix must be square")
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(n)]
-    return vals, vecs * (np.abs(lead) / lead)
-
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state over the subsystems in ``keep`` (original ordering kept)."""
@@ -182,18 +153,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(tuple(dims), t.reshape(d, d))
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: int) -> np.ndarray:
-    """Partial transpose of a two-qubit state on the chosen factor."""
+def check_two_qubit(rho: DensityMatrix) -> None:
     if rho.dims != (2, 2):
-        raise DimensionMismatch(f"partial_transpose expects dims (2, 2), got {rho.dims}")
-    if subsystem not in (0, 1):
-        raise BadSubsystem(f"subsystem must be 0 or 1, got {subsystem}")
-    t = rho.matrix.reshape(2, 2, 2, 2)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(4, 4)
+        raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:

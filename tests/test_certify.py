@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,14 +218,16 @@ class TestPpt:
 
 class TestFidelityAndErrors:
     def test_uhlmann_pure_limit_matches_overlap(self):
-        rho = noise.dephased_singlet(0.3)
-        f_pure = certify.fidelity(rho, circuit.singlet())
-        f_mixed = certify.fidelity(rho, circuit.singlet().density())
+        rho = noise.dephased_singlet(0.3).matrix
+        f_pure, f_mixed = certify.derived_batch(
+            np.stack([rho, rho]), [circuit.singlet(), circuit.singlet().density()]
+        )["fidelity_to_target"]
         assert f_mixed == pytest.approx(f_pure, abs=1e-10)
 
     def test_uhlmann_identical_states(self):
         rho = noise.baseline_state(0.4)
-        assert certify.fidelity(rho, rho) == pytest.approx(1.0, abs=1e-10)
+        (f,) = certify.derived_batch(rho.matrix[None], [rho])["fidelity_to_target"]
+        assert f == pytest.approx(1.0, abs=1e-10)
 
     def test_monte_carlo_errors_deterministic_and_sized(self):
         data = certify.simulate_counts(
@@ -329,6 +333,24 @@ def _overshooting_stack(seeds=(239, 535, 635, 754)):
 
 
 class TestBatchedEngine:
+    @pytest.mark.parametrize("bad", ["nan-axis", "nan-init", "inf-counts"])
+    def test_non_finite_input_is_rejected_at_entry(self, bad):
+        # A NaN likelihood never stalls, so a NaN axis plus an all-zero row used
+        # to run all max_iter iterations (about 5 s at the default), and a NaN
+        # init raised a LinAlgError from the eigensolver.
+        bases, counts, init = certify.PAULI_SETTINGS, np.full((1, 9, 4), 25.0), None
+        if bad == "nan-axis":
+            bases = np.concatenate([bases, [[[np.nan, 0.0, 1.0], Z]]])
+            counts = np.concatenate([counts, np.zeros((1, 1, 4))], axis=1)
+        elif bad == "nan-init":
+            init = np.full((4, 4), np.nan)
+        else:
+            counts[0, 3, 1] = np.inf
+        t0 = time.perf_counter()
+        with pytest.raises(certify.CertifyError, match="NaN or Inf"):
+            certify.mle_batch(bases, counts, init=init)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_fallback_steps_match_the_serial_reference(self):
         # Every iterate must be the one the serial halving search takes.
         counts, starts = _overshooting_stack()

@@ -1,0 +1,74 @@
+"""Every definition in the package has a caller outside the unit tests.
+
+The module-level functions and classes of ``src/gmesim`` must each be used
+somewhere else in the package, in the acceptance battery
+(``tests/test_acceptance.py``) or in the benchmark harness
+(``benchmarks/``); so must every method of those classes.  A helper that only
+a unit test calls belongs in that test file.  The allowed references are read
+from those files with ``ast``; nothing here lists names by hand.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = {p.stem: ast.parse(p.read_text(), str(p))
+           for p in sorted((ROOT / "src" / "gmesim").glob("*.py"))}
+CONSUMERS = [ast.parse(p.read_text(), str(p)) for p in
+             [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "benchmarks").glob("*.py"))]]
+
+
+def _imports(tree: ast.Module) -> tuple[dict, dict]:
+    """Aliases of package modules, and names imported from them, in ``tree``."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        src = node.module or ""
+        if (node.level == 1 and not src) or src == "gmesim":
+            modules.update({a.asname or a.name: a.name for a in node.names if a.name in MODULES})
+        mod = src if node.level else src.removeprefix("gmesim.")
+        if mod in MODULES:
+            names.update({a.asname or a.name: (mod, a.name) for a in node.names})
+    return modules, names
+
+
+def _references(tree: ast.Module, home: str | None) -> tuple[set, set]:
+    """``(module, name)`` pairs that ``tree`` uses, and every attribute name it
+    reads.  A bare name resolves to its import or else to ``home``; a
+    definition's uses of its own name do not count."""
+    modules, names = _imports(tree)
+    pairs, attrs = set(), set()
+    for stmt in tree.body:
+        own = (home, stmt.name) if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            ref = None
+            if isinstance(node, ast.Name):
+                ref = names.get(node.id, (home, node.id))
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    ref = (modules[node.value.id], node.attr)
+            if ref is not None and ref != own:
+                pairs.add(ref)
+    return pairs, attrs
+
+
+def test_every_definition_has_a_caller_outside_the_unit_tests():
+    pairs, attrs = set(), set()
+    for home, tree in [*MODULES.items(), *((None, t) for t in CONSUMERS)]:
+        p, a = _references(tree, home)
+        pairs |= p
+        attrs |= a
+    unused = []
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if (mod, node.name) not in pairs:
+                unused.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{mod}.{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
+                           and m.name not in attrs]
+    assert not unused, f"defined in src/gmesim but called only by unit tests: {unused}"
