@@ -398,39 +398,33 @@ def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
     return tuple(float(v) for v in eigs[0]), float(_negativity(eigs)[0])
 
 
-def tomography_mle_batch(bases: np.ndarray, counts: np.ndarray, targets, init=None):
-    """One TomographyResult per member of the (B, S, 4) counts of the setting
-    tuples ``bases`` (S, 2, 3), fitted as one stack; ``targets[b]`` (a PureState
-    or DensityMatrix) is the fidelity reference of member b."""
-    rho_arr, ll, converged, iterations, dropped = mle_batch(bases, counts, init)
-    rho = _psd_project(rho_arr)
-    eigs = _pt_spectra(rho)
-    neg = _negativity(eigs)
-    fid = _fidelities(rho, targets)
-    return [
-        TomographyResult(
-            DensityMatrix((2, 2), rho[b]), float(ll[b]), float(fid[b]),
-            tuple(float(v) for v in eigs[b]), float(neg[b]), bool(converged[b]),
-            int(iterations[b]), int(dropped[b]),
-        )
-        for b in range(len(rho))
-    ]
+# What ``fit`` returns besides the quantities of ``derived_batch``.
+FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_settings")
 
 
-def tomography_mle(data: Counts, init: np.ndarray | None = None, target=None) -> TomographyResult:
-    """MLE reconstruction of one dataset with derived certification quantities.
+def fit(bases: np.ndarray, counts: np.ndarray, targets, chsh_settings=None) -> dict:
+    """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
+    projected onto density matrices, validated, and its ``derived_batch`` quantities
+    with ``targets[b]`` the fidelity reference of member b: one array over the
+    members for each quantity and for each of ``FIT_FIELDS``."""
+    rho, *diagnostics = mle_batch(bases, counts)
+    rho = _psd_project(rho)
+    qmath.check_density(rho)
+    q = derived_batch(rho, targets, chsh_settings)
+    q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
+    return q
 
-    ``target`` (a PureState or DensityMatrix, default the singlet) is the
-    reference for the fidelity figure.
-    """
+
+def tomography_mle(data: Counts, target=None) -> TomographyResult:
+    """``fit`` of one dataset as a TomographyResult; ``target`` (a PureState or
+    DensityMatrix, default the singlet) is the reference for the fidelity figure."""
     target = circuit.singlet() if target is None else target
-    return tomography_mle_batch(data.bases, data.n[None], [target], init)[0]
-
-
-def derived_quantities(rho: DensityMatrix, target, chsh_settings) -> dict:
-    q = derived_batch(rho.matrix[None], [target], chsh_settings)
-    return {key: [float(v) for v in val[0]] if val.ndim > 1 else float(val[0])
-            for key, val in q.items()}
+    q = {key: val[0].tolist() for key, val in fit(data.bases, data.n[None], [target]).items()}
+    return TomographyResult(
+        DensityMatrix((2, 2), q["rho"]), q["log_likelihood"], q["fidelity_to_target"],
+        tuple(q["ppt_eigenvalues"]), q["negativity"], q["converged"], q["iterations"],
+        q["dropped_settings"],
+    )
 
 
 def bootstrap(
@@ -439,9 +433,9 @@ def bootstrap(
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     Replica r redraws every count from Poisson(count) with the generator
-    seeded by ``[seed, r]``; all replicas are then fitted as one MLE stack
-    and their derived quantities computed together.  Returns the sample
-    standard deviations and the number of replicas whose MLE converged.
+    seeded by ``[seed, r]``; all replicas are then fitted as one ``fit``
+    stack.  Returns the sample standard deviations of the ``derived_batch``
+    quantities and the number of replicas whose MLE converged.
     Deterministic given the seed.
     """
     if replicas < 2:
@@ -451,14 +445,10 @@ def bootstrap(
     resampled = np.stack([
         np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
     ])
-    rho_arr, _, converged, _, _ = mle_batch(data.bases, resampled)
-    rho = _psd_project(rho_arr)
-    qmath.check_density(rho)
-    out = {}
-    for key, vals in derived_batch(rho, [target] * replicas, chsh_settings).items():
-        sd = np.std(vals, axis=0, ddof=1)
-        out[key] = float(sd) if vals.ndim == 1 else [float(x) for x in sd]
-    return out, int(np.sum(converged))
+    q = fit(data.bases, resampled, [target] * replicas, chsh_settings)
+    sd = {key: np.std(vals, axis=0, ddof=1).tolist()
+          for key, vals in q.items() if key not in FIT_FIELDS}
+    return sd, int(np.sum(q["converged"]))
 
 
 def monte_carlo_errors(

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,9 @@ DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 # Largest counts_per_setting: numpy's Poisson sampler rejects means above
 # about 9.2e18, and a count this large is far beyond any experiment.
 MAX_COUNTS_PER_SETTING = 10**15
+# Largest mc_replicas: the bootstrap fits all replicas as one stack, up to about
+# 43 KB each (85-431 MB peak RSS at 10^4), so millions would ask for tens of GB.
+MAX_MC_REPLICAS = 10_000
 
 
 def _is_int(x) -> bool:
@@ -81,8 +84,9 @@ class ExperimentConfig:
             ("counts_per_setting", _is_int(self.counts_per_setting)
              and 0 <= self.counts_per_setting <= MAX_COUNTS_PER_SETTING,
              f"an integer in [0, {MAX_COUNTS_PER_SETTING}]"),
-            ("mc_replicas", _is_int(self.mc_replicas) and self.mc_replicas >= 2,
-             "an integer >= 2"),
+            ("mc_replicas", _is_int(self.mc_replicas)
+             and 2 <= self.mc_replicas <= MAX_MC_REPLICAS,
+             f"an integer in [2, {MAX_MC_REPLICAS}]"),
             ("bs", isinstance(self.bs, str) and self.bs in photonic.BS_PRESETS,
              f"one of {sorted(photonic.BS_PRESETS)}"),
             ("baseline_weight", _is_real(self.baseline_weight, 0.0, 1.0), "a number in [0, 1]"),
@@ -118,8 +122,7 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError(f"config {path} is not a JSON object")
-        known = set(asdict(cfg))
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ParseError(f"unknown config fields: {sorted(unknown)}")
         cfg = replace(cfg, **raw)
@@ -164,10 +167,10 @@ def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> Non
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
-def state_json(rho: qmath.DensityMatrix) -> dict:
+def state_json(matrix: np.ndarray) -> dict:
     return {
-        "dims": list(rho.dims),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in rho.matrix],
+        "dims": [2, 2],
+        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
     }
 
 
@@ -269,14 +272,13 @@ def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | 
 # Subcommands
 
 
-def cmd_circuit(cfg: ExperimentConfig) -> int:
+def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     c = circuit.build_gme_circuit(cfg.phi)
     full = circuit.run_circuit(c)
     spins = circuit.reduced_spin_state(full)
     canonical = circuit.canonicalize_to_singlet(spins)
-    smax, _ = certify.chsh_max(canonical)
-    _, negativity = certify.ppt_report(canonical)
+    q = certify.derived_batch(canonical.matrix[None])
     write_json(out / "state_full.json", cfg, {
         "circuit": c.to_json_dict(),
         "checkpoint_after_free_fall": pure_state_json(
@@ -284,21 +286,22 @@ def cmd_circuit(cfg: ExperimentConfig) -> int:
         ),
         "state": pure_state_json(full),
     })
-    write_json(out / "state_spins.json", cfg, state_json(spins))
-    write_json(out / "state_canonical.json", cfg, state_json(canonical))
+    write_json(out / "state_spins.json", cfg, state_json(spins.matrix))
+    write_json(out / "state_canonical.json", cfg, state_json(canonical.matrix))
     write_json(out / "summary.json", cfg, {
         "phi": cfg.phi,
-        "witness": certify.witness_w(canonical),
-        "chsh_max": smax,
-        "negativity": negativity,
+        "witness": float(q["witness"][0]),
+        "chsh_max": float(q["chsh_max"][0]),
+        "negativity": float(q["negativity"][0]),
         "fidelity_to_singlet": qmath.fidelity_pure(canonical, circuit.singlet()),
     })
     return EXIT_OK
 
 
-def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) -> int:
+def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    bs = cfg.bs_params() if r_override is None else photonic.BsParams(r_override, r_override)
+    r = args.reflectivity
+    bs = cfg.bs_params() if r is None else photonic.BsParams(r, r)
     channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
     amps = np.diagonal(channel)
     fid = photonic.channel_fidelity_to_cz(channel)
@@ -330,8 +333,9 @@ def cmd_photonic_verify(cfg: ExperimentConfig, r_override: float | None = None) 
     return EXIT_OK
 
 
-def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
+def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
+    param = args.param
     grid = cfg.eta_grid if param == "eta" else cfg.v_grid
     if not grid:
         raise ParseError(f"{param}_grid is empty")
@@ -345,25 +349,26 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
     columns = (q["witness"][:g], q["witness"][g:], q["chsh_max"][:g], q["negativity"][:g],
                q["min_pt_eigenvalue"][:g])
     rows = [[float(x), *vals] for x, *vals in zip(grid, *(c.tolist() for c in columns))]
-    results = []
+    converged = True
     if cfg.counts_per_setting > 0:
-        # Each point's counts from its own seed, then one stacked MLE solve.
+        # Each point's counts from its own seed, then one stacked fit.
         counts = np.stack([certify.simulate_counts(
             rho, certify.PAULI_SETTINGS, cfg.counts_per_setting,
             int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0]),
         ).n for idx, rho in enumerate(ideals)])
-        results = certify.tomography_mle_batch(certify.PAULI_SETTINGS, counts, ideals)
-    for idx, (x, res) in enumerate(zip(grid, results)):
-        write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
-            param: float(x),
-            "rho_hat": state_json(res.rho_hat),
-            "log_likelihood": res.log_likelihood,
-            "fidelity_to_truth": res.fidelity_to_target,
-            "ppt_eigenvalues": list(res.ppt_eigenvalues),
-            "negativity": res.negativity,
-            "converged": res.converged,
-            "iterations": res.iterations,
-        })
+        fitted = certify.fit(certify.PAULI_SETTINGS, counts, ideals)
+        for idx, x in enumerate(grid):
+            write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
+                param: float(x),
+                "rho_hat": state_json(fitted["rho"][idx]),
+                "log_likelihood": float(fitted["log_likelihood"][idx]),
+                "fidelity_to_truth": float(fitted["fidelity_to_target"][idx]),
+                "ppt_eigenvalues": fitted["ppt_eigenvalues"][idx].tolist(),
+                "negativity": float(fitted["negativity"][idx]),
+                "converged": bool(fitted["converged"][idx]),
+                "iterations": int(fitted["iterations"][idx]),
+            })
+        converged = fitted["converged"].all()
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",
               "pt_min_eigenvalue"]
     write_csv(out / f"scan_{param}.csv", cfg, header, rows)
@@ -373,10 +378,10 @@ def cmd_scan(cfg: ExperimentConfig, param: str) -> int:
             cfg.baseline_weight
         )
     write_json(out / f"scan_{param}_summary.json", cfg, summary)
-    return EXIT_OK if all(res.converged for res in results) else EXIT_NO_CONVERGENCE
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_hom_scan(cfg: ExperimentConfig) -> int:
+def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     bs = cfg.bs_params()
     rows, vrows = [], []
@@ -400,17 +405,15 @@ def cmd_hom_scan(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_counts(
-    cfg: ExperimentConfig, model: str, eta: float | None, v: float | None
-) -> int:
+def cmd_simulate_counts(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     if cfg.counts_per_setting < 1:
         raise ParseError("simulate-counts needs counts_per_setting >= 1")
-    for flag, value, readers in (("--eta", eta, ("dephased", "baseline")),
-                                 ("--v", v, ("distinguishable",))):
-        if value is not None and model not in readers:
-            raise ParseError(f"--model {model} does not read {flag}")
-    rho = model_state(model, cfg, eta, v)
+    for flag, value, readers in (("--eta", args.eta, ("dephased", "baseline")),
+                                 ("--v", args.v, ("distinguishable",))):
+        if value is not None and args.model not in readers:
+            raise ParseError(f"--model {args.model} does not read {flag}")
+    rho = model_state(args.model, cfg, args.eta, args.v)
     data = certify.simulate_counts(rho, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed)
     write_counts_csv(out / "counts.csv", cfg, data)
     return EXIT_OK
@@ -420,9 +423,9 @@ def _verdict(summary: dict, errors: dict) -> str:
     s = summary["chsh_fixed"]
     w = summary["witness"]
     min_pt = summary["min_pt_eigenvalue"]
-    s_sig = errors.get("chsh_fixed", 0.0)
-    w_sig = errors.get("witness", 0.0)
-    pt_sig = errors.get("min_pt_eigenvalue", 0.0)
+    s_sig = errors["chsh_fixed"]
+    w_sig = errors["witness"]
+    pt_sig = errors["min_pt_eigenvalue"]
     if s - 3 * s_sig > 2.0:
         return "certified_bell"
     if w + 3 * w_sig < 0.0:
@@ -435,16 +438,14 @@ def _verdict(summary: dict, errors: dict) -> str:
     return "inconclusive"
 
 
-def cmd_certify(
-    cfg: ExperimentConfig, counts_path: str | None, state_path: str | None
-) -> int:
+def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    if counts_path is not None:
-        data = load_counts_csv(counts_path)
-    elif state_path is not None:
+    if args.counts is not None:
+        data = load_counts_csv(args.counts)
+    elif args.state is not None:
         if cfg.counts_per_setting < 1:
             raise ParseError("certify --state needs counts_per_setting >= 1")
-        rho_in = load_state_json(state_path)
+        rho_in = load_state_json(args.state)
         data = certify.simulate_counts(
             rho_in, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed
         )
@@ -452,25 +453,26 @@ def cmd_certify(
         raise ParseError("certify needs --counts or --state")
     target = circuit.singlet()
     settings = certify.singlet_optimal_settings()
-    res = certify.tomography_mle(data, target=target)
-    summary = certify.derived_quantities(res.rho_hat, target, settings)
+    fitted = certify.fit(data.bases, data.n[None], [target], settings)
+    q = {key: val[0] for key, val in fitted.items()}
+    summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
     errors, mc_converged = certify.bootstrap(
         data, cfg.mc_replicas, cfg.seed, target=target, chsh_settings=settings
     )
     verdict = _verdict(summary, errors)
     write_json(out / "verdict.json", cfg, {
         "entanglement_verdict": verdict,
-        "rho_hat": state_json(res.rho_hat),
-        "log_likelihood": res.log_likelihood,
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "dropped_settings": res.dropped_settings,
+        "rho_hat": state_json(q["rho"]),
+        "log_likelihood": float(q["log_likelihood"]),
+        "converged": bool(q["converged"]),
+        "iterations": int(q["iterations"]),
+        "dropped_settings": int(q["dropped_settings"]),
         "quantities": summary,
         "error_intervals": errors,
         "mc_replicas": cfg.mc_replicas,
         "mc_converged": mc_converged,
     })
-    return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if q["converged"] else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +487,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, help="RNG seed override")
-    parser.add_argument("--out", help="output directory override")
+    parser.add_argument("--out", dest="output_dir", metavar="OUT",
+                        help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("circuit", help="run the abstract circuit and dump states")
     p.add_argument("--phi", type=float, help="free-fall phase in radians")
+    p.set_defaults(run=cmd_circuit)
 
     p = sub.add_parser("photonic-verify", help="verify the post-selected CZ network")
     p.add_argument("--reflectivity", type=float, default=None,
                    help="override both beam-splitter reflectivities")
     p.add_argument("--bs", choices=sorted(photonic.BS_PRESETS), help="preset name")
+    p.set_defaults(run=cmd_photonic_verify)
 
     p = sub.add_parser("scan", help="decoherence / distinguishability scans")
     p.add_argument("--param", choices=["eta", "v"], required=True)
     p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting",
                    help="0 disables the per-point tomography")
+    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("hom-scan", help="two-photon interference dip scan")
     p.add_argument("--bs", choices=sorted(photonic.BS_PRESETS), help="preset name")
+    p.set_defaults(run=cmd_hom_scan)
 
     p = sub.add_parser("simulate-counts", help="write simulated tomography counts")
     p.add_argument("--model", default="singlet",
@@ -511,41 +518,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--v", type=float, default=None)
     p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting")
+    p.set_defaults(run=cmd_simulate_counts)
 
     p = sub.add_parser("certify", help="full certification battery")
     p.add_argument("--counts", help="counts CSV input")
     p.add_argument("--state", help="state JSON input")
     p.add_argument("--mc-replicas", type=int, dest="mc_replicas")
     p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting")
+    p.set_defaults(run=cmd_certify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "output_dir": args.out,
-        "phi": getattr(args, "phi", None),
-        "bs": getattr(args, "bs", None),
-        "counts_per_setting": getattr(args, "counts_per_setting", None),
-        "mc_replicas": getattr(args, "mc_replicas", None),
-    }
+    # Built on every call, so ``run`` is the ``cmd_*`` this module holds at call time.
+    args = build_parser().parse_args(argv)
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "circuit":
-            return cmd_circuit(cfg)
-        if args.command == "photonic-verify":
-            return cmd_photonic_verify(cfg, args.reflectivity)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.param)
-        if args.command == "hom-scan":
-            return cmd_hom_scan(cfg)
-        if args.command == "simulate-counts":
-            return cmd_simulate_counts(cfg, args.model, args.eta, args.v)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.counts, args.state)
-        raise ParseError(f"unknown command {args.command!r}")
+        return args.run(load_config(args.config, overrides), args)
     except (ParseError, certify.CertifyError, qmath.OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

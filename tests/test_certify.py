@@ -431,13 +431,13 @@ class TestBatchedEngine:
         truths = [noise.dephased_singlet(eta) for eta in (0.0, 0.5, 1.0)]
         datasets = [certify.simulate_counts(t, certify.PAULI_SETTINGS, 3000, i)
                     for i, t in enumerate(truths)]
-        batch = certify.tomography_mle_batch(
-            certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]), truths)
-        for data, truth, res in zip(datasets, truths, batch):
+        batch = certify.fit(certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]), truths)
+        for b, (data, truth) in enumerate(zip(datasets, truths)):
             single = certify.tomography_mle(data, target=truth)
-            assert np.max(np.abs(res.rho_hat.matrix - single.rho_hat.matrix)) <= 1e-9
-            assert res.fidelity_to_target == pytest.approx(single.fidelity_to_target, abs=1e-9)
-            assert res.converged and res.iterations > 0
+            assert np.max(np.abs(batch["rho"][b] - single.rho_hat.matrix)) <= 1e-9
+            assert batch["fidelity_to_target"][b] == pytest.approx(
+                single.fidelity_to_target, abs=1e-9)
+            assert batch["converged"][b] and batch["iterations"][b] > 0
 
     def test_bootstrap_reports_converged_replicas(self):
         data = certify.simulate_counts(

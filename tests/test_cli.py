@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmesim import certify, cli, noise
+from gmesim import certify, circuit, cli, noise
 
 
 def run(*argv):
@@ -18,6 +18,11 @@ def run(*argv):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def load_rho(state):
+    """The (1, 4, 4) stack of a written ``rho_hat``: repr'd floats read back exactly."""
+    return np.array([[[complex(re, im) for re, im in row] for row in state["matrix"]]])
 
 
 def read_csv_rows(path):
@@ -29,6 +34,18 @@ def read_csv_rows(path):
 class TestConfig:
     def test_defaults_validate(self):
         cli.ExperimentConfig().validate()
+
+    def test_replicas_cap_validates(self):
+        cli.ExperimentConfig(mc_replicas=cli.MAX_MC_REPLICAS).validate()
+        with pytest.raises(cli.ParseError, match="mc_replicas"):
+            cli.ExperimentConfig(mc_replicas=cli.MAX_MC_REPLICAS + 1).validate()
+
+    def test_main_dispatches_to_the_command_bound_at_call_time(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_circuit", lambda cfg, args: calls.append(cfg) or 0)
+        assert run("--seed", "7", "--out", str(tmp_path), "circuit", "--phi", "0.5") == 0
+        assert [(c.seed, c.output_dir, c.phi) for c in calls] == [(7, str(tmp_path), 0.5)]
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_field_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -187,6 +204,17 @@ class TestScan:
                 float(x), certify.witness_w(ideal), certify.witness_w(baseline),
                 certify.chsh_max(ideal)[0], negativity, eigs[-1]]
 
+    def test_reported_quantities_derive_from_the_reported_fit(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_grid": [0.0, 0.4, 1.0], "counts_per_setting": 2000}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", "eta") == 0
+        for idx, eta in enumerate([0.0, 0.4, 1.0]):
+            d = read_json(tmp_path / f"tomography_eta_{idx:02d}.json")
+            q = certify.derived_batch(load_rho(d["rho_hat"]), [noise.dephased_singlet(eta)])
+            assert d["ppt_eigenvalues"] == q["ppt_eigenvalues"][0].tolist()
+            assert d["negativity"] == q["negativity"][0]
+            assert d["fidelity_to_truth"] == q["fidelity_to_target"][0]
+
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eta_grid": []}))
@@ -300,6 +328,16 @@ class TestSimulateCountsAndCertify:
                    "--counts", str(tmp_path / "counts.csv"), "--mc-replicas", replicas) == 0
         assert read_json(tmp_path / "verdict.json")["entanglement_verdict"] == verdict
 
+    def test_reported_quantities_derive_from_the_reported_fit(self, tmp_path):
+        run("--out", str(tmp_path / "c"), "--seed", "3", "simulate-counts",
+            "--model", "baseline", "--eta", "0.6")
+        assert run("--out", str(tmp_path), "--seed", "3", "certify", "--counts",
+                   str(tmp_path / "c" / "counts.csv"), "--mc-replicas", "10") == 0
+        v = read_json(tmp_path / "verdict.json")
+        q = certify.derived_batch(load_rho(v["rho_hat"]), [circuit.singlet()],
+                                  certify.singlet_optimal_settings())
+        assert v["quantities"] == {key: val[0].tolist() for key, val in q.items()}
+
     def test_certify_from_state_json(self, tmp_path):
         run("--out", str(tmp_path), "circuit")
         assert run("--out", str(tmp_path), "--seed", "4", "certify",
@@ -349,6 +387,7 @@ class TestOutOfRangeInputs:
         ({"baseline_weight": True}, ("circuit",)),
         ([], ("circuit",)),
         (None, ("certify", "--mc-replicas", "1", "--counts", "{all}")),
+        (None, ("certify", "--mc-replicas", "10001", "--counts", "{all}")),
         (None, ("certify", "--counts", "{no_zz}")),
         (None, ("simulate-counts", "--model", "singlet", "--eta", "1.5")),
         (None, ("simulate-counts", "--model", "dephased", "--v", "7")),
@@ -362,6 +401,7 @@ class TestOutOfRangeInputs:
         (None, ("certify", "--counts", "{far_negative}")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
+            "replicas-above-cap",
             "missing-setting", "singlet-eta", "dephased-v", "state-three-qubits",
             "state-not-density", "counts-1e19", "counts-1e20", "counts-flag-above-cap",
             "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64"])

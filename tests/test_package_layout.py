@@ -1,11 +1,13 @@
-"""Every definition in the package has a caller outside the unit tests.
+"""Every definition in the package has a caller outside the unit tests, and
+the command line reaches its numbers through the stacked kernels.
 
 The module-level functions and classes of ``src/gmesim`` must each be used
 somewhere else in the package, in the acceptance battery
 (``tests/test_acceptance.py``) or in the benchmark harness
 (``benchmarks/``); so must every method of those classes.  A helper that only
 a unit test calls belongs in that test file.  The allowed references are read
-from those files with ``ast``; nothing here lists names by hand.
+from those files with ``ast``; the one list kept by hand names the
+single-state views of ``certify`` that ``cli`` must not call.
 """
 
 import ast
@@ -72,3 +74,16 @@ def test_every_definition_has_a_caller_outside_the_unit_tests():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
                            and m.name not in attrs]
     assert not unused, f"defined in src/gmesim but called only by unit tests: {unused}"
+
+
+# Single-state views of ``certify``: B = 1 calls of the stacked kernels, kept for
+# the acceptance battery and the unit tests.  The command line fits and derives
+# through ``certify.fit`` and ``certify.derived_batch`` instead.
+SINGLE_STATE_VIEWS = {"witness_w", "chsh", "chsh_max", "ppt_report", "correlation_matrix",
+                      "tomography_mle", "monte_carlo_errors"}
+
+
+def test_cli_calls_no_single_state_view():
+    pairs, _ = _references(MODULES["cli"], "cli")
+    used = sorted(name for mod, name in pairs if mod == "certify" and name in SINGLE_STATE_VIEWS)
+    assert not used, f"cli calls single-state views of certify: {used}"
