@@ -307,6 +307,17 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
 
 
 _DILUTION = 0.5 ** np.arange(1, 40)
+# A log-likelihood change below this is a stall.  |l| is about 1e5 at 10^4
+# counts per setting, where 1e-10 is a few ulp: a plain step that lowers l by
+# no more than this is rounding, not an overshoot, so it is not searched.
+STALL_TOL = 1e-10
+
+
+def _real_image(m: np.ndarray) -> np.ndarray:
+    """Real (..., 2d, 2d) image [[Re m, -Im m], [Im m, Re m]] of complex (..., d, d)
+    matrices.  The image of a product or real-weighted sum is the product or sum
+    of the images, that of m^dagger is the transpose, and the trace doubles."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
 def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 100_000):
@@ -315,15 +326,20 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of the setting
     tuple ``bases[s]`` (shape (S, 2, 3)) and runs Hradil's fixed point
     rho <- R rho R / tr(...), R = sum_k (n_k/p_k) Pi_k.  A step that would
-    lower its likelihood becomes the diluted step (I + eps R)/norm with the
-    first eps of 0.5, 0.25, ... > 1e-12 that raises it (Rehacek et al., PRA 75,
-    042108, 2007).  A member converges once its gain stays below 1e-10 for 10
-    iterations, or gives up after ``max_iter``.  All-zero settings are dropped;
-    a member that drops none starts from linear inversion, else from I/4,
-    unless ``init`` gives one start or one per member.  Returns arrays ``(rho,
-    log_likelihood, converged, iterations, dropped)`` over the members.
-    Non-finite ``bases``, ``counts`` or ``init`` raise CertifyError, since a
-    NaN likelihood never stalls.
+    lower its likelihood by more than ``STALL_TOL`` becomes the diluted step
+    (I + eps R)/norm with the first eps of 0.5, 0.25, ... > 1e-12 that raises
+    it (Rehacek et al., PRA 75, 042108, 2007); a step that lowers it by no more
+    than that, or whose search fails, keeps the iterate.  A member converges
+    once its gain stays below ``STALL_TOL`` for 10 iterations, or gives up after
+    ``max_iter``.  All-zero settings are dropped; a member that drops none
+    starts from linear inversion, else from I/4, unless ``init`` gives one
+    start or one per member.  The iteration holds rho, R and each Pi_k as their
+    real 8x8 images (``_real_image``), so Hermitization is symmetrization, and
+    carries the outcome probabilities of each member's accepted iterate.
+    Returns arrays ``(rho, log_likelihood, converged, iterations, dropped)``
+    over the members, rho as complex (B, 4, 4).  Non-finite ``bases``,
+    ``counts`` or ``init`` raise CertifyError, since a NaN likelihood never
+    stalls.
     """
     counts = np.asarray(counts, dtype=float)
     for name, arr in (("bases", bases), ("counts", counts), ("init", init)):
@@ -333,8 +349,11 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     if np.any(dropped == len(bases)):
         raise MissingSetting("no settings with nonzero counts")
-    proj = projector_table(bases).reshape(-1, 16)
-    proj_h = proj.conj().T  # p_k = tr(Pi_k rho) = vec(Pi_k)^* . vec(rho): Pi_k is Hermitian
+    proj = _real_image(projector_table(bases).reshape(-1, 4, 4))
+    # p_k = tr(Pi_k rho) = vec(Pi_k) . vec(rho) / 2 for the symmetric images;
+    # their first four rows hold every entry of the complex matrix once.
+    proj_top = proj[:, :4].reshape(len(proj), 32).T
+    proj = proj.reshape(len(proj), 64)
     n = counts.reshape(b, -1)
 
     start = np.broadcast_to(np.eye(4) / 4 if init is None else init, (b, 4, 4)).astype(complex)
@@ -342,53 +361,60 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
         start[dropped == 0] = _linear_inversion(bases, counts[dropped == 0])
     # Blend in a little of the identity: the fixed point cannot leave the
     # support of the iterate, so the start must be full rank.
-    rho = 0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4
+    rho = _real_image(0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4)
 
     def probs(r: np.ndarray) -> np.ndarray:
-        return np.maximum((r.reshape(*r.shape[:-2], 16) @ proj_h).real, 1e-300)
+        return np.maximum(r[..., :4, :].reshape(*r.shape[:-2], 32) @ proj_top, 1e-300)
 
-    def loglike(r: np.ndarray, nn: np.ndarray) -> np.ndarray:
-        return np.sum(nn * np.log(probs(r)), axis=-1)
+    def loglike(p: np.ndarray, nn: np.ndarray) -> np.ndarray:
+        return (nn * np.log(p)).sum(axis=-1)
 
     def normalized(m: np.ndarray) -> np.ndarray:
-        m = (m + _dagger(m)) / 2
-        return m / _trace(m)[..., None, None]
+        # (m + m^T)/2 over half its trace: the image of (m + m^dagger)/2 over tr.
+        return (m + m.swapaxes(-1, -2)) / m.trace(axis1=-2, axis2=-1)[..., None, None]
 
-    rho_out, ll_out = rho.copy(), loglike(rho, n)
+    p = probs(rho)
+    rho_out, ll_out = rho.copy(), loglike(p, n)
     converged, iterations = np.zeros(b, dtype=bool), np.full(b, max_iter)
-    live = np.arange(b)  # members still iterating; rho, ll, stall, n follow it
+    live = np.arange(b)  # members still iterating; rho, p, ll, stall, n follow it
     ll, stall = ll_out.copy(), np.zeros(b, dtype=int)
     for it in range(1, max_iter + 1):
-        r = ((n / probs(rho)) @ proj).reshape(-1, 4, 4)
+        r = ((n / p) @ proj).reshape(-1, 8, 8)
         new = normalized(r @ rho @ r)
-        ll_new = loglike(new, n)
-        worse = np.flatnonzero(ll_new < ll)
-        if len(worse):
+        p_new = probs(new)
+        ll_new = loglike(p_new, n)
+        worse = ll_new - ll < -STALL_TOL
+        if worse.any():
+            worse = np.flatnonzero(worse)
             rw, pw = r[worse], rho[worse]
-            r_norm = rw / _trace(rw @ pw)[:, None, None]
+            r_norm = rw * (2 / (rw @ pw).trace(axis1=-2, axis2=-1))[:, None, None]
             eps = _DILUTION[:, None, None]
-            m = (1 - eps) * np.eye(4) + eps * r_norm[:, None]  # (W, 39, 4, 4)
-            cand = normalized(m @ pw[:, None] @ _dagger(m))
-            ll_cand = loglike(cand, n[worse][:, None])
+            m = (1 - eps) * np.eye(8) + eps * r_norm[:, None]  # (W, 39, 8, 8)
+            cand = normalized(m @ pw[:, None] @ m.swapaxes(-1, -2))
+            p_cand = probs(cand)
+            ll_cand = loglike(p_cand, n[worse][:, None])
             better = ll_cand > ll[worse][:, None]
             first, ok = better.argmax(axis=1), better.any(axis=1)
-            new[worse[ok]] = cand[ok, first[ok]]
-            ll_new[worse[ok]] = ll_cand[ok, first[ok]]
+            take = (ok, first[ok])
+            new[worse[ok]], p_new[worse[ok]], ll_new[worse[ok]] = (
+                cand[take], p_cand[take], ll_cand[take])
+        stall = np.where(ll_new - ll < STALL_TOL, stall + 1, 0)
         # A member whose step still lowers the likelihood keeps its iterate
         # and counts the iteration as a stall.
-        step = ~(ll_new < ll)
-        stall = np.where(ll_new - ll < 1e-10, stall + 1, 0)
-        rho[step], ll[step] = new[step], ll_new[step]
+        keep = ll_new < ll
+        if keep.any():
+            new[keep], p_new[keep], ll_new[keep] = rho[keep], p[keep], ll[keep]
+        rho, p, ll = new, p_new, ll_new
         done = stall >= 10
         if done.any():
             idx = live[done]
             rho_out[idx], ll_out[idx] = rho[done], ll[done]
             converged[idx], iterations[idx] = True, it
-            live, rho, ll, stall, n = (a[~done] for a in (live, rho, ll, stall, n))
+            live, rho, p, ll, stall, n = (a[~done] for a in (live, rho, p, ll, stall, n))
             if not len(live):
                 break
     rho_out[live], ll_out[live] = rho, ll
-    return rho_out, ll_out, converged, iterations, dropped
+    return rho_out[:, :4, :4] + 1j * rho_out[:, 4:, :4], ll_out, converged, iterations, dropped
 
 
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
@@ -429,26 +455,27 @@ def tomography_mle(data: Counts, target=None) -> TomographyResult:
 
 def bootstrap(
     data: Counts, replicas: int, seed: int, target=None, chsh_settings=None
-) -> tuple[dict, int]:
+) -> tuple[dict, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     Replica r redraws every count from Poisson(count) with the generator
-    seeded by ``[seed, r]``; all replicas are then fitted as one ``fit``
-    stack.  Returns the sample standard deviations of the ``derived_batch``
-    quantities and the number of replicas whose MLE converged.
-    Deterministic given the seed.
+    seeded by ``[seed, r]``; the counts themselves and all replicas are then
+    fitted as one ``fit`` stack, the counts as member 0.  Returns the sample
+    standard deviations of the replicas' ``derived_batch`` quantities, the
+    number of replicas whose MLE converged, and member 0's ``fit`` fields: the
+    point estimate.  Deterministic given the seed.
     """
     if replicas < 2:
         raise CertifyError("replicas must be >= 2")
     target = circuit.singlet() if target is None else target
     chsh_settings = singlet_optimal_settings() if chsh_settings is None else chsh_settings
-    resampled = np.stack([
+    stack = np.stack([data.n, *(
         np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
-    ])
-    q = fit(data.bases, resampled, [target] * replicas, chsh_settings)
-    sd = {key: np.std(vals, axis=0, ddof=1).tolist()
+    )])
+    q = fit(data.bases, stack, [target] * (replicas + 1), chsh_settings)
+    sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
-    return sd, int(np.sum(q["converged"]))
+    return sd, int(np.sum(q["converged"][1:])), {key: val[0] for key, val in q.items()}
 
 
 def monte_carlo_errors(

@@ -43,8 +43,8 @@ DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 # Largest counts_per_setting: numpy's Poisson sampler rejects means above
 # about 9.2e18, and a count this large is far beyond any experiment.
 MAX_COUNTS_PER_SETTING = 10**15
-# Largest mc_replicas: the bootstrap fits all replicas as one stack, up to about
-# 43 KB each (85-431 MB peak RSS at 10^4), so millions would ask for tens of GB.
+# Largest mc_replicas: the bootstrap fits all replicas as one stack (109-112 MB
+# peak RSS at 10^4 on four model sources), so millions would ask for several GB.
 MAX_MC_REPLICAS = 10_000
 
 
@@ -453,12 +453,10 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         raise ParseError("certify needs --counts or --state")
     target = circuit.singlet()
     settings = certify.singlet_optimal_settings()
-    fitted = certify.fit(data.bases, data.n[None], [target], settings)
-    q = {key: val[0] for key, val in fitted.items()}
-    summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
-    errors, mc_converged = certify.bootstrap(
+    errors, mc_converged, q = certify.bootstrap(
         data, cfg.mc_replicas, cfg.seed, target=target, chsh_settings=settings
     )
+    summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
     verdict = _verdict(summary, errors)
     write_json(out / "verdict.json", cfg, {
         "entanglement_verdict": verdict,

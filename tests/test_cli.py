@@ -338,6 +338,25 @@ class TestSimulateCountsAndCertify:
                                   certify.singlet_optimal_settings())
         assert v["quantities"] == {key: val[0].tolist() for key, val in q.items()}
 
+    def test_point_estimate_equals_a_standalone_fit(self, tmp_path):
+        # The point estimate is member 0 of the bootstrap stack; it must be the
+        # fit of the counts alone.
+        run("--out", str(tmp_path), "--seed", "3", "simulate-counts",
+            "--model", "baseline", "--eta", "0.6")
+        assert run("--out", str(tmp_path), "--seed", "3", "certify", "--counts",
+                   str(tmp_path / "counts.csv"), "--mc-replicas", "10") == 0
+        v = read_json(tmp_path / "verdict.json")
+        data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
+        alone = certify.fit(data.bases, data.n[None], [circuit.singlet()],
+                            certify.singlet_optimal_settings())
+        assert np.max(np.abs(load_rho(v["rho_hat"]) - alone["rho"])) <= 1e-9
+        summary = {key: val[0].tolist() for key, val in alone.items()
+                   if key not in certify.FIT_FIELDS}
+        assert summary.keys() == v["quantities"].keys()
+        for key, val in summary.items():
+            np.testing.assert_allclose(v["quantities"][key], val, rtol=0, atol=1e-9)
+        assert v["entanglement_verdict"] == cli._verdict(summary, v["error_intervals"])
+
     def test_certify_from_state_json(self, tmp_path):
         run("--out", str(tmp_path), "circuit")
         assert run("--out", str(tmp_path), "--seed", "4", "certify",
