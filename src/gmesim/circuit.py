@@ -149,6 +149,11 @@ CANONICAL_G = _canonical_rotation()
 U_CANON = np.kron(np.eye(2, dtype=complex), CANONICAL_G)
 
 
+def singlet_frame(m: np.ndarray) -> np.ndarray:
+    """(I x G) m (I x G)^dag for one (4, 4) matrix or a stack of them."""
+    return U_CANON @ m @ U_CANON.conj().T
+
+
 def canonicalize_to_singlet(rho: DensityMatrix) -> DensityMatrix:
     """Apply the fixed local frame change I x G taking the ideal state to the singlet.
 
@@ -157,4 +162,4 @@ def canonicalize_to_singlet(rho: DensityMatrix) -> DensityMatrix:
     invariant.
     """
     qmath.check_two_qubit(rho)
-    return DensityMatrix((2, 2), U_CANON @ rho.matrix @ U_CANON.conj().T)
+    return DensityMatrix((2, 2), singlet_frame(rho.matrix))

@@ -204,7 +204,7 @@ def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) ->
 
 
 def load_counts_csv(path: str, total_expected: float | None = None) -> certify.Counts:
-    """The dataset of a counts CSV; ``total_expected`` is unused, kept for callers that pass it."""
+    """The dataset of a counts CSV; ``total_expected`` is unused (benchmark tests pass it)."""
     def parse_axis(tok: str, lineno: int) -> np.ndarray:
         tok = tok.strip()
         if tok in certify.AXES:
@@ -384,17 +384,17 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     bs = cfg.bs_params()
-    rows, vrows = [], []
-    for g in map(float, cfg.gamma_grid):
+    grid = [float(g) for g in cfg.gamma_grid]
+    probs, weights = photonic.hom_scan(grid, bs)
+    rows = []
+    for g, p in zip(grid, probs.tolist()):
         delay = (
             math.inf if g == 0.0
             else 0.0 if g >= 1.0
             else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
         )
-        rows.append([g, delay, float(photonic.hom_coincidence(g, bs))])
-        rho, _ = photonic.simulate_pipeline(bs=bs, gamma=g)
-        v, _ = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
-        vrows.append([g, float(v)])
+        rows.append([g, delay, p])
+    vrows = [[g, v] for g, v in zip(grid, weights.tolist())]
     write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
     write_json(out / "hom_summary.json", cfg, {

@@ -7,7 +7,10 @@ No optical element touches the label, so every network is U_12 (x) I_2.
 A two-photon state is its symmetric 24x24 creation tensor t, with
 state = sum_ij t_ij a_i^dag a_j^dag |0>.  A network with mode unitary U acts
 on it as t -> A^T t A with A = U^dag; coincidence masses and post-selection
-are index masks on t.
+are index masks on t.  The second photon's temporal label state is
+gamma|0> + sqrt(1 - gamma^2)|1>, so an input is linear in its two label
+components: a scan over gamma evolves each component once and works on the
+(G, 24, 24) stack of their combinations.
 
 Logical path encoding of the geometry qubits follows the coupler layout:
 qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3;
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import noise, qmath
+from . import circuit, noise, qmath
 from .qmath import DensityMatrix, OutOfRange, check_unit  # noqa: F401
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
@@ -185,46 +188,75 @@ def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
     return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
 
 
+def _check_normalized(norms: np.ndarray) -> None:
+    """PhotonNumberMismatch unless every two-photon norm in ``norms`` is 1 within 1e-9."""
+    bad = np.abs(norms - 1.0) > 1e-9
+    if bad.any():
+        raise PhotonNumberMismatch(
+            f"input not a normalized two-photon state (norm {float(norms[bad][0])!r})"
+        )
+
+
 def evolve_two_photon(state: FockState, net: OpticalNetwork) -> FockState:
     """Push the creation tensor through the mode unitary."""
-    n = state.norm()
-    if abs(n - 1.0) > 1e-9:
-        raise PhotonNumberMismatch(f"input not a normalized two-photon state (norm {n!r})")
+    _check_normalized(np.array([state.norm()]))
     a = net.mode_unitary.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
     return FockState(a.T @ state.tensor @ a)
 
 
-def pair_mass(state: FockState, paths_a, paths_b) -> float:
-    """Probability of one photon in ``paths_a`` and the other in ``paths_b``.
+def _evolve_labels(inputs: tuple[FockState, FockState], overlaps, name: str,
+                   net: OpticalNetwork) -> np.ndarray:
+    """The (G, N, N) evolved tensors of gamma inputs[0] + sqrt(1 - gamma^2) inputs[1], per overlap.
+
+    ``inputs`` are the second photon's two label components, each evolved
+    once.  Each overlap passes ``check_unit``, and each combined input the norm
+    check of ``evolve_two_photon`` (through the Gram matrix of the components).
+    """
+    g = np.array([check_unit(x, name) for x in overlaps], dtype=float)
+    c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1)
+    t = np.stack([s.tensor for s in inputs])
+    gram = 2 * np.einsum("kij,lij->kl", t.conj(), t)
+    _check_normalized(np.einsum("gk,kl,gl->g", c, gram, c).real)
+    out = np.stack([evolve_two_photon(s, net).tensor for s in inputs])
+    return np.tensordot(c, out, axes=1)
+
+
+def pair_mass(t: np.ndarray, paths_a, paths_b) -> np.ndarray:
+    """Probability of one photon in ``paths_a`` and the other in ``paths_b``, per tensor of t.
 
     The two path sets must be disjoint: every such pair of modes (i, j) has
     Fock amplitude 2 t_ij, so the mass is 4 sum |t[A, B]|^2.
     """
-    block = state.tensor[np.ix_(_path_modes(paths_a), _path_modes(paths_b))]
-    return float(4 * np.sum(np.abs(block) ** 2))
+    block = t[:, _path_modes(paths_a)[:, None], _path_modes(paths_b)]
+    return 4 * np.sum(np.abs(block) ** 2, axis=(-2, -1))
 
 
-def post_select_coincidence(state: FockState) -> tuple[DensityMatrix, float]:
-    """Project onto exactly one photon in paths {1,2} and one in {3,4}.
+def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each tensor of a (G, N, N) stack onto one photon in paths {1,2} and one in {3,4}.
 
     The two-qubit state is decoded through the recombining beam displacers,
     which coherently merge the path-polarization dictionary (path 1 <-> V,
     path 2 <-> H for the first photon; path 3 <-> H, path 4 <-> V for the
     second); components where path and polarization disagree exit through
     unused ports and are dropped.  Temporal labels are traced out.  Returns
-    the decoded density matrix and the pre-normalization coincidence mass.
+    the (G, 4, 4) decoded density matrices and the (G,) pre-normalization
+    coincidence masses; the 16x16 states before the trace and the 4x4 states
+    after it are both checked as density matrices.
     """
-    mass = pair_mass(state, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
-    if mass < 1e-14:
+    mass = pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
+    if np.any(mass < 1e-14):
         raise EmptyPostSelection("post-selected mass below 1e-14")
-    # Axes: (qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
-    psi = 2 * state.tensor[DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
-    decoded = float(np.sum(np.abs(psi) ** 2))
-    if decoded < 1e-14:
+    # Axes: (grid, qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
+    psi = 2 * t[:, DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
+    vec = psi.reshape(len(t), 16)
+    decoded = np.sum(np.abs(vec) ** 2, axis=-1)
+    if np.any(decoded < 1e-14):
         raise EmptyPostSelection("no path-polarization-consistent coincidence terms")
-    vec = psi.reshape(-1) / np.sqrt(decoded)
-    full = DensityMatrix((2, 2, 2, 2), np.outer(vec, vec.conj()))
-    pol = qmath.partial_trace(full, keep=(0, 2))
+    vec = vec / np.sqrt(decoded)[:, None]
+    full = vec[:, :, None] * vec[:, None, :].conj()
+    qmath.check_density(full)
+    pol = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
+    qmath.check_density(pol)
     return pol, mass
 
 
@@ -241,10 +273,12 @@ def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
     Returns the 4x4 channel matrix in the logical basis, whose diagonal is the
     truth table, and the coincidence mass of each input.
     """
-    a, b = ([mode_index(p, "V") for p in paths] for paths in (LOGICAL_PATHS_A, LOGICAL_PATHS_B))
-    outs = [evolve_two_photon(logical_path_input(q1, q2), net) for q1 in (0, 1) for q2 in (0, 1)]
-    m = np.stack([2 * out.tensor[np.ix_(a, b)].reshape(4) for out in outs], axis=1)
-    return m, np.array([pair_mass(out, LOGICAL_PATHS_A, LOGICAL_PATHS_B) for out in outs])
+    a, b = (np.array([mode_index(p, "V") for p in paths])
+            for paths in (LOGICAL_PATHS_A, LOGICAL_PATHS_B))
+    t = np.stack([evolve_two_photon(logical_path_input(q1, q2), net).tensor
+                  for q1 in (0, 1) for q2 in (0, 1)])
+    m = 2 * t[:, a[:, None], b].reshape(4, 4).T
+    return m, pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
 
 
 def cz_success_probabilities(net: OpticalNetwork) -> np.ndarray:
@@ -268,24 +302,22 @@ def process_fidelity_to_cz(net: OpticalNetwork) -> float:
     return channel_fidelity_to_cz(cz_channel(net)[0])
 
 
-def hom_coincidence(overlap: float, bs: BsParams = IDEAL_BS) -> float:
-    """Coincidence probability for photons meeting on paths 2 and 3.
+def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
+    """Coincidence probability for photons meeting on paths 2 and 3, per overlap.
 
-    ``overlap`` is the temporal wavepacket overlap amplitude gamma; the
+    Each overlap is the temporal wavepacket overlap amplitude gamma; the
     second photon enters with label state gamma|0> + sqrt(1-gamma^2)|1>.
+    Two evolutions whatever the number of overlaps.
     """
-    g = check_unit(overlap, "overlap")
-    d = np.sqrt(max(0.0, 1.0 - g * g))
     photon_a = single_photon("2", "V", 0)
-    photon_b = g * single_photon("3", "V", 0) + d * single_photon("3", "V", 1)
-    out = evolve_two_photon(product_state(photon_a, photon_b), build_cz_network(bs))
-    return pair_mass(out, ("2",), ("3",))
+    inputs = tuple(product_state(photon_a, single_photon("3", "V", l)) for l in LABELS)
+    t = _evolve_labels(inputs, overlaps, "overlap", build_cz_network(bs))
+    return pair_mass(t, ("2",), ("3",))
 
 
 def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
     """(P_max - P_min)/P_max between distinguishable and indistinguishable photons."""
-    p_dist = hom_coincidence(0.0, bs)
-    p_ind = hom_coincidence(1.0, bs)
+    p_dist, p_ind = hom_coincidence([0.0, 1.0], bs).tolist()
     return (p_dist - p_ind) / p_dist
 
 
@@ -301,29 +333,52 @@ def prepared_input(gamma: float = 1.0) -> FockState:
     return product_state(photon_a, photon_b)
 
 
+def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray]:
+    """Run the full optical pipeline for each overlap gamma and post-select on coincidences.
+
+    Returns the (G, 4, 4) polarization states and the (G,) success
+    probabilities, from two evolutions whatever the number of overlaps.
+    """
+    inputs = (prepared_input(1.0), prepared_input(0.0))
+    return post_select_coincidence(_evolve_labels(inputs, gammas, "gamma", build_full_network(bs)))
+
+
 def simulate_pipeline(
     bs: BsParams = IDEAL_BS, gamma: float = 1.0
 ) -> tuple[DensityMatrix, float]:
-    """Run the full optical pipeline and post-select on coincidences.
-
-    Returns the two-qubit polarization state and the success probability.
-    """
-    state = evolve_two_photon(prepared_input(gamma), build_full_network(bs))
-    return post_select_coincidence(state)
+    """The two-qubit polarization state and success probability at one overlap gamma."""
+    rho, mass = simulate_pipeline_grid([gamma], bs)
+    return DensityMatrix((2, 2), rho[0]), float(mass[0])
 
 
-def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
-    """Least-squares weight v of the singlet in v|S><S| + (1-v) rho_dist.
+def fit_visibility_weights(rho_canonical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares weight v of the singlet in v|S><S| + (1-v) rho_dist, per state of a stack.
 
-    Returns (v, trace_distance) where the distance is between the input and
-    the best member of the family.
+    Returns (v, trace_distance) as (G,) arrays, the distance between each
+    input and the best member of the family.
     """
     s, rd = noise.SINGLET, noise.RHO_DIST
     diff = s - rd
-    num = np.trace((rho_canonical.matrix - rd).conj().T @ diff).real
-    den = np.trace(diff.conj().T @ diff).real
-    v = float(num / den)
-    model = v * s + (1 - v) * rd
-    delta = rho_canonical.matrix - model
-    dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))))
-    return v, dist
+    # tr(A^dag B) = sum_ij conj(A_ij) B_ij
+    v = np.einsum("gij,ij->g", (rho_canonical - rd).conj(), diff).real / np.sum(np.abs(diff) ** 2)
+    delta = rho_canonical - (v[:, None, None] * s + (1 - v)[:, None, None] * rd)
+    herm = (delta + np.swapaxes(delta.conj(), -1, -2)) / 2
+    return v, 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+
+
+def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
+    """(v, trace_distance) of ``fit_visibility_weights`` for one state."""
+    v, dist = fit_visibility_weights(rho_canonical.matrix[None])
+    return float(v[0]), float(dist[0])
+
+
+def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray]:
+    """HOM dip P and singlet weight v of the post-selected state, per overlap, as (G,) arrays.
+
+    Four evolutions whatever the number of overlaps: the dip's two label
+    components through the couplers and the pipeline's two through the full
+    network.  v is fitted in the frame of ``circuit.singlet_frame``.
+    """
+    probs = hom_coincidence(overlaps, bs)
+    rho, _ = simulate_pipeline_grid(overlaps, bs)
+    return probs, fit_visibility_weights(circuit.singlet_frame(rho))[0]

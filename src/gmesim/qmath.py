@@ -98,18 +98,19 @@ class PureState:
 
 
 def check_density(m: np.ndarray) -> None:
-    """Raise unless every matrix of ``m``, one (d, d) matrix or a stack of them,
-    is a density matrix: finite, Hermitian, unit trace and PSD within tolerance."""
+    """Raise unless every matrix of ``m``, one (d, d) matrix or a stack of them
+    (possibly empty), is a density matrix: finite, Hermitian, unit trace and PSD
+    within tolerance."""
     if not np.all(np.isfinite(m)):
         raise QmathError("density matrix contains NaN or Inf entries")
     mh = np.swapaxes(m.conj(), -1, -2)
-    if np.max(np.abs(m - mh)) > NORM_TOL:
+    if np.max(np.abs(m - mh), initial=0.0) > NORM_TOL:
         raise NotHermitian("density matrix is not Hermitian")
     tr = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
     bad = np.abs(tr - 1.0) > NORM_TOL
     if bad.any():
         raise QmathError(f"trace is {tr[bad][0]!r}, expected 1")
-    if np.min(np.linalg.eigvalsh((m + mh) / 2)) < -PSD_TOL:
+    if np.min(np.linalg.eigvalsh((m + mh) / 2), initial=0.0) < -PSD_TOL:
         raise QmathError("density matrix has a negative eigenvalue")
 
 

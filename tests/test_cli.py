@@ -234,6 +234,16 @@ class TestHomScan:
         assert float(vrows[0][1]) == pytest.approx(0.0, abs=1e-9)
         assert float(vrows[-1][1]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_empty_grid_writes_header_only_files(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_grid": []}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "hom-scan") == 0
+        assert read_csv_rows(tmp_path / "hom_scan.csv") == (
+            ["gamma", "delay_ps", "coincidence_prob"], [])
+        assert read_csv_rows(tmp_path / "v_of_gamma.csv") == (["gamma", "v"], [])
+        summary = json.loads((tmp_path / "hom_summary.json").read_text())
+        assert summary["visibility"] == pytest.approx(0.8, abs=1e-12)
+
 
 class TestSimulateCountsAndCertify:
     def test_counts_csv_round_trip(self, tmp_path):

@@ -41,6 +41,50 @@ def reference_full_unitary(bs) -> np.ndarray:
     return hwp @ reference_cz_unitary(bs) @ hwp @ (bd2 @ bd1)
 
 
+def walk_post_selection(s: photonic.FockState) -> tuple[np.ndarray, float]:
+    """Reference post-selection: decode each coincidence Fock term by its path and
+    polarization names, then trace the labels out.  Returns (rho, mass)."""
+    logical = {"1": 0, "2": 1, "3": 1, "4": 0}
+    psi = np.zeros((2, 2, 2, 2), dtype=complex)
+    mass = 0.0
+    for (i, j), amp in s.terms.items():
+        m1, m2 = MODES[i], MODES[j]
+        if m1[0] in ("3", "4") and m2[0] in ("1", "2"):
+            m1, m2 = m2, m1
+        if not (m1[0] in ("1", "2") and m2[0] in ("3", "4")):
+            continue
+        mass += abs(amp) ** 2
+        qa, qb = int(m1[1] == "H"), int(m2[1] == "H")
+        if logical[m1[0]] == qa and logical[m2[0]] == qb:
+            psi[qa, m1[2], qb, m2[2]] += amp
+    psi /= np.linalg.norm(psi)
+    return np.einsum("akbl,ckdl->abcd", psi, psi.conj()).reshape(4, 4), mass
+
+
+def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
+    """(P, v, rho) at one overlap, each from its own product state evolved on its own."""
+    d = np.sqrt(1.0 - gamma * gamma)
+    sp = photonic.single_photon
+
+    def second(path, pols):
+        return sum(gamma * sp(path, pol, 0) + d * sp(path, pol, 1) for pol in pols)
+
+    dip = photonic.evolve_two_photon(photonic.product_state(sp("2", "V", 0), second("3", "V")),
+                                     photonic.build_cz_network(bs))
+    p = sum(abs(amp) ** 2 for (i, j), amp in dip.terms.items()
+            if {MODES[i][0], MODES[j][0]} == {"2", "3"})
+    photon_a = (sp("out1", "H", 0) + sp("out1", "V", 0)) / np.sqrt(2)
+    out = photonic.evolve_two_photon(
+        photonic.product_state(photon_a, second("out4", "HV") / np.sqrt(2)),
+        photonic.build_full_network(bs))
+    rho, _ = walk_post_selection(out)
+    canon = circuit.canonicalize_to_singlet(qmath.DensityMatrix((2, 2), rho)).matrix
+    s, rd = circuit.singlet().density().matrix, noise.rho_dist().matrix
+    diff = s - rd
+    v = np.trace((canon - rd).conj().T @ diff).real / np.trace(diff.conj().T @ diff).real
+    return p, v, rho
+
+
 class TestModes:
     def test_index_round_trip(self):
         # (path, pol, label) -> mode_index is a bijection onto range(N_MODES).
@@ -197,6 +241,22 @@ class TestCommandCosts:
         assert cli.main(["--out", str(tmp_path), "photonic-verify"]) == 0
         assert len(calls) == 6
 
+    def test_hom_scan_evolutions_do_not_grow_with_the_grid(self, tmp_path, monkeypatch):
+        calls = []
+        evolve = photonic.evolve_two_photon
+        monkeypatch.setattr(photonic, "evolve_two_photon",
+                            lambda *a: calls.append(1) or evolve(*a))
+        counts = []
+        for n in (3, 100):
+            cfg = tmp_path / f"cfg{n}.json"
+            cfg.write_text(json.dumps({"gamma_grid": [k / (n - 1) for k in range(n)]}))
+            calls.clear()
+            assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"out{n}"),
+                             "hom-scan"]) == 0
+            counts.append(len(calls))
+        # Two label components each for the dip, the pipeline and the visibility.
+        assert counts == [6, 6]
+
     def test_hom_scan_builds_each_network_once(self, tmp_path, monkeypatch):
         built = []
         check = photonic.OpticalNetwork.__post_init__
@@ -221,22 +281,47 @@ class TestHom:
         assert photonic.hom_visibility(bs) == pytest.approx(1.0, abs=1e-12)
 
     def test_dip_endpoints(self):
-        assert photonic.hom_coincidence(0.0) == pytest.approx(5 / 9, abs=1e-12)
-        assert photonic.hom_coincidence(1.0) == pytest.approx(1 / 9, abs=1e-12)
+        p_dist, p_ind = photonic.hom_coincidence([0.0, 1.0])
+        assert p_dist == pytest.approx(5 / 9, abs=1e-12)
+        assert p_ind == pytest.approx(1 / 9, abs=1e-12)
 
     def test_dip_law_interior(self):
         # R = 1/3 coupler: P = R^2 + T^2 - 2 R T gamma^2 = (5 - 4 gamma^2) / 9.
         gammas = np.linspace(0.05, 0.95, 19)
-        probs = np.array([photonic.hom_coincidence(g) for g in gammas])
+        probs = photonic.hom_coincidence(gammas)
         assert np.max(np.abs(probs - (5 - 4 * gammas ** 2) / 9)) < 1e-12
 
     def test_dip_is_monotone(self):
-        probs = [photonic.hom_coincidence(g) for g in np.linspace(0, 1, 11)]
+        probs = photonic.hom_coincidence(np.linspace(0, 1, 11))
         assert np.all(np.diff(probs) < 0)
 
     def test_bad_overlap(self):
         with pytest.raises(photonic.OutOfRange):
-            photonic.hom_coincidence(1.5)
+            photonic.hom_coincidence([1.5])
+
+
+class TestGridKernels:
+    GRID = np.unique(np.concatenate([[0.0, 1.0], np.random.default_rng(37).uniform(0, 1, 35)]))
+
+    @pytest.mark.parametrize("bs", [photonic.IDEAL_BS, photonic.EXPERIMENTAL_BS,
+                                    photonic.BsParams(0.3, 0.45)], ids=str)
+    def test_kernels_match_a_per_point_reference(self, bs):
+        assert len(self.GRID) == 37
+        probs, weights = photonic.hom_scan(self.GRID, bs)
+        rho, _ = photonic.simulate_pipeline_grid(self.GRID, bs)
+        for k, gamma in enumerate(self.GRID):
+            p, v, r = reference_hom_point(float(gamma), bs)
+            assert abs(probs[k] - p) < 1e-12
+            assert abs(weights[k] - v) < 1e-12
+            assert np.max(np.abs(rho[k] - r)) < 1e-12
+
+    def test_single_point_views_equal_the_grid(self):
+        rho, mass = photonic.simulate_pipeline_grid([0.3, 0.7])
+        one, p = photonic.simulate_pipeline(gamma=0.7)
+        assert np.max(np.abs(one.matrix - rho[1])) < 1e-15 and abs(p - mass[1]) < 1e-15
+        canon = circuit.canonicalize_to_singlet(one)
+        v, dist = photonic.fit_visibility_weights(canon.matrix[None])
+        assert photonic.fit_visibility_weight(canon) == (v[0], dist[0])
 
 
 class TestPipeline:
@@ -276,32 +361,17 @@ class TestPipeline:
             photonic.product_state(a / np.linalg.norm(a), b / np.linalg.norm(b)),
             photonic.build_full_network(photonic.EXPERIMENTAL_BS),
         )
-        # Reference: decode each coincidence term by its path and polarization names.
-        logical = {"1": 0, "2": 1, "3": 1, "4": 0}
-        psi = np.zeros((2, 2, 2, 2), dtype=complex)
-        mass = 0.0
-        for (i, j), amp in s.terms.items():
-            m1, m2 = MODES[i], MODES[j]
-            if m1[0] in ("3", "4") and m2[0] in ("1", "2"):
-                m1, m2 = m2, m1
-            if not (m1[0] in ("1", "2") and m2[0] in ("3", "4")):
-                continue
-            mass += abs(amp) ** 2
-            qa, qb = int(m1[1] == "H"), int(m2[1] == "H")
-            if logical[m1[0]] == qa and logical[m2[0]] == qb:
-                psi[qa, m1[2], qb, m2[2]] += amp
-        psi /= np.linalg.norm(psi)
-        expect = np.einsum("akbl,ckdl->abcd", psi, psi.conj()).reshape(4, 4)
-        rho, got_mass = photonic.post_select_coincidence(s)
-        assert got_mass == pytest.approx(mass, abs=1e-12)
-        assert np.max(np.abs(rho.matrix - expect)) < 1e-12
+        expect, mass = walk_post_selection(s)
+        rho, got_mass = photonic.post_select_coincidence(s.tensor[None])
+        assert got_mass[0] == pytest.approx(mass, abs=1e-12)
+        assert np.max(np.abs(rho[0] - expect)) < 1e-12
 
     def test_empty_post_selection_raises(self):
         s = photonic.product_state(
             photonic.single_photon("out1", "V"), photonic.single_photon("out4", "V")
         )
         with pytest.raises(photonic.EmptyPostSelection):
-            photonic.post_select_coincidence(s)
+            photonic.post_select_coincidence(s.tensor[None])
 
 
 def delayed_singlet(eta: float) -> qmath.DensityMatrix:

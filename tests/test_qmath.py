@@ -113,8 +113,11 @@ UNIT_PARAMETERS = {
     "BsParams.R_H": lambda x: photonic.BsParams(R_H=x),
     "BsParams.R_V": lambda x: photonic.BsParams(R_V=x),
     "coupler_unitary": photonic.coupler_unitary,
-    "hom_coincidence": photonic.hom_coincidence,
+    "hom_coincidence": lambda x: photonic.hom_coincidence([0.5, x]),
     "prepared_input": photonic.prepared_input,
+    "simulate_pipeline": lambda x: photonic.simulate_pipeline(gamma=x),
+    "simulate_pipeline_grid": lambda x: photonic.simulate_pipeline_grid([0.5, x]),
+    "hom_scan": lambda x: photonic.hom_scan([0.5, x]),
     "dephased_singlet": noise.dephased_singlet,
     "distinguishable_state": noise.distinguishable_state,
     "baseline_state.eta": noise.baseline_state,
