@@ -36,14 +36,6 @@ def _outer_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _PAULI_PAIRS = _outer_kron(_PAULI_VEC, _PAULI_VEC)
 AXES = {"X": np.array([1.0, 0, 0]), "Y": np.array([0, 1.0, 0]), "Z": np.array([0, 0, 1.0])}
 AXIS_NAMES = "XYZ"
-# Linear-inversion rows of Pauli-pair setting 3 a + b, outcomes ++, +-, -+, --:
-# the correlator <ab> from its outcome frequencies, and the single-qubit
-# terms from its marginals, averaged over the three partner axes.
-_LINEAR_BLOCKS = (
-    np.multiply.outer([1, -1, -1, 1], _PAULI_PAIRS) / 4
-    + np.multiply.outer([1, 1, -1, -1], _outer_kron(_PAULI_VEC, I2[None])) / 12
-    + np.multiply.outer([1, -1, 1, -1], _outer_kron(I2[None], _PAULI_VEC)) / 12
-).transpose(1, 2, 0, 3, 4).reshape(9, 4, 4, 4)
 
 
 class CertifyError(Exception):
@@ -264,25 +256,19 @@ def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) ->
     return Counts(bases, rng.poisson(n_per_setting * _probabilities(rho, bases)))
 
 
-def _linear_inversion(bases: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(B, 4, 4) linear-inversion estimates from the (B, S, 4) counts of the setting
-    tuples ``bases`` (S, 2, 3): one (4S, 16) map applied to the outcome frequencies
-    of the nine Pauli-pair settings (the last one of each label when repeated).
-    Hermitian and unit trace by construction, but possibly not PSD at finite counts."""
-    ia, ib = axis_index(bases).T
-    labelled = (ia >= 0) & (ib >= 0)
-    row = np.full(9, -1)  # setting index of each Pauli pair, 3 a + b
-    row[3 * ia[labelled] + ib[labelled]] = np.flatnonzero(labelled)  # the last one wins
-    missing = [(AXIS_NAMES[k // 3], AXIS_NAMES[k % 3]) for k in np.flatnonzero(row < 0)]
-    if missing:
-        raise MissingSetting(f"missing Pauli settings: {missing}")
-    totals = counts.sum(axis=2)
-    if np.any(totals[:, row] == 0):
-        raise MissingSetting("a setting has all-zero counts")
-    lmap = np.zeros((len(bases), 4, 4, 4), dtype=complex)
-    lmap[row] = _LINEAR_BLOCKS
-    freq = (counts / np.where(totals == 0, 1.0, totals)[:, :, None]).reshape(len(counts), -1)
-    return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(-1, 4, 4)
+def _linear_inversion(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, 4, 4) least-squares states of the (B, S, 4) counts, no setting all zero, of the
+    settings with projector table ``table`` (S, 4, 4, 4): the pseudo-inverse of the
+    (4S, 16) map rho -> tr(rho Pi_k) applied to the outcome frequencies.  MissingSetting
+    unless the map has rank 16 (numpy's ``matrix_rank`` tolerance), that is unless the
+    settings are informationally complete.  Hermitian, unit trace, not always PSD."""
+    # The rows map rho^T to tr(rho Pi); the solution is Hermitian, so its conjugate is rho.
+    u, sv, vh = np.linalg.svd(table.reshape(-1, 16), full_matrices=False)
+    rank = int(np.sum(sv > sv.max(initial=0.0) * max(4 * len(table), 16) * np.finfo(float).eps))
+    if rank < 16:
+        raise MissingSetting(f"settings not informationally complete: rank {rank} of 16")
+    freq = (counts / counts.sum(axis=2, keepdims=True)).reshape(len(counts), -1)
+    return ((freq @ u / sv) @ vh).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -332,7 +318,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     than that, or whose search fails, keeps the iterate.  A member converges
     once its gain stays below ``STALL_TOL`` for 10 iterations, or gives up after
     ``max_iter``.  All-zero settings are dropped; a member that drops none
-    starts from linear inversion, else from I/4, unless ``init`` gives one
+    starts from ``_linear_inversion``, else from I/4, unless ``init`` gives one
     start or one per member.  The iteration holds rho, R and each Pi_k as their
     real 8x8 images (``_real_image``), so Hermitization is symmetrization, and
     carries the outcome probabilities of each member's accepted iterate.
@@ -349,7 +335,8 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     if np.any(dropped == len(bases)):
         raise MissingSetting("no settings with nonzero counts")
-    proj = _real_image(projector_table(bases).reshape(-1, 4, 4))
+    table = projector_table(bases)
+    proj = _real_image(table.reshape(-1, 4, 4))
     # p_k = tr(Pi_k rho) = vec(Pi_k) . vec(rho) / 2 for the symmetric images;
     # their first four rows hold every entry of the complex matrix once.
     proj_top = proj[:, :4].reshape(len(proj), 32).T
@@ -358,7 +345,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
 
     start = np.broadcast_to(np.eye(4) / 4 if init is None else init, (b, 4, 4)).astype(complex)
     if init is None and np.any(dropped == 0):
-        start[dropped == 0] = _linear_inversion(bases, counts[dropped == 0])
+        start[dropped == 0] = _linear_inversion(table, counts[dropped == 0])
     # Blend in a little of the identity: the fixed point cannot leave the
     # support of the iterate, so the start must be full rank.
     rho = _real_image(0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4)

@@ -385,7 +385,7 @@ def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     bs = cfg.bs_params()
     grid = [float(g) for g in cfg.gamma_grid]
-    probs, weights = photonic.hom_scan(grid, bs)
+    probs, weights, visibility = photonic.hom_scan(grid, bs)
     rows = []
     for g, p in zip(grid, probs.tolist()):
         delay = (
@@ -399,7 +399,7 @@ def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
     write_json(out / "hom_summary.json", cfg, {
         "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
-        "visibility": float(photonic.hom_visibility(bs)),
+        "visibility": visibility,
         "visibility_ideal_theory": 0.8,
     })
     return EXIT_OK
@@ -440,6 +440,8 @@ def _verdict(summary: dict, errors: dict) -> str:
 
 def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
+    if args.counts is not None and args.state is not None:
+        raise ParseError("certify takes --counts or --state, not both")
     if args.counts is not None:
         data = load_counts_csv(args.counts)
     elif args.state is not None:

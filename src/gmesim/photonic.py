@@ -240,8 +240,8 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     second); components where path and polarization disagree exit through
     unused ports and are dropped.  Temporal labels are traced out.  Returns
     the (G, 4, 4) decoded density matrices and the (G,) pre-normalization
-    coincidence masses; the 16x16 states before the trace and the 4x4 states
-    after it are both checked as density matrices.
+    coincidence masses; the normalized 16-amplitude vectors before the trace
+    are checked finite, and the 4x4 states after it as density matrices.
     """
     mass = pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
     if np.any(mass < 1e-14):
@@ -253,8 +253,9 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(decoded < 1e-14):
         raise EmptyPostSelection("no path-polarization-consistent coincidence terms")
     vec = vec / np.sqrt(decoded)[:, None]
+    if not np.all(np.isfinite(vec)):
+        raise qmath.QmathError("decoded state contains NaN or Inf entries")
     full = vec[:, :, None] * vec[:, None, :].conj()
-    qmath.check_density(full)
     pol = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
     qmath.check_density(pol)
     return pol, mass
@@ -315,10 +316,14 @@ def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
     return pair_mass(t, ("2",), ("3",))
 
 
+def _dip_visibility(probs: np.ndarray) -> float:
+    """(P_max - P_min)/P_max from the dip's last two entries, at overlaps 0 and 1."""
+    return float((probs[-2] - probs[-1]) / probs[-2])
+
+
 def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
     """(P_max - P_min)/P_max between distinguishable and indistinguishable photons."""
-    p_dist, p_ind = hom_coincidence([0.0, 1.0], bs).tolist()
-    return (p_dist - p_ind) / p_dist
+    return _dip_visibility(hom_coincidence([0.0, 1.0], bs))
 
 
 def prepared_input(gamma: float = 1.0) -> FockState:
@@ -372,13 +377,16 @@ def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
     return float(v[0]), float(dist[0])
 
 
-def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray]:
-    """HOM dip P and singlet weight v of the post-selected state, per overlap, as (G,) arrays.
+def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray, float]:
+    """HOM dip P and singlet weight v of the post-selected state, per overlap, as (G,)
+    arrays, and the ``hom_visibility`` of ``bs``.
 
     Four evolutions whatever the number of overlaps: the dip's two label
-    components through the couplers and the pipeline's two through the full
+    components through the couplers, combined for the overlaps and the
+    visibility's endpoints 0 and 1, and the pipeline's two through the full
     network.  v is fitted in the frame of ``circuit.singlet_frame``.
     """
-    probs = hom_coincidence(overlaps, bs)
+    probs = hom_coincidence([*overlaps, 0.0, 1.0], bs)
     rho, _ = simulate_pipeline_grid(overlaps, bs)
-    return probs, fit_visibility_weights(circuit.singlet_frame(rho))[0]
+    weights = fit_visibility_weights(circuit.singlet_frame(rho))[0]
+    return probs[:-2], weights, _dip_visibility(probs)

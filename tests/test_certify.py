@@ -160,14 +160,15 @@ class TestCounts:
 
 class TestTomography:
     def test_linear_inversion_recovers_truth_asymptotically(self):
-        p = _trace(SINGLET.matrix @ certify.projector_table(certify.PAULI_SETTINGS))
-        rho = certify._linear_inversion(certify.PAULI_SETTINGS, np.round(1e9 * p)[None])[0]
+        table = certify.projector_table(certify.PAULI_SETTINGS)
+        p = _trace(SINGLET.matrix @ table)
+        rho = certify._linear_inversion(table, np.round(1e9 * p)[None])[0]
         assert np.max(np.abs(rho - SINGLET.matrix)) < 1e-6
 
     def test_linear_inversion_missing_setting(self):
         data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
-        with pytest.raises(certify.MissingSetting):
-            certify._linear_inversion(data.bases, data.n[None])
+        with pytest.raises(certify.MissingSetting, match="not informationally complete"):
+            certify._linear_inversion(certify.projector_table(data.bases), data.n[None])
 
     def test_mle_recovers_mixed_truth(self):
         truth = noise.dephased_singlet(0.5)
@@ -187,7 +188,8 @@ class TestTomography:
                 out += np.dot(n, np.log(np.maximum(p, 1e-300)))
             return out
 
-        lin = certify._psd_project(certify._linear_inversion(data.bases, data.n[None])[0])
+        table = certify.projector_table(data.bases)
+        lin = certify._psd_project(certify._linear_inversion(table, data.n[None])[0])
         assert res.log_likelihood >= ll(lin) - 1e-6
 
     def test_mle_drops_empty_settings(self):
@@ -268,8 +270,8 @@ def _serial_em(bases, counts, max_iter, init=None):
     kept = counts.sum(axis=1) > 0
     proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
     if init is None:
-        init = (certify._linear_inversion(bases, counts[None])[0] if kept.all()
-                else np.eye(4) / 4)
+        init = (certify._linear_inversion(certify.projector_table(bases), counts[None])[0]
+                if kept.all() else np.eye(4) / 4)
     counts = counts[kept].reshape(-1)
     rho = 0.999 * certify._psd_project(init) + 0.001 * np.eye(4) / 4
 
@@ -552,7 +554,7 @@ class TestVectorisedMeasurement:
         data = certify.simulate_counts(SINGLET, [], 10, 1)
         assert len(data) == 0 and data.bases.shape == (0, 2, 3) and data.n.shape == (0, 4)
         with pytest.raises(certify.MissingSetting):
-            certify._linear_inversion(data.bases, data.n[None])
+            certify._linear_inversion(certify.projector_table(data.bases), data.n[None])
 
     def test_outcome_probabilities_need_two_qubits(self):
         with pytest.raises(qmath.DimensionMismatch):
@@ -571,10 +573,22 @@ class TestVectorisedMeasurement:
         assert (idx[:24] >= 0).all() == labelled
 
     def test_linear_inversion_equals_the_per_label_loop(self):
+        # Pauli-only sets, in any order: the per-label map.  Sets with extra or
+        # repeated rows: the least-squares solution, which averages repeats.
         rng = np.random.default_rng(11)
-        bases = np.concatenate([certify.PAULI_SETTINGS,
-                                [[[0.6, 0.8, 0.0], Z], [X, Y], [[1.0, 1e-10, 0.0], Z]]])
-        for _ in range(5):
-            counts = rng.poisson(500.0, size=(len(bases), 4)).astype(float)
-            ref = _loop_linear_inversion(bases, counts)
-            assert np.array_equal(certify._linear_inversion(bases, counts[None])[0], ref)
+        pauli = [certify.PAULI_SETTINGS, certify.PAULI_SETTINGS[rng.permutation(9)]]
+        extra = [np.concatenate([certify.PAULI_SETTINGS, rows]) for rows in (
+            [[[0.6, 0.8, 0.0], Z], [X, Y], [[1.0, 1e-10, 0.0], Z]], [[Z, Z], [X, X], [X, X]])]
+        for bases in pauli + extra:
+            table = certify.projector_table(bases)
+            # tr(rho Pi) as a (4S, 16) map on the entries of rho.
+            lmap = table.reshape(-1, 4, 4).swapaxes(-1, -2).reshape(-1, 16)
+            for _ in range(5):
+                counts = rng.poisson(500.0, size=(len(bases), 4)).astype(float)
+                got = certify._linear_inversion(table, counts[None])[0]
+                if len(bases) == 9:
+                    ref = _loop_linear_inversion(bases, counts)
+                else:
+                    freq = (counts / counts.sum(axis=1, keepdims=True)).reshape(-1)
+                    ref = np.linalg.lstsq(lmap, freq.astype(complex), rcond=None)[0]
+                assert np.max(np.abs(got - ref.reshape(4, 4))) < 1e-14

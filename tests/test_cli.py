@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmesim import certify, circuit, cli, noise
+from gmesim import certify, circuit, cli, noise, qmath
 
 
 def run(*argv):
@@ -378,6 +378,31 @@ class TestSimulateCountsAndCertify:
     def test_certify_without_input_is_parse_error(self, tmp_path):
         assert run("--out", str(tmp_path), "certify") == 2
 
+    def test_certify_accepts_a_tetrahedral_setting_set(self, tmp_path):
+        # The 16 pairs of tetrahedral axes are informationally complete but hold
+        # no Pauli pair; a full-rank source (Werner, p = 0.5) keeps the fit short.
+        tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        werner = qmath.DensityMatrix((2, 2), 0.5 * noise.SINGLET + 0.5 * np.eye(4) / 4)
+        data = certify.simulate_counts(werner, [[a, b] for a in tet for b in tet], 10_000, 5)
+        assert (certify.axis_index(data.bases) < 0).all()
+        cli.write_counts_csv(tmp_path / "counts.csv", cli.ExperimentConfig(), data)
+        assert run("--out", str(tmp_path), "certify", "--counts", str(tmp_path / "counts.csv"),
+                   "--mc-replicas", "10") == 0
+        v = read_json(tmp_path / "verdict.json")
+        assert v["converged"] and v["mc_converged"] == 10 and v["dropped_settings"] == 0
+        assert v["quantities"]["fidelity_to_target"] == pytest.approx(0.625, abs=0.01)
+
+    @pytest.mark.parametrize("rows", [["ZZ"], [a + b for a in "XYZ" for b in "XYZ"][:-1]],
+                             ids=["zz-only", "pauli-without-zz"])
+    def test_incomplete_settings_are_named(self, tmp_path, capsys, rows):
+        p = tmp_path / "counts.csv"
+        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
+                     + "".join(f"{a},{b},10,20,30,40\n" for a, b in rows))
+        assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: settings not informationally complete")
+        assert err.count("\n") == 1
+
     def test_negative_count_is_parse_error_with_line(self, tmp_path, capsys):
         run("--out", str(tmp_path), "--seed", "3", "simulate-counts", "--model", "singlet")
         lines = (tmp_path / "counts.csv").read_text().splitlines()
@@ -428,12 +453,14 @@ class TestOutOfRangeInputs:
         (None, ("certify", "--counts", "{huge}")),
         (None, ("certify", "--counts", "{nan_axis}")),
         (None, ("certify", "--counts", "{far_negative}")),
+        (None, ("certify", "--counts", "{all}", "--state", "{mixed}")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
             "replicas-above-cap",
             "missing-setting", "singlet-eta", "dephased-v", "state-three-qubits",
             "state-not-density", "counts-1e19", "counts-1e20", "counts-flag-above-cap",
-            "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64"])
+            "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64",
+            "counts-and-state"])
     def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
         paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv",
                  "huge": tmp_path / "huge.csv", "nan_axis": tmp_path / "nan_axis.csv",
@@ -444,7 +471,8 @@ class TestOutOfRangeInputs:
                 f"{a},{b},10,20,30,{last}\n" for a in "XYZ" for b in "XYZ"
                 if name != "no_zz" or a + b != "ZZ")
                 + ("nan:0:1,Z,10,10,10,10\n" if name == "nan_axis" else ""))
-        for name, dim, diag in (("three_qubits", 8, 1 / 8), ("not_density", 4, 1 / 2)):
+        for name, dim, diag in (("three_qubits", 8, 1 / 8), ("not_density", 4, 1 / 2),
+                                ("mixed", 4, 1 / 4)):
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_text(json.dumps({
                 "dims": [2] * int(math.log2(dim)),

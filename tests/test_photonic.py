@@ -254,8 +254,9 @@ class TestCommandCosts:
             assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"out{n}"),
                              "hom-scan"]) == 0
             counts.append(len(calls))
-        # Two label components each for the dip, the pipeline and the visibility.
-        assert counts == [6, 6]
+        # Two label components each for the dip (its grid and the visibility's
+        # endpoints) and the pipeline.
+        assert counts == [4, 4]
 
     def test_hom_scan_builds_each_network_once(self, tmp_path, monkeypatch):
         built = []
@@ -307,7 +308,8 @@ class TestGridKernels:
                                     photonic.BsParams(0.3, 0.45)], ids=str)
     def test_kernels_match_a_per_point_reference(self, bs):
         assert len(self.GRID) == 37
-        probs, weights = photonic.hom_scan(self.GRID, bs)
+        probs, weights, visibility = photonic.hom_scan(self.GRID, bs)
+        assert visibility == photonic.hom_visibility(bs)
         rho, _ = photonic.simulate_pipeline_grid(self.GRID, bs)
         for k, gamma in enumerate(self.GRID):
             p, v, r = reference_hom_point(float(gamma), bs)
@@ -372,6 +374,14 @@ class TestPipeline:
         )
         with pytest.raises(photonic.EmptyPostSelection):
             photonic.post_select_coincidence(s.tensor[None])
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_tensors_raise(self, entry):
+        # NaN passes the mass and norm tests; the decoded-vector check catches it,
+        # and the reduced-state check catches a norm that overflows to inf.
+        t = np.full((1, photonic.N_MODES, photonic.N_MODES), entry)
+        with np.errstate(all="ignore"), pytest.raises(qmath.QmathError):
+            photonic.post_select_coincidence(t)
 
 
 def delayed_singlet(eta: float) -> qmath.DensityMatrix:
