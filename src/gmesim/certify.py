@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, qmath
-from .qmath import (
-    DensityMatrix,
-    I2,
-    PureState,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-)
+from . import noise, qmath
+from .qmath import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULI_VEC = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -163,28 +156,21 @@ def _negativity(eigs: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.minimum(eigs, 0.0)), axis=1)
 
 
-def _fidelities(rhos: np.ndarray, targets) -> np.ndarray:
-    """Fidelity of rhos[b] to targets[b]: the overlap for a PureState target,
-    the Uhlmann formula (tr sqrt(sqrt(t) rho sqrt(t)))^2 for a DensityMatrix."""
-    out = np.empty(len(rhos))
-    pure = np.array([isinstance(t, PureState) for t in targets])
-    if pure.any():
-        v = np.stack([t.amplitudes for t in targets if isinstance(t, PureState)])
-        out[pure] = np.einsum("bi,bij,bj->b", v.conj(), rhos[pure], v).real
-    if not pure.all():
-        tm = np.stack([t.matrix for t in targets if not isinstance(t, PureState)])
-        tvals, tvecs = np.linalg.eigh(tm)
-        sq = (tvecs * np.sqrt(np.clip(tvals, 0.0, None))[:, None, :]) @ _dagger(tvecs)
-        m = sq @ rhos[~pure] @ sq
-        mvals = np.linalg.eigvalsh((m + _dagger(m)) / 2)
-        out[~pure] = np.sum(np.sqrt(np.clip(mvals, 0.0, None)), axis=1) ** 2
-    return out
+def _fidelities(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Uhlmann fidelity (tr sqrt(sqrt(t) rho sqrt(t)))^2 of each member of ``rhos`` to
+    ``targets``: one (4, 4) state shared by every member, whose square root is taken
+    once, or a (B, 4, 4) stack, one per member."""
+    tvals, tvecs = np.linalg.eigh(targets)
+    sq = (tvecs * np.sqrt(np.clip(tvals, 0.0, None))[..., None, :]) @ _dagger(tvecs)
+    m = sq @ rhos @ sq
+    mvals = np.linalg.eigvalsh((m + _dagger(m)) / 2)
+    return np.sum(np.sqrt(np.clip(mvals, 0.0, None)), axis=1) ** 2
 
 
 def derived_batch(rhos: np.ndarray, targets=None, chsh_settings=None) -> dict:
     """Witness, maximal CHSH and partial-transpose spectrum of every member of a
-    (B, 4, 4) stack; also the fidelity to ``targets[b]`` and CHSH at the four
-    ``chsh_settings`` when those are given."""
+    (B, 4, 4) stack; also the fidelity to ``targets`` (see ``_fidelities``) and
+    CHSH at the four ``chsh_settings`` when those are given."""
     t = _correlations(rhos)
     eigs = _pt_spectra(rhos)
     q = {
@@ -214,8 +200,7 @@ def witness_w(rho: DensityMatrix) -> float:
 
 def singlet_optimal_settings() -> np.ndarray:
     """(4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
-    z = AXES["Z"]
-    x = AXES["X"]
+    z, x = AXES["Z"], AXES["X"]
     b0 = -(z + x) / np.sqrt(2)
     b1 = (x - z) / np.sqrt(2)
     return np.array([[z, b0], [z, b1], [x, b0], [x, b1]])
@@ -240,20 +225,22 @@ def chsh_max(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     return float(value[0]), settings[0]
 
 
-def _probabilities(rho: DensityMatrix, bases) -> np.ndarray:
-    """(S, 4) outcome probabilities tr(rho Pi), clipped to [0, 1]."""
-    qmath.check_two_qubit(rho)
-    return np.clip(_trace(rho.matrix @ projector_table(bases)), 0.0, 1.0)
+def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) -> np.ndarray:
+    """(B, S, 4) independent Poisson counts with means N tr(rho_b Pi) for each state of
+    the (B, 4, 4) stack ``rhos`` and each setting tuple of ``bases`` (S, 2, 3), from
+    one projector table.  Member b is one (S, 4) draw from ``default_rng(seeds[b])``:
+    numpy fills it in C order, the order of a draw of four per setting."""
+    if n_per_setting < 1:
+        raise CertifyError("n_per_setting must be >= 1")
+    probs = np.clip(_trace(rhos[:, None, None] @ projector_table(bases)), 0.0, 1.0)
+    return np.stack([np.random.default_rng(seed).poisson(n_per_setting * p)
+                     for seed, p in zip(seeds, probs)])
 
 
 def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) -> Counts:
-    """Draw independent Poisson counts with means N p(outcome) for each setting tuple
-    of ``bases`` (S, 2, 3), as one (S, 4) draw: numpy fills it in C order, the order
-    of a draw of four per setting."""
-    if n_per_setting < 1:
-        raise CertifyError("n_per_setting must be >= 1")
-    rng = np.random.default_rng(seed)
-    return Counts(bases, rng.poisson(n_per_setting * _probabilities(rho, bases)))
+    """The dataset of ``simulate_counts_batch`` for one two-qubit state."""
+    qmath.check_two_qubit(rho)
+    return Counts(bases, simulate_counts_batch(rho.matrix[None], bases, n_per_setting, [seed])[0])
 
 
 def _linear_inversion(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -418,21 +405,20 @@ FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_setti
 def fit(bases: np.ndarray, counts: np.ndarray, targets, chsh_settings=None) -> dict:
     """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
     projected onto density matrices, validated, and its ``derived_batch`` quantities
-    with ``targets[b]`` the fidelity reference of member b: one array over the
-    members for each quantity and for each of ``FIT_FIELDS``."""
+    with ``targets`` the fidelity reference, one (4, 4) state or one per member: one
+    array over the members for each quantity and for each of ``FIT_FIELDS``."""
     rho, *diagnostics = mle_batch(bases, counts)
-    rho = _psd_project(rho)
-    qmath.check_density(rho)
+    rho = qmath.check_density(_psd_project(rho))
     q = derived_batch(rho, targets, chsh_settings)
     q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
     return q
 
 
-def tomography_mle(data: Counts, target=None) -> TomographyResult:
-    """``fit`` of one dataset as a TomographyResult; ``target`` (a PureState or
-    DensityMatrix, default the singlet) is the reference for the fidelity figure."""
-    target = circuit.singlet() if target is None else target
-    q = {key: val[0].tolist() for key, val in fit(data.bases, data.n[None], [target]).items()}
+def tomography_mle(data: Counts, target: DensityMatrix | None = None) -> TomographyResult:
+    """``fit`` of one dataset as a TomographyResult; ``target`` (default the singlet)
+    is the reference for the fidelity figure."""
+    target = noise.SINGLET if target is None else target.matrix
+    q = {key: val[0].tolist() for key, val in fit(data.bases, data.n[None], target).items()}
     return TomographyResult(
         DensityMatrix((2, 2), q["rho"]), q["log_likelihood"], q["fidelity_to_target"],
         tuple(q["ppt_eigenvalues"]), q["negativity"], q["converged"], q["iterations"],
@@ -445,37 +431,43 @@ def bootstrap(
 ) -> tuple[dict, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
-    Replica r redraws every count from Poisson(count) with the generator
-    seeded by ``[seed, r]``; the counts themselves and all replicas are then
-    fitted as one ``fit`` stack, the counts as member 0.  Returns the sample
-    standard deviations of the replicas' ``derived_batch`` quantities, the
-    number of replicas whose MLE converged, and member 0's ``fit`` fields: the
-    point estimate.  Deterministic given the seed.
+    The settings with counts must be informationally complete (MissingSetting
+    otherwise): an all-zero row measures nothing.  Replica r redraws every count
+    from Poisson(count) with the generator seeded by ``[seed, r]``; the counts
+    themselves and all replicas are then fitted as one ``fit`` stack, the counts
+    as member 0.  Returns the sample standard deviations of the replicas'
+    ``derived_batch`` quantities, the number of replicas whose MLE converged,
+    and member 0's ``fit`` fields: the point estimate.  ``target`` is a (4, 4)
+    state, default the singlet.  Deterministic given the seed.
     """
     if replicas < 2:
         raise CertifyError("replicas must be >= 2")
-    target = circuit.singlet() if target is None else target
+    kept = data.n.any(axis=1)  # the rank test of the settings the data measured
+    _linear_inversion(projector_table(data.bases[kept]), data.n[kept][None])
+    target = noise.SINGLET if target is None else target
     chsh_settings = singlet_optimal_settings() if chsh_settings is None else chsh_settings
     stack = np.stack([data.n, *(
         np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
     )])
-    q = fit(data.bases, stack, [target] * (replicas + 1), chsh_settings)
+    q = fit(data.bases, stack, target, chsh_settings)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
     return sd, int(np.sum(q["converged"][1:])), {key: val[0] for key, val in q.items()}
 
 
-def monte_carlo_errors(
-    data: Counts, replicas: int, seed: int, target=None, chsh_settings=None
-) -> dict:
+def monte_carlo_errors(data: Counts, replicas: int, seed: int,
+                       target: DensityMatrix | None = None, chsh_settings=None) -> dict:
     """The standard deviations of ``bootstrap``."""
+    target = None if target is None else target.matrix
     return bootstrap(data, replicas, seed, target, chsh_settings)[0]
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
-    """Ginibre-induced random mixed state."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    dims = (2, 2) if dim == 4 else (dim,)
-    return DensityMatrix(dims, m)
+def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4, 4) Ginibre-induced random mixed states, checked once.  State k equals
+    the single draw g = normal(4, 4) + i normal(4, 4), g g^dagger / tr that follows
+    k others from ``rng``."""
+    x = rng.normal(size=(n, 2, 4, 4))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ _dagger(g)
+    m /= _trace(m)[:, None, None]
+    return qmath.check_density(m)

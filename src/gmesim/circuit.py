@@ -99,13 +99,9 @@ def build_gme_circuit(phi: float = pi, phases=None) -> GmeCircuit:
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a k-qubit gate to the given target qubits of a 4-qubit state."""
     k = len(targets)
-    psi = state.reshape([2] * N_QUBITS)
-    psi = np.moveaxis(psi, targets, range(k))
-    shape = psi.shape
-    psi = gate.reshape([2] * (2 * k)).reshape(2**k, 2**k) @ psi.reshape(2**k, -1)
-    psi = psi.reshape(shape)
-    psi = np.moveaxis(psi, range(k), targets)
-    return psi.reshape(-1)
+    psi = np.moveaxis(state.reshape([2] * N_QUBITS), targets, range(k))
+    psi = (gate @ psi.reshape(2**k, -1)).reshape(psi.shape)
+    return np.moveaxis(psi, range(k), targets).reshape(-1)
 
 
 def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> PureState:

@@ -252,20 +252,28 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
 
 
 def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | None):
+    """The (4, 4) density matrix of a named model."""
     if name == "singlet":
-        return circuit.singlet().density()
+        return noise.SINGLET
     if name == "dephased":
-        return noise.dephased_singlet(eta if eta is not None else 0.0)
+        return noise.dephased_singlets(eta if eta is not None else 0.0)
     if name == "baseline":
-        return noise.baseline_state(eta if eta is not None else 0.0, cfg.baseline_weight)
+        return noise.baseline_states(eta if eta is not None else 0.0, cfg.baseline_weight)
     if name == "distinguishable":
-        return noise.distinguishable_state(v if v is not None else 1.0)
+        return noise.distinguishable_states(v if v is not None else 1.0)
     if name == "maximally-mixed":
-        return qmath.DensityMatrix((2, 2), np.eye(4) / 4)
+        return np.eye(4, dtype=complex) / 4
     if name == "circuit":
         full = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
-        return circuit.canonicalize_to_singlet(circuit.reduced_spin_state(full))
+        return circuit.canonicalize_to_singlet(circuit.reduced_spin_state(full)).matrix
     raise ParseError(f"unknown model {name!r}")
+
+
+def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
+    """Counts of the (4, 4) state ``rho`` at the Pauli pairs, drawn from the config's seed."""
+    n = certify.simulate_counts_batch(
+        rho[None], certify.PAULI_SETTINGS, cfg.counts_per_setting, [cfg.seed])
+    return certify.Counts(certify.PAULI_SETTINGS, n[0])
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +309,8 @@ def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     r = args.reflectivity
+    if r is not None and args.bs is not None:
+        raise ParseError("photonic-verify takes --bs or --reflectivity, not both")
     bs = cfg.bs_params() if r is None else photonic.BsParams(r, r)
     channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
     amps = np.diagonal(channel)
@@ -339,23 +349,24 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     grid = cfg.eta_grid if param == "eta" else cfg.v_grid
     if not grid:
         raise ParseError(f"{param}_grid is empty")
-    ideals = [noise.dephased_singlet(x) if param == "eta" else noise.distinguishable_state(x)
-              for x in grid]
-    baselines = ([noise.baseline_state(x, cfg.baseline_weight) for x in grid]
-                 if param == "eta" else ideals)
-    # One kernel call over the ideal and the baseline states of every grid point.
-    q = certify.derived_batch(np.stack([rho.matrix for rho in ideals + baselines]))
     g = len(grid)
-    columns = (q["witness"][:g], q["witness"][g:], q["chsh_max"][:g], q["negativity"][:g],
+    if param == "eta":
+        ideals = noise.dephased_singlets(grid)
+        states = np.concatenate([ideals, noise.baseline_states(grid, cfg.baseline_weight)])
+    else:  # the baseline of a v scan is its ideal family
+        ideals = states = noise.distinguishable_states(grid)
+    # One kernel call over the ideal states, then the baseline states of an eta scan.
+    q = certify.derived_batch(states)
+    columns = (q["witness"][:g], q["witness"][-g:], q["chsh_max"][:g], q["negativity"][:g],
                q["min_pt_eigenvalue"][:g])
     rows = [[float(x), *vals] for x, *vals in zip(grid, *(c.tolist() for c in columns))]
     converged = True
     if cfg.counts_per_setting > 0:
         # Each point's counts from its own seed, then one stacked fit.
-        counts = np.stack([certify.simulate_counts(
-            rho, certify.PAULI_SETTINGS, cfg.counts_per_setting,
-            int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0]),
-        ).n for idx, rho in enumerate(ideals)])
+        seeds = [int(np.random.SeedSequence([cfg.seed, idx]).generate_state(1)[0])
+                 for idx in range(g)]
+        counts = certify.simulate_counts_batch(
+            ideals, certify.PAULI_SETTINGS, cfg.counts_per_setting, seeds)
         fitted = certify.fit(certify.PAULI_SETTINGS, counts, ideals)
         for idx, x in enumerate(grid):
             write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
@@ -386,14 +397,9 @@ def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     bs = cfg.bs_params()
     grid = [float(g) for g in cfg.gamma_grid]
     probs, weights, visibility = photonic.hom_scan(grid, bs)
-    rows = []
-    for g, p in zip(grid, probs.tolist()):
-        delay = (
-            math.inf if g == 0.0
-            else 0.0 if g >= 1.0
-            else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g))
-        )
-        rows.append([g, delay, p])
+    rows = [[g, math.inf if g == 0.0 else 0.0 if g >= 1.0
+             else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g)), p]
+            for g, p in zip(grid, probs.tolist())]
     vrows = [[g, v] for g, v in zip(grid, weights.tolist())]
     write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
@@ -413,19 +419,14 @@ def cmd_simulate_counts(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                                  ("--v", args.v, ("distinguishable",))):
         if value is not None and args.model not in readers:
             raise ParseError(f"--model {args.model} does not read {flag}")
-    rho = model_state(args.model, cfg, args.eta, args.v)
-    data = certify.simulate_counts(rho, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed)
+    data = _simulated_counts(model_state(args.model, cfg, args.eta, args.v), cfg)
     write_counts_csv(out / "counts.csv", cfg, data)
     return EXIT_OK
 
 
 def _verdict(summary: dict, errors: dict) -> str:
-    s = summary["chsh_fixed"]
-    w = summary["witness"]
-    min_pt = summary["min_pt_eigenvalue"]
-    s_sig = errors["chsh_fixed"]
-    w_sig = errors["witness"]
-    pt_sig = errors["min_pt_eigenvalue"]
+    keys = ("chsh_fixed", "witness", "min_pt_eigenvalue")
+    (s, w, min_pt), (s_sig, w_sig, pt_sig) = ([d[k] for k in keys] for d in (summary, errors))
     if s - 3 * s_sig > 2.0:
         return "certified_bell"
     if w + 3 * w_sig < 0.0:
@@ -447,17 +448,11 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     elif args.state is not None:
         if cfg.counts_per_setting < 1:
             raise ParseError("certify --state needs counts_per_setting >= 1")
-        rho_in = load_state_json(args.state)
-        data = certify.simulate_counts(
-            rho_in, certify.PAULI_SETTINGS, cfg.counts_per_setting, cfg.seed
-        )
+        data = _simulated_counts(load_state_json(args.state).matrix, cfg)
     else:
         raise ParseError("certify needs --counts or --state")
-    target = circuit.singlet()
-    settings = certify.singlet_optimal_settings()
-    errors, mc_converged, q = certify.bootstrap(
-        data, cfg.mc_replicas, cfg.seed, target=target, chsh_settings=settings
-    )
+    # Fidelity to the singlet, CHSH at its optimal settings: bootstrap's defaults.
+    errors, mc_converged, q = certify.bootstrap(data, cfg.mc_replicas, cfg.seed)
     summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
     verdict = _verdict(summary, errors)
     write_json(out / "verdict.json", cfg, {

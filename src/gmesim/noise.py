@@ -3,7 +3,10 @@
 Two one-parameter families are modeled: polarization-delay dephasing
 (parameter eta, erasing coherences between different second-qubit
 polarizations) and photon-distinguishability mixing (parameter v, the
-weight of the singlet component).
+weight of the singlet component).  Each family maps an array of parameters,
+or one number, to the (..., 4, 4) stack of its states, range-checked and
+density-checked once; ``dephased_singlet``, ``distinguishable_state`` and
+``baseline_state`` are its single-state views.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import singlet
-from .qmath import DensityMatrix, I2, OutOfRange, SIGMA_Z, check_unit  # noqa: F401
+from .qmath import DensityMatrix, I2, OutOfRange, SIGMA_Z, check_density, check_unit  # noqa: F401
 
 # Read-only two-qubit matrices the state families are built from.
 SINGLET = singlet().density().matrix
@@ -34,24 +37,29 @@ def rho_dist() -> DensityMatrix:
     return DensityMatrix((2, 2), RHO_DIST.copy())
 
 
-def _dephased(m: np.ndarray, eta: float) -> np.ndarray:
+def _unit(x, name: str) -> np.ndarray:
+    """The range-checked parameters ``x`` with two unit axes appended, to scale 4x4 matrices."""
+    return np.asarray(check_unit(x, name))[..., None, None]
+
+
+def _dephased(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """(1 - eta) m + eta D(m), D the phase flip on the second qubit: coherences
     between H and V of the delayed photon scale by (1 - eta)."""
     return (1 - eta) * m + eta * (0.5 * (m + _Z2 @ m @ _Z2))
 
 
-def dephased_singlet(eta: float) -> DensityMatrix:
+def dephased_singlets(eta) -> np.ndarray:
     """(1 - eta)|S><S| + eta rho_mix."""
-    return DensityMatrix((2, 2), _dephased(SINGLET, check_unit(eta, "eta")))
+    return check_density(_dephased(SINGLET, _unit(eta, "eta")))
 
 
-def distinguishable_state(v: float) -> DensityMatrix:
+def distinguishable_states(v) -> np.ndarray:
     """v |S><S| + (1 - v) rho_dist."""
-    v = check_unit(v, "v")
-    return DensityMatrix((2, 2), v * SINGLET + (1 - v) * RHO_DIST)
+    v = _unit(v, "v")
+    return check_density(v * SINGLET + (1 - v) * RHO_DIST)
 
 
-def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
+def baseline_states(eta, weight: float = 0.86) -> np.ndarray:
     """Experimental-baseline model: dephased mixture of singlet and rho_mix.
 
     The default weight 0.86 reproduces the measured witness value of the
@@ -59,7 +67,19 @@ def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
     """
     weight = check_unit(weight, "weight")
     m = weight * SINGLET + (1 - weight) * RHO_MIX
-    return DensityMatrix((2, 2), _dephased(m, check_unit(eta, "eta")))
+    return check_density(_dephased(m, _unit(eta, "eta")))
+
+
+def dephased_singlet(eta: float) -> DensityMatrix:
+    return DensityMatrix((2, 2), dephased_singlets(eta))
+
+
+def distinguishable_state(v: float) -> DensityMatrix:
+    return DensityMatrix((2, 2), distinguishable_states(v))
+
+
+def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
+    return DensityMatrix((2, 2), baseline_states(eta, weight))
 
 
 def baseline_witness_zero_crossing(weight: float = 0.86) -> float | None:

@@ -209,10 +209,10 @@ def _evolve_labels(inputs: tuple[FockState, FockState], overlaps, name: str,
     """The (G, N, N) evolved tensors of gamma inputs[0] + sqrt(1 - gamma^2) inputs[1], per overlap.
 
     ``inputs`` are the second photon's two label components, each evolved
-    once.  Each overlap passes ``check_unit``, and each combined input the norm
+    once.  The overlaps pass one ``check_unit``, and each combined input the norm
     check of ``evolve_two_photon`` (through the Gram matrix of the components).
     """
-    g = np.array([check_unit(x, name) for x in overlaps], dtype=float)
+    g = check_unit(overlaps, name)
     c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1)
     t = np.stack([s.tensor for s in inputs])
     gram = 2 * np.einsum("kij,lij->kl", t.conj(), t)
@@ -257,8 +257,7 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise qmath.QmathError("decoded state contains NaN or Inf entries")
     full = vec[:, :, None] * vec[:, None, :].conj()
     pol = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
-    qmath.check_density(pol)
-    return pol, mass
+    return qmath.check_density(pol), mass
 
 
 def logical_path_input(q1: int, q2: int) -> FockState:
@@ -356,25 +355,21 @@ def simulate_pipeline(
     return DensityMatrix((2, 2), rho[0]), float(mass[0])
 
 
-def fit_visibility_weights(rho_canonical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares weight v of the singlet in v|S><S| + (1-v) rho_dist, per state of a stack.
-
-    Returns (v, trace_distance) as (G,) arrays, the distance between each
-    input and the best member of the family.
-    """
-    s, rd = noise.SINGLET, noise.RHO_DIST
-    diff = s - rd
+def fit_visibility_weights(rho_canonical: np.ndarray) -> np.ndarray:
+    """(G,) least-squares weights v of the singlet in v|S><S| + (1-v) rho_dist, one per
+    state of a stack."""
+    diff = noise.SINGLET - noise.RHO_DIST
     # tr(A^dag B) = sum_ij conj(A_ij) B_ij
-    v = np.einsum("gij,ij->g", (rho_canonical - rd).conj(), diff).real / np.sum(np.abs(diff) ** 2)
-    delta = rho_canonical - (v[:, None, None] * s + (1 - v)[:, None, None] * rd)
-    herm = (delta + np.swapaxes(delta.conj(), -1, -2)) / 2
-    return v, 0.5 * np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
+    return (np.einsum("gij,ij->g", (rho_canonical - noise.RHO_DIST).conj(), diff).real
+            / np.sum(np.abs(diff) ** 2))
 
 
 def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
-    """(v, trace_distance) of ``fit_visibility_weights`` for one state."""
-    v, dist = fit_visibility_weights(rho_canonical.matrix[None])
-    return float(v[0]), float(dist[0])
+    """(v, trace_distance) for one state: its ``fit_visibility_weights`` and the trace
+    distance between it and the best member of the family."""
+    v = float(fit_visibility_weights(rho_canonical.matrix[None])[0])
+    delta = rho_canonical.matrix - (v * noise.SINGLET + (1 - v) * noise.RHO_DIST)
+    return v, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))))
 
 
 def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray, float]:
@@ -388,5 +383,4 @@ def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray,
     """
     probs = hom_coincidence([*overlaps, 0.0, 1.0], bs)
     rho, _ = simulate_pipeline_grid(overlaps, bs)
-    weights = fit_visibility_weights(circuit.singlet_frame(rho))[0]
-    return probs[:-2], weights, _dip_visibility(probs)
+    return probs[:-2], fit_visibility_weights(circuit.singlet_frame(rho)), _dip_visibility(probs)

@@ -2,8 +2,8 @@
 
 Provides the validated ``PureState`` / ``DensityMatrix`` value types, the
 partial trace and the pure-state fidelity, together with the checks every
-module shares: ``check_unit`` for a parameter in [0, 1] (raising the one
-``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.
+module shares: ``check_unit`` for a parameter, or an array of them, in [0, 1]
+(raising the one ``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ class OutOfRange(QmathError):
     """A physical parameter out of the unit interval; noise and photonic re-export it."""
 
 
-def check_unit(x: float, name: str) -> float:
-    """``x`` as a float; OutOfRange unless 0 <= x <= 1, so NaN is rejected too."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise OutOfRange(f"{name} = {x!r} outside [0, 1]")
-    return x
+def check_unit(x, name: str):
+    """A number ``x`` as a float, an array as a float array; OutOfRange naming the
+    first entry not in [0, 1], so NaN is rejected too."""
+    a = np.asarray(x, dtype=float)
+    bad = ~((0.0 <= a) & (a <= 1.0))
+    if bad.any():
+        raise OutOfRange(f"{name} = {float(a[bad][0])!r} outside [0, 1]")
+    return float(a) if a.ndim == 0 else a
 
 
 def as_matrix(m) -> np.ndarray:
@@ -97,8 +99,8 @@ class PureState:
         return DensityMatrix(self.dims, np.outer(v, v.conj()))
 
 
-def check_density(m: np.ndarray) -> None:
-    """Raise unless every matrix of ``m``, one (d, d) matrix or a stack of them
+def check_density(m: np.ndarray) -> np.ndarray:
+    """``m``; raise unless every matrix of it, one (d, d) matrix or a stack of them
     (possibly empty), is a density matrix: finite, Hermitian, unit trace and PSD
     within tolerance."""
     if not np.all(np.isfinite(m)):
@@ -112,6 +114,7 @@ def check_density(m: np.ndarray) -> None:
         raise QmathError(f"trace is {tr[bad][0]!r}, expected 1")
     if np.min(np.linalg.eigvalsh((m + mh) / 2), initial=0.0) < -PSD_TOL:
         raise QmathError("density matrix has a negative eigenvalue")
+    return m
 
 
 @dataclass(frozen=True)
@@ -166,5 +169,4 @@ def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
             f"state dimension {psi.dim} does not match density matrix dimension {rho.dim}"
         )
     v = psi.amplitudes
-    val = complex(np.vdot(v, rho.matrix @ v))
-    return float(val.real)
+    return float(np.vdot(v, rho.matrix @ v).real)

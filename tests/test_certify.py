@@ -17,6 +17,11 @@ def random_pure_state(rng: np.random.Generator, dims=(2, 2)) -> qmath.PureState:
     return qmath.PureState(tuple(dims), v / np.linalg.norm(v))
 
 
+def random_density_matrix(rng: np.random.Generator) -> qmath.DensityMatrix:
+    """One Ginibre-induced random mixed state: the n = 1 view of the stacked draw."""
+    return qmath.DensityMatrix((2, 2), certify.random_density_matrices(rng, 1)[0])
+
+
 def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> qmath.DensityMatrix:
     """Convex mixture of random product states (separable by construction)."""
     weights = rng.dirichlet(np.ones(n_terms))
@@ -94,7 +99,7 @@ class TestCorrelatorsAndWitness:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_witness_lower_bound(self, seed):
-        rho = certify.random_density_matrix(np.random.default_rng(seed))
+        rho = random_density_matrix(np.random.default_rng(seed))
         assert certify.witness_w(rho) >= -1.0 - 1e-12
 
 
@@ -111,7 +116,7 @@ class TestChsh:
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_tsirelson_and_ordering(self, seed):
-        rho = certify.random_density_matrix(np.random.default_rng(seed))
+        rho = random_density_matrix(np.random.default_rng(seed))
         val, _ = certify.chsh_max(rho)
         fixed = certify.chsh(rho, certify.singlet_optimal_settings())
         assert fixed <= val + 1e-9
@@ -130,7 +135,7 @@ class TestChsh:
 
     def test_stacked_chsh_max_equals_the_single_state_call(self):
         rng = np.random.default_rng(17)
-        states = [certify.random_density_matrix(rng) for _ in range(200)]
+        states = [random_density_matrix(rng) for _ in range(200)]
         states += [noise.distinguishable_state(v) for v in np.linspace(0.0, 1.0, 21)]
         states += [qmath.DensityMatrix((2, 2), np.eye(4) / 4)]  # zero correlation matrix
         stacked = certify.derived_batch(np.stack([rho.matrix for rho in states]))["chsh_max"]
@@ -220,16 +225,22 @@ class TestPpt:
 
 class TestFidelityAndErrors:
     def test_uhlmann_pure_limit_matches_overlap(self):
-        rho = noise.dephased_singlet(0.3).matrix
-        f_pure, f_mixed = certify.derived_batch(
-            np.stack([rho, rho]), [circuit.singlet(), circuit.singlet().density()]
-        )["fidelity_to_target"]
-        assert f_mixed == pytest.approx(f_pure, abs=1e-10)
+        rho = noise.dephased_singlet(0.3)
+        (f,) = certify.derived_batch(rho.matrix[None], noise.SINGLET)["fidelity_to_target"]
+        assert f == pytest.approx(qmath.fidelity_pure(rho, circuit.singlet()), abs=1e-10)
 
     def test_uhlmann_identical_states(self):
         rho = noise.baseline_state(0.4)
-        (f,) = certify.derived_batch(rho.matrix[None], [rho])["fidelity_to_target"]
+        (f,) = certify.derived_batch(rho.matrix[None], rho.matrix[None])["fidelity_to_target"]
         assert f == pytest.approx(1.0, abs=1e-10)
+
+    def test_a_shared_target_equals_its_broadcast_stack(self):
+        rhos = noise.dephased_singlets(np.linspace(0.0, 1.0, 5))
+        for target in (noise.SINGLET, noise.baseline_states(0.4)):
+            shared = certify.derived_batch(rhos, target)["fidelity_to_target"]
+            stacked = certify.derived_batch(rhos, np.stack([target] * 5))["fidelity_to_target"]
+            np.testing.assert_allclose(shared, stacked, rtol=0, atol=1e-15)
+            assert shared.shape == (5,)
 
     def test_monte_carlo_errors_deterministic_and_sized(self):
         data = certify.simulate_counts(
@@ -441,7 +452,8 @@ class TestBatchedEngine:
         truths = [noise.dephased_singlet(eta) for eta in (0.0, 0.5, 1.0)]
         datasets = [certify.simulate_counts(t, certify.PAULI_SETTINGS, 3000, i)
                     for i, t in enumerate(truths)]
-        batch = certify.fit(certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]), truths)
+        batch = certify.fit(certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]),
+                            np.stack([t.matrix for t in truths]))
         for b, (data, truth) in enumerate(zip(datasets, truths)):
             single = certify.tomography_mle(data, target=truth)
             assert np.max(np.abs(batch["rho"][b] - single.rho_hat.matrix)) <= 1e-9
@@ -457,6 +469,20 @@ class TestBatchedEngine:
         assert converged == 20
         assert errors == certify.monte_carlo_errors(data, 20, 5)
 
+    def test_bootstrap_tests_the_settings_the_data_measured(self):
+        # An all-zero row measures nothing: it cannot stand in for a missing setting.
+        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 4)
+        without_zz = certify.Counts(data.bases[:-1], data.n[:-1])
+        zero_row = certify.Counts(np.concatenate([data.bases[:-1], [[Z, Z]]]),
+                                  np.concatenate([data.n[:-1], [[0, 0, 0, 0]]]))
+        for counts in (without_zz, zero_row):
+            with pytest.raises(certify.MissingSetting, match="rank 15 of 16"):
+                certify.bootstrap(counts, 2, 1)
+        extra = certify.Counts(np.concatenate([data.bases, [[X, X]]]),
+                               np.concatenate([data.n, [[0, 0, 0, 0]]]))
+        _, converged, q = certify.bootstrap(extra, 2, 1)
+        assert converged == 2 and q["dropped_settings"] == 1
+
     def test_bootstrap_deviations_exclude_the_point_estimate(self):
         # Member 0 of the stack is the counts themselves: with two replicas
         # the deviations are those of the two replica fits alone.
@@ -465,7 +491,7 @@ class TestBatchedEngine:
         )
         errors, converged, _ = certify.bootstrap(data, 2, 5)
         replicas = np.stack([np.random.default_rng([5, rep]).poisson(data.n) for rep in (0, 1)])
-        alone = certify.fit(data.bases, replicas, [circuit.singlet()] * 2,
+        alone = certify.fit(data.bases, replicas, noise.SINGLET,
                             certify.singlet_optimal_settings())
         assert converged == 2 and errors.keys() == alone.keys() - set(certify.FIT_FIELDS)
         for key, sd in errors.items():
@@ -540,7 +566,7 @@ class TestVectorisedMeasurement:
     def test_counts_equal_the_per_setting_draws(self):
         rng = np.random.default_rng(3)
         states = [SINGLET, noise.baseline_state(0.3), noise.rho_dist(),
-                  certify.random_density_matrix(rng), certify.random_density_matrix(rng)]
+                  random_density_matrix(rng), random_density_matrix(rng)]
         general = np.concatenate([certify.PAULI_SETTINGS, [[[0.6, 0.8, 0.0], Z]]])
         for rho in states:
             for seed, n in ((0, 1), (7, 10_000), (12345, 123_456), (99, 10**15)):
@@ -548,6 +574,31 @@ class TestVectorisedMeasurement:
                     data = certify.simulate_counts(rho, bases, n, seed)
                     assert data.n.tolist() == _loop_counts(rho, bases, n, seed)
                     assert np.array_equal(data.bases, bases)
+
+    def test_stacked_counts_equal_the_per_state_draws(self):
+        rhos = np.concatenate([noise.dephased_singlets(np.linspace(0.0, 1.0, 5)),
+                               certify.random_density_matrices(np.random.default_rng(8), 3)])
+        general = np.concatenate([certify.PAULI_SETTINGS, [[[0.6, 0.8, 0.0], Z]]])
+        seeds = [3, 0, 2**63, 12345, 7, 7, 1, 99]
+        for bases in (certify.PAULI_SETTINGS, general, np.empty((0, 2, 3))):
+            for n in (1, 10_000, 10**15):
+                counts = certify.simulate_counts_batch(rhos, bases, n, seeds)
+                assert counts.shape == (len(rhos), len(bases), 4)
+                for rho, seed, member in zip(rhos, seeds, counts):
+                    single = certify.simulate_counts(qmath.DensityMatrix((2, 2), rho),
+                                                     bases, n, seed)
+                    assert np.array_equal(member, single.n)
+
+    def test_random_stack_equals_the_per_state_draws(self):
+        def one(rng):  # the single Ginibre draw
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T
+            return m / np.trace(m).real
+
+        rng = np.random.default_rng(2024)
+        reference = np.stack([one(rng) for _ in range(500)])
+        assert np.array_equal(certify.random_density_matrices(np.random.default_rng(2024), 500),
+                              reference)
 
     def test_no_settings_give_no_counts(self):
         assert certify.projector_table([]).shape == (0, 4, 4, 4)

@@ -119,6 +119,19 @@ class TestPhotonicVerify:
         assert run("--out", str(tmp_path), "photonic-verify") == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cz_verification.json"]
 
+    def test_bs_flag_with_reflectivity_is_parse_error(self, tmp_path, capsys):
+        assert run("--out", str(tmp_path / "o"), "photonic-verify", "--bs", "experimental",
+                   "--reflectivity", "0.4") == 2
+        err = capsys.readouterr().err
+        assert err == "error: photonic-verify takes --bs or --reflectivity, not both\n"
+        assert not (tmp_path / "o").exists()
+        # A preset from the config file is a default that --reflectivity overrides.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bs": "experimental"}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "photonic-verify",
+                   "--reflectivity", "0.34") == 0
+        assert read_json(tmp_path / "cz_verification.json")["bs"] == {"R_H": 0.34, "R_V": 0.34}
+
     def test_half_reflectivity_fails_with_exit_4(self, tmp_path, capsys):
         code = run("--out", str(tmp_path), "photonic-verify", "--reflectivity", "0.5")
         assert code == 4
@@ -210,10 +223,24 @@ class TestScan:
         assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", "eta") == 0
         for idx, eta in enumerate([0.0, 0.4, 1.0]):
             d = read_json(tmp_path / f"tomography_eta_{idx:02d}.json")
-            q = certify.derived_batch(load_rho(d["rho_hat"]), [noise.dephased_singlet(eta)])
+            q = certify.derived_batch(load_rho(d["rho_hat"]), noise.dephased_singlets([eta]))
             assert d["ppt_eigenvalues"] == q["ppt_eigenvalues"][0].tolist()
             assert d["negativity"] == q["negativity"][0]
             assert d["fidelity_to_truth"] == q["fidelity_to_target"][0]
+
+    @pytest.mark.parametrize("param", ["eta", "v"])
+    def test_scan_builds_no_density_matrix(self, tmp_path, monkeypatch, param):
+        built = []
+        post_init = qmath.DensityMatrix.__post_init__
+        monkeypatch.setattr(qmath.DensityMatrix, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"counts_per_setting": 200}))
+        assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", param) == 0
+        assert len(list(tmp_path.glob(f"tomography_{param}_*.json"))) == 21
+        assert built == []
+        noise.dephased_singlet(0.5)  # the counter sees a single-state view
+        assert len(built) == 1
 
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -252,10 +279,9 @@ class TestSimulateCountsAndCertify:
         path = tmp_path / "counts.csv"
         data = cli.load_counts_csv(str(path))
         assert len(data) == 9
+        singlet = cli.model_state("singlet", cli.ExperimentConfig(), None, None)
         direct = certify.simulate_counts(
-            cli.model_state("singlet", cli.ExperimentConfig(), None, None),
-            certify.PAULI_SETTINGS, 10_000, 3,
-        )
+            qmath.DensityMatrix((2, 2), singlet), certify.PAULI_SETTINGS, 10_000, 3)
         assert np.array_equal(data.n, direct.n)
         assert np.array_equal(data.bases, certify.PAULI_SETTINGS)
 
@@ -344,7 +370,7 @@ class TestSimulateCountsAndCertify:
         assert run("--out", str(tmp_path), "--seed", "3", "certify", "--counts",
                    str(tmp_path / "c" / "counts.csv"), "--mc-replicas", "10") == 0
         v = read_json(tmp_path / "verdict.json")
-        q = certify.derived_batch(load_rho(v["rho_hat"]), [circuit.singlet()],
+        q = certify.derived_batch(load_rho(v["rho_hat"]), noise.SINGLET,
                                   certify.singlet_optimal_settings())
         assert v["quantities"] == {key: val[0].tolist() for key, val in q.items()}
 
@@ -357,7 +383,7 @@ class TestSimulateCountsAndCertify:
                    str(tmp_path / "counts.csv"), "--mc-replicas", "10") == 0
         v = read_json(tmp_path / "verdict.json")
         data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
-        alone = certify.fit(data.bases, data.n[None], [circuit.singlet()],
+        alone = certify.fit(data.bases, data.n[None], noise.SINGLET,
                             certify.singlet_optimal_settings())
         assert np.max(np.abs(load_rho(v["rho_hat"]) - alone["rho"])) <= 1e-9
         summary = {key: val[0].tolist() for key, val in alone.items()
@@ -402,6 +428,28 @@ class TestSimulateCountsAndCertify:
         err = capsys.readouterr().err
         assert err.startswith("error: settings not informationally complete")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("zero_row", [False, True], ids=["without-zz", "zero-xx-row"])
+    def test_an_all_zero_row_is_no_setting(self, tmp_path, capsys, zero_row):
+        # The Pauli pairs without Z Z are incomplete, with or without an all-zero X X row.
+        p = tmp_path / "counts.csv"
+        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
+                     + "".join(f"{a},{b},10,20,30,40\n" for a in "XYZ" for b in "XYZ"
+                               if a + b != "ZZ") + ("X,X,0,0,0,0\n" if zero_row else ""))
+        assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p),
+                   "--mc-replicas", "5") == 2
+        assert capsys.readouterr().err == (
+            "error: settings not informationally complete: rank 15 of 16\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_complete_set_drops_its_zero_row(self, tmp_path):
+        run("--out", str(tmp_path), "--seed", "3", "simulate-counts", "--model", "singlet")
+        p = tmp_path / "counts.csv"
+        p.write_text(p.read_text() + "X,X,0,0,0,0\n")
+        assert run("--out", str(tmp_path), "certify", "--counts", str(p),
+                   "--mc-replicas", "5") == 0
+        v = read_json(tmp_path / "verdict.json")
+        assert v["dropped_settings"] == 1 and v["entanglement_verdict"] == "certified_bell"
 
     def test_negative_count_is_parse_error_with_line(self, tmp_path, capsys):
         run("--out", str(tmp_path), "--seed", "3", "simulate-counts", "--model", "singlet")
@@ -616,8 +664,9 @@ def fuzz_argv(draw):
 
 
 # certify --counts reads a generated CSV: each Pauli-pair row is kept, left
-# out, all zero, or given a Bloch-vector axis (unit, not unit, NaN or inf),
-# with counts of at most 50.  scan runs grids of up to three points.
+# out, kept beside an all-zero copy (a dropped row, which measures nothing), or
+# given a Bloch-vector axis (unit, not unit, NaN or inf), with counts of at most
+# 50, not all zero.  scan runs grids of up to three points.
 BLOCH_TEXT = st.one_of(
     st.sampled_from(["0.6:0.8:0", "0:0:-1", "0.7071067811865476:0:0.7071067811865476",
                      "nan:0:1", "inf:0:0", "1:1:0", "0:0"]),
@@ -626,7 +675,7 @@ BLOCH_TEXT = st.one_of(
 )
 
 
-COUNTS_ROW = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+COUNTS_ROW = st.lists(st.integers(0, 50), min_size=4, max_size=4).filter(any)
 
 
 @st.composite
@@ -639,8 +688,9 @@ def counts_csv_text(draw):
                 continue
             if kind == "bloch":
                 a, b = draw(st.sampled_from([(draw(BLOCH_TEXT), b), (a, draw(BLOCH_TEXT))]))
-            n = [0] * 4 if kind == "zero" else draw(COUNTS_ROW)
-            lines.append(",".join([a, b, *map(str, n)]))
+            if kind == "zero":
+                lines.append(",".join([a, b, "0", "0", "0", "0"]))
+            lines.append(",".join([a, b, *map(str, draw(COUNTS_ROW))]))
     for _ in range(draw(st.integers(0, 2))):  # extra rows along general axes
         a, b = draw(st.sampled_from("XYZ")), draw(BLOCH_TEXT)
         pair = draw(st.sampled_from([(a, b), (b, a)]))

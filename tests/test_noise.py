@@ -144,3 +144,34 @@ class TestConstantStates:
                      lambda: noise.distinguishable_state(float("nan"))):
             with pytest.raises(noise.OutOfRange):
                 call()
+
+
+FAMILIES = {
+    "eta": (noise.dephased_singlets, noise.dephased_singlet),
+    "v": (noise.distinguishable_states, noise.distinguishable_state),
+    "baseline": (lambda x: noise.baseline_states(x, 0.7), lambda x: noise.baseline_state(x, 0.7)),
+}
+
+
+class TestStackedFamilies:
+    """Each family maps a parameter array to one stack; the single-state
+    constructors are views of the same formula."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_members_equal_the_single_state_views(self, family):
+        stacked, single = FAMILIES[family]
+        grid = np.concatenate([np.linspace(0.0, 1.0, 21),
+                               np.random.default_rng(5).random(50), [0.0, 1.0]])
+        states = stacked(grid)
+        assert states.shape == (len(grid), 4, 4)
+        for x, rho in zip(grid, states):
+            assert np.array_equal(rho, single(float(x)).matrix)
+        assert np.array_equal(stacked(grid.reshape(-1, 1)), states[:, None])
+        assert np.array_equal(stacked(0.3), single(0.3).matrix)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25, float("inf")])
+    def test_a_bad_entry_is_named(self, family, bad):
+        name = "v" if family == "v" else "eta"
+        with pytest.raises(noise.OutOfRange, match=rf"^{name} = {bad!r} outside \[0, 1\]$"):
+            FAMILIES[family][0]([0.0, 0.5, bad, 1.0])

@@ -141,3 +141,10 @@ class TestRangeChecks:
         assert noise.OutOfRange is photonic.OutOfRange is qmath.OutOfRange
         assert issubclass(qmath.OutOfRange, qmath.QmathError)
         assert qmath.check_unit(1, "x") == 1.0 and type(qmath.check_unit(1, "x")) is float
+
+    def test_an_array_is_checked_at_once(self):
+        out = qmath.check_unit([0, 0.5, 1], "x")
+        assert out.dtype == float and out.tolist() == [0.0, 0.5, 1.0]
+        assert qmath.check_unit([], "x").shape == (0,)
+        with pytest.raises(qmath.OutOfRange, match=r"^x = nan outside \[0, 1\]$"):
+            qmath.check_unit(np.array([[0.1, 0.2], [np.nan, 2.0]]), "x")
