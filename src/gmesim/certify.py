@@ -167,23 +167,22 @@ def _fidelities(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(np.clip(mvals, 0.0, None)), axis=1) ** 2
 
 
-def derived_batch(rhos: np.ndarray, targets=None, chsh_settings=None) -> dict:
-    """Witness, maximal CHSH and partial-transpose spectrum of every member of a
-    (B, 4, 4) stack; also the fidelity to ``targets`` (see ``_fidelities``) and
-    CHSH at the four ``chsh_settings`` when those are given."""
+def derived_batch(rhos: np.ndarray, targets=None) -> dict:
+    """Witness, maximal CHSH, CHSH at ``singlet_optimal_settings`` and partial-transpose
+    spectrum of every member of a (B, 4, 4) stack; also the fidelity to ``targets``
+    (see ``_fidelities``) when those are given."""
     t = _correlations(rhos)
     eigs = _pt_spectra(rhos)
     q = {
         "witness": _witness(t),
         "chsh_max": _chsh_max(t)[0],
+        "chsh_fixed": _chsh_fixed(t, singlet_optimal_settings()),
         "negativity": _negativity(eigs),
         "ppt_eigenvalues": eigs,
         "min_pt_eigenvalue": eigs[:, -1],
     }
     if targets is not None:
         q["fidelity_to_target"] = _fidelities(rhos, targets)
-    if chsh_settings is not None:
-        q["chsh_fixed"] = _chsh_fixed(t, chsh_settings)
     return q
 
 
@@ -402,14 +401,14 @@ def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
 FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_settings")
 
 
-def fit(bases: np.ndarray, counts: np.ndarray, targets, chsh_settings=None) -> dict:
+def fit(bases: np.ndarray, counts: np.ndarray, targets) -> dict:
     """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
     projected onto density matrices, validated, and its ``derived_batch`` quantities
     with ``targets`` the fidelity reference, one (4, 4) state or one per member: one
     array over the members for each quantity and for each of ``FIT_FIELDS``."""
     rho, *diagnostics = mle_batch(bases, counts)
     rho = qmath.check_density(_psd_project(rho))
-    q = derived_batch(rho, targets, chsh_settings)
+    q = derived_batch(rho, targets)
     q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
     return q
 
@@ -426,9 +425,7 @@ def tomography_mle(data: Counts, target: DensityMatrix | None = None) -> Tomogra
     )
 
 
-def bootstrap(
-    data: Counts, replicas: int, seed: int, target=None, chsh_settings=None
-) -> tuple[dict, int, dict]:
+def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     The settings with counts must be informationally complete (MissingSetting
@@ -445,21 +442,20 @@ def bootstrap(
     kept = data.n.any(axis=1)  # the rank test of the settings the data measured
     _linear_inversion(projector_table(data.bases[kept]), data.n[kept][None])
     target = noise.SINGLET if target is None else target
-    chsh_settings = singlet_optimal_settings() if chsh_settings is None else chsh_settings
     stack = np.stack([data.n, *(
         np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
     )])
-    q = fit(data.bases, stack, target, chsh_settings)
+    q = fit(data.bases, stack, target)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
     return sd, int(np.sum(q["converged"][1:])), {key: val[0] for key, val in q.items()}
 
 
 def monte_carlo_errors(data: Counts, replicas: int, seed: int,
-                       target: DensityMatrix | None = None, chsh_settings=None) -> dict:
+                       target: DensityMatrix | None = None) -> dict:
     """The standard deviations of ``bootstrap``."""
     target = None if target is None else target.matrix
-    return bootstrap(data, replicas, seed, target, chsh_settings)[0]
+    return bootstrap(data, replicas, seed, target)[0]
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

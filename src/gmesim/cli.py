@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -149,22 +150,30 @@ def _meta(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its directory; OSError -> ParseError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, newline="")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     doc = {"meta": _meta(cfg)}
     doc.update(payload)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        for key, val in sorted(_meta(cfg).items()):
-            fh.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+    buf = io.StringIO()
+    for key, val in sorted(_meta(cfg).items()):
+        buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+    _write_text(path, buf.getvalue())
 
 
 def state_json(matrix: np.ndarray) -> dict:
@@ -378,6 +387,7 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 "negativity": float(fitted["negativity"][idx]),
                 "converged": bool(fitted["converged"][idx]),
                 "iterations": int(fitted["iterations"][idx]),
+                "dropped_settings": int(fitted["dropped_settings"][idx]),
             })
         converged = fitted["converged"].all()
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",

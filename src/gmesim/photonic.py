@@ -5,12 +5,13 @@ Two photons propagate over 24 single-photon modes: six spatial paths
 two-dimensional temporal label used to model partial distinguishability.
 No optical element touches the label, so every network is U_12 (x) I_2.
 A two-photon state is its symmetric 24x24 creation tensor t, with
-state = sum_ij t_ij a_i^dag a_j^dag |0>.  A network with mode unitary U acts
-on it as t -> A^T t A with A = U^dag; coincidence masses and post-selection
-are index masks on t.  The second photon's temporal label state is
-gamma|0> + sqrt(1 - gamma^2)|1>, so an input is linear in its two label
-components: a scan over gamma evolves each component once and works on the
-(G, 24, 24) stack of their combinations.
+state = sum_ij t_ij a_i^dag a_j^dag |0>, held in (K, 24, 24) stacks.  A
+network with mode unitary U acts on each as t -> A^T t A with A = U^dag;
+coincidence masses and post-selection are index masks on t.  The second
+photon's temporal label state is gamma|0> + sqrt(1 - gamma^2)|1>, so an
+input is linear in its two label components: a scan over gamma evolves the
+two components as one stack and works on the (G, 24, 24) stack of their
+combinations.
 
 Logical path encoding of the geometry qubits follows the coupler layout:
 qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3;
@@ -101,46 +102,22 @@ EXPERIMENTAL_BS = BsParams(R_H=0.329, R_V=0.337)
 BS_PRESETS = {"ideal": IDEAL_BS, "experimental": EXPERIMENTAL_BS}
 
 
-class FockState:
-    """Two-photon state held as its symmetric creation tensor.
-
-    ``tensor`` is t with state = sum_ij t_ij a_i^dag a_j^dag |0>; the
-    constructor symmetrizes it.  The Fock amplitude of |1_i 1_j> (i != j) is
-    2 t_ij and that of |2_i> is sqrt(2) t_ii.
-    """
-
-    def __init__(self, tensor: np.ndarray):
-        t = np.asarray(tensor, dtype=complex)
-        if t.shape != (N_MODES, N_MODES):
-            raise PhotonicError(f"creation tensor must be {N_MODES}x{N_MODES}, got {t.shape}")
-        self.tensor = (t + t.T) / 2
-
-    def norm(self) -> float:
-        return float(2 * np.sum(np.abs(self.tensor) ** 2))
-
-    @property
-    def terms(self) -> dict[tuple[int, int], complex]:
-        """Fock amplitudes keyed by mode pairs i <= j; entries |t_ij| <= 1e-15 are left out."""
-        i, j = np.triu_indices(N_MODES)
-        t = self.tensor[i, j]
-        keep = np.abs(t) > 1e-15
-        amps = t[keep] * np.where(i[keep] == j[keep], np.sqrt(2), 2)
-        return {(int(a), int(b)): complex(z) for a, b, z in zip(i[keep], j[keep], amps)}
-
-
-def product_state(photon_a: np.ndarray, photon_b: np.ndarray) -> FockState:
-    """Two-photon state from two normalized single-photon amplitude vectors."""
-    state = FockState(np.outer(photon_a, photon_b))
-    n = state.norm()
-    if n < 1e-14:
-        raise PhotonicError("photon amplitude vectors cancel")
-    return FockState(state.tensor / np.sqrt(n))
-
-
 def single_photon(path: str, pol: str, label: int = 0) -> np.ndarray:
     v = np.zeros(N_MODES, dtype=complex)
     v[mode_index(path, pol, label)] = 1.0
     return v
+
+
+def pair_tensors(photon_a: np.ndarray, photon_b: np.ndarray) -> np.ndarray:
+    """(K, N, N) creation tensors (a b^T + b a^T) / 2, normalized, of the pairs in two
+    (K, N) stacks of single-photon amplitude vectors.  The Fock amplitude of |1_i 1_j> is
+    2 t_ij and that of |2_i> is sqrt(2) t_ii, so the norm is 2 sum |t_ij|^2."""
+    t = photon_a[:, :, None] * photon_b[:, None, :]
+    t = (t + t.swapaxes(1, 2)) / 2
+    norms = 2 * np.sum(np.abs(t) ** 2, axis=(1, 2))
+    if np.any(norms < 1e-14):
+        raise PhotonicError("photon amplitude vectors cancel")
+    return t / np.sqrt(norms)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -188,37 +165,28 @@ def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
     return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
 
 
-def _check_normalized(norms: np.ndarray) -> None:
-    """PhotonNumberMismatch unless every two-photon norm in ``norms`` is 1 within 1e-9."""
+def evolve(t: np.ndarray, net: OpticalNetwork) -> np.ndarray:
+    """Push a (K, N, N) stack of creation tensors through the mode unitary of ``net``;
+    PhotonNumberMismatch unless every member has norm 1 within 1e-9."""
+    if t.ndim != 3 or t.shape[1:] != (N_MODES, N_MODES):
+        raise PhotonicError(f"creation tensors must be (K, {N_MODES}, {N_MODES}), got {t.shape}")
+    norms = 2 * np.sum(np.abs(t) ** 2, axis=(1, 2))
     bad = np.abs(norms - 1.0) > 1e-9
     if bad.any():
         raise PhotonNumberMismatch(
             f"input not a normalized two-photon state (norm {float(norms[bad][0])!r})"
         )
-
-
-def evolve_two_photon(state: FockState, net: OpticalNetwork) -> FockState:
-    """Push the creation tensor through the mode unitary."""
-    _check_normalized(np.array([state.norm()]))
     a = net.mode_unitary.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
-    return FockState(a.T @ state.tensor @ a)
+    out = a.T @ t @ a
+    return (out + out.swapaxes(1, 2)) / 2
 
 
-def _evolve_labels(inputs: tuple[FockState, FockState], overlaps, name: str,
-                   net: OpticalNetwork) -> np.ndarray:
-    """The (G, N, N) evolved tensors of gamma inputs[0] + sqrt(1 - gamma^2) inputs[1], per overlap.
-
-    ``inputs`` are the second photon's two label components, each evolved
-    once.  The overlaps pass one ``check_unit``, and each combined input the norm
-    check of ``evolve_two_photon`` (through the Gram matrix of the components).
-    """
+def _mix_labels(t: np.ndarray, overlaps, name: str) -> np.ndarray:
+    """(G, N, N) tensors gamma t[0] + sqrt(1 - gamma^2) t[1], one per overlap gamma: t
+    holds the evolved pairs of the second photon's two temporal labels, which are
+    orthogonal, so each mixture stays normalized."""
     g = check_unit(overlaps, name)
-    c = np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1)
-    t = np.stack([s.tensor for s in inputs])
-    gram = 2 * np.einsum("kij,lij->kl", t.conj(), t)
-    _check_normalized(np.einsum("gk,kl,gl->g", c, gram, c).real)
-    out = np.stack([evolve_two_photon(s, net).tensor for s in inputs])
-    return np.tensordot(c, out, axes=1)
+    return np.tensordot(np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1), t, axes=1)
 
 
 def pair_mass(t: np.ndarray, paths_a, paths_b) -> np.ndarray:
@@ -260,23 +228,16 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return qmath.check_density(pol), mass
 
 
-def logical_path_input(q1: int, q2: int) -> FockState:
-    """Two-photon path-encoded logical input |q1, q2>, both photons V."""
-    return product_state(
-        single_photon(LOGICAL_PATHS_A[q1], "V"), single_photon(LOGICAL_PATHS_B[q2], "V")
-    )
-
-
 def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Post-selected path-qubit map of the logical inputs 00, 01, 10, 11, each evolved once.
+    """Post-selected path-qubit map of the logical inputs 00, 01, 10, 11, one stack.
 
-    Returns the 4x4 channel matrix in the logical basis, whose diagonal is the
-    truth table, and the coincidence mass of each input.
+    Both photons are V.  Returns the 4x4 channel matrix in the logical basis,
+    whose diagonal is the truth table, and the coincidence mass of each input.
     """
     a, b = (np.array([mode_index(p, "V") for p in paths])
             for paths in (LOGICAL_PATHS_A, LOGICAL_PATHS_B))
-    t = np.stack([evolve_two_photon(logical_path_input(q1, q2), net).tensor
-                  for q1 in (0, 1) for q2 in (0, 1)])
+    eye = np.eye(N_MODES, dtype=complex)
+    t = evolve(pair_tensors(eye[np.repeat(a, 2)], eye[np.tile(b, 2)]), net)
     m = 2 * t[:, a[:, None], b].reshape(4, 4).T
     return m, pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
 
@@ -307,12 +268,12 @@ def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
 
     Each overlap is the temporal wavepacket overlap amplitude gamma; the
     second photon enters with label state gamma|0> + sqrt(1-gamma^2)|1>.
-    Two evolutions whatever the number of overlaps.
+    One evolution of its two label components whatever the number of overlaps.
     """
-    photon_a = single_photon("2", "V", 0)
-    inputs = tuple(product_state(photon_a, single_photon("3", "V", l)) for l in LABELS)
-    t = _evolve_labels(inputs, overlaps, "overlap", build_cz_network(bs))
-    return pair_mass(t, ("2",), ("3",))
+    photon_b = np.stack([single_photon("3", "V", l) for l in LABELS])
+    t = evolve(pair_tensors(np.stack([single_photon("2", "V")] * 2), photon_b),
+               build_cz_network(bs))
+    return pair_mass(_mix_labels(t, overlaps, "overlap"), ("2",), ("3",))
 
 
 def _dip_visibility(probs: np.ndarray) -> float:
@@ -325,26 +286,18 @@ def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
     return _dip_visibility(hom_coincidence([0.0, 1.0], bs))
 
 
-def prepared_input(gamma: float = 1.0) -> FockState:
-    """Both photons in (|H> + |V>)/sqrt(2) on the interferometer inputs."""
-    gamma = check_unit(gamma, "gamma")
-    d = np.sqrt(max(0.0, 1.0 - gamma * gamma))
-    photon_a = (single_photon("out1", "H", 0) + single_photon("out1", "V", 0)) / np.sqrt(2)
-    photon_b = (
-        gamma * (single_photon("out4", "H", 0) + single_photon("out4", "V", 0))
-        + d * (single_photon("out4", "H", 1) + single_photon("out4", "V", 1))
-    ) / np.sqrt(2)
-    return product_state(photon_a, photon_b)
-
-
 def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray]:
     """Run the full optical pipeline for each overlap gamma and post-select on coincidences.
 
-    Returns the (G, 4, 4) polarization states and the (G,) success
-    probabilities, from two evolutions whatever the number of overlaps.
+    Both photons enter in (|H> + |V>)/sqrt(2), on paths out1 and out4.  Returns the
+    (G, 4, 4) polarization states and the (G,) success probabilities, from one
+    evolution of the two label components whatever the number of overlaps.
     """
-    inputs = (prepared_input(1.0), prepared_input(0.0))
-    return post_select_coincidence(_evolve_labels(inputs, gammas, "gamma", build_full_network(bs)))
+    photon_a = (single_photon("out1", "H") + single_photon("out1", "V")) / np.sqrt(2)
+    photon_b = np.stack([single_photon("out4", "H", l) + single_photon("out4", "V", l)
+                         for l in LABELS]) / np.sqrt(2)
+    t = evolve(pair_tensors(np.stack([photon_a] * 2), photon_b), build_full_network(bs))
+    return post_select_coincidence(_mix_labels(t, gammas, "gamma"))
 
 
 def simulate_pipeline(
@@ -376,10 +329,11 @@ def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray,
     """HOM dip P and singlet weight v of the post-selected state, per overlap, as (G,)
     arrays, and the ``hom_visibility`` of ``bs``.
 
-    Four evolutions whatever the number of overlaps: the dip's two label
-    components through the couplers, combined for the overlaps and the
-    visibility's endpoints 0 and 1, and the pipeline's two through the full
-    network.  v is fitted in the frame of ``circuit.singlet_frame``.
+    Two ``evolve`` calls of two members each, whatever the number of
+    overlaps: the dip's two label components through the couplers, combined
+    for the overlaps and the visibility's endpoints 0 and 1, and the
+    pipeline's two through the full network.  v is fitted in the frame of
+    ``circuit.singlet_frame``.
     """
     probs = hom_coincidence([*overlaps, 0.0, 1.0], bs)
     rho, _ = simulate_pipeline_grid(overlaps, bs)

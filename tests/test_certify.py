@@ -144,6 +144,14 @@ class TestChsh:
         assert single[-1] == 0.0
         assert np.array_equal(certify.chsh_max(states[-1])[1], certify.singlet_optimal_settings())
 
+    def test_stacked_chsh_fixed_is_at_the_singlet_optimal_settings(self):
+        rng = np.random.default_rng(19)
+        states = [random_density_matrix(rng) for _ in range(20)] + [SINGLET]
+        stacked = certify.derived_batch(np.stack([rho.matrix for rho in states]))["chsh_fixed"]
+        single = [certify.chsh(rho, certify.singlet_optimal_settings()) for rho in states]
+        assert np.array_equal(stacked, single)
+        assert stacked[-1] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
+
 
 class TestCounts:
     def test_simulation_is_deterministic(self):
@@ -491,8 +499,7 @@ class TestBatchedEngine:
         )
         errors, converged, _ = certify.bootstrap(data, 2, 5)
         replicas = np.stack([np.random.default_rng([5, rep]).poisson(data.n) for rep in (0, 1)])
-        alone = certify.fit(data.bases, replicas, noise.SINGLET,
-                            certify.singlet_optimal_settings())
+        alone = certify.fit(data.bases, replicas, noise.SINGLET)
         assert converged == 2 and errors.keys() == alone.keys() - set(certify.FIT_FIELDS)
         for key, sd in errors.items():
             np.testing.assert_allclose(sd, np.std(alone[key], axis=0, ddof=1), rtol=0, atol=1e-9)

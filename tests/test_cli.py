@@ -191,6 +191,20 @@ class TestScan:
             assert d["converged"] is True
             assert isinstance(d["iterations"], int) and d["iterations"] > 0
 
+    def test_tomography_files_report_dropped_settings(self, tmp_path):
+        # One count per setting leaves some of the nine Pauli rows all zero; the
+        # fit of each point then sees an incomplete set and must say so.
+        dropped = {}
+        for counts in (1, 10**4):
+            out = tmp_path / str(counts)
+            assert run("--out", str(out), "scan", "--param", "eta",
+                       "--counts-per-setting", str(counts)) == 0
+            dropped[counts] = [read_json(out / f"tomography_eta_{idx:02d}.json")["dropped_settings"]
+                               for idx in range(len(cli.DEFAULT_GRID))]
+        assert all(type(d) is int for d in dropped[1] + dropped[10**4])
+        assert all(1 <= d <= 8 for d in dropped[1])
+        assert dropped[10**4] == [0] * len(cli.DEFAULT_GRID)
+
     def test_config_hash_is_computed_once(self, tmp_path, monkeypatch):
         calls = []
         sha256 = hashlib.sha256
@@ -370,8 +384,7 @@ class TestSimulateCountsAndCertify:
         assert run("--out", str(tmp_path), "--seed", "3", "certify", "--counts",
                    str(tmp_path / "c" / "counts.csv"), "--mc-replicas", "10") == 0
         v = read_json(tmp_path / "verdict.json")
-        q = certify.derived_batch(load_rho(v["rho_hat"]), noise.SINGLET,
-                                  certify.singlet_optimal_settings())
+        q = certify.derived_batch(load_rho(v["rho_hat"]), noise.SINGLET)
         assert v["quantities"] == {key: val[0].tolist() for key, val in q.items()}
 
     def test_point_estimate_equals_a_standalone_fit(self, tmp_path):
@@ -383,8 +396,7 @@ class TestSimulateCountsAndCertify:
                    str(tmp_path / "counts.csv"), "--mc-replicas", "10") == 0
         v = read_json(tmp_path / "verdict.json")
         data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
-        alone = certify.fit(data.bases, data.n[None], noise.SINGLET,
-                            certify.singlet_optimal_settings())
+        alone = certify.fit(data.bases, data.n[None], noise.SINGLET)
         assert np.max(np.abs(load_rho(v["rho_hat"]) - alone["rho"])) <= 1e-9
         summary = {key: val[0].tolist() for key, val in alone.items()
                    if key not in certify.FIT_FIELDS}
@@ -534,6 +546,17 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out, argv", [
+        ("afile", ("circuit",)),
+        ("afile/sub", ("hom-scan",)),
+    ], ids=["out-is-a-file", "out-under-a-file"])
+    def test_unwritable_output_exits_2_with_one_line_error(self, tmp_path, capsys, out, argv):
+        (tmp_path / "afile").write_text("kept\n")
+        assert run("--out", str(tmp_path / out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / out}/") and err.count("\n") == 1
+        assert (tmp_path / "afile").read_text() == "kept\n"
 
     def test_state_dims_are_named(self, tmp_path, capsys):
         state = tmp_path / "s.json"

@@ -41,13 +41,35 @@ def reference_full_unitary(bs) -> np.ndarray:
     return hwp @ reference_cz_unitary(bs) @ hwp @ (bd2 @ bd1)
 
 
-def walk_post_selection(s: photonic.FockState) -> tuple[np.ndarray, float]:
-    """Reference post-selection: decode each coincidence Fock term by its path and
-    polarization names, then trace the labels out.  Returns (rho, mass)."""
+def fock_terms(t: np.ndarray) -> dict[tuple[int, int], complex]:
+    """Fock amplitudes of one creation tensor, keyed by mode pairs i <= j: 2 t_ij for
+    |1_i 1_j>, sqrt(2) t_ii for |2_i>.  Entries |t_ij| <= 1e-15 are left out."""
+    terms = {}
+    for i in range(photonic.N_MODES):
+        for j in range(i, photonic.N_MODES):
+            if abs(t[i, j]) > 1e-15:
+                terms[(i, j)] = complex(t[i, j] * (np.sqrt(2) if i == j else 2))
+    return terms
+
+
+def pair(photon_a: np.ndarray, photon_b: np.ndarray) -> np.ndarray:
+    """The (1, N, N) stack of one photon pair."""
+    return photonic.pair_tensors(photon_a[None], photon_b[None])
+
+
+def random_photon(rng: np.random.Generator) -> np.ndarray:
+    v = rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
+    return v / np.linalg.norm(v)
+
+
+def walk_post_selection(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reference post-selection of one creation tensor: decode each coincidence Fock
+    term by its path and polarization names, then trace the labels out.  Returns
+    (rho, mass)."""
     logical = {"1": 0, "2": 1, "3": 1, "4": 0}
     psi = np.zeros((2, 2, 2, 2), dtype=complex)
     mass = 0.0
-    for (i, j), amp in s.terms.items():
+    for (i, j), amp in fock_terms(t).items():
         m1, m2 = MODES[i], MODES[j]
         if m1[0] in ("3", "4") and m2[0] in ("1", "2"):
             m1, m2 = m2, m1
@@ -62,21 +84,20 @@ def walk_post_selection(s: photonic.FockState) -> tuple[np.ndarray, float]:
 
 
 def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
-    """(P, v, rho) at one overlap, each from its own product state evolved on its own."""
+    """(P, v, rho) at one overlap, each from its own photon pair evolved on its own."""
     d = np.sqrt(1.0 - gamma * gamma)
     sp = photonic.single_photon
 
     def second(path, pols):
         return sum(gamma * sp(path, pol, 0) + d * sp(path, pol, 1) for pol in pols)
 
-    dip = photonic.evolve_two_photon(photonic.product_state(sp("2", "V", 0), second("3", "V")),
-                                     photonic.build_cz_network(bs))
-    p = sum(abs(amp) ** 2 for (i, j), amp in dip.terms.items()
+    (dip,) = photonic.evolve(pair(sp("2", "V", 0), second("3", "V")),
+                             photonic.build_cz_network(bs))
+    p = sum(abs(amp) ** 2 for (i, j), amp in fock_terms(dip).items()
             if {MODES[i][0], MODES[j][0]} == {"2", "3"})
     photon_a = (sp("out1", "H", 0) + sp("out1", "V", 0)) / np.sqrt(2)
-    out = photonic.evolve_two_photon(
-        photonic.product_state(photon_a, second("out4", "HV") / np.sqrt(2)),
-        photonic.build_full_network(bs))
+    (out,) = photonic.evolve(pair(photon_a, second("out4", "HV") / np.sqrt(2)),
+                             photonic.build_full_network(bs))
     rho, _ = walk_post_selection(out)
     canon = circuit.canonicalize_to_singlet(qmath.DensityMatrix((2, 2), rho)).matrix
     s, rd = circuit.singlet().density().matrix, noise.rho_dist().matrix
@@ -96,53 +117,67 @@ class TestModes:
 
 
 class TestFockState:
+    """Two-photon Fock states as stacks of creation tensors: ``pair_tensors`` and ``evolve``."""
+
     def test_tensor_round_trip_with_bunching(self):
         i = photonic.mode_index("2", "V", 0)
         j = photonic.mode_index("3", "V", 0)
-        t = np.zeros((photonic.N_MODES, photonic.N_MODES), dtype=complex)
-        t[i, i] = 0.6 / np.sqrt(2)  # |2>_i carries the sqrt(2) bosonic factor
-        t[i, j] = 0.8               # 0.8 a_i^dag a_j^dag, held as t_ij = t_ji = 0.4
-        s = photonic.FockState(t)
-        assert np.allclose(s.tensor, s.tensor.T)
-        assert s.tensor[i, j] == pytest.approx(0.4)
-        assert s.terms == pytest.approx({(i, i): 0.6, (i, j): 0.8})
-        assert s.norm() == pytest.approx(1.0)
+        eye = np.eye(photonic.N_MODES)
+        # a_i^dag (0.6 a_i^dag + 0.8 a_j^dag): t_ii = 0.6 and t_ij = t_ji = 0.4, so
+        # |2>_i carries the sqrt(2) bosonic factor and the norm is 0.72 + 0.64.
+        (t,) = pair(eye[i], 0.6 * eye[i] + 0.8 * eye[j])
+        n = np.sqrt(1.36)
+        assert np.array_equal(t, t.T)
+        assert t[i, j] == pytest.approx(0.4 / n)
+        assert fock_terms(t) == pytest.approx({(i, i): np.sqrt(2) * 0.6 / n, (i, j): 0.8 / n})
+        assert sum(abs(z) ** 2 for z in fock_terms(t).values()) == pytest.approx(1.0)
 
     def test_wrong_tensor_shape_rejected(self):
-        with pytest.raises(photonic.PhotonicError):
-            photonic.FockState(np.zeros((4, 4)))
+        net = photonic.build_cz_network()
+        for t in (np.zeros((1, 4, 4)), np.eye(photonic.N_MODES) / np.sqrt(2 * photonic.N_MODES)):
+            with pytest.raises(photonic.PhotonicError, match="must be"):
+                photonic.evolve(t, net)
+
+    def test_zero_amplitude_vector_rejected(self):
+        v = photonic.single_photon("2", "V")
+        with pytest.raises(photonic.PhotonicError, match="cancel"):
+            photonic.pair_tensors(np.stack([v, v]), np.stack([v, 0 * v]))
 
     def test_product_state_same_mode_gives_doubly_occupied(self):
         v = photonic.single_photon("2", "V")
-        s = photonic.product_state(v, v)
         i = photonic.mode_index("2", "V", 0)
-        assert s.terms[(i, i)] == pytest.approx(1.0)
+        assert fock_terms(pair(v, v)[0]) == pytest.approx({(i, i): 1.0})
 
     def test_product_state_orthogonal_modes(self):
-        s = photonic.product_state(
-            photonic.single_photon("1", "V"), photonic.single_photon("4", "V")
-        )
-        assert s.norm() == pytest.approx(1.0)
-        assert len(s.terms) == 1
+        (t,) = pair(photonic.single_photon("1", "V"), photonic.single_photon("4", "V"))
+        assert 2 * np.sum(np.abs(t) ** 2) == pytest.approx(1.0)
+        assert len(fock_terms(t)) == 1
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_evolution_preserves_norm(self, seed):
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
-        b = rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
-        s = photonic.product_state(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        out = photonic.evolve_two_photon(s, photonic.build_full_network())
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        a, b = (np.stack([random_photon(rng) for _ in range(3)]) for _ in range(2))
+        out = photonic.evolve(photonic.pair_tensors(a, b), photonic.build_full_network())
+        assert out.shape == (3, photonic.N_MODES, photonic.N_MODES)
+        for t in out:
+            assert np.array_equal(t, t.T)
+            assert sum(abs(z) ** 2 for z in fock_terms(t).values()) == pytest.approx(1.0, abs=1e-10)
+
+    def test_a_stack_evolves_as_its_members_alone(self):
+        rng = np.random.default_rng(41)
+        a, b = (np.stack([random_photon(rng) for _ in range(5)]) for _ in range(2))
+        net = photonic.build_full_network(photonic.EXPERIMENTAL_BS)
+        stacked = photonic.evolve(photonic.pair_tensors(a, b), net)
+        for k in range(5):
+            alone = photonic.evolve(pair(a[k], b[k]), net)[0]
+            np.testing.assert_allclose(stacked[k], alone, rtol=0, atol=1e-15)
 
     def test_unnormalized_input_rejected(self):
-        i = photonic.mode_index("1", "V", 0)
-        t = np.zeros((photonic.N_MODES, photonic.N_MODES))
-        t[i, i] = 0.5 / np.sqrt(2)  # amplitude 0.5 on |2>_i: norm 0.25
-        s = photonic.FockState(t)
-        assert s.norm() == pytest.approx(0.25)
-        with pytest.raises(photonic.PhotonNumberMismatch):
-            photonic.evolve_two_photon(s, photonic.build_cz_network())
+        v = photonic.single_photon("1", "V")
+        t = np.concatenate([pair(v, v), 0.5 * pair(v, v)])  # amplitude 0.5 on |2>_i: norm 0.25
+        with pytest.raises(photonic.PhotonNumberMismatch, match="not a normalized"):
+            photonic.evolve(t, photonic.build_cz_network())
 
     def test_output_amplitudes_are_permanents(self):
         net = photonic.build_full_network(photonic.EXPERIMENTAL_BS)
@@ -151,17 +186,17 @@ class TestFockState:
         m = net.mode_unitary.conj()
         n = photonic.N_MODES
         eye = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out = photonic.evolve_two_photon(photonic.product_state(eye[i], eye[j]), net)
-                # perm[[m_ri, m_rj], [m_si, m_sj]] off the diagonal, sqrt(2) m_ri m_rj on it.
-                expect = np.outer(m[:, i], m[:, j])
-                expect = expect + expect.T
-                np.fill_diagonal(expect, np.sqrt(2) * m[:, i] * m[:, j])
-                got = np.zeros((n, n), dtype=complex)
-                for (r, s), amp in out.terms.items():
-                    got[r, s] = amp
-                assert np.max(np.abs(got - np.triu(expect))) < 1e-12
+        i, j = np.triu_indices(n, 1)
+        out = photonic.evolve(photonic.pair_tensors(eye[i], eye[j]), net)
+        for k in range(len(i)):
+            # perm[[m_ri, m_rj], [m_si, m_sj]] off the diagonal, sqrt(2) m_ri m_rj on it.
+            expect = np.outer(m[:, i[k]], m[:, j[k]])
+            expect = expect + expect.T
+            np.fill_diagonal(expect, np.sqrt(2) * m[:, i[k]] * m[:, j[k]])
+            got = np.zeros((n, n), dtype=complex)
+            for (r, s), amp in fock_terms(out[k]).items():
+                got[r, s] = amp
+            assert np.max(np.abs(got - np.triu(expect))) < 1e-12
 
 
 class TestNetworks:
@@ -231,32 +266,35 @@ class TestCzGate:
         assert photonic.process_fidelity_to_cz(net) < 0.99
 
 
+def count_evolutions(monkeypatch) -> list[int]:
+    """Record the number of members of every ``photonic.evolve`` call."""
+    members = []
+    evolve = photonic.evolve
+    monkeypatch.setattr(photonic, "evolve", lambda t, net: members.append(len(t)) or evolve(t, net))
+    return members
+
+
 class TestCommandCosts:
     def test_photonic_verify_evolves_six_states(self, tmp_path, monkeypatch):
-        # Four logical inputs for the CZ channel, two HOM endpoints.
-        calls = []
-        evolve = photonic.evolve_two_photon
-        monkeypatch.setattr(photonic, "evolve_two_photon",
-                            lambda *a: calls.append(1) or evolve(*a))
+        # One call for the four logical inputs of the CZ channel, one for the
+        # two label components of the HOM endpoints.
+        members = count_evolutions(monkeypatch)
         assert cli.main(["--out", str(tmp_path), "photonic-verify"]) == 0
-        assert len(calls) == 6
+        assert members == [4, 2]
 
     def test_hom_scan_evolutions_do_not_grow_with_the_grid(self, tmp_path, monkeypatch):
-        calls = []
-        evolve = photonic.evolve_two_photon
-        monkeypatch.setattr(photonic, "evolve_two_photon",
-                            lambda *a: calls.append(1) or evolve(*a))
+        members = count_evolutions(monkeypatch)
         counts = []
         for n in (3, 100):
             cfg = tmp_path / f"cfg{n}.json"
             cfg.write_text(json.dumps({"gamma_grid": [k / (n - 1) for k in range(n)]}))
-            calls.clear()
+            members.clear()
             assert cli.main(["--config", str(cfg), "--out", str(tmp_path / f"out{n}"),
                              "hom-scan"]) == 0
-            counts.append(len(calls))
-        # Two label components each for the dip (its grid and the visibility's
-        # endpoints) and the pipeline.
-        assert counts == [4, 4]
+            counts.append(list(members))
+        # The two label components of the dip (its grid and the visibility's
+        # endpoints) in one call, and those of the pipeline in another.
+        assert counts == [[2, 2], [2, 2]]
 
     def test_hom_scan_builds_each_network_once(self, tmp_path, monkeypatch):
         built = []
@@ -357,23 +395,17 @@ class TestPipeline:
     @settings(max_examples=20, deadline=None)
     def test_post_selection_matches_a_walk_over_fock_terms(self, seed):
         rng = np.random.default_rng(seed)
-        a, b = (rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
-                for _ in range(2))
-        s = photonic.evolve_two_photon(
-            photonic.product_state(a / np.linalg.norm(a), b / np.linalg.norm(b)),
-            photonic.build_full_network(photonic.EXPERIMENTAL_BS),
-        )
-        expect, mass = walk_post_selection(s)
-        rho, got_mass = photonic.post_select_coincidence(s.tensor[None])
+        t = photonic.evolve(pair(random_photon(rng), random_photon(rng)),
+                            photonic.build_full_network(photonic.EXPERIMENTAL_BS))
+        expect, mass = walk_post_selection(t[0])
+        rho, got_mass = photonic.post_select_coincidence(t)
         assert got_mass[0] == pytest.approx(mass, abs=1e-12)
         assert np.max(np.abs(rho[0] - expect)) < 1e-12
 
     def test_empty_post_selection_raises(self):
-        s = photonic.product_state(
-            photonic.single_photon("out1", "V"), photonic.single_photon("out4", "V")
-        )
+        t = pair(photonic.single_photon("out1", "V"), photonic.single_photon("out4", "V"))
         with pytest.raises(photonic.EmptyPostSelection):
-            photonic.post_select_coincidence(s.tensor[None])
+            photonic.post_select_coincidence(t)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
     def test_non_finite_or_overflowing_tensors_raise(self, entry):

@@ -114,7 +114,6 @@ UNIT_PARAMETERS = {
     "BsParams.R_V": lambda x: photonic.BsParams(R_V=x),
     "coupler_unitary": photonic.coupler_unitary,
     "hom_coincidence": lambda x: photonic.hom_coincidence([0.5, x]),
-    "prepared_input": photonic.prepared_input,
     "simulate_pipeline": lambda x: photonic.simulate_pipeline(gamma=x),
     "simulate_pipeline_grid": lambda x: photonic.simulate_pipeline_grid([0.5, x]),
     "hom_scan": lambda x: photonic.hom_scan([0.5, x]),
