@@ -35,10 +35,6 @@ class CertifyError(Exception):
     pass
 
 
-class MissingSetting(CertifyError):
-    pass
-
-
 PAULI_SETTINGS = np.array([[AXES[a], AXES[b]] for a in AXIS_NAMES for b in AXIS_NAMES])
 PAULI_SETTINGS.setflags(write=False)
 
@@ -230,7 +226,7 @@ def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) ->
     one projector table.  Member b is one (S, 4) draw from ``default_rng(seeds[b])``:
     numpy fills it in C order, the order of a draw of four per setting."""
     if n_per_setting < 1:
-        raise CertifyError("n_per_setting must be >= 1")
+        raise CertifyError("counts_per_setting must be >= 1")
     probs = np.clip(_trace(rhos[:, None, None] @ projector_table(bases)), 0.0, 1.0)
     return np.stack([np.random.default_rng(seed).poisson(n_per_setting * p)
                      for seed, p in zip(seeds, probs)])
@@ -245,14 +241,14 @@ def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) ->
 def _linear_inversion(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(B, 4, 4) least-squares states of the (B, S, 4) counts, no setting all zero, of the
     settings with projector table ``table`` (S, 4, 4, 4): the pseudo-inverse of the
-    (4S, 16) map rho -> tr(rho Pi_k) applied to the outcome frequencies.  MissingSetting
+    (4S, 16) map rho -> tr(rho Pi_k) applied to the outcome frequencies.  CertifyError
     unless the map has rank 16 (numpy's ``matrix_rank`` tolerance), that is unless the
     settings are informationally complete.  Hermitian, unit trace, not always PSD."""
     # The rows map rho^T to tr(rho Pi); the solution is Hermitian, so its conjugate is rho.
     u, sv, vh = np.linalg.svd(table.reshape(-1, 16), full_matrices=False)
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(4 * len(table), 16) * np.finfo(float).eps))
     if rank < 16:
-        raise MissingSetting(f"settings not informationally complete: rank {rank} of 16")
+        raise CertifyError(f"settings not informationally complete: rank {rank} of 16")
     freq = (counts / counts.sum(axis=2, keepdims=True)).reshape(len(counts), -1)
     return ((freq @ u / sv) @ vh).reshape(-1, 4, 4)
 
@@ -320,7 +316,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     if np.any(dropped == len(bases)):
-        raise MissingSetting("no settings with nonzero counts")
+        raise CertifyError("no settings with nonzero counts")
     table = projector_table(bases)
     proj = _real_image(table.reshape(-1, 4, 4))
     # p_k = tr(Pi_k rho) = vec(Pi_k) . vec(rho) / 2 for the symmetric images;
@@ -428,7 +424,7 @@ def tomography_mle(data: Counts, target: DensityMatrix | None = None) -> Tomogra
 def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
-    The settings with counts must be informationally complete (MissingSetting
+    The settings with counts must be informationally complete (CertifyError
     otherwise): an all-zero row measures nothing.  Replica r redraws every count
     from Poisson(count) with the generator seeded by ``[seed, r]``; the counts
     themselves and all replicas are then fitted as one ``fit`` stack, the counts

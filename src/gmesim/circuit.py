@@ -13,14 +13,12 @@ from math import pi
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, DimensionMismatch, PureState
+from .qmath import DensityMatrix, PureState
 
 # Fixed qubit <-> polarization dictionary (serialized with every output).
 BASIS_CONVENTION = {"0": "V", "1": "H"}
 
 N_QUBITS = 4
-SPIN_QUBITS = (0, 3)
-GEOMETRY_QUBITS = (1, 2)
 
 
 def singlet() -> PureState:
@@ -122,8 +120,11 @@ def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> PureState:
 def reduced_spin_state(full: PureState) -> DensityMatrix:
     """Trace the geometry ququart out of the 16-dimensional state."""
     if full.dim != 16:
-        raise DimensionMismatch(f"expected a 16-dimensional state, got {full.dim}")
-    return qmath.partial_trace(full.density(), keep=SPIN_QUBITS)
+        raise qmath.QmathError(f"expected a 16-dimensional state, got {full.dim}")
+    psi = full.amplitudes.reshape(2, 2, 2, 2)
+    # Axes (a, g1, g2, b, a', g1', g2', b'): trace g2 = g2', then g1 = g1'.
+    rho = np.trace(np.multiply.outer(psi, psi.conj()), axis1=2, axis2=6)
+    return DensityMatrix((2, 2), np.trace(rho, axis1=1, axis2=4).reshape(4, 4))
 
 
 def _canonical_rotation() -> np.ndarray:

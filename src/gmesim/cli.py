@@ -116,10 +116,10 @@ class ExperimentConfig:
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
+        text = _read_text(path, "config")
         try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
             raise ParseError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ParseError(f"config {path} is not a JSON object")
@@ -148,6 +148,15 @@ def _meta(cfg: ExperimentConfig) -> dict:
         "config_hash": cfg.hash(),
         "seed": cfg.seed,
     }
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of ``path``; OSError or UnicodeDecodeError -> ParseError naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -191,12 +200,12 @@ def pure_state_json(psi: qmath.PureState) -> dict:
 
 
 def load_state_json(path: str) -> qmath.DensityMatrix:
+    text = _read_text(path, "state")
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        raw = json.loads(text)
         m = np.array([[complex(re, im) for re, im in row] for row in raw["matrix"]])
         rho = qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
-    except (OSError, KeyError, ValueError, TypeError, qmath.QmathError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
     if rho.dims != (2, 2):
         raise ParseError(f"state {path} has dims {list(rho.dims)}, expected two qubits [2, 2]")
@@ -224,11 +233,8 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
         return np.array([float(p) for p in parts])
 
     linenos, bases, counts = [], [], []
-    try:
-        with open(path) as fh:
-            lines = [(no, ln) for no, ln in enumerate(fh, start=1) if not ln.startswith("#")]
-    except OSError as exc:
-        raise ParseError(f"cannot read counts {path}: {exc}") from exc
+    lines = [(no, ln) for no, ln in enumerate(io.StringIO(_read_text(path, "counts")), start=1)
+             if not ln.startswith("#")]
     # Keep each row's line number in the file, metadata comments included.
     rows = list(zip((no for no, _ in lines), csv.reader(ln for _, ln in lines)))
     if not rows or [h.strip() for h in rows[0][1][:6]] != [
@@ -423,8 +429,6 @@ def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_simulate_counts(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    if cfg.counts_per_setting < 1:
-        raise ParseError("simulate-counts needs counts_per_setting >= 1")
     for flag, value, readers in (("--eta", args.eta, ("dephased", "baseline")),
                                  ("--v", args.v, ("distinguishable",))):
         if value is not None and args.model not in readers:
@@ -456,8 +460,6 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.counts is not None:
         data = load_counts_csv(args.counts)
     elif args.state is not None:
-        if cfg.counts_per_setting < 1:
-            raise ParseError("certify --state needs counts_per_setting >= 1")
         data = _simulated_counts(load_state_json(args.state).matrix, cfg)
     else:
         raise ParseError("certify needs --counts or --state")

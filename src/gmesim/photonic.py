@@ -43,14 +43,6 @@ class PhotonicError(Exception):
     pass
 
 
-class PhotonNumberMismatch(PhotonicError):
-    pass
-
-
-class EmptyPostSelection(PhotonicError):
-    pass
-
-
 def mode_index(path: str, pol: str, label: int = 0) -> int:
     return (PATHS.index(path) * 2 + POLS.index(pol)) * 2 + label
 
@@ -167,13 +159,13 @@ def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
 
 def evolve(t: np.ndarray, net: OpticalNetwork) -> np.ndarray:
     """Push a (K, N, N) stack of creation tensors through the mode unitary of ``net``;
-    PhotonNumberMismatch unless every member has norm 1 within 1e-9."""
+    PhotonicError unless every member has norm 1 within 1e-9."""
     if t.ndim != 3 or t.shape[1:] != (N_MODES, N_MODES):
         raise PhotonicError(f"creation tensors must be (K, {N_MODES}, {N_MODES}), got {t.shape}")
     norms = 2 * np.sum(np.abs(t) ** 2, axis=(1, 2))
     bad = np.abs(norms - 1.0) > 1e-9
     if bad.any():
-        raise PhotonNumberMismatch(
+        raise PhotonicError(
             f"input not a normalized two-photon state (norm {float(norms[bad][0])!r})"
         )
     a = net.mode_unitary.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
@@ -213,13 +205,13 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     mass = pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
     if np.any(mass < 1e-14):
-        raise EmptyPostSelection("post-selected mass below 1e-14")
+        raise PhotonicError("post-selected mass below 1e-14")
     # Axes: (grid, qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
     psi = 2 * t[:, DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
     vec = psi.reshape(len(t), 16)
     decoded = np.sum(np.abs(vec) ** 2, axis=-1)
     if np.any(decoded < 1e-14):
-        raise EmptyPostSelection("no path-polarization-consistent coincidence terms")
+        raise PhotonicError("no path-polarization-consistent coincidence terms")
     vec = vec / np.sqrt(decoded)[:, None]
     if not np.all(np.isfinite(vec)):
         raise qmath.QmathError("decoded state contains NaN or Inf entries")

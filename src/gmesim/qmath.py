@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small multi-qubit systems (dimension <= 16).
 
-Provides the validated ``PureState`` / ``DensityMatrix`` value types, the
-partial trace and the pure-state fidelity, together with the checks every
-module shares: ``check_unit`` for a parameter, or an array of them, in [0, 1]
-(raising the one ``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.
+Provides the validated ``PureState`` / ``DensityMatrix`` value types and the
+pure-state fidelity, together with the checks every module shares:
+``check_unit`` for a parameter, or an array of them, in [0, 1] (raising the one
+``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.  Every other
+failure raises ``QmathError`` with a message that says what failed.
 """
 
 from __future__ import annotations
@@ -28,18 +29,6 @@ class QmathError(Exception):
     """Base class for errors raised by this module."""
 
 
-class NotHermitian(QmathError):
-    pass
-
-
-class BadSubsystem(QmathError):
-    pass
-
-
-class DimensionMismatch(QmathError):
-    pass
-
-
 class OutOfRange(QmathError):
     """A physical parameter out of the unit interval; noise and photonic re-export it."""
 
@@ -52,16 +41,6 @@ def check_unit(x, name: str):
     if bad.any():
         raise OutOfRange(f"{name} = {float(a[bad][0])!r} outside [0, 1]")
     return float(a) if a.ndim == 0 else a
-
-
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a finite, 2-D complex ndarray."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(float))):
-        raise QmathError("matrix contains NaN or Inf entries")
-    return a
 
 
 @dataclass(frozen=True)
@@ -80,7 +59,7 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if len(amps) != prod(self.dims):
-            raise DimensionMismatch(
+            raise QmathError(
                 f"amplitude vector of length {len(amps)} does not match dims {self.dims}"
             )
         if not np.all(np.isfinite(amps.view(float))):
@@ -107,7 +86,7 @@ def check_density(m: np.ndarray) -> np.ndarray:
         raise QmathError("density matrix contains NaN or Inf entries")
     mh = np.swapaxes(m.conj(), -1, -2)
     if np.max(np.abs(m - mh), initial=0.0) > NORM_TOL:
-        raise NotHermitian("density matrix is not Hermitian")
+        raise QmathError("density matrix is not Hermitian")
     tr = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
     bad = np.abs(tr - 1.0) > NORM_TOL
     if bad.any():
@@ -125,12 +104,12 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         d = prod(self.dims)
         if m.shape != (d, d):
-            raise DimensionMismatch(f"matrix shape {m.shape} does not match dims {self.dims}")
+            raise QmathError(f"matrix shape {m.shape} does not match dims {self.dims}")
         check_density(m)
 
     @property
@@ -138,34 +117,15 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state over the subsystems in ``keep`` (original ordering kept)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = len(rho.dims)
-    if not keep:
-        raise BadSubsystem("keep must be a nonempty subsystem index set")
-    for k in keep:
-        if k < 0 or k >= n:
-            raise BadSubsystem(f"subsystem index {k} out of range for dims {rho.dims}")
-    dims = list(rho.dims)
-    t = rho.matrix.reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for idx in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d = prod(dims)
-    return DensityMatrix(tuple(dims), t.reshape(d, d))
-
-
 def check_two_qubit(rho: DensityMatrix) -> None:
     if rho.dims != (2, 2):
-        raise DimensionMismatch(f"expected a two-qubit state, got dims {rho.dims}")
+        raise QmathError(f"expected a two-qubit state, got dims {rho.dims}")
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """Overlap <psi| rho |psi> with a pure target state."""
     if rho.dim != psi.dim:
-        raise DimensionMismatch(
+        raise QmathError(
             f"state dimension {psi.dim} does not match density matrix dimension {rho.dim}"
         )
     v = psi.amplitudes

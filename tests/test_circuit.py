@@ -70,9 +70,11 @@ class TestEvolution:
 
     def test_final_state_disentangles_geometry(self):
         psi = circuit.run_circuit(circuit.build_gme_circuit())
-        geo = qmath.partial_trace(psi.density(), keep=circuit.GEOMETRY_QUBITS)
-        assert np.trace(geo.matrix @ geo.matrix).real == pytest.approx(1.0, abs=1e-12)
-        assert geo.matrix[0, 0].real == pytest.approx(1.0, abs=1e-12)
+        # Axes (spin A, geometry ququart, spin B); the spins are traced out.
+        amps = psi.amplitudes.reshape(2, 4, 2)
+        geo = np.einsum("aib,ajb->ij", amps, amps.conj())
+        assert np.trace(geo @ geo).real == pytest.approx(1.0, abs=1e-12)
+        assert geo[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, pi / 2, pi, 5.0])
     def test_reduced_spin_state_matches_closed_form(self, phi):

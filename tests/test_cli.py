@@ -514,13 +514,24 @@ class TestOutOfRangeInputs:
         (None, ("certify", "--counts", "{nan_axis}")),
         (None, ("certify", "--counts", "{far_negative}")),
         (None, ("certify", "--counts", "{all}", "--state", "{mixed}")),
+        (None, ("--config", "{not_utf8}", "circuit")),
+        (None, ("certify", "--counts", "{not_utf8}")),
+        (None, ("certify", "--state", "{not_utf8}")),
+        (None, ("--config", "{a_dir}", "circuit")),
+        (None, ("certify", "--counts", "{a_dir}")),
+        (None, ("certify", "--state", "{entry_1e400}")),
+        (None, ("certify", "--state", "{dims_1e400}")),
+        (None, ("simulate-counts", "--counts-per-setting", "0")),
+        (None, ("certify", "--state", "{mixed}", "--counts-per-setting", "0")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
             "replicas-above-cap",
             "missing-setting", "singlet-eta", "dephased-v", "state-three-qubits",
             "state-not-density", "counts-1e19", "counts-1e20", "counts-flag-above-cap",
             "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64",
-            "counts-and-state"])
+            "counts-and-state", "config-not-utf8", "csv-not-utf8", "state-not-utf8",
+            "config-is-a-directory", "csv-is-a-directory", "state-entry-1e400",
+            "state-dims-1e400", "simulate-counts-zero", "certify-state-counts-zero"])
     def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
         paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv",
                  "huge": tmp_path / "huge.csv", "nan_axis": tmp_path / "nan_axis.csv",
@@ -537,6 +548,16 @@ class TestOutOfRangeInputs:
             paths[name].write_text(json.dumps({
                 "dims": [2] * int(math.log2(dim)),
                 "matrix": [[[diag * (i == j), 0.0] for j in range(dim)] for i in range(dim)]}))
+        paths["not_utf8"] = tmp_path / "not_utf8"
+        paths["not_utf8"].write_bytes(b"\xff\xfe")
+        paths["a_dir"] = tmp_path / "a_dir"
+        paths["a_dir"].mkdir()
+        # Numbers too large for a float: 10**400 as a matrix entry, 1e400 as a dimension.
+        mixed = json.loads(paths["mixed"].read_text())
+        paths["entry_1e400"] = tmp_path / "entry_1e400.json"
+        paths["entry_1e400"].write_text(json.dumps(mixed).replace("0.25", str(10**400), 1))
+        paths["dims_1e400"] = tmp_path / "dims_1e400.json"
+        paths["dims_1e400"].write_text(json.dumps(mixed).replace("[2, 2]", "[1e400, 2]"))
         prefix = ()
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))

@@ -5,9 +5,12 @@ The module-level functions and classes of ``src/gmesim`` must each be used
 somewhere else in the package, in the acceptance battery
 (``tests/test_acceptance.py``) or in the benchmark harness
 (``benchmarks/``); so must every method of those classes.  A helper that only
-a unit test calls belongs in that test file.  The allowed references are read
-from those files with ``ast``; the one list kept by hand names the
-single-state views of ``certify`` and ``noise`` that ``cli`` must not call.
+a unit test calls belongs in that test file.  Likewise an exception class that
+derives from another package exception must be named in an ``except`` clause
+there: a subclass that only ``pytest.raises`` tells apart is its base with a
+message.  The allowed references are read from those files with ``ast``; the
+one list kept by hand names the single-state views of ``certify`` and
+``noise`` that ``cli`` must not call.
 """
 
 import ast
@@ -94,3 +97,27 @@ def test_cli_calls_no_single_state_view():
     pairs, _ = _references(MODULES["cli"], "cli")
     used = sorted(f"{mod}.{name}" for mod, name in SINGLE_STATE_VIEWS if (mod, name) in pairs)
     assert not used, f"cli calls single-state views: {used}"
+
+
+def _last_name(node: ast.expr) -> str | None:
+    """``X`` of a bare name ``X`` or of an attribute ``m.X``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_exception_subclass_is_caught_by_name_outside_the_unit_tests():
+    classes = [node for tree in MODULES.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)]
+    errors = {"Exception"}
+    for _ in classes:  # the base of a package exception may come later in the list
+        errors |= {c.name for c in classes if {_last_name(b) for b in c.bases} & errors}
+    subclasses = {c.name for c in classes
+                  if {_last_name(b) for b in c.bases} & (errors - {"Exception"})}
+    caught = set()
+    for tree in [*MODULES.values(), *CONSUMERS]:
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                caught |= {_last_name(t) for t in types}
+    assert subclasses, "no exception subclasses found: the guard reads nothing"
+    uncaught = sorted(subclasses - caught)
+    assert not uncaught, f"exception subclasses no except clause names: {uncaught}"

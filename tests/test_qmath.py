@@ -10,13 +10,13 @@ class TestTypes:
             qmath.PureState((2, 2), np.array([1.0, 1.0, 0, 0]))
 
     def test_pure_state_dim_mismatch(self):
-        with pytest.raises(qmath.DimensionMismatch):
+        with pytest.raises(qmath.QmathError, match="does not match dims"):
             qmath.PureState((2, 2, 2), np.array([1.0, 0, 0, 0]))
 
     def test_density_matrix_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.3
-        with pytest.raises(qmath.NotHermitian):
+        with pytest.raises(qmath.QmathError, match="not Hermitian"):
             qmath.DensityMatrix((2, 2), m)
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
@@ -44,7 +44,7 @@ class TestTypes:
             qmath.check_density(bad)
         bad = good.copy()
         bad[1, 0, 1] = 0.1
-        with pytest.raises(qmath.NotHermitian):
+        with pytest.raises(qmath.QmathError, match="not Hermitian"):
             qmath.check_density(bad)
         bad = good.copy()
         bad[0] *= 2
@@ -52,8 +52,8 @@ class TestTypes:
             qmath.check_density(bad)
 
     def test_nan_rejected(self):
-        with pytest.raises(qmath.QmathError):
-            qmath.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+        with pytest.raises(qmath.QmathError, match="NaN or Inf"):
+            qmath.DensityMatrix((2,), np.array([[np.nan, 0], [0, 1]]))
 
 
 class TestConstants:
@@ -63,48 +63,13 @@ class TestConstants:
 
 
 class TestPartialOps:
-    def test_partial_trace_product_state(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=2) + 1j * rng.normal(size=2)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b /= np.linalg.norm(b)
-        psi = qmath.PureState((2, 2), np.kron(a, b))
-        ra = qmath.partial_trace(psi.density(), keep=[0])
-        assert np.allclose(ra.matrix, np.outer(a, a.conj()), atol=1e-12)
-
-    def test_partial_trace_bell_state_is_mixed(self):
-        psi = qmath.PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-        r = qmath.partial_trace(psi.density(), keep=[1])
-        assert np.allclose(r.matrix, np.eye(2) / 2)
-
-    def test_partial_trace_four_qubits(self):
-        rng = np.random.default_rng(5)
-        v = rng.normal(size=16) + 1j * rng.normal(size=16)
-        v /= np.linalg.norm(v)
-        psi = qmath.PureState((2, 2, 2, 2), v)
-        r = qmath.partial_trace(psi.density(), keep=[0, 3])
-        assert r.dims == (2, 2)
-        assert np.trace(r.matrix).real == pytest.approx(1.0)
-        # Agreement with an independent einsum contraction.
-        t = psi.density().matrix.reshape([2] * 8)
-        ref = np.einsum("abcdebcf->adef", t).reshape(4, 4)
-        assert np.allclose(r.matrix, ref, atol=1e-12)
-
-    def test_partial_trace_bad_subsystem(self):
-        rho = qmath.PureState((2, 2), np.array([1.0, 0, 0, 0])).density()
-        with pytest.raises(qmath.BadSubsystem):
-            qmath.partial_trace(rho, keep=[5])
-        with pytest.raises(qmath.BadSubsystem):
-            qmath.partial_trace(rho, keep=[])
-
     def test_partial_transpose_rejects_wrong_dims(self):
         # ppt_report and every other two-qubit entry point share qmath.check_two_qubit.
         rho = qmath.DensityMatrix((4,), np.eye(4) / 4)
         for call in (certify.ppt_report, certify.correlation_matrix,
                      circuit.canonicalize_to_singlet,
                      lambda r: certify.simulate_counts(r, certify.PAULI_SETTINGS, 10, 1)):
-            with pytest.raises(qmath.DimensionMismatch, match=r"got dims \(4,\)"):
+            with pytest.raises(qmath.QmathError, match=r"got dims \(4,\)"):
                 call(rho)
 
 
