@@ -182,15 +182,9 @@ def derived_batch(rhos: np.ndarray, targets=None) -> dict:
     return q
 
 
-def correlation_matrix(rho: DensityMatrix) -> np.ndarray:
-    """3x3 matrix T_ij = tr(rho sigma_i x sigma_j)."""
-    qmath.check_two_qubit(rho)
-    return _correlations(rho.matrix[None])[0]
-
-
 def witness_w(rho: DensityMatrix) -> float:
     """W = 1 - |<XX> + <YY>|; W < 0 certifies entanglement."""
-    return float(_witness(correlation_matrix(rho)[None])[0])
+    return float(_witness(_correlations(rho.matrix[None]))[0])
 
 
 def singlet_optimal_settings() -> np.ndarray:
@@ -209,14 +203,14 @@ def chsh(rho: DensityMatrix, settings) -> float:
     """
     if len(settings) != 4:
         raise CertifyError("chsh needs exactly four settings")
-    return float(_chsh_fixed(correlation_matrix(rho)[None], settings)[0])
+    return float(_chsh_fixed(_correlations(rho.matrix[None]), settings)[0])
 
 
 def chsh_max(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     """Maximal CHSH value 2 sqrt(l1 + l2) over all settings, plus (4, 2, 3) settings
     reaching it; l1 >= l2 are the two largest eigenvalues of T^T T for the Pauli
     correlation matrix T."""
-    value, settings = _chsh_max(correlation_matrix(rho)[None])
+    value, settings = _chsh_max(_correlations(rho.matrix[None]))
     return float(value[0]), settings[0]
 
 
@@ -234,7 +228,6 @@ def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) ->
 
 def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) -> Counts:
     """The dataset of ``simulate_counts_batch`` for one two-qubit state."""
-    qmath.check_two_qubit(rho)
     return Counts(bases, simulate_counts_batch(rho.matrix[None], bases, n_per_setting, [seed])[0])
 
 
@@ -388,7 +381,6 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
 
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
     """Partial-transpose eigenvalues (descending) and the negativity."""
-    qmath.check_two_qubit(rho)
     eigs = _pt_spectra(rho.matrix[None])
     return tuple(float(v) for v in eigs[0]), float(_negativity(eigs)[0])
 

@@ -158,5 +158,4 @@ def canonicalize_to_singlet(rho: DensityMatrix) -> DensityMatrix:
     consistently; it never changes negativity or any other local-unitary
     invariant.
     """
-    qmath.check_two_qubit(rho)
     return DensityMatrix((2, 2), singlet_frame(rho.matrix))

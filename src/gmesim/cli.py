@@ -99,14 +99,8 @@ class ExperimentConfig:
             if not ok:
                 raise ParseError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
-    def bs_params(self) -> photonic.BsParams:
-        return photonic.BS_PRESETS[self.bs]
-
-    def hash(self) -> str:
-        return self._hash
-
     @functools.cached_property
-    def _hash(self) -> str:
+    def hash(self) -> str:
         d = asdict(self)
         d.pop("output_dir")  # reruns into a different directory stay byte-identical
         blob = json.dumps(d, sort_keys=True).encode()
@@ -145,7 +139,7 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {
         "artifact_version": __version__,
         "basis_convention": circuit.BASIS_CONVENTION,
-        "config_hash": cfg.hash(),
+        "config_hash": cfg.hash,
         "seed": cfg.seed,
     }
 
@@ -160,11 +154,12 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, creating its directory; OSError -> ParseError."""
+    """Write ``text`` to ``path``, creating its directory; OSError or ValueError (a NUL
+    byte or an unencodable character in the path) -> ParseError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
@@ -203,13 +198,12 @@ def load_state_json(path: str) -> qmath.DensityMatrix:
     text = _read_text(path, "state")
     try:
         raw = json.loads(text)
-        m = np.array([[complex(re, im) for re, im in row] for row in raw["matrix"]])
-        rho = qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
-    except (KeyError, ValueError, TypeError, OverflowError, qmath.QmathError) as exc:
+        if not all(_is_real(x) for row in raw["matrix"] for z in row for x in z):
+            raise ValueError("matrix entries must be finite numbers, not true/false, text or null")
+        m = [[complex(re, im) for re, im in row] for row in raw["matrix"]]
+        return qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
+    except (KeyError, ValueError, TypeError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
-    if rho.dims != (2, 2):
-        raise ParseError(f"state {path} has dims {list(rho.dims)}, expected two qubits [2, 2]")
-    return rho
 
 
 def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) -> None:
@@ -326,7 +320,7 @@ def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     r = args.reflectivity
     if r is not None and args.bs is not None:
         raise ParseError("photonic-verify takes --bs or --reflectivity, not both")
-    bs = cfg.bs_params() if r is None else photonic.BsParams(r, r)
+    bs = photonic.BS_PRESETS[cfg.bs] if r is None else photonic.BsParams(r, r)
     channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
     amps = np.diagonal(channel)
     fid = photonic.channel_fidelity_to_cz(channel)
@@ -410,7 +404,7 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    bs = cfg.bs_params()
+    bs = photonic.BS_PRESETS[cfg.bs]
     grid = [float(g) for g in cfg.gamma_grid]
     probs, weights, visibility = photonic.hom_scan(grid, bs)
     rows = [[g, math.inf if g == 0.0 else 0.0 if g >= 1.0

@@ -21,7 +21,7 @@ the beam displacers copy the polarization qubit (V=0, H=1) onto the path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,22 +107,20 @@ def pair_tensors(photon_a: np.ndarray, photon_b: np.ndarray) -> np.ndarray:
     t = photon_a[:, :, None] * photon_b[:, None, :]
     t = (t + t.swapaxes(1, 2)) / 2
     norms = 2 * np.sum(np.abs(t) ** 2, axis=(1, 2))
-    if np.any(norms < 1e-14):
-        raise PhotonicError("photon amplitude vectors cancel")
+    if not np.all(norms >= 1e-14):  # NaN fails the test too
+        raise PhotonicError("photon amplitude vectors cancel or are not finite")
     return t / np.sqrt(norms)[:, None, None]
 
 
-@dataclass(frozen=True)
-class OpticalNetwork:
-    """Single-photon mode unitary of a passive linear network, made read-only to be shared."""
-
-    mode_unitary: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        u = self.mode_unitary
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
-            raise PhotonicError("mode matrix is not unitary")
-        u.flags.writeable = False
+def _network(u12: np.ndarray) -> np.ndarray:
+    """The single-photon mode unitary U_12 (x) I_2 of a passive linear network whose
+    (path, polarization) block is ``u12``, checked unitary and made read-only to be
+    shared.  No element touches the temporal label."""
+    u = np.kron(u12, np.eye(len(LABELS)))
+    if np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) > 1e-10:
+        raise PhotonicError("mode matrix is not unitary")
+    u.flags.writeable = False
+    return u
 
 
 def coupler_unitary(R: float) -> np.ndarray:
@@ -134,41 +132,40 @@ def coupler_unitary(R: float) -> np.ndarray:
 
 
 @functools.cache
-def build_cz_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
+def build_cz_network(bs: BsParams = IDEAL_BS) -> np.ndarray:
     """Three parallel couplers on path pairs (out1,1), (2,3), (4,out4), built once per ``bs``.
 
     The polarization sector with reflectivity R sees I_3 (x) C(R) on the
-    paths; no element touches the temporal label, so U = U_12 (x) I_2.
+    paths.
     """
     sectors = ((bs.R_H, np.diag([1.0, 0.0])), (bs.R_V, np.diag([0.0, 1.0])))
     u = sum(np.kron(np.kron(np.eye(3), coupler_unitary(r)), proj) for r, proj in sectors)
-    return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
+    return _network(u)
 
 
 @functools.cache
-def build_full_network(bs: BsParams = IDEAL_BS) -> OpticalNetwork:
+def build_full_network(bs: BsParams = IDEAL_BS) -> np.ndarray:
     """BDs + HWPs + BS + HWPs up to the coincidence detection, built once per ``bs``.
 
     The displacers and wave plates permute modes, so U_hwp U_bs U_hwp U_bd is
     a gather of the coupler's (path, polarization) block U_12.
     """
-    u = build_cz_network(bs).mode_unitary[::2, ::2]
-    u = u[np.ix_(HALF_WAVE_PLATES, HALF_WAVE_PLATES[BEAM_DISPLACERS])]
-    return OpticalNetwork(np.kron(u, np.eye(len(LABELS))))
+    u = build_cz_network(bs)[::2, ::2]
+    return _network(u[np.ix_(HALF_WAVE_PLATES, HALF_WAVE_PLATES[BEAM_DISPLACERS])])
 
 
-def evolve(t: np.ndarray, net: OpticalNetwork) -> np.ndarray:
-    """Push a (K, N, N) stack of creation tensors through the mode unitary of ``net``;
-    PhotonicError unless every member has norm 1 within 1e-9."""
+def evolve(t: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """Push a (K, N, N) stack of creation tensors through the mode unitary ``net``;
+    PhotonicError unless every member has norm 1 within 1e-9 (so NaN is rejected)."""
     if t.ndim != 3 or t.shape[1:] != (N_MODES, N_MODES):
         raise PhotonicError(f"creation tensors must be (K, {N_MODES}, {N_MODES}), got {t.shape}")
     norms = 2 * np.sum(np.abs(t) ** 2, axis=(1, 2))
-    bad = np.abs(norms - 1.0) > 1e-9
+    bad = ~(np.abs(norms - 1.0) <= 1e-9)
     if bad.any():
         raise PhotonicError(
             f"input not a normalized two-photon state (norm {float(norms[bad][0])!r})"
         )
-    a = net.mode_unitary.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
+    a = net.conj().T  # a_i^dag -> sum_j (U^dag)_ij b_j^dag
     out = a.T @ t @ a
     return (out + out.swapaxes(1, 2)) / 2
 
@@ -199,9 +196,9 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     path 2 <-> H for the first photon; path 3 <-> H, path 4 <-> V for the
     second); components where path and polarization disagree exit through
     unused ports and are dropped.  Temporal labels are traced out.  Returns
-    the (G, 4, 4) decoded density matrices and the (G,) pre-normalization
-    coincidence masses; the normalized 16-amplitude vectors before the trace
-    are checked finite, and the 4x4 states after it as density matrices.
+    the (G, 4, 4) decoded density matrices, checked as density matrices (so a
+    NaN or Inf raises QmathError), and the (G,) pre-normalization coincidence
+    masses.
     """
     mass = pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
     if np.any(mass < 1e-14):
@@ -213,14 +210,12 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(decoded < 1e-14):
         raise PhotonicError("no path-polarization-consistent coincidence terms")
     vec = vec / np.sqrt(decoded)[:, None]
-    if not np.all(np.isfinite(vec)):
-        raise qmath.QmathError("decoded state contains NaN or Inf entries")
     full = vec[:, :, None] * vec[:, None, :].conj()
     pol = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
     return qmath.check_density(pol), mass
 
 
-def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
+def cz_channel(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Post-selected path-qubit map of the logical inputs 00, 01, 10, 11, one stack.
 
     Both photons are V.  Returns the 4x4 channel matrix in the logical basis,
@@ -234,7 +229,7 @@ def cz_channel(net: OpticalNetwork) -> tuple[np.ndarray, np.ndarray]:
     return m, pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
 
 
-def cz_success_probabilities(net: OpticalNetwork) -> np.ndarray:
+def cz_success_probabilities(net: np.ndarray) -> np.ndarray:
     """Coincidence mass per logical input branch (1/9 each for the ideal network)."""
     return cz_channel(net)[1]
 
@@ -250,7 +245,7 @@ def channel_fidelity_to_cz(m: np.ndarray) -> float:
     return float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom)
 
 
-def process_fidelity_to_cz(net: OpticalNetwork) -> float:
+def process_fidelity_to_cz(net: np.ndarray) -> float:
     """Process fidelity of the post-selected channel of ``net`` to the ideal CZ gate."""
     return channel_fidelity_to_cz(cz_channel(net)[0])
 

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small multi-qubit systems (dimension <= 16).
 
-Provides the validated ``PureState`` / ``DensityMatrix`` value types and the
-pure-state fidelity, together with the checks every module shares:
+Provides the validated ``PureState`` value type, the two-qubit ``DensityMatrix``
+and the pure-state fidelity, together with the checks every module shares:
 ``check_unit`` for a parameter, or an array of them, in [0, 1] (raising the one
-``OutOfRange``) and ``check_two_qubit`` for a two-qubit state.  Every other
-failure raises ``QmathError`` with a message that says what failed.
+``OutOfRange``) and ``check_density`` for a matrix or a stack of them.  Every
+other failure raises ``QmathError`` with a message that says what failed.
 """
 
 from __future__ import annotations
@@ -98,35 +98,24 @@ def check_density(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator with subsystem dimension list."""
+    """Hermitian, PSD, unit-trace two-qubit state: dims (2, 2) and a (4, 4) matrix."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
+        if tuple(self.dims) != (2, 2) or m.shape != (4, 4):
+            raise QmathError(f"expected a two-qubit state, got dims {list(self.dims)} "
+                             f"and a matrix of shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = prod(self.dims)
-        if m.shape != (d, d):
-            raise QmathError(f"matrix shape {m.shape} does not match dims {self.dims}")
+        object.__setattr__(self, "dims", (2, 2))
         check_density(m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def check_two_qubit(rho: DensityMatrix) -> None:
-    if rho.dims != (2, 2):
-        raise QmathError(f"expected a two-qubit state, got dims {rho.dims}")
 
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """Overlap <psi| rho |psi> with a pure target state."""
-    if rho.dim != psi.dim:
-        raise QmathError(
-            f"state dimension {psi.dim} does not match density matrix dimension {rho.dim}"
-        )
+    """Overlap <psi| rho |psi> with a pure two-qubit target state."""
+    if psi.dim != 4:
+        raise QmathError(f"expected a two-qubit pure state, got dimension {psi.dim}")
     v = psi.amplitudes
     return float(np.vdot(v, rho.matrix @ v).real)

@@ -88,7 +88,7 @@ class TestCountsValue:
 
 class TestCorrelatorsAndWitness:
     def test_singlet_correlations(self):
-        t = certify.correlation_matrix(SINGLET)
+        (t,) = certify._correlations(SINGLET.matrix[None])
         assert np.allclose(t, -np.eye(3), atol=1e-12)
 
     def test_witness_values(self):

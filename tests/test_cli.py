@@ -61,8 +61,8 @@ class TestConfig:
     def test_hash_ignores_output_dir(self):
         a = cli.ExperimentConfig(output_dir="x")
         b = cli.ExperimentConfig(output_dir="y")
-        assert a.hash() == b.hash()
-        assert a.hash() != cli.ExperimentConfig(seed=1).hash()
+        assert a.hash == b.hash
+        assert a.hash != cli.ExperimentConfig(seed=1).hash
 
     def test_flag_overrides_config_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -523,6 +523,10 @@ class TestOutOfRangeInputs:
         (None, ("certify", "--state", "{dims_1e400}")),
         (None, ("simulate-counts", "--counts-per-setting", "0")),
         (None, ("certify", "--state", "{mixed}", "--counts-per-setting", "0")),
+        (None, ("--out", "{nul}", "circuit")),
+        (None, ("certify", "--state", "{entry_bool}")),
+        (None, ("certify", "--state", "{dims_fractional}")),
+        (None, ("certify", "--state", "{dims_strings}")),
     ], ids=["phi-nan", "seed-negative", "counts-string", "phi-string", "grid-scalar",
             "replicas-config", "weight-bool", "config-not-object", "replicas-flag",
             "replicas-above-cap",
@@ -531,7 +535,8 @@ class TestOutOfRangeInputs:
             "csv-count-above-cap", "csv-nan-axis", "csv-count-below-int64",
             "counts-and-state", "config-not-utf8", "csv-not-utf8", "state-not-utf8",
             "config-is-a-directory", "csv-is-a-directory", "state-entry-1e400",
-            "state-dims-1e400", "simulate-counts-zero", "certify-state-counts-zero"])
+            "state-dims-1e400", "simulate-counts-zero", "certify-state-counts-zero",
+            "out-nul-byte", "state-entry-bool", "state-dims-fractional", "state-dims-strings"])
     def test_bad_input_exits_2_with_one_line_error(self, tmp_path, capsys, config, argv):
         paths = {"all": tmp_path / "all.csv", "no_zz": tmp_path / "no_zz.csv",
                  "huge": tmp_path / "huge.csv", "nan_axis": tmp_path / "nan_axis.csv",
@@ -558,6 +563,16 @@ class TestOutOfRangeInputs:
         paths["entry_1e400"].write_text(json.dumps(mixed).replace("0.25", str(10**400), 1))
         paths["dims_1e400"] = tmp_path / "dims_1e400.json"
         paths["dims_1e400"].write_text(json.dumps(mixed).replace("[2, 2]", "[1e400, 2]"))
+        # Not numbers: JSON true/false as the entry 1 of |00><00|, and dims that int()
+        # would truncate to 2.
+        for k in range(4):
+            mixed["matrix"][k][k] = [True, False] if k == 0 else [0.0, 0.0]
+        paths["entry_bool"] = tmp_path / "entry_bool.json"
+        paths["entry_bool"].write_text(json.dumps(mixed))
+        for name, dims in (("dims_fractional", [2.7, 2.2]), ("dims_strings", ["2", "2"])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(paths["mixed"].read_text().replace("[2, 2]", json.dumps(dims)))
+        paths["nul"] = tmp_path / "out" / "a\0b"
         prefix = ()
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -757,6 +772,38 @@ def certify_or_scan(draw):
     return config, ("scan", "--param", param), None
 
 
+# certify --state reads a valid two-qubit state with one thing changed: one
+# number of the matrix becomes a bool of the same truth, a string, null, NaN,
+# 1e400 or 10**400, or the dims become one of DIMS_CASES (None leaves them out).  Only
+# dims equal to (2, 2), or none, keep the file a state.
+ENTRY_TOKENS = ["bool", '"0"', "null", "NaN", "1e400", str(10**400)]
+DIMS_CASES = [[2.0, 2.0], [2.7, 2.2], ["2", "2"], [4], [2, 2, 2], None]
+
+
+@st.composite
+def state_json_text(draw):
+    """(text of a state file, whether it holds a two-qubit state of finite numbers)."""
+    rho = certify.random_density_matrices(np.random.default_rng(draw(st.integers(0, 99))), 1)[0]
+    rho = draw(st.sampled_from([rho, noise.SINGLET, np.eye(4) / 4]))
+    doc = cli.state_json(rho)
+    kind = draw(st.sampled_from(["none", "entry", "dims"]))
+    if kind == "dims":
+        dims = draw(st.sampled_from(DIMS_CASES))
+        if dims is None:
+            del doc["dims"]
+        else:
+            doc["dims"] = dims
+        return json.dumps(doc), dims is None or tuple(dims) == (2, 2)
+    if kind == "none":
+        return json.dumps(doc), True
+    i, j, part = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 1))
+    token = draw(st.sampled_from(ENTRY_TOKENS))
+    if token == "bool":
+        token = json.dumps(bool(doc["matrix"][i][j][part]))
+    doc["matrix"][i][j][part] = "@"
+    return json.dumps(doc).replace('"@"', token), False
+
+
 class TestExitCodeFuzz:
     def test_exit_codes_are_documented_and_tracebacks_absent(self, tmp_path):
         ran = set()
@@ -804,6 +851,29 @@ class TestExitCodeFuzz:
         check()
         # Both commands run to the end, and certify also meets inputs it rejects.
         assert {("certify", 0), ("certify", 2), ("scan", 0)} <= outcomes
+
+    def test_state_file_exit_codes(self, tmp_path):
+        outcomes = set()
+        state = tmp_path / "state.json"
+
+        @given(state_json_text())
+        @settings(max_examples=60)
+        def check(case):
+            text, valid = case
+            state.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("--out", str(tmp_path / "out"), "certify", "--state", str(state),
+                           "--mc-replicas", "2", "--counts-per-setting", "50")
+            assert code in (0, 2, 3), (code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert (code == 2) != valid, (text, code, err.getvalue())
+            outcomes.add(code)
+
+        check()
+        assert {0, 2} <= outcomes
 
 
 class TestDeterminism:

@@ -86,8 +86,8 @@ def test_every_definition_has_a_caller_outside_the_unit_tests():
 # and ``certify.derived_batch`` instead.
 SINGLE_STATE_VIEWS = [
     ("certify", "witness_w"), ("certify", "chsh"), ("certify", "chsh_max"),
-    ("certify", "ppt_report"), ("certify", "correlation_matrix"),
-    ("certify", "tomography_mle"), ("certify", "monte_carlo_errors"),
+    ("certify", "ppt_report"), ("certify", "tomography_mle"),
+    ("certify", "monte_carlo_errors"),
     ("certify", "simulate_counts"), ("noise", "dephased_singlet"),
     ("noise", "distinguishable_state"), ("noise", "baseline_state"),
 ]

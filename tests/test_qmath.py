@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmesim import certify, circuit, noise, photonic, qmath
+from gmesim import noise, photonic, qmath
 
 
 class TestTypes:
@@ -29,10 +29,12 @@ class TestTypes:
             qmath.DensityMatrix((2, 2), np.eye(4, dtype=complex))
 
     def test_density_of_pure_state(self):
-        psi = qmath.PureState((2,), np.array([1, 1j]) / np.sqrt(2))
+        psi = qmath.PureState((2, 2), np.array([1, 0, 0, 1j]) / np.sqrt(2))
         rho = psi.density()
         assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0)
         assert qmath.fidelity_pure(rho, psi) == pytest.approx(1.0)
+        with pytest.raises(qmath.QmathError, match="two-qubit pure state, got dimension 2"):
+            qmath.fidelity_pure(rho, qmath.PureState((2,), np.array([1, 0])))
 
     def test_density_check_covers_every_member_of_a_stack(self):
         good = np.stack([np.eye(4, dtype=complex) / 4] * 3)
@@ -53,7 +55,7 @@ class TestTypes:
 
     def test_nan_rejected(self):
         with pytest.raises(qmath.QmathError, match="NaN or Inf"):
-            qmath.DensityMatrix((2,), np.array([[np.nan, 0], [0, 1]]))
+            qmath.DensityMatrix((2, 2), np.diag([np.nan, 0, 0, 1]))
 
 
 class TestConstants:
@@ -64,13 +66,10 @@ class TestConstants:
 
 class TestPartialOps:
     def test_partial_transpose_rejects_wrong_dims(self):
-        # ppt_report and every other two-qubit entry point share qmath.check_two_qubit.
-        rho = qmath.DensityMatrix((4,), np.eye(4) / 4)
-        for call in (certify.ppt_report, certify.correlation_matrix,
-                     circuit.canonicalize_to_singlet,
-                     lambda r: certify.simulate_counts(r, certify.PAULI_SETTINGS, 10, 1)):
-            with pytest.raises(qmath.QmathError, match=r"got dims \(4,\)"):
-                call(rho)
+        # ppt_report and every other two-qubit entry point take a DensityMatrix,
+        # whose constructor accepts only dims (2, 2).
+        with pytest.raises(qmath.QmathError, match=r"got dims \[4\] and a matrix of shape"):
+            qmath.DensityMatrix((4,), np.eye(4) / 4)
 
 
 # Every entry point that takes a parameter in [0, 1].
