@@ -267,11 +267,11 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
     return rho / _trace(rho)[..., None, None]
 
 
-_DILUTION = 0.5 ** np.arange(1, 40)
 # A log-likelihood change below this is a stall.  |l| is about 1e5 at 10^4
-# counts per setting, where 1e-10 is a few ulp: a plain step that lowers l by
-# no more than this is rounding, not an overshoot, so it is not searched.
+# counts per setting, where 1e-10 is a few ulp: a step that lowers l by no
+# more than this is rounding, not an overshoot, so its step size is kept.
 STALL_TOL = 1e-10
+_MIN_STEP = 0.5 ** 39  # the step sizes are 1, 1/2, ..., 2^-39
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -281,30 +281,31 @@ def _real_image(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 100_000):
+def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     """Maximize the Poisson log-likelihood of every member of a stack at once.
 
     Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of the setting
-    tuple ``bases[s]`` (shape (S, 2, 3)) and runs Hradil's fixed point
-    rho <- R rho R / tr(...), R = sum_k (n_k/p_k) Pi_k.  A step that would
-    lower its likelihood by more than ``STALL_TOL`` becomes the diluted step
-    (I + eps R)/norm with the first eps of 0.5, 0.25, ... > 1e-12 that raises
-    it (Rehacek et al., PRA 75, 042108, 2007); a step that lowers it by no more
-    than that, or whose search fails, keeps the iterate.  A member converges
-    once its gain stays below ``STALL_TOL`` for 10 iterations, or gives up after
+    tuple ``bases[s]`` (shape (S, 2, 3)) and iterates rho <- M rho M / tr(...),
+    M = (1 - eps) I + eps R/N, R = sum_k (n_k/p_k) Pi_k, N = tr(rho R) its total
+    count: Hradil's fixed point at eps = 1, the diluted step of Rehacek et al.
+    (PRA 75, 042108, 2007) below.  A step that lowers the likelihood by more
+    than ``STALL_TOL`` overshoots: the iterate stays and eps halves for the next
+    iteration, down to 2^-39.  Any other step, or an overshoot at 2^-39, resets
+    eps to 1 and is a stall if it gains less than ``STALL_TOL``; a step that
+    lowers the likelihood keeps the iterate.  A member converges after 10
+    stalls in a row (overshoots do not break the run) or gives up after
     ``max_iter``.  All-zero settings are dropped; a member that drops none
-    starts from ``_linear_inversion``, else from I/4, unless ``init`` gives one
-    start or one per member.  The iteration holds rho, R and each Pi_k as their
-    real 8x8 images (``_real_image``), so Hermitization is symmetrization, and
-    carries the outcome probabilities of each member's accepted iterate.
-    Returns arrays ``(rho, log_likelihood, converged, iterations, dropped)``
-    over the members, rho as complex (B, 4, 4).  Non-finite ``bases``,
-    ``counts`` or ``init`` raise CertifyError, since a NaN likelihood never
-    stalls.
+    starts from ``_linear_inversion``, else from I/4.  The iteration holds rho,
+    R and each Pi_k as their real 8x8 images (``_real_image``), so
+    Hermitization is symmetrization, and carries the outcome probabilities of
+    each member's accepted iterate.  Returns arrays ``(rho, log_likelihood,
+    converged, iterations, dropped)`` over the members, rho as complex
+    (B, 4, 4).  Non-finite ``bases`` or ``counts`` raise CertifyError, since a
+    NaN likelihood never stalls.
     """
     counts = np.asarray(counts, dtype=float)
-    for name, arr in (("bases", bases), ("counts", counts), ("init", init)):
-        if arr is not None and not np.all(np.isfinite(arr)):
+    for name, arr in (("bases", bases), ("counts", counts)):
+        if not np.all(np.isfinite(arr)):
             raise CertifyError(f"mle_batch: {name} has NaN or Inf entries")
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
@@ -318,8 +319,8 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     proj = proj.reshape(len(proj), 64)
     n = counts.reshape(b, -1)
 
-    start = np.broadcast_to(np.eye(4) / 4 if init is None else init, (b, 4, 4)).astype(complex)
-    if init is None and np.any(dropped == 0):
+    start = np.full((b, 4, 4), np.eye(4) / 4, dtype=complex)
+    if np.any(dropped == 0):
         start[dropped == 0] = _linear_inversion(table, counts[dropped == 0])
     # Blend in a little of the identity: the fixed point cannot leave the
     # support of the iterate, so the start must be full rank.
@@ -331,39 +332,32 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
     def loglike(p: np.ndarray, nn: np.ndarray) -> np.ndarray:
         return (nn * np.log(p)).sum(axis=-1)
 
-    def normalized(m: np.ndarray) -> np.ndarray:
-        # (m + m^T)/2 over half its trace: the image of (m + m^dagger)/2 over tr.
-        return (m + m.swapaxes(-1, -2)) / m.trace(axis1=-2, axis2=-1)[..., None, None]
-
     p = probs(rho)
     rho_out, ll_out = rho.copy(), loglike(p, n)
     converged, iterations = np.zeros(b, dtype=bool), np.full(b, max_iter)
-    live = np.arange(b)  # members still iterating; rho, p, ll, stall, n follow it
-    ll, stall = ll_out.copy(), np.zeros(b, dtype=int)
+    live = np.arange(b)  # members still iterating; rho, p, ll, stall, eps, n follow it
+    ll, stall, eps = ll_out.copy(), np.zeros(b, dtype=int), np.ones(b)
+    diluting = False  # some live member has eps < 1
     for it in range(1, max_iter + 1):
-        r = ((n / p) @ proj).reshape(-1, 8, 8)
-        new = normalized(r @ rho @ r)
+        m = ((n / p) @ proj).reshape(-1, 8, 8)
+        if diluting:  # eps = 1 takes R itself, so Hradil's step stays bit for bit
+            w = eps[:, None, None]
+            m = np.where(w < 1, (1 - w) * np.eye(8) + w / n.sum(axis=1)[:, None, None] * m, m)
+        new = m @ rho @ m
+        # (new + new^T)/2 over half its trace: the image of (new + new^dagger)/2 over tr.
+        new = (new + new.swapaxes(-1, -2)) / new.trace(axis1=-2, axis2=-1)[:, None, None]
         p_new = probs(new)
         ll_new = loglike(p_new, n)
-        worse = ll_new - ll < -STALL_TOL
-        if worse.any():
-            worse = np.flatnonzero(worse)
-            rw, pw = r[worse], rho[worse]
-            r_norm = rw * (2 / (rw @ pw).trace(axis1=-2, axis2=-1))[:, None, None]
-            eps = _DILUTION[:, None, None]
-            m = (1 - eps) * np.eye(8) + eps * r_norm[:, None]  # (W, 39, 8, 8)
-            cand = normalized(m @ pw[:, None] @ m.swapaxes(-1, -2))
-            p_cand = probs(cand)
-            ll_cand = loglike(p_cand, n[worse][:, None])
-            better = ll_cand > ll[worse][:, None]
-            first, ok = better.argmax(axis=1), better.any(axis=1)
-            take = (ok, first[ok])
-            new[worse[ok]], p_new[worse[ok]], ll_new[worse[ok]] = (
-                cand[take], p_cand[take], ll_cand[take])
-        stall = np.where(ll_new - ll < STALL_TOL, stall + 1, 0)
-        # A member whose step still lowers the likelihood keeps its iterate
-        # and counts the iteration as a stall.
-        keep = ll_new < ll
+        gain = ll_new - ll
+        stall = np.where(gain < STALL_TOL, stall + 1, 0)
+        over = gain < -STALL_TOL
+        if diluting or over.any():
+            retry = over & (eps > _MIN_STEP)
+            stall -= retry  # an overshoot that halves eps is no stall
+            eps = np.where(retry, eps / 2, 1.0)
+            diluting = retry.any()
+        # A member whose step lowers the likelihood keeps its iterate.
+        keep = gain < 0
         if keep.any():
             new[keep], p_new[keep], ll_new[keep] = rho[keep], p[keep], ll[keep]
         rho, p, ll = new, p_new, ll_new
@@ -372,7 +366,8 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, init=None, max_iter: int = 
             idx = live[done]
             rho_out[idx], ll_out[idx] = rho[done], ll[done]
             converged[idx], iterations[idx] = True, it
-            live, rho, p, ll, stall, n = (a[~done] for a in (live, rho, p, ll, stall, n))
+            live, rho, p, ll, stall, eps, n = (
+                a[~done] for a in (live, rho, p, ll, stall, eps, n))
             if not len(live):
                 break
     rho_out[live], ll_out[live] = rho, ll

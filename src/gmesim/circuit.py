@@ -26,13 +26,13 @@ def singlet() -> PureState:
     v = np.zeros(4, dtype=complex)
     v[2] = 1 / np.sqrt(2)   # |HV>
     v[1] = -1 / np.sqrt(2)  # |VH>
-    return PureState((2, 2), v)
+    return PureState(v)
 
 
 def ideal_spin_state(phi: float) -> PureState:
     """(|00> + |01> + |10> + e^{i phi}|11>)/2, the post-recombination spin state."""
     v = np.array([1, 1, 1, np.exp(1j * phi)], dtype=complex) / 2
-    return PureState((2, 2), v)
+    return PureState(v)
 
 
 CNOT = np.array(
@@ -68,20 +68,15 @@ def geometry_phase_gate(phases) -> np.ndarray:
     return np.diag(np.exp(1j * np.asarray(phases, dtype=float))).astype(complex)
 
 
-def build_gme_circuit(phi: float = pi, phases=None) -> GmeCircuit:
+def build_gme_circuit(phi: float = pi) -> GmeCircuit:
     """Assemble the circuit for free-fall phase ``phi``.
 
-    ``phases`` optionally gives the four per-branch phases on the geometry
-    ququart; the default (0, 0, 0, phi) keeps only the closest-approach
-    branch, which is the regime the simulator targets.
+    The geometry ququart's branch phases are (0, 0, 0, phi): only the
+    closest-approach branch picks up a phase, the regime the simulator targets.
     """
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
-    if phases is None:
-        phases = (0.0, 0.0, 0.0, float(phi))
-    phases = tuple(float(p) for p in phases)
-    if len(phases) != 4:
-        raise ValueError("phases must have exactly four entries")
+    phases = (0.0, 0.0, 0.0, float(phi))
     gates = (
         Gate("H", qmath.HADAMARD, (0,)),
         Gate("H", qmath.HADAMARD, (3,)),
@@ -102,8 +97,8 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]) ->
     return np.moveaxis(psi, range(k), targets).reshape(-1)
 
 
-def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> PureState:
-    """Run the circuit on |0000> and return the 16-dimensional state.
+def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> np.ndarray:
+    """Run the circuit on |0000> and return the (16,) amplitudes of the final state.
 
     With ``stop_after_free_fall`` the state is returned at the mid-circuit
     checkpoint, before the recombination stage erases the which-path record
@@ -114,14 +109,12 @@ def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> PureState:
     n_gates = 5 if stop_after_free_fall else len(c.gates)
     for gate in c.gates[:n_gates]:
         psi = apply_gate(psi, gate.matrix, gate.targets)
-    return PureState((2, 2, 2, 2), psi)
+    return psi
 
 
-def reduced_spin_state(full: PureState) -> DensityMatrix:
-    """Trace the geometry ququart out of the 16-dimensional state."""
-    if full.dim != 16:
-        raise qmath.QmathError(f"expected a 16-dimensional state, got {full.dim}")
-    psi = full.amplitudes.reshape(2, 2, 2, 2)
+def reduced_spin_state(full: np.ndarray) -> DensityMatrix:
+    """Trace the geometry ququart out of the (16,) amplitudes of ``run_circuit``."""
+    psi = full.reshape(2, 2, 2, 2)
     # Axes (a, g1, g2, b, a', g1', g2', b'): trace g2 = g2', then g1 = g1'.
     rho = np.trace(np.multiply.outer(psi, psi.conj()), axis1=2, axis2=6)
     return DensityMatrix((2, 2), np.trace(rho, axis1=1, axis2=4).reshape(4, 4))

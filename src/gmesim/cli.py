@@ -155,12 +155,13 @@ def _read_text(path: str, what: str) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path``, creating its directory; OSError or ValueError (a NUL
-    byte or an unencodable character in the path) -> ParseError."""
+    byte or an unencodable character in the path) -> ParseError, a NUL shown as ``\\0``."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, newline="")
     except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot write {path}: {exc}") from exc
+        shown = str(path).replace("\0", "\\0")
+        raise ParseError(f"cannot write {shown}: {exc}") from exc
 
 
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
@@ -187,10 +188,11 @@ def state_json(matrix: np.ndarray) -> dict:
     }
 
 
-def pure_state_json(psi: qmath.PureState) -> dict:
+def pure_state_json(amplitudes: np.ndarray) -> dict:
+    """The (16,) amplitudes of a ``circuit.run_circuit`` state."""
     return {
-        "dims": list(psi.dims),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+        "dims": [2, 2, 2, 2],
+        "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes],
     }
 
 

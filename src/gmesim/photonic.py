@@ -287,11 +287,10 @@ def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray,
     return post_select_coincidence(_mix_labels(t, gammas, "gamma"))
 
 
-def simulate_pipeline(
-    bs: BsParams = IDEAL_BS, gamma: float = 1.0
-) -> tuple[DensityMatrix, float]:
-    """The two-qubit polarization state and success probability at one overlap gamma."""
-    rho, mass = simulate_pipeline_grid([gamma], bs)
+def simulate_pipeline(gamma: float = 1.0) -> tuple[DensityMatrix, float]:
+    """The two-qubit polarization state and success probability at one overlap gamma,
+    through the ideal beam splitters."""
+    rho, mass = simulate_pipeline_grid([gamma])
     return DensityMatrix((2, 2), rho[0]), float(mass[0])
 
 

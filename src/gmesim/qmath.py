@@ -1,7 +1,7 @@
-"""Dense complex linear algebra for small multi-qubit systems (dimension <= 16).
+"""Dense complex linear algebra for two-qubit states.
 
-Provides the validated ``PureState`` value type, the two-qubit ``DensityMatrix``
-and the pure-state fidelity, together with the checks every module shares:
+Provides the validated two-qubit ``PureState`` and ``DensityMatrix`` value
+types and the pure-state fidelity, together with the checks every module shares:
 ``check_unit`` for a parameter, or an array of them, in [0, 1] (raising the one
 ``OutOfRange``) and ``check_density`` for a matrix or a stack of them.  Every
 other failure raises ``QmathError`` with a message that says what failed.
@@ -10,7 +10,6 @@ other failure raises ``QmathError`` with a message that says what failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -45,37 +44,26 @@ def check_unit(x, name: str):
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over a tensor product of subsystems.
+    """Normalized two-qubit state: four amplitudes, the first qubit the leftmost
+    tensor factor."""
 
-    ``dims`` lists the subsystem dimensions left to right; index 0 is the
-    leftmost tensor factor.
-    """
-
-    dims: tuple[int, ...]
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (4,):
+            raise QmathError(f"expected four amplitudes, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(amps) != prod(self.dims):
-            raise QmathError(
-                f"amplitude vector of length {len(amps)} does not match dims {self.dims}"
-            )
         if not np.all(np.isfinite(amps.view(float))):
             raise QmathError("amplitudes contain NaN or Inf")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > NORM_TOL:
             raise QmathError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.amplitudes)
-
     def density(self) -> "DensityMatrix":
         """Projector |psi><psi| as a DensityMatrix."""
         v = self.amplitudes
-        return DensityMatrix(self.dims, np.outer(v, v.conj()))
+        return DensityMatrix((2, 2), np.outer(v, v.conj()))
 
 
 def check_density(m: np.ndarray) -> np.ndarray:
@@ -115,7 +103,5 @@ class DensityMatrix:
 
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """Overlap <psi| rho |psi> with a pure two-qubit target state."""
-    if psi.dim != 4:
-        raise QmathError(f"expected a two-qubit pure state, got dimension {psi.dim}")
     v = psi.amplitudes
     return float(np.vdot(v, rho.matrix @ v).real)

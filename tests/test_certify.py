@@ -1,3 +1,4 @@
+import contextlib
 import time
 
 import numpy as np
@@ -10,11 +11,15 @@ SINGLET = circuit.singlet().density()
 X, Y, Z = certify.AXES["X"], certify.AXES["Y"], certify.AXES["Z"]
 
 
-def random_pure_state(rng: np.random.Generator, dims=(2, 2)) -> qmath.PureState:
-    """Haar-random pure state."""
-    d = int(np.prod(dims))
+def random_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Haar-random unit vector of C^d."""
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return qmath.PureState(tuple(dims), v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
+
+
+def random_pure_state(rng: np.random.Generator) -> qmath.PureState:
+    """Haar-random two-qubit pure state."""
+    return qmath.PureState(random_unit_vector(rng, 4))
 
 
 def random_density_matrix(rng: np.random.Generator) -> qmath.DensityMatrix:
@@ -27,8 +32,8 @@ def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> qmath.
     weights = rng.dirichlet(np.ones(n_terms))
     m = np.zeros((4, 4), dtype=complex)
     for w in weights:
-        a = random_pure_state(rng, (2,)).amplitudes
-        b = random_pure_state(rng, (2,)).amplitudes
+        a = random_unit_vector(rng, 2)
+        b = random_unit_vector(rng, 2)
         v = np.kron(a, b)
         m += w * np.outer(v, v.conj())
     return qmath.DensityMatrix((2, 2), m)
@@ -282,17 +287,20 @@ def _single_fit(bases, counts, **kwargs):
     return [x[0] for x in certify.mle_batch(bases, counts[None], **kwargs)]
 
 
-def _serial_em(bases, counts, max_iter, init=None):
+def _serial_em(bases, counts, max_iter, start=None):
     """Reference for the batched engine: one state at a time in complex
-    arithmetic, halving the dilution step until the likelihood rises when the
-    plain step lowers it by more than ``certify.STALL_TOL``."""
+    arithmetic, with its step rule.  The step is M rho M / tr, M = (1 - eps) I +
+    eps R/N; a step that lowers the likelihood by more than ``certify.STALL_TOL``
+    keeps the iterate and halves eps (down to 2^-39), any other resets it to 1.
+    Returns (rho, log_likelihood, converged, iterations, diluted), ``diluted``
+    the number of accepted steps with eps < 1."""
     kept = counts.sum(axis=1) > 0
     proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
-    if init is None:
-        init = (certify._linear_inversion(certify.projector_table(bases), counts[None])[0]
-                if kept.all() else np.eye(4) / 4)
+    if start is None:
+        start = (certify._linear_inversion(certify.projector_table(bases), counts[None])[0]
+                 if kept.all() else np.eye(4) / 4)
     counts = counts[kept].reshape(-1)
-    rho = 0.999 * certify._psd_project(init) + 0.001 * np.eye(4) / 4
+    rho = 0.999 * certify._psd_project(start) + 0.001 * np.eye(4) / 4
 
     def probs(r):
         return np.maximum(np.einsum("kij,ji->k", proj, r).real, 1e-300)
@@ -300,92 +308,105 @@ def _serial_em(bases, counts, max_iter, init=None):
     def loglike(r):
         return float(np.dot(counts, np.log(probs(r))))
 
-    def normalized(m):
-        m = (m + m.conj().T) / 2
-        return m / np.trace(m).real
-
-    ll, stall = loglike(rho), 0
+    ll, stall, eps, diluted = loglike(rho), 0, 1.0, 0
     for it in range(1, max_iter + 1):
         r = np.einsum("k,kij->ij", counts / probs(rho), proj)
-        new = normalized(r @ rho @ r)
+        m = r if eps == 1 else (1 - eps) * np.eye(4) + eps / counts.sum() * r
+        new = m @ rho @ m
+        new = (new + new.conj().T) / 2 / np.trace(new).real
         ll_new = loglike(new)
-        if ll_new - ll < -certify.STALL_TOL:
-            r_norm = r / np.trace(r @ rho).real
-            eps = 0.5
-            while eps > 1e-12:
-                m = (1 - eps) * np.eye(4) + eps * r_norm
-                cand = normalized(m @ rho @ m.conj().T)
-                if loglike(cand) > ll:
-                    new, ll_new = cand, loglike(cand)
-                    break
-                eps /= 2
+        if ll_new - ll < -certify.STALL_TOL and eps > 0.5 ** 39:
+            eps /= 2
+            continue
         stall = stall + 1 if ll_new - ll < certify.STALL_TOL else 0
         if ll_new >= ll:
-            rho, ll = new, ll_new
+            rho, ll, diluted = new, ll_new, diluted + (eps < 1)
+        eps = 1.0
         if stall >= 10:
-            return rho, ll, True, it
-    return rho, ll, False, max_iter
+            return rho, ll, True, it, diluted
+    return rho, ll, False, max_iter, diluted
+
+
+@contextlib.contextmanager
+def _starting_from(starts):
+    """``mle_batch`` starts member b at ``starts[b]`` instead of its linear inversion
+    (for stacks whose members drop no setting)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_linear_inversion", lambda table, counts: np.array(starts))
+        yield
 
 
 def _overshooting_stack(seeds=(239, 535, 635, 754)):
     """Counts and nearly pure start points for which the plain fixed-point
-    step lowers the likelihood, so the first iteration takes the fallback.
-    The seeds were picked by searching for that property, checked here."""
+    step lowers the likelihood, so the first iteration overshoots.  The seeds
+    were picked by searching for that property, checked here."""
     proj = certify.projector_table(certify.PAULI_SETTINGS).reshape(-1, 4, 4)
     counts, starts = [], []
     for seed in seeds:
         rng = np.random.default_rng([seed, 17])
         truth = random_pure_state(rng).density()
         data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed)
-        start = random_pure_state(rng).density().matrix
-        rho = _single_fit(data.bases, data.n, init=start, max_iter=0)[0]
-        n = data.n.reshape(-1)
+        counts.append(data.n)
+        starts.append(random_pure_state(rng).density().matrix)
+    counts = np.array(counts, dtype=float)
+    with _starting_from(starts):
+        rhos = certify.mle_batch(certify.PAULI_SETTINGS, counts, max_iter=0)[0]
+    for n, rho in zip(counts.reshape(len(seeds), -1), rhos):
         p = np.einsum("kij,ji->k", proj, rho).real
         r = np.einsum("k,kij->ij", n / p, proj)
         step = r @ rho @ r
         p_step = np.einsum("kij,ji->k", proj, step / np.trace(step).real).real
         assert np.dot(n, np.log(p_step)) < np.dot(n, np.log(p)) - 1.0
-        counts.append(data.n)
-        starts.append(start)
-    return np.array(counts, dtype=float), np.array(starts)
+    return counts, np.array(starts)
 
 
 class TestBatchedEngine:
-    @pytest.mark.parametrize("bad", ["nan-axis", "nan-init", "inf-counts"])
+    @pytest.mark.parametrize("bad", ["nan-axis", "inf-counts"])
     def test_non_finite_input_is_rejected_at_entry(self, bad):
         # A NaN likelihood never stalls, so a NaN axis plus an all-zero row used
-        # to run all max_iter iterations (about 5 s at the default), and a NaN
-        # init raised a LinAlgError from the eigensolver.
-        bases, counts, init = certify.PAULI_SETTINGS, np.full((1, 9, 4), 25.0), None
+        # to run all max_iter iterations (about 5 s at the default).
+        bases, counts = certify.PAULI_SETTINGS, np.full((1, 9, 4), 25.0)
         if bad == "nan-axis":
             bases = np.concatenate([bases, [[[np.nan, 0.0, 1.0], Z]]])
             counts = np.concatenate([counts, np.zeros((1, 1, 4))], axis=1)
-        elif bad == "nan-init":
-            init = np.full((4, 4), np.nan)
         else:
             counts[0, 3, 1] = np.inf
         t0 = time.perf_counter()
         with pytest.raises(certify.CertifyError, match="NaN or Inf"):
-            certify.mle_batch(bases, counts, init=init)
+            certify.mle_batch(bases, counts)
         assert time.perf_counter() - t0 < 1.0
 
     def test_fallback_steps_match_the_serial_reference(self):
-        # Every iterate must be the one the serial halving search takes.
+        # Every iterate must be the one the serial step rule takes, through the
+        # halvings and diluted steps of the overshooting members.
         counts, starts = _overshooting_stack()
         settings = certify.PAULI_SETTINGS
-        prev = certify.mle_batch(settings, counts, init=starts, max_iter=0)[1]
-        for k in range(1, 9):
-            rho, ll, _, _, _ = certify.mle_batch(settings, counts, init=starts, max_iter=k)
-            assert np.all(ll >= prev)
-            prev = ll
-            for b in range(len(counts)):
-                ref = _serial_em(settings, counts[b], k, starts[b])
-                assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
-        rho, ll, converged, _, _ = certify.mle_batch(settings, counts, init=starts)
+        with _starting_from(starts):
+            prev = certify.mle_batch(settings, counts, max_iter=0)[1]
+            for k in range(1, 9):
+                rho, ll, _, _, _ = certify.mle_batch(settings, counts, max_iter=k)
+                assert np.all(ll >= prev)
+                prev = ll
+                refs = [_serial_em(settings, counts[b], k, starts[b]) for b in range(len(counts))]
+                for b, ref in enumerate(refs):
+                    assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
+            assert all(ref[4] > 0 for ref in refs)  # each member took a diluted step
+            rho, ll, converged, _, _ = certify.mle_batch(settings, counts)
         for b in range(len(counts)):
             ref = _serial_em(settings, counts[b], 100_000, starts[b])
             assert converged[b] and ref[2]
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
+
+    def test_an_overshoot_at_the_smallest_step_is_a_stall(self, monkeypatch):
+        # With the ladder cut to eps = 1, each plain step of these members
+        # overshoots from the same iterate: ten stalls, and the start comes back.
+        counts, starts = _overshooting_stack()
+        monkeypatch.setattr(certify, "_MIN_STEP", 1.0)
+        with _starting_from(starts):
+            start = certify.mle_batch(certify.PAULI_SETTINGS, counts, max_iter=0)[0]
+            rho, _, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
+        assert converged.all() and list(iterations) == [10] * len(counts)
+        assert np.array_equal(rho, start)
 
     def test_members_match_their_own_single_solve(self):
         settings, counts = _resampled_stack(noise.dephased_singlet(0.6), 10_000, 31, 100)

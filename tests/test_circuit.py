@@ -43,10 +43,10 @@ class TestCircuitStructure:
         assert d["gates"][4] == {"name": "GEOMETRY_PHASE", "targets": [1, 2]}
 
     def test_bad_phases_rejected(self):
-        with pytest.raises(ValueError):
-            circuit.build_gme_circuit(phases=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            circuit.build_gme_circuit(phi=float("nan"))
+        # phi is the closest-approach branch's phase; it must be finite.
+        for phi in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                circuit.build_gme_circuit(phi=phi)
 
     def test_full_unitary_is_unitary(self):
         u = full_unitary(circuit.build_gme_circuit())
@@ -54,7 +54,7 @@ class TestCircuitStructure:
         psi = circuit.run_circuit(circuit.build_gme_circuit())
         e0 = np.zeros(16)
         e0[0] = 1
-        assert np.allclose(u @ e0, psi.amplitudes, atol=1e-12)
+        assert np.allclose(u @ e0, psi, atol=1e-12)
 
 
 class TestEvolution:
@@ -66,12 +66,12 @@ class TestEvolution:
         expect[0b0011] = 0.5
         expect[0b1100] = 0.5
         expect[0b1111] = -0.5
-        assert np.allclose(psi.amplitudes, expect, atol=1e-12)
+        assert np.allclose(psi, expect, atol=1e-12)
 
     def test_final_state_disentangles_geometry(self):
         psi = circuit.run_circuit(circuit.build_gme_circuit())
         # Axes (spin A, geometry ququart, spin B); the spins are traced out.
-        amps = psi.amplitudes.reshape(2, 4, 2)
+        amps = psi.reshape(2, 4, 2)
         geo = np.einsum("aib,ajb->ij", amps, amps.conj())
         assert np.trace(geo @ geo).real == pytest.approx(1.0, abs=1e-12)
         assert geo[0, 0].real == pytest.approx(1.0, abs=1e-12)
@@ -92,8 +92,9 @@ class TestEvolution:
         assert min(eigs) >= -1e-12
 
     def test_custom_phase_vector(self):
-        # Equal phases on all branches produce only a global phase: no entanglement.
-        c = circuit.build_gme_circuit(phi=pi, phases=(1.0, 1.0, 1.0, 1.0))
+        # phi = 0 puts equal phases on all branches, only a global phase: no entanglement.
+        c = circuit.build_gme_circuit(phi=0.0)
+        assert c.phases == (0.0, 0.0, 0.0, 0.0)
         rho = circuit.reduced_spin_state(circuit.run_circuit(c))
         eigs, _ = certify.ppt_report(rho)
         assert min(eigs) >= -1e-12

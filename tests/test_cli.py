@@ -580,7 +580,7 @@ class TestOutOfRangeInputs:
         argv = [a.format(**paths) for a in argv]
         assert run(*prefix, "--out", str(tmp_path / "out"), *argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "\0" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out, argv", [

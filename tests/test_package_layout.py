@@ -8,9 +8,11 @@ somewhere else in the package, in the acceptance battery
 a unit test calls belongs in that test file.  Likewise an exception class that
 derives from another package exception must be named in an ``except`` clause
 there: a subclass that only ``pytest.raises`` tells apart is its base with a
-message.  The allowed references are read from those files with ``ast``; the
-one list kept by hand names the single-state views of ``certify`` and
-``noise`` that ``cli`` must not call.
+message.  And every parameter with a default must be passed by some call
+there: a knob that only unit tests set is a branch nothing else runs.  The
+allowed references are read from those files with ``ast``; the lists kept by
+hand name the single-state views of ``certify`` and ``noise`` that ``cli``
+must not call, and the few parameters only unit tests pass, with the reason.
 """
 
 import ast
@@ -77,6 +79,52 @@ def test_every_definition_has_a_caller_outside_the_unit_tests():
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")
                            and m.name not in attrs]
     assert not unused, f"defined in src/gmesim but called only by unit tests: {unused}"
+
+
+# Defaulted parameters that only the unit tests pass, each with its reason.
+TEST_ONLY_PARAMETERS = {
+    ("certify", "mle_batch", "max_iter"):
+        "the unit tests stop the engine after k iterations to read each iterate",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """``(function name, parameter, position)`` of every parameter with a default of
+    the functions and methods in ``tree``; ``position`` counts the arguments a call
+    passes positionally (a method's ``self`` aside), None for a keyword-only one."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, ast.FunctionDef)
+               and "staticmethod" not in {_last_name(d) for d in f.decorator_list}}
+    for f in ast.walk(tree):
+        if not isinstance(f, ast.FunctionDef):
+            continue
+        args = f.args
+        positional = [*args.posonlyargs, *args.args][1 if id(f) in methods else 0:]
+        for i, a in enumerate(positional[len(positional) - len(args.defaults):],
+                              start=len(positional) - len(args.defaults)):
+            yield f.name, a.arg, i
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f.name, a.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    # A call counts for every function of its callee's name, whichever module
+    # that is; *args and **kwargs count as passing everything they could.
+    calls = {(_last_name(c.func), len(c.args), any(isinstance(a, ast.Starred) for a in c.args),
+              frozenset(k.arg for k in c.keywords))
+             for tree in [*MODULES.values(), *CONSUMERS] for c in ast.walk(tree)
+             if isinstance(c, ast.Call)}
+    params = [(mod, *p) for mod, tree in MODULES.items() for p in _defaulted_parameters(tree)]
+    assert params, "no defaulted parameters found: the guard reads nothing"
+    unpassed = [f"{mod}.{func}({param})" for mod, func, param, pos in params
+                if (mod, func, param) not in TEST_ONLY_PARAMETERS
+                and not any(name == func and (star or param in kw or None in kw
+                                              or (pos is not None and pos < n_pos))
+                            for name, n_pos, star, kw in calls)]
+    assert not unpassed, f"defaulted parameters only unit tests pass: {unpassed}"
+    stale = sorted(set(TEST_ONLY_PARAMETERS) - {p[:3] for p in params})
+    assert not stale, f"exempted parameters that do not exist: {stale}"
 
 
 # Single-state views: B = 1 calls of the stacked kernels and state families,
