@@ -414,8 +414,10 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     The settings with counts must be informationally complete (CertifyError
     otherwise): an all-zero row measures nothing.  Replica r redraws every count
     from Poisson(count) with the generator seeded by ``[seed, r]``; the counts
-    themselves and all replicas are then fitted as one ``fit`` stack, the counts
-    as member 0.  Returns the sample standard deviations of the replicas'
+    themselves and every replica that drew a count are then fitted as one
+    ``fit`` stack, the counts as member 0 (a replica that drew none is left out
+    and counts as not converged; fewer than two left raise CertifyError).
+    Returns the sample standard deviations of the fitted replicas'
     ``derived_batch`` quantities, the number of replicas whose MLE converged,
     and member 0's ``fit`` fields: the point estimate.  ``target`` is a (4, 4)
     state, default the singlet.  Deterministic given the seed.
@@ -425,10 +427,11 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     kept = data.n.any(axis=1)  # the rank test of the settings the data measured
     _linear_inversion(projector_table(data.bases[kept]), data.n[kept][None])
     target = noise.SINGLET if target is None else target
-    stack = np.stack([data.n, *(
-        np.random.default_rng([seed, rep]).poisson(data.n) for rep in range(replicas)
-    )])
-    q = fit(data.bases, stack, target)
+    drawn = [n for n in (np.random.default_rng([seed, rep]).poisson(data.n)
+                         for rep in range(replicas)) if n.any()]
+    if len(drawn) < 2:
+        raise CertifyError(f"only {len(drawn)} of {replicas} bootstrap replicas drew counts")
+    q = fit(data.bases, np.stack([data.n, *drawn]), target)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
     return sd, int(np.sum(q["converged"][1:])), {key: val[0] for key, val in q.items()}

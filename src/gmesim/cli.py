@@ -145,23 +145,23 @@ def _meta(cfg: ExperimentConfig) -> dict:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of ``path``; OSError or UnicodeDecodeError -> ParseError naming ``what``."""
+    """The text of ``path``; OSError or ValueError (text not UTF-8, a NUL byte in the
+    path) -> ParseError naming ``what``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path``, creating its directory; OSError or ValueError (a NUL
-    byte or an unencodable character in the path) -> ParseError, a NUL shown as ``\\0``."""
+    byte or an unencodable character in the path) -> ParseError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, newline="")
     except (OSError, ValueError) as exc:
-        shown = str(path).replace("\0", "\\0")
-        raise ParseError(f"cannot write {shown}: {exc}") from exc
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
@@ -274,10 +274,9 @@ def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | 
         return noise.distinguishable_states(v if v is not None else 1.0)
     if name == "maximally-mixed":
         return np.eye(4, dtype=complex) / 4
-    if name == "circuit":
-        full = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
-        return circuit.canonicalize_to_singlet(circuit.reduced_spin_state(full)).matrix
-    raise ParseError(f"unknown model {name!r}")
+    # "circuit", the last name argparse's choices admit
+    full = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
+    return circuit.canonicalize_to_singlet(circuit.reduced_spin_state(full)).matrix
 
 
 def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
@@ -320,8 +319,6 @@ def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     r = args.reflectivity
-    if r is not None and args.bs is not None:
-        raise ParseError("photonic-verify takes --bs or --reflectivity, not both")
     bs = photonic.BS_PRESETS[cfg.bs] if r is None else photonic.BsParams(r, r)
     channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
     amps = np.diagonal(channel)
@@ -451,14 +448,8 @@ def _verdict(summary: dict, errors: dict) -> str:
 
 def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    if args.counts is not None and args.state is not None:
-        raise ParseError("certify takes --counts or --state, not both")
-    if args.counts is not None:
-        data = load_counts_csv(args.counts)
-    elif args.state is not None:
-        data = _simulated_counts(load_state_json(args.state).matrix, cfg)
-    else:
-        raise ParseError("certify needs --counts or --state")
+    data = (load_counts_csv(args.counts) if args.counts is not None
+            else _simulated_counts(load_state_json(args.state).matrix, cfg))
     # Fidelity to the singlet, CHSH at its optimal settings: bootstrap's defaults.
     errors, mc_converged, q = certify.bootstrap(data, cfg.mc_replicas, cfg.seed)
     summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
@@ -482,8 +473,15 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejections raise ParseError, reported as any bad input is; subparsers share the class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gme-sim",
         description="Simulator of the mediated-entanglement circuit, its photonic "
         "implementation and the entanglement-certification battery.",
@@ -493,57 +491,59 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="output_dir", metavar="OUT",
                         help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
+    per_setting = argparse.ArgumentParser(add_help=False)
+    per_setting.add_argument("--counts-per-setting", type=int, dest="counts_per_setting",
+                             help="simulated counts per setting; 0 disables scan's tomography")
 
     p = sub.add_parser("circuit", help="run the abstract circuit and dump states")
     p.add_argument("--phi", type=float, help="free-fall phase in radians")
     p.set_defaults(run=cmd_circuit)
 
     p = sub.add_parser("photonic-verify", help="verify the post-selected CZ network")
-    p.add_argument("--reflectivity", type=float, default=None,
-                   help="override both beam-splitter reflectivities")
-    p.add_argument("--bs", choices=sorted(photonic.BS_PRESETS), help="preset name")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--bs", help="preset name")
+    g.add_argument("--reflectivity", type=float, help="override both reflectivities")
     p.set_defaults(run=cmd_photonic_verify)
 
-    p = sub.add_parser("scan", help="decoherence / distinguishability scans")
+    p = sub.add_parser("scan", parents=[per_setting],
+                       help="decoherence / distinguishability scans")
     p.add_argument("--param", choices=["eta", "v"], required=True)
-    p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting",
-                   help="0 disables the per-point tomography")
     p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("hom-scan", help="two-photon interference dip scan")
-    p.add_argument("--bs", choices=sorted(photonic.BS_PRESETS), help="preset name")
+    p.add_argument("--bs", help="preset name")
     p.set_defaults(run=cmd_hom_scan)
 
-    p = sub.add_parser("simulate-counts", help="write simulated tomography counts")
+    p = sub.add_parser("simulate-counts", parents=[per_setting],
+                       help="write simulated tomography counts")
     p.add_argument("--model", default="singlet",
                    choices=["singlet", "dephased", "baseline", "distinguishable",
                             "maximally-mixed", "circuit"])
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--v", type=float, default=None)
-    p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting")
+    p.add_argument("--eta", type=float)
+    p.add_argument("--v", type=float)
     p.set_defaults(run=cmd_simulate_counts)
 
-    p = sub.add_parser("certify", help="full certification battery")
-    p.add_argument("--counts", help="counts CSV input")
-    p.add_argument("--state", help="state JSON input")
+    p = sub.add_parser("certify", parents=[per_setting], help="full certification battery")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--counts", help="counts CSV input")
+    g.add_argument("--state", help="state JSON input")
     p.add_argument("--mc-replicas", type=int, dest="mc_replicas")
-    p.add_argument("--counts-per-setting", type=int, dest="counts_per_setting")
     p.set_defaults(run=cmd_certify)
     return parser
 
 
 def main(argv=None) -> int:
-    # Built on every call, so ``run`` is the ``cmd_*`` this module holds at call time.
-    args = build_parser().parse_args(argv)
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
     try:
+        # Built on every call, so ``run`` is the ``cmd_*`` this module holds at call time.
+        args = build_parser().parse_args(argv)
+        overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
         return args.run(load_config(args.config, overrides), args)
     except (ParseError, certify.CertifyError, qmath.OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, line = EXIT_PARSE, f"error: {exc}"
     except VerificationFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        code, line = EXIT_VERIFICATION, f"verification failure: {exc}"
+    print(line.replace("\0", "\\0").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

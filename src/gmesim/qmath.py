@@ -78,7 +78,7 @@ def check_density(m: np.ndarray) -> np.ndarray:
     tr = np.ravel(np.trace(m, axis1=-2, axis2=-1).real)
     bad = np.abs(tr - 1.0) > NORM_TOL
     if bad.any():
-        raise QmathError(f"trace is {tr[bad][0]!r}, expected 1")
+        raise QmathError(f"trace is {float(tr[bad][0])!r}, expected 1")
     if np.min(np.linalg.eigvalsh((m + mh) / 2), initial=0.0) < -PSD_TOL:
         raise QmathError("density matrix has a negative eigenvalue")
     return m

@@ -123,7 +123,7 @@ class TestPhotonicVerify:
         assert run("--out", str(tmp_path / "o"), "photonic-verify", "--bs", "experimental",
                    "--reflectivity", "0.4") == 2
         err = capsys.readouterr().err
-        assert err == "error: photonic-verify takes --bs or --reflectivity, not both\n"
+        assert err == "error: argument --reflectivity: not allowed with argument --bs\n"
         assert not (tmp_path / "o").exists()
         # A preset from the config file is a default that --reflectivity overrides.
         cfg = tmp_path / "cfg.json"
@@ -480,6 +480,31 @@ class TestSimulateCountsAndCertify:
         assert where in err and "Traceback" not in err
         assert not (tmp_path / "v" / "verdict.json").exists()
 
+    def test_replicas_that_draw_no_counts_are_left_out(self, tmp_path, capsys):
+        # One ++ count on each Pauli pair: at seed 2143 one of ten replicas draws
+        # nothing, and at seed 7687 one of two does.
+        p = tmp_path / "one.csv"
+        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
+                     + "".join(f"{a},{b},1,0,0,0\n" for a in "XYZ" for b in "XYZ"))
+        n = cli.load_counts_csv(str(p)).n
+        empty = {seed: [r for r in range(replicas)
+                        if not np.random.default_rng([seed, r]).poisson(n).any()]
+                 for seed, replicas in ((2143, 10), (7687, 2))}
+        assert empty == {2143: [2], 7687: [1]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mc_replicas": 10}))
+        assert run("--config", str(cfg), "--seed", "2143", "--out", str(tmp_path / "a"),
+                   "certify", "--counts", str(p)) == 0
+        v = read_json(tmp_path / "a" / "verdict.json")
+        assert v["mc_replicas"] == 10 and v["mc_converged"] == 9
+        assert "NaN" not in (tmp_path / "a" / "verdict.json").read_text()
+        cfg.write_text(json.dumps({"mc_replicas": 2}))
+        capsys.readouterr()
+        assert run("--config", str(cfg), "--seed", "7687", "--out", str(tmp_path / "b"),
+                   "certify", "--counts", str(p)) == 2
+        assert capsys.readouterr().err == "error: only 1 of 2 bootstrap replicas drew counts\n"
+        assert not (tmp_path / "b").exists()
+
     def test_certify_reports_fit_diagnostics(self, tmp_path):
         run("--out", str(tmp_path), "--seed", "8", "simulate-counts", "--model", "singlet")
         assert run("--out", str(tmp_path), "--seed", "8", "certify",
@@ -601,6 +626,13 @@ class TestOutOfRangeInputs:
         assert run("--out", str(tmp_path / "o"), "certify", "--state", str(state)) == 2
         assert "dims [2, 2, 2]" in capsys.readouterr().err
 
+    def test_state_trace_is_shown_as_a_float(self, tmp_path, capsys):
+        state = tmp_path / "z.json"
+        state.write_text(json.dumps({"dims": [2, 2], "matrix": [[[0.0, 0.0]] * 4] * 4}))
+        assert run("--out", str(tmp_path / "o"), "certify", "--state", str(state)) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read state {state}: trace is 0.0, expected 1\n")
+
     def test_counts_at_the_cap_still_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"counts_per_setting": cli.MAX_COUNTS_PER_SETTING}))
@@ -649,6 +681,44 @@ class TestOutOfRangeInputs:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"counts_per_setting": 10}))
         check()
+
+
+class TestParserRejections:
+    # Each rejected command line is one error line naming what argparse, or the
+    # config check for --bs, found wrong; a newline or NUL is shown as \n or \0.
+    @pytest.mark.parametrize("argv, named", [
+        (("circuit", "--phi", "abc"), "argument --phi: invalid float value: 'abc'"),
+        (("scan",), "the following arguments are required: --param"),
+        (("scan", "--param", "w"), "argument --param: invalid choice: 'w'"),
+        ((), "the following arguments are required: command"),
+        (("teleport",), "argument command: invalid choice: 'teleport'"),
+        (("circuit", "--frobnicate"), "unrecognized arguments: --frobnicate"),
+        (("certify",), "one of the arguments --counts --state is required"),
+        (("certify", "--counts", "c.csv", "--state", "s.json"),
+         "argument --state: not allowed with argument --counts"),
+        (("photonic-verify", "--bs", "ideal", "--reflectivity", "0.4"),
+         "argument --reflectivity: not allowed with argument --bs"),
+        (("hom-scan", "--bs", "foo"), "bs must be one of ['experimental', 'ideal'], got 'foo'"),
+        (("circuit", "--x\ny"), "unrecognized arguments: --x\\ny"),
+        (("--config", "{tmp}/no\nsuch.json", "circuit"), "cannot read config {tmp}/no\\nsuch.json"),
+        (("--config", "{tmp}/no\0such.json", "circuit"), "cannot read config {tmp}/no\\0such.json"),
+    ], ids=["phi-not-a-float", "scan-without-param", "scan-bad-param", "no-subcommand",
+            "unknown-subcommand", "unknown-flag", "certify-without-input",
+            "certify-counts-and-state", "bs-and-reflectivity", "hom-scan-bad-bs",
+            "argument-with-newline", "config-path-with-newline", "config-path-with-nul"])
+    def test_rejected_command_line_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert run("--out", str(out), *(a.format(tmp=tmp_path) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + named.format(tmp=tmp_path)) and err.count("\n") == 1
+        assert "\0" not in err
+        assert not out.exists()
+
+    def test_help_exits_0_and_shows_the_either_or_input(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("certify", "--help")
+        assert exc.value.code == 0
+        assert "(--counts COUNTS | --state STATE)" in capsys.readouterr().out
 
 
 # Exit-code fuzz: config values for every field and values of the flags the
@@ -815,10 +885,7 @@ class TestExitCodeFuzz:
             cfg.write_text(json.dumps(config))
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    code = run("--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
-                except SystemExit as exc:  # argparse rejecting a flag value
-                    code = exc.code
+                code = run("--config", str(cfg), "--out", str(tmp_path / "out"), *argv)
             assert code in (0, 2, 3, 4), (code, err.getvalue())
             assert "Traceback" not in err.getvalue()
             if code == 0:
