@@ -236,13 +236,14 @@ def _linear_inversion(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
     settings with projector table ``table`` (S, 4, 4, 4): the pseudo-inverse of the
     (4S, 16) map rho -> tr(rho Pi_k) applied to the outcome frequencies.  CertifyError
     unless the map has rank 16 (numpy's ``matrix_rank`` tolerance), that is unless the
-    settings are informationally complete.  Hermitian, unit trace, not always PSD."""
+    settings are informationally complete.  Hermitian, unit trace, not always PSD, and
+    from stacked products, so a member's start does not depend on the stack it is in."""
     # The rows map rho^T to tr(rho Pi); the solution is Hermitian, so its conjugate is rho.
     u, sv, vh = np.linalg.svd(table.reshape(-1, 16), full_matrices=False)
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(4 * len(table), 16) * np.finfo(float).eps))
     if rank < 16:
         raise CertifyError(f"settings not informationally complete: rank {rank} of 16")
-    freq = (counts / counts.sum(axis=2, keepdims=True)).reshape(len(counts), -1)
+    freq = (counts / counts.sum(axis=2, keepdims=True)).reshape(len(counts), 1, -1)
     return ((freq @ u / sv) @ vh).reshape(-1, 4, 4)
 
 
@@ -272,6 +273,7 @@ def _psd_project(rho: np.ndarray) -> np.ndarray:
 # more than this is rounding, not an overshoot, so its step size is kept.
 STALL_TOL = 1e-10
 _MIN_STEP = 0.5 ** 39  # the step sizes are 1, 1/2, ..., 2^-39
+_MOMENTUM = 0.7  # weight of the last step in the next extrapolation
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -285,23 +287,25 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     """Maximize the Poisson log-likelihood of every member of a stack at once.
 
     Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of the setting
-    tuple ``bases[s]`` (shape (S, 2, 3)) and iterates rho <- M rho M / tr(...),
-    M = (1 - eps) I + eps R/N, R = sum_k (n_k/p_k) Pi_k, N = tr(rho R) its total
-    count: Hradil's fixed point at eps = 1, the diluted step of Rehacek et al.
-    (PRA 75, 042108, 2007) below.  A step that lowers the likelihood by more
-    than ``STALL_TOL`` overshoots: the iterate stays and eps halves for the next
-    iteration, down to 2^-39.  Any other step, or an overshoot at 2^-39, resets
-    eps to 1 and is a stall if it gains less than ``STALL_TOL``; a step that
-    lowers the likelihood keeps the iterate.  A member converges after 10
-    stalls in a row (overshoots do not break the run) or gives up after
-    ``max_iter``.  All-zero settings are dropped; a member that drops none
-    starts from ``_linear_inversion``, else from I/4.  The iteration holds rho,
-    R and each Pi_k as their real 8x8 images (``_real_image``), so
-    Hermitization is symmetrization, and carries the outcome probabilities of
-    each member's accepted iterate.  Returns arrays ``(rho, log_likelihood,
-    converged, iterations, dropped)`` over the members, rho as complex
-    (B, 4, 4).  Non-finite ``bases`` or ``counts`` raise CertifyError, since a
-    NaN likelihood never stalls.
+    tuple ``bases[s]`` (shape (S, 2, 3)) and iterates a factor X of its state,
+    rho = X^dagger X / tr.  The plain step X <- X M, M = (1 - eps) I + eps R/N,
+    R = sum_k (n_k/p_k) Pi_k and N its total count, is rho <- M rho M / tr:
+    Hradil's fixed point at eps = 1, the diluted step of Rehacek et al. (PRA 75,
+    042108, 2007) below.  After a step that gained at least ``STALL_TOL`` the
+    next point is A + ``_MOMENTUM`` (A - A_prev), A the new plain step and
+    A_prev the last (O'Donoghue & Candes, Found. Comput. Math. 15, 715, 2015);
+    after any other it is A.  A point that lowers the likelihood by more than
+    ``STALL_TOL`` overshoots and the iterate stays: with momentum the next step
+    is plain (a restart), without it eps halves, down to 2^-39; neither is a
+    stall.  Any other step, or a plain overshoot at 2^-39, resets eps to 1, is a
+    stall if it gains less than ``STALL_TOL`` and keeps the iterate if it lowers
+    the likelihood.  10 stalls in a row converge; ``max_iter`` steps give up.
+    All-zero settings are dropped; a member that drops none starts from
+    ``_linear_inversion``, else from I/4.  X, M and each Pi_k are real 8x8
+    images (``_real_image``), so every iterate is PSD, and every product is a
+    stacked per-member one, so no bit of a member's result depends on its stack.
+    Returns arrays ``(rho, log_likelihood, converged, iterations, dropped)``,
+    rho as complex (B, 4, 4).  Non-finite input raises CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
     for name, arr in (("bases", bases), ("counts", counts)):
@@ -318,60 +322,67 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     proj_top = proj[:, :4].reshape(len(proj), 32).T
     proj = proj.reshape(len(proj), 64)
     n = counts.reshape(b, -1)
+    freq = n / n.sum(axis=1, keepdims=True)
 
     start = np.full((b, 4, 4), np.eye(4) / 4, dtype=complex)
     if np.any(dropped == 0):
         start[dropped == 0] = _linear_inversion(table, counts[dropped == 0])
     # Blend in a little of the identity: the fixed point cannot leave the
     # support of the iterate, so the start must be full rank.
-    rho = _real_image(0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4)
+    start = 0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4
+    x = _real_image(_dagger(np.linalg.cholesky(start)))  # rho = L L^dagger = X^T X
 
-    def probs(r: np.ndarray) -> np.ndarray:
-        return np.maximum(r[..., :4, :].reshape(*r.shape[:-2], 32) @ proj_top, 1e-300)
+    def point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x scaled to unit trace (the sum of setting 0's four probabilities) and its p."""
+        top = x.swapaxes(-1, -2)[:, :4] @ x  # rows 0-3 of X^T X
+        p = (top.reshape(-1, 1, 32) @ proj_top)[:, 0]
+        t = p[:, :4].sum(axis=1)
+        return x / np.sqrt(t)[:, None, None], np.maximum(p / t[:, None], 1e-300)
 
     def loglike(p: np.ndarray, nn: np.ndarray) -> np.ndarray:
         return (nn * np.log(p)).sum(axis=-1)
 
-    p = probs(rho)
-    rho_out, ll_out = rho.copy(), loglike(p, n)
+    x, p = point(x)
+    x_out, ll_out = x.copy(), loglike(p, n)
     converged, iterations = np.zeros(b, dtype=bool), np.full(b, max_iter)
-    live = np.arange(b)  # members still iterating; rho, p, ll, stall, eps, n follow it
-    ll, stall, eps = ll_out.copy(), np.zeros(b, dtype=int), np.ones(b)
-    diluting = False  # some live member has eps < 1
+    live = np.arange(b)  # members still iterating; the per-member arrays follow it
+    ll, stall, eps, beta = ll_out.copy(), np.zeros(b, dtype=int), np.ones(b), np.zeros(b)
+    step = x  # each member's previous plain step
     for it in range(1, max_iter + 1):
-        m = ((n / p) @ proj).reshape(-1, 8, 8)
-        if diluting:  # eps = 1 takes R itself, so Hradil's step stays bit for bit
+        m = ((freq / p)[:, None] @ proj).reshape(-1, 8, 8)  # R/N
+        diluting = eps.min() < 1
+        if diluting:
             w = eps[:, None, None]
-            m = np.where(w < 1, (1 - w) * np.eye(8) + w / n.sum(axis=1)[:, None, None] * m, m)
-        new = m @ rho @ m
-        # (new + new^T)/2 over half its trace: the image of (new + new^dagger)/2 over tr.
-        new = (new + new.swapaxes(-1, -2)) / new.trace(axis1=-2, axis2=-1)[:, None, None]
-        p_new = probs(new)
+            m = np.where(w < 1, (1 - w) * np.eye(8) + w * m, m)
+        new = x @ m
+        new, step = new + beta[:, None, None] * (new - step), new
+        new, p_new = point(new)
         ll_new = loglike(p_new, n)
         gain = ll_new - ll
-        stall = np.where(gain < STALL_TOL, stall + 1, 0)
-        over = gain < -STALL_TOL
+        small, over = gain < STALL_TOL, gain < -STALL_TOL
+        stall = np.where(small, stall + 1, 0)
         if diluting or over.any():
-            retry = over & (eps > _MIN_STEP)
-            stall -= retry  # an overshoot that halves eps is no stall
+            retry = over & (beta == 0) & (eps > _MIN_STEP)
+            stall -= over & ((beta > 0) | retry)  # a restart or a halving is no stall
             eps = np.where(retry, eps / 2, 1.0)
-            diluting = retry.any()
-        # A member whose step lowers the likelihood keeps its iterate.
+        # Momentum carries on only after a step that gained at least STALL_TOL;
+        # a member whose step lowers the likelihood keeps its iterate.
+        beta = np.where(small, 0.0, _MOMENTUM)
         keep = gain < 0
-        if keep.any():
-            new[keep], p_new[keep], ll_new[keep] = rho[keep], p[keep], ll[keep]
-        rho, p, ll = new, p_new, ll_new
-        done = stall >= 10
-        if done.any():
+        x = np.where(keep[:, None, None], x, new)
+        p, ll = np.where(keep[:, None], p, p_new), np.where(keep, ll, ll_new)
+        if stall.max() >= 10:
+            done = stall >= 10
             idx = live[done]
-            rho_out[idx], ll_out[idx] = rho[done], ll[done]
+            x_out[idx], ll_out[idx] = x[done], ll[done]
             converged[idx], iterations[idx] = True, it
-            live, rho, p, ll, stall, eps, n = (
-                a[~done] for a in (live, rho, p, ll, stall, eps, n))
+            live, x, p, ll, stall, eps, beta, step, freq, n = (
+                a[~done] for a in (live, x, p, ll, stall, eps, beta, step, freq, n))
             if not len(live):
                 break
-    rho_out[live], ll_out[live] = rho, ll
-    return rho_out[:, :4, :4] + 1j * rho_out[:, 4:, :4], ll_out, converged, iterations, dropped
+    x_out[live], ll_out[live] = x, ll
+    rho = x_out.swapaxes(-1, -2) @ x_out[:, :, :4]  # columns 0-3 of X^T X
+    return rho[:, :4] + 1j * rho[:, 4:], ll_out, converged, iterations, dropped
 
 
 def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
@@ -408,7 +419,7 @@ def tomography_mle(data: Counts, target: DensityMatrix | None = None) -> Tomogra
     )
 
 
-def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict, int, dict]:
+def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict, int, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     The settings with counts must be informationally complete (CertifyError
@@ -419,8 +430,9 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     and counts as not converged; fewer than two left raise CertifyError).
     Returns the sample standard deviations of the fitted replicas'
     ``derived_batch`` quantities, the number of replicas whose MLE converged,
-    and member 0's ``fit`` fields: the point estimate.  ``target`` is a (4, 4)
-    state, default the singlet.  Deterministic given the seed.
+    the most iterations a fitted replica took, and member 0's ``fit`` fields:
+    the point estimate.  ``target`` is a (4, 4) state, default the singlet.
+    Deterministic given the seed.
     """
     if replicas < 2:
         raise CertifyError("replicas must be >= 2")
@@ -434,7 +446,8 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     q = fit(data.bases, np.stack([data.n, *drawn]), target)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
-    return sd, int(np.sum(q["converged"][1:])), {key: val[0] for key, val in q.items()}
+    return (sd, int(np.sum(q["converged"][1:])), int(np.max(q["iterations"][1:])),
+            {key: val[0] for key, val in q.items()})
 
 
 def monte_carlo_errors(data: Counts, replicas: int, seed: int,

@@ -44,7 +44,7 @@ DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 # Largest counts_per_setting: numpy's Poisson sampler rejects means above
 # about 9.2e18, and a count this large is far beyond any experiment.
 MAX_COUNTS_PER_SETTING = 10**15
-# Largest mc_replicas: the bootstrap fits all replicas as one stack (109-112 MB
+# Largest mc_replicas: the bootstrap fits all replicas as one stack (110-113 MB
 # peak RSS at 10^4 on four model sources), so millions would ask for several GB.
 MAX_MC_REPLICAS = 10_000
 
@@ -451,7 +451,7 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     data = (load_counts_csv(args.counts) if args.counts is not None
             else _simulated_counts(load_state_json(args.state).matrix, cfg))
     # Fidelity to the singlet, CHSH at its optimal settings: bootstrap's defaults.
-    errors, mc_converged, q = certify.bootstrap(data, cfg.mc_replicas, cfg.seed)
+    errors, mc_converged, mc_slowest, q = certify.bootstrap(data, cfg.mc_replicas, cfg.seed)
     summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}
     verdict = _verdict(summary, errors)
     write_json(out / "verdict.json", cfg, {
@@ -465,6 +465,7 @@ def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "error_intervals": errors,
         "mc_replicas": cfg.mc_replicas,
         "mc_converged": mc_converged,
+        "mc_max_iterations": mc_slowest,
     })
     return EXIT_OK if q["converged"] else EXIT_NO_CONVERGENCE
 

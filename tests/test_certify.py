@@ -281,6 +281,20 @@ def _resampled_stack(truth, n_per_setting, seed, members):
     return data.bases, np.stack([rng.poisson(data.n) for _ in range(members)])
 
 
+def _bootstrap_stack(truth, seed):
+    """Pauli-pair counts of ``truth`` at 10^4 per setting and ``certify.bootstrap``'s
+    fit stack of them: the counts as member 0, then 100 replicas seeded [seed, r]."""
+    data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, seed)
+    drawn = (np.random.default_rng([seed, r]).poisson(data.n) for r in range(100))
+    return data.bases, np.stack([data.n, *drawn])
+
+
+# Worst-member iterations of EM without momentum (the plain step with eps
+# halving) on ``_bootstrap_stack(source, 11)`` of the benchmark's five sources.
+_EM_WORST_ITERATIONS = {"singlet": 72, "baseline-0.3": 132, "baseline-0.6": 132,
+                        "distinguishable": 241, "maximally-mixed": 46}
+
+
 def _single_fit(bases, counts, **kwargs):
     """One member's own ``mle_batch`` solve: (rho, log_likelihood, converged,
     iterations, dropped)."""
@@ -289,11 +303,21 @@ def _single_fit(bases, counts, **kwargs):
 
 def _serial_em(bases, counts, max_iter, start=None):
     """Reference for the batched engine: one state at a time in complex
-    arithmetic, with its step rule.  The step is M rho M / tr, M = (1 - eps) I +
-    eps R/N; a step that lowers the likelihood by more than ``certify.STALL_TOL``
-    keeps the iterate and halves eps (down to 2^-39), any other resets it to 1.
-    Returns (rho, log_likelihood, converged, iterations, diluted), ``diluted``
-    the number of accepted steps with eps < 1."""
+    arithmetic, with its step rule.  The iterate is a factor A, rho = A^dagger A
+    / tr; the plain step is A M, M = (1 - eps) I + eps R/N, and after a step
+    that gained at least ``certify.STALL_TOL`` the next point is
+    A M + beta (A M - A_prev M_prev).  A point that lowers the likelihood by
+    more than ``STALL_TOL`` overshoots and the iterate stays: with momentum
+    the next step is plain (a restart), without it eps halves (down to
+    2^-39); neither is a stall.  Any other step, or a plain overshoot at
+    2^-39, is a stall if it gains less than ``STALL_TOL``, keeps the iterate
+    if it lowers the likelihood, and resets eps to 1.  Returns (rho,
+    log_likelihood, converged, iterations, events), ``events`` counting the
+    "restarts", the "halvings", the restarts in the run of stalls that ends
+    the solve ("restarts in the last run"), the halvings after a stall in it
+    ("halvings in the last run"), the accepted steps with eps < 1 that another
+    step follows ("diluted steps followed") and the steps that lowered the
+    likelihood by no more than ``STALL_TOL`` ("rounding drops")."""
     kept = counts.sum(axis=1) > 0
     proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
     if start is None:
@@ -301,30 +325,53 @@ def _serial_em(bases, counts, max_iter, start=None):
                  if kept.all() else np.eye(4) / 4)
     counts = counts[kept].reshape(-1)
     rho = 0.999 * certify._psd_project(start) + 0.001 * np.eye(4) / 4
+    a = np.linalg.cholesky(rho).conj().T
 
-    def probs(r):
-        return np.maximum(np.einsum("kij,ji->k", proj, r).real, 1e-300)
+    def normalized(f):
+        return f / np.sqrt(np.trace(f.conj().T @ f).real)
 
-    def loglike(r):
-        return float(np.dot(counts, np.log(probs(r))))
+    def probs(f):
+        return np.maximum(np.einsum("kij,ji->k", proj, f.conj().T @ f).real, 1e-300)
 
-    ll, stall, eps, diluted = loglike(rho), 0, 1.0, 0
+    def loglike(f):
+        return float(np.dot(counts, np.log(probs(f))))
+
+    a = normalized(a)
+    ll, stall, eps, momentum, prev = loglike(a), 0, 1.0, False, a
+    events = dict.fromkeys(["restarts", "halvings", "restarts in the last run",
+                            "halvings in the last run", "diluted steps followed",
+                            "rounding drops"], 0)
+    run_restarts = run_halvings = diluted_last = 0
     for it in range(1, max_iter + 1):
-        r = np.einsum("k,kij->ij", counts / probs(rho), proj)
-        m = r if eps == 1 else (1 - eps) * np.eye(4) + eps / counts.sum() * r
-        new = m @ rho @ m
-        new = (new + new.conj().T) / 2 / np.trace(new).real
-        ll_new = loglike(new)
-        if ll_new - ll < -certify.STALL_TOL and eps > 0.5 ** 39:
-            eps /= 2
+        events["diluted steps followed"] += diluted_last
+        r = np.einsum("k,kij->ij", counts / counts.sum() / probs(a), proj)
+        step = a @ (r if eps == 1 else (1 - eps) * np.eye(4) + eps * r)
+        point = normalized(step + certify._MOMENTUM * (step - prev) if momentum else step)
+        prev, ll_new, diluted_last = step, loglike(point), 0
+        if ll_new - ll < -certify.STALL_TOL and (momentum or eps > certify._MIN_STEP):
+            if momentum:
+                events["restarts"] += 1
+                run_restarts += 1
+            else:
+                eps /= 2
+                events["halvings"] += 1
+                run_halvings += stall > 0
+            momentum = False
             continue
-        stall = stall + 1 if ll_new - ll < certify.STALL_TOL else 0
+        if ll_new - ll < certify.STALL_TOL:
+            stall += 1
+        else:
+            stall = run_restarts = run_halvings = 0
+        events["rounding drops"] += -certify.STALL_TOL <= ll_new - ll < 0
+        momentum = ll_new - ll >= certify.STALL_TOL
         if ll_new >= ll:
-            rho, ll, diluted = new, ll_new, diluted + (eps < 1)
+            a, ll, diluted_last = point, ll_new, eps < 1
         eps = 1.0
         if stall >= 10:
-            return rho, ll, True, it, diluted
-    return rho, ll, False, max_iter, diluted
+            events["restarts in the last run"] = run_restarts
+            events["halvings in the last run"] = run_halvings
+            return a.conj().T @ a, ll, True, it, events
+    return a.conj().T @ a, ll, False, max_iter, events
 
 
 @contextlib.contextmanager
@@ -360,6 +407,44 @@ def _overshooting_stack(seeds=(239, 535, 635, 754)):
     return counts, np.array(starts)
 
 
+# (counts seed, start amplitudes) of members whose half step overshoots too.
+# The amplitudes came from a random search over pure starts for each seed's
+# counts; ``_doubly_overshooting_stack`` checks the property.
+_DOUBLE_OVERSHOOTS = (
+    (5, [0.446 - 0.094j, 0.356 - 0.535j, -0.197 - 0.434j, 0.389 - 0.041j]),
+    (7, [0.677 - 0.533j, 0.05 - 0.01j, -0.015 - 0.023j, -0.086 - 0.496j]),
+    (8, [-0.185 - 0.342j, 0.341 - 0.128j, 0.443 + 0.545j, 0.417 + 0.222j]),
+)
+
+
+def _doubly_overshooting_stack():
+    """Counts and nearly pure start points from which the plain step (eps = 1)
+    and the half step (eps = 1/2) both lower the likelihood by more than 1,
+    while the quarter step raises it."""
+    proj = certify.projector_table(certify.PAULI_SETTINGS).reshape(-1, 4, 4)
+    counts, starts = [], []
+    for seed, amps in _DOUBLE_OVERSHOOTS:
+        truth = random_pure_state(np.random.default_rng([seed, 99])).density()
+        counts.append(certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed).n)
+        starts.append(qmath.PureState(np.array(amps) / np.linalg.norm(amps)).density().matrix)
+    counts = np.array(counts, dtype=float)
+    with _starting_from(starts):
+        rhos = certify.mle_batch(certify.PAULI_SETTINGS, counts, max_iter=0)[0]
+
+    def loglike(n, rho):
+        return np.dot(n, np.log(np.einsum("kij,ji->k", proj, rho).real))
+
+    for n, rho in zip(counts.reshape(len(counts), -1), rhos):
+        r = np.einsum("k,kij->ij", n / n.sum() / np.einsum("kij,ji->k", proj, rho).real, proj)
+        gains = []
+        for eps in (1.0, 0.5, 0.25):
+            m = (1 - eps) * np.eye(4) + eps * r
+            step = m @ rho @ m
+            gains.append(loglike(n, step / np.trace(step).real) - loglike(n, rho))
+        assert gains[0] < -1.0 and gains[1] < -1.0 and gains[2] > 1.0
+    return counts, np.array(starts)
+
+
 class TestBatchedEngine:
     @pytest.mark.parametrize("bad", ["nan-axis", "inf-counts"])
     def test_non_finite_input_is_rejected_at_entry(self, bad):
@@ -378,7 +463,7 @@ class TestBatchedEngine:
 
     def test_fallback_steps_match_the_serial_reference(self):
         # Every iterate must be the one the serial step rule takes, through the
-        # halvings and diluted steps of the overshooting members.
+        # halvings, diluted steps and momentum steps of the overshooting members.
         counts, starts = _overshooting_stack()
         settings = certify.PAULI_SETTINGS
         with _starting_from(starts):
@@ -390,7 +475,7 @@ class TestBatchedEngine:
                 refs = [_serial_em(settings, counts[b], k, starts[b]) for b in range(len(counts))]
                 for b, ref in enumerate(refs):
                     assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
-            assert all(ref[4] > 0 for ref in refs)  # each member took a diluted step
+            assert all(ref[4]["diluted steps followed"] > 0 for ref in refs)
             rho, ll, converged, _, _ = certify.mle_batch(settings, counts)
         for b in range(len(counts)):
             ref = _serial_em(settings, counts[b], 100_000, starts[b])
@@ -399,7 +484,8 @@ class TestBatchedEngine:
 
     def test_an_overshoot_at_the_smallest_step_is_a_stall(self, monkeypatch):
         # With the ladder cut to eps = 1, each plain step of these members
-        # overshoots from the same iterate: ten stalls, and the start comes back.
+        # overshoots from the same iterate; no step moves it, so none carries
+        # momentum: ten stalls, and the start comes back.
         counts, starts = _overshooting_stack()
         monkeypatch.setattr(certify, "_MIN_STEP", 1.0)
         with _starting_from(starts):
@@ -407,6 +493,61 @@ class TestBatchedEngine:
             rho, _, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
         assert converged.all() and list(iterations) == [10] * len(counts)
         assert np.array_equal(rho, start)
+
+    def test_a_halving_inside_a_run_of_stalls_leaves_its_count_alone(self, monkeypatch):
+        # With the ladder cut to eps = 1, 1/2, these members overshoot at both
+        # rungs from the start for ever.  Each halving leaves the stall count
+        # alone and each overshoot at 1/2 adds one stall and resets eps to 1:
+        # ten stalls take twenty iterations, and the start comes back.
+        counts, starts = _doubly_overshooting_stack()
+        monkeypatch.setattr(certify, "_MIN_STEP", 0.5)
+        with _starting_from(starts):
+            start = certify.mle_batch(certify.PAULI_SETTINGS, counts, max_iter=0)[0]
+            rho, _, converged, iterations, _ = certify.mle_batch(
+                certify.PAULI_SETTINGS, counts, max_iter=100)
+        assert converged.all() and list(iterations) == [20] * len(counts)
+        assert np.array_equal(rho, start)
+        for b in range(len(counts)):
+            ref = _serial_em(certify.PAULI_SETTINGS, counts[b], 100, starts[b])
+            assert ref[3] == 20 and ref[4]["halvings in the last run"] == 9
+
+    def test_repeated_overshoots_follow_the_serial_reference(self):
+        # Unpatched, each member halves twice, takes a diluted step at eps = 1/4
+        # and goes on at eps = 1 with momentum; two of them restart after a
+        # momentum step overshoots (iterations 9 and 10).  Every iterate up to
+        # past those restarts must be the serial rule's, and so must the stop.
+        counts, starts = _doubly_overshooting_stack()
+        settings = certify.PAULI_SETTINGS
+        with _starting_from(starts):
+            for k in range(1, 13):
+                rho = certify.mle_batch(settings, counts, max_iter=k)[0]
+                refs = [_serial_em(settings, counts[b], k, starts[b]) for b in range(len(counts))]
+                for b, ref in enumerate(refs):
+                    assert np.max(np.abs(rho[b] - ref[0])) <= 1e-12, (k, b)
+            assert [ref[4]["restarts"] for ref in refs] == [1, 0, 1]
+            assert all(ref[4]["halvings"] == 2 and ref[4]["diluted steps followed"] == 1
+                       for ref in refs)
+            _, ll, converged, _, _ = certify.mle_batch(settings, counts)
+        for b in range(len(counts)):
+            ref = _serial_em(settings, counts[b], 100_000, starts[b])
+            assert converged[b] and ref[2]
+            assert ll[b] == pytest.approx(ref[1], rel=1e-12)
+
+    def test_a_restart_leaves_the_stall_count_alone(self, monkeypatch):
+        # At STALL_TOL = 1e-6 these members' last run of stalls opens with a
+        # restart: a momentum step that overshoots by more than 1e-6, far
+        # above rounding, so the engine and the reference take the same
+        # decisions.  Counted as a stall, the restart would end the run early.
+        monkeypatch.setattr(certify, "STALL_TOL", 1e-6)
+        mixed = qmath.DensityMatrix((2, 2), np.eye(4) / 4)
+        counts = np.stack([certify.simulate_counts(mixed, certify.PAULI_SETTINGS, 10_000, seed).n
+                           for seed in (6, 11)])
+        _, ll, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
+        for b in range(len(counts)):
+            ref = _serial_em(certify.PAULI_SETTINGS, counts[b], 1000)
+            assert ref[4]["restarts in the last run"] > 0
+            assert converged[b] and ref[2] and iterations[b] == ref[3]
+            assert ll[b] == pytest.approx(ref[1], rel=1e-12)
 
     def test_members_match_their_own_single_solve(self):
         settings, counts = _resampled_stack(noise.dephased_singlet(0.6), 10_000, 31, 100)
@@ -417,6 +558,24 @@ class TestBatchedEngine:
             assert np.max(np.abs(rho[b] - single[0])) <= 1e-9
             assert ll[b] == pytest.approx(single[1], rel=1e-12)
             assert converged[b] == single[2]
+
+    def test_every_member_of_a_bootstrap_stack_is_its_own_single_solve(self):
+        # Every per-member product is a product of that member's arrays alone,
+        # so no bit of a member's solve depends on the stack it sits in.
+        settings, counts = _bootstrap_stack(noise.baseline_state(0.6), 41)
+        batch = certify.mle_batch(settings, counts)
+        for b in range(len(counts)):
+            for got, single in zip(batch, _single_fit(settings, counts[b])):
+                assert np.array_equal(got[b], single), b
+
+    def test_momentum_halves_the_iterations_of_the_benchmark_sources(self):
+        sources = {"singlet": SINGLET, "baseline-0.3": noise.baseline_state(0.3),
+                   "baseline-0.6": noise.baseline_state(0.6), "distinguishable": noise.rho_dist(),
+                   "maximally-mixed": qmath.DensityMatrix((2, 2), np.eye(4) / 4)}
+        worst = {name: int(certify.mle_batch(*_bootstrap_stack(truth, 11))[3].max())
+                 for name, truth in sources.items()}
+        assert sum(worst.values()) <= 0.5 * sum(_EM_WORST_ITERATIONS.values()), worst
+        assert all(worst[name] <= _EM_WORST_ITERATIONS[name] for name in worst), worst
 
     def test_log_likelihood_never_decreases(self):
         # A stack of members that need few and many iterations, with the
@@ -445,35 +604,26 @@ class TestBatchedEngine:
         assert single[4] == 1 and np.max(np.abs(rho[1] - single[0])) <= 1e-9
 
     def test_rounding_level_drops_on_maximally_mixed_counts_are_stalls(self):
-        # Near the maximally mixed optimum the plain step lowers the
-        # likelihood by a few ulp of |l| ~ 1e5.  Such a drop is a stall: the
-        # engine keeps its iterate bit for bit and never takes a diluted step.
+        # Near the maximally mixed optimum a step lowers the likelihood by a
+        # few ulp of |l| ~ 1e5.  Such a drop is a stall: the engine keeps its
+        # iterate bit for bit, as it does after a restart, and never halves eps.
         data = certify.simulate_counts(
             qmath.DensityMatrix((2, 2), np.eye(4) / 4), certify.PAULI_SETTINGS, 10_000, 5
         )
-        proj = certify.projector_table(data.bases).reshape(-1, 4, 4)
-        n = data.n.reshape(-1)
-
-        def loglike(r):
-            return float(np.dot(n, np.log(np.einsum("kij,ji->k", proj, r).real)))
-
-        drops = kept = 0
+        total = _single_fit(data.bases, data.n)[3]
+        kept = 0
         rho, ll, _, _, _ = _single_fit(data.bases, data.n, max_iter=0)
-        for k in range(41):
-            r = np.einsum("k,kij->ij", n / np.einsum("kij,ji->k", proj, rho).real, proj)
-            plain = r @ rho @ r
-            plain /= np.trace(plain).real
-            drop = ll - loglike(plain)
-            assert drop <= certify.STALL_TOL, k
-            drops += drop > 0
-            nxt, ll_nxt, _, _, _ = _single_fit(data.bases, data.n, max_iter=k + 1)
+        for k in range(1, total + 1):
+            nxt, ll_nxt, _, _, _ = _single_fit(data.bases, data.n, max_iter=k)
+            ref = _serial_em(data.bases, data.n, k)
             assert ll_nxt >= ll, k
-            if np.array_equal(nxt, rho):
-                kept += 1
-            else:
-                assert np.max(np.abs(nxt - plain)) <= 1e-12, k
+            assert np.max(np.abs(nxt - ref[0])) <= 1e-12, k
+            kept += np.array_equal(nxt, rho)
             rho, ll = nxt, ll_nxt
-        assert drops > 0 and kept > 0
+        events = ref[4]
+        assert ref[2] and ref[3] == total
+        assert events["rounding drops"] > 0 and events["halvings"] == 0
+        assert kept == events["rounding drops"] + events["restarts"]
         res = certify.tomography_mle(data)
         assert res.converged and res.fidelity_to_target == pytest.approx(0.25, abs=0.01)
 
@@ -494,7 +644,7 @@ class TestBatchedEngine:
         data = certify.simulate_counts(
             noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
         )
-        errors, converged, _ = certify.bootstrap(data, 20, 5)
+        errors, converged, _, _ = certify.bootstrap(data, 20, 5)
         assert converged == 20
         assert errors == certify.monte_carlo_errors(data, 20, 5)
 
@@ -509,7 +659,7 @@ class TestBatchedEngine:
                 certify.bootstrap(counts, 2, 1)
         extra = certify.Counts(np.concatenate([data.bases, [[X, X]]]),
                                np.concatenate([data.n, [[0, 0, 0, 0]]]))
-        _, converged, q = certify.bootstrap(extra, 2, 1)
+        _, converged, _, q = certify.bootstrap(extra, 2, 1)
         assert converged == 2 and q["dropped_settings"] == 1
 
     def test_bootstrap_deviations_exclude_the_point_estimate(self):
@@ -518,7 +668,7 @@ class TestBatchedEngine:
         data = certify.simulate_counts(
             noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
         )
-        errors, converged, _ = certify.bootstrap(data, 2, 5)
+        errors, converged, _, _ = certify.bootstrap(data, 2, 5)
         replicas = np.stack([np.random.default_rng([5, rep]).poisson(data.n) for rep in (0, 1)])
         alone = certify.fit(data.bases, replicas, noise.SINGLET)
         assert converged == 2 and errors.keys() == alone.keys() - set(certify.FIT_FIELDS)

@@ -513,6 +513,12 @@ class TestSimulateCountsAndCertify:
         assert v["mc_replicas"] == 25 and v["mc_converged"] == 25
         assert isinstance(v["iterations"], int) and v["iterations"] > 10
         assert set(v["error_intervals"]) == set(v["quantities"])
+        # The slowest replica: a member's solve does not depend on its stack,
+        # so the replicas alone give the same iteration counts.
+        data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
+        replicas = np.stack([np.random.default_rng([8, r]).poisson(data.n) for r in range(25)])
+        iterations = certify.mle_batch(data.bases, replicas)[3]
+        assert v["mc_max_iterations"] == iterations.max() and isinstance(v["mc_max_iterations"], int)
 
 
 class TestOutOfRangeInputs:
