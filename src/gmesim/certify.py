@@ -2,8 +2,8 @@
 
 Pauli correlators, the coherence witness W = 1 - |<XX> + <YY>|, CHSH at
 fixed settings and the closed-form maximum over settings, Poissonian count
-simulation, linear-inversion and maximum-likelihood tomography, partial
-transpose reporting, and Monte Carlo error intervals.
+simulation, maximum-likelihood tomography, partial transpose reporting, and
+Monte Carlo error intervals.
 """
 
 from __future__ import annotations
@@ -231,20 +231,14 @@ def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) ->
     return Counts(bases, simulate_counts_batch(rho.matrix[None], bases, n_per_setting, [seed])[0])
 
 
-def _linear_inversion(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(B, 4, 4) least-squares states of the (B, S, 4) counts, no setting all zero, of the
-    settings with projector table ``table`` (S, 4, 4, 4): the pseudo-inverse of the
-    (4S, 16) map rho -> tr(rho Pi_k) applied to the outcome frequencies.  CertifyError
-    unless the map has rank 16 (numpy's ``matrix_rank`` tolerance), that is unless the
-    settings are informationally complete.  Hermitian, unit trace, not always PSD, and
-    from stacked products, so a member's start does not depend on the stack it is in."""
-    # The rows map rho^T to tr(rho Pi); the solution is Hermitian, so its conjugate is rho.
-    u, sv, vh = np.linalg.svd(table.reshape(-1, 16), full_matrices=False)
+def _check_complete(table: np.ndarray) -> None:
+    """CertifyError unless the (4S, 16) map rho -> tr(rho Pi_k) of the settings with
+    projector table ``table`` (S, 4, 4, 4) has rank 16 (numpy's ``matrix_rank``
+    tolerance), that is unless the settings are informationally complete."""
+    sv = np.linalg.svd(table.reshape(-1, 16), compute_uv=False)
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(4 * len(table), 16) * np.finfo(float).eps))
     if rank < 16:
         raise CertifyError(f"settings not informationally complete: rank {rank} of 16")
-    freq = (counts / counts.sum(axis=2, keepdims=True)).reshape(len(counts), 1, -1)
-    return ((freq @ u / sv) @ vh).reshape(-1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -261,19 +255,15 @@ class TomographyResult:
     dropped_settings: int = 0
 
 
-def _psd_project(rho: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace PSD matrix (clipped spectrum) of one matrix or a stack."""
-    vals, vecs = np.linalg.eigh((rho + _dagger(rho)) / 2)
-    rho = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ _dagger(vecs)
-    return rho / _trace(rho)[..., None, None]
-
-
 # A log-likelihood change below this is a stall.  |l| is about 1e5 at 10^4
 # counts per setting, where 1e-10 is a few ulp: a step that lowers l by no
 # more than this is rounding, not an overshoot, so its step size is kept.
 STALL_TOL = 1e-10
 _MIN_STEP = 0.5 ** 39  # the step sizes are 1, 1/2, ..., 2^-39
 _MOMENTUM = 0.7  # weight of the last step in the next extrapolation
+# Every member starts at I/4, from its factor I/2 as a real 8x8 image: the
+# fixed point cannot leave the support of its iterate, so the start is full rank.
+_START = np.eye(8) / 2
 
 
 def _real_image(m: np.ndarray) -> np.ndarray:
@@ -300,12 +290,14 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     stall.  Any other step, or a plain overshoot at 2^-39, resets eps to 1, is a
     stall if it gains less than ``STALL_TOL`` and keeps the iterate if it lowers
     the likelihood.  10 stalls in a row converge; ``max_iter`` steps give up.
-    All-zero settings are dropped; a member that drops none starts from
-    ``_linear_inversion``, else from I/4.  X, M and each Pi_k are real 8x8
-    images (``_real_image``), so every iterate is PSD, and every product is a
-    stacked per-member one, so no bit of a member's result depends on its stack.
-    Returns arrays ``(rho, log_likelihood, converged, iterations, dropped)``,
-    rho as complex (B, 4, 4).  Non-finite input raises CertifyError.
+    Every member starts at I/4 and drops its all-zero settings; when some
+    member drops none, the settings must be informationally complete
+    (``_check_complete``, CertifyError otherwise).  X, M and each Pi_k are real
+    8x8 images (``_real_image``), so every iterate is PSD by construction, and
+    every product is a stacked per-member one, so no bit of a member's result
+    depends on its stack.  Returns arrays ``(rho, log_likelihood, converged,
+    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite input raises
+    CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
     for name, arr in (("bases", bases), ("counts", counts)):
@@ -316,6 +308,8 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     if np.any(dropped == len(bases)):
         raise CertifyError("no settings with nonzero counts")
     table = projector_table(bases)
+    if np.any(dropped == 0):
+        _check_complete(table)
     proj = _real_image(table.reshape(-1, 4, 4))
     # p_k = tr(Pi_k rho) = vec(Pi_k) . vec(rho) / 2 for the symmetric images;
     # their first four rows hold every entry of the complex matrix once.
@@ -323,14 +317,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     proj = proj.reshape(len(proj), 64)
     n = counts.reshape(b, -1)
     freq = n / n.sum(axis=1, keepdims=True)
-
-    start = np.full((b, 4, 4), np.eye(4) / 4, dtype=complex)
-    if np.any(dropped == 0):
-        start[dropped == 0] = _linear_inversion(table, counts[dropped == 0])
-    # Blend in a little of the identity: the fixed point cannot leave the
-    # support of the iterate, so the start must be full rank.
-    start = 0.999 * _psd_project(start) + 0.001 * np.eye(4) / 4
-    x = _real_image(_dagger(np.linalg.cholesky(start)))  # rho = L L^dagger = X^T X
+    x = np.broadcast_to(_START, (b, 8, 8))  # rho = X^T X
 
     def point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x scaled to unit trace (the sum of setting 0's four probabilities) and its p."""
@@ -397,11 +384,12 @@ FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_setti
 
 def fit(bases: np.ndarray, counts: np.ndarray, targets) -> dict:
     """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
-    projected onto density matrices, validated, and its ``derived_batch`` quantities
-    with ``targets`` the fidelity reference, one (4, 4) state or one per member: one
-    array over the members for each quantity and for each of ``FIT_FIELDS``."""
+    whose states are PSD by construction, checked as density matrices, and its
+    ``derived_batch`` quantities with ``targets`` the fidelity reference, one (4, 4)
+    state or one per member: one array over the members for each quantity and for
+    each of ``FIT_FIELDS``."""
     rho, *diagnostics = mle_batch(bases, counts)
-    rho = qmath.check_density(_psd_project(rho))
+    rho = qmath.check_density(rho)
     q = derived_batch(rho, targets)
     q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
     return q
@@ -437,7 +425,7 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     if replicas < 2:
         raise CertifyError("replicas must be >= 2")
     kept = data.n.any(axis=1)  # the rank test of the settings the data measured
-    _linear_inversion(projector_table(data.bases[kept]), data.n[kept][None])
+    _check_complete(projector_table(data.bases[kept]))
     target = noise.SINGLET if target is None else target
     drawn = [n for n in (np.random.default_rng([seed, rep]).poisson(data.n)
                          for rep in range(replicas)) if n.any()]

@@ -44,7 +44,7 @@ DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 # Largest counts_per_setting: numpy's Poisson sampler rejects means above
 # about 9.2e18, and a count this large is far beyond any experiment.
 MAX_COUNTS_PER_SETTING = 10**15
-# Largest mc_replicas: the bootstrap fits all replicas as one stack (110-113 MB
+# Largest mc_replicas: the bootstrap fits all replicas as one stack (107 MB
 # peak RSS at 10^4 on four model sources), so millions would ask for several GB.
 MAX_MC_REPLICAS = 10_000
 
@@ -68,7 +68,7 @@ class ExperimentConfig:
     counts_per_setting: int = 10_000
     mc_replicas: int = 100
     seed: int = 12345
-    baseline_weight: float = 0.86
+    baseline_weight: float = noise.BASELINE_WEIGHT
     coherence_sigma_ps: float = 250.0
     output_dir: str = "out"
 
@@ -231,16 +231,18 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
     linenos, bases, counts = [], [], []
     lines = [(no, ln) for no, ln in enumerate(io.StringIO(_read_text(path, "counts")), start=1)
              if not ln.startswith("#")]
-    # Keep each row's line number in the file, metadata comments included.
-    rows = list(zip((no for no, _ in lines), csv.reader(ln for _, ln in lines)))
-    if not rows or [h.strip() for h in rows[0][1][:6]] != [
+    reader = csv.reader(ln for _, ln in lines)
+    # Each row's line number in the file, metadata comments included: the line
+    # it ends on, also when a quoted field spans lines.
+    rows = [(lines[reader.line_num - 1][0], row) for row in reader]
+    if not rows or [h.strip() for h in rows[0][1]] != [
         "setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm",
     ]:
         raise ParseError(f"{path}:{rows[0][0] if rows else 1}: bad counts header")
     for lineno, row in rows[1:]:
         if not row:
             continue
-        if len(row) < 6:
+        if len(row) != 6:
             raise ParseError(f"{path}:{lineno}: expected 4 counts, got {max(len(row) - 2, 0)}")
         try:
             pair = [parse_axis(row[0], lineno), parse_axis(row[1], lineno)]

@@ -25,6 +25,7 @@ RHO_DIST = (np.outer(_H_PLUS, _H_PLUS.conj()) + np.outer(_PLUS_H, _PLUS_H.conj()
 _Z2 = np.kron(I2, SIGMA_Z)
 for _m in (SINGLET, RHO_MIX, RHO_DIST, _Z2):
     _m.setflags(write=False)
+BASELINE_WEIGHT = 0.86  # the baseline's singlet weight: the measured W = 1 - 2 * 0.86 = -0.72
 
 
 def rho_mix() -> DensityMatrix:
@@ -59,12 +60,8 @@ def distinguishable_states(v) -> np.ndarray:
     return check_density(v * SINGLET + (1 - v) * RHO_DIST)
 
 
-def baseline_states(eta, weight: float = 0.86) -> np.ndarray:
-    """Experimental-baseline model: dephased mixture of singlet and rho_mix.
-
-    The default weight 0.86 reproduces the measured witness value of the
-    undecohered setup (W = 1 - 2 * weight = -0.72).
-    """
+def baseline_states(eta, weight: float = BASELINE_WEIGHT) -> np.ndarray:
+    """Experimental-baseline model: dephased mixture of singlet and rho_mix."""
     weight = check_unit(weight, "weight")
     m = weight * SINGLET + (1 - weight) * RHO_MIX
     return check_density(_dephased(m, _unit(eta, "eta")))
@@ -78,11 +75,11 @@ def distinguishable_state(v: float) -> DensityMatrix:
     return DensityMatrix((2, 2), distinguishable_states(v))
 
 
-def baseline_state(eta: float, weight: float = 0.86) -> DensityMatrix:
+def baseline_state(eta: float, weight: float = BASELINE_WEIGHT) -> DensityMatrix:
     return DensityMatrix((2, 2), baseline_states(eta, weight))
 
 
-def baseline_witness_zero_crossing(weight: float = 0.86) -> float | None:
+def baseline_witness_zero_crossing(weight: float = BASELINE_WEIGHT) -> float | None:
     """Dephasing eta at which the baseline witness W(eta) = 1 - 2 w (1 - eta) is zero.
 
     The crossing eta* = 1 - 1/(2w) exists only for w >= 1/2; below that the

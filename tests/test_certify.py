@@ -177,16 +177,14 @@ class TestCounts:
 
 
 class TestTomography:
-    def test_linear_inversion_recovers_truth_asymptotically(self):
-        table = certify.projector_table(certify.PAULI_SETTINGS)
-        p = _trace(SINGLET.matrix @ table)
-        rho = certify._linear_inversion(table, np.round(1e9 * p)[None])[0]
-        assert np.max(np.abs(rho - SINGLET.matrix)) < 1e-6
-
     def test_linear_inversion_missing_setting(self):
+        # The rank test runs for the direct fits too, not only for the bootstrap.
         data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
-        with pytest.raises(certify.CertifyError, match="not informationally complete"):
-            certify._linear_inversion(certify.projector_table(data.bases), data.n[None])
+        for call in (lambda: certify._check_complete(certify.projector_table(data.bases)),
+                     lambda: certify.fit(data.bases, data.n[None], noise.SINGLET),
+                     lambda: certify.tomography_mle(data)):
+            with pytest.raises(certify.CertifyError, match="not informationally complete"):
+                call()
 
     def test_mle_recovers_mixed_truth(self):
         truth = noise.dephased_singlet(0.5)
@@ -206,9 +204,7 @@ class TestTomography:
                 out += np.dot(n, np.log(np.maximum(p, 1e-300)))
             return out
 
-        table = certify.projector_table(data.bases)
-        lin = certify._psd_project(certify._linear_inversion(table, data.n[None])[0])
-        assert res.log_likelihood >= ll(lin) - 1e-6
+        assert res.log_likelihood >= ll(_lstsq(data.bases, data.n)) - 1e-6
 
     def test_mle_drops_empty_settings(self):
         data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
@@ -301,31 +297,45 @@ def _single_fit(bases, counts, **kwargs):
     return [x[0] for x in certify.mle_batch(bases, counts[None], **kwargs)]
 
 
+def _lstsq(bases, counts):
+    """The least-squares state of one dataset with no all-zero setting, projected
+    onto density matrices (spectrum clipped at 0, unit trace): a start away from
+    I/4 for tests whose premise needs one."""
+    u, sv, vh = np.linalg.svd(certify.projector_table(bases).reshape(-1, 16), full_matrices=False)
+    freq = (counts / counts.sum(axis=1, keepdims=True)).reshape(1, 1, -1)
+    rho = ((freq @ u / sv) @ vh).reshape(1, 4, 4)
+    vals, vecs = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    rho = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return (rho / _trace(rho)[..., None, None])[0]
+
+
+def _factor(start):
+    """A factor A of the start state blended with a little of I/4 (the fixed point
+    cannot leave the support of its iterate), start ~ A^dagger A."""
+    return np.linalg.cholesky(0.999 * start + 0.001 * np.eye(4) / 4).conj().T
+
+
 def _serial_em(bases, counts, max_iter, start=None):
     """Reference for the batched engine: one state at a time in complex
     arithmetic, with its step rule.  The iterate is a factor A, rho = A^dagger A
-    / tr; the plain step is A M, M = (1 - eps) I + eps R/N, and after a step
-    that gained at least ``certify.STALL_TOL`` the next point is
-    A M + beta (A M - A_prev M_prev).  A point that lowers the likelihood by
-    more than ``STALL_TOL`` overshoots and the iterate stays: with momentum
-    the next step is plain (a restart), without it eps halves (down to
-    2^-39); neither is a stall.  Any other step, or a plain overshoot at
-    2^-39, is a stall if it gains less than ``STALL_TOL``, keeps the iterate
-    if it lowers the likelihood, and resets eps to 1.  Returns (rho,
-    log_likelihood, converged, iterations, events), ``events`` counting the
-    "restarts", the "halvings", the restarts in the run of stalls that ends
+    / tr, from I/2 (rho = I/4) or from ``_factor(start)``; the plain step is
+    A M, M = (1 - eps) I + eps R/N, and after a step that gained at least
+    ``certify.STALL_TOL`` the next point is A M + beta (A M - A_prev M_prev).  A
+    point that lowers the likelihood by more than ``STALL_TOL`` overshoots and
+    the iterate stays: with momentum the next step is plain (a restart), without
+    it eps halves (down to 2^-39); neither is a stall.  Any other step, or a
+    plain overshoot at 2^-39, is a stall if it gains less than ``STALL_TOL``,
+    keeps the iterate if it lowers the likelihood, and resets eps to 1.  Returns
+    (rho, log_likelihood, converged, iterations, events), ``events`` counting
+    the "restarts", the "halvings", the restarts in the run of stalls that ends
     the solve ("restarts in the last run"), the halvings after a stall in it
     ("halvings in the last run"), the accepted steps with eps < 1 that another
     step follows ("diluted steps followed") and the steps that lowered the
     likelihood by no more than ``STALL_TOL`` ("rounding drops")."""
     kept = counts.sum(axis=1) > 0
     proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
-    if start is None:
-        start = (certify._linear_inversion(certify.projector_table(bases), counts[None])[0]
-                 if kept.all() else np.eye(4) / 4)
+    a = np.eye(4, dtype=complex) / 2 if start is None else _factor(start)
     counts = counts[kept].reshape(-1)
-    rho = 0.999 * certify._psd_project(start) + 0.001 * np.eye(4) / 4
-    a = np.linalg.cholesky(rho).conj().T
 
     def normalized(f):
         return f / np.sqrt(np.trace(f.conj().T @ f).real)
@@ -376,10 +386,11 @@ def _serial_em(bases, counts, max_iter, start=None):
 
 @contextlib.contextmanager
 def _starting_from(starts):
-    """``mle_batch`` starts member b at ``starts[b]`` instead of its linear inversion
-    (for stacks whose members drop no setting)."""
+    """``mle_batch`` starts member b of a stack of ``len(starts)`` members at its
+    ``_factor(starts[b])`` instead of at I/2."""
+    factors = certify._real_image(np.array([_factor(start) for start in starts]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certify, "_linear_inversion", lambda table, counts: np.array(starts))
+        mp.setattr(certify, "_START", factors)
         yield
 
 
@@ -534,17 +545,20 @@ class TestBatchedEngine:
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
 
     def test_a_restart_leaves_the_stall_count_alone(self, monkeypatch):
-        # At STALL_TOL = 1e-6 these members' last run of stalls opens with a
-        # restart: a momentum step that overshoots by more than 1e-6, far
-        # above rounding, so the engine and the reference take the same
-        # decisions.  Counted as a stall, the restart would end the run early.
+        # At STALL_TOL = 1e-6 these members' last run of stalls, from their
+        # least-squares starts, opens with a restart: a momentum step that
+        # overshoots by more than 1e-6, far above rounding, so the engine and
+        # the reference take the same decisions.  Counted as a stall, the
+        # restart would end the run early.
         monkeypatch.setattr(certify, "STALL_TOL", 1e-6)
         mixed = qmath.DensityMatrix((2, 2), np.eye(4) / 4)
         counts = np.stack([certify.simulate_counts(mixed, certify.PAULI_SETTINGS, 10_000, seed).n
                            for seed in (6, 11)])
-        _, ll, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
+        starts = [_lstsq(certify.PAULI_SETTINGS, n) for n in counts]
+        with _starting_from(starts):
+            _, ll, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
         for b in range(len(counts)):
-            ref = _serial_em(certify.PAULI_SETTINGS, counts[b], 1000)
+            ref = _serial_em(certify.PAULI_SETTINGS, counts[b], 1000, starts[b])
             assert ref[4]["restarts in the last run"] > 0
             assert converged[b] and ref[2] and iterations[b] == ref[3]
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
@@ -593,11 +607,12 @@ class TestBatchedEngine:
             prev = ll
 
     def test_zero_setting_member_starts_from_identity(self):
+        # Every member starts at I/4, whether it drops a setting or not.
         settings, counts = _resampled_stack(SINGLET, 5000, 5, 2)
         counts[1, 0] = 0
         start = certify.mle_batch(settings, counts, max_iter=0)[0]
-        assert np.allclose(start[1], np.eye(4) / 4, atol=1e-15)
-        assert not np.allclose(start[0], np.eye(4) / 4, atol=1e-2)
+        for member in start:
+            assert np.allclose(member, np.eye(4) / 4, atol=1e-15)
         rho, _, converged, _, dropped = certify.mle_batch(settings, counts)
         assert list(dropped) == [0, 1] and converged.all()
         single = _single_fit(settings, counts[1])
@@ -607,19 +622,22 @@ class TestBatchedEngine:
         # Near the maximally mixed optimum a step lowers the likelihood by a
         # few ulp of |l| ~ 1e5.  Such a drop is a stall: the engine keeps its
         # iterate bit for bit, as it does after a restart, and never halves eps.
+        # The approach from the least-squares start takes such drops.
         data = certify.simulate_counts(
             qmath.DensityMatrix((2, 2), np.eye(4) / 4), certify.PAULI_SETTINGS, 10_000, 5
         )
-        total = _single_fit(data.bases, data.n)[3]
-        kept = 0
-        rho, ll, _, _, _ = _single_fit(data.bases, data.n, max_iter=0)
-        for k in range(1, total + 1):
-            nxt, ll_nxt, _, _, _ = _single_fit(data.bases, data.n, max_iter=k)
-            ref = _serial_em(data.bases, data.n, k)
-            assert ll_nxt >= ll, k
-            assert np.max(np.abs(nxt - ref[0])) <= 1e-12, k
-            kept += np.array_equal(nxt, rho)
-            rho, ll = nxt, ll_nxt
+        start = _lstsq(data.bases, data.n)
+        with _starting_from([start]):
+            total = _single_fit(data.bases, data.n)[3]
+            kept = 0
+            rho, ll, _, _, _ = _single_fit(data.bases, data.n, max_iter=0)
+            for k in range(1, total + 1):
+                nxt, ll_nxt, _, _, _ = _single_fit(data.bases, data.n, max_iter=k)
+                ref = _serial_em(data.bases, data.n, k, start)
+                assert ll_nxt >= ll, k
+                assert np.max(np.abs(nxt - ref[0])) <= 1e-12, k
+                kept += np.array_equal(nxt, rho)
+                rho, ll = nxt, ll_nxt
         events = ref[4]
         assert ref[2] and ref[3] == total
         assert events["rounding drops"] > 0 and events["halvings"] == 0
@@ -678,7 +696,7 @@ class TestBatchedEngine:
 
 # ---------------------------------------------------------------------------
 # Per-setting reference builders: the vectorised projector table, counts
-# draw, axis labels and linear-inversion map must reproduce them exactly.
+# draw and axis labels must reproduce them exactly.
 
 def _kron_projectors(pair):
     pa, pb = (np.tensordot(v, certify._PAULI_VEC, axes=1) for v in pair)
@@ -702,23 +720,6 @@ def _axis_label(v):
         if np.allclose(v, axis, atol=1e-9):
             return name
     return None
-
-
-def _loop_linear_inversion(bases, counts):
-    row = {}
-    for i, (a, b) in enumerate(bases):
-        la, lb = _axis_label(a), _axis_label(b)
-        if la and lb:
-            row[(la, lb)] = i
-    paulis = {"X": qmath.SIGMA_X, "Y": qmath.SIGMA_Y, "Z": qmath.SIGMA_Z}
-    lmap = np.zeros((len(bases), 4, 4, 4), dtype=complex)
-    for (a, b), i in row.items():
-        lmap[i] += np.multiply.outer([1, -1, -1, 1], np.kron(paulis[a], paulis[b])) / 4
-        lmap[i] += np.multiply.outer([1, 1, -1, -1], np.kron(paulis[a], qmath.I2)) / 12
-        lmap[i] += np.multiply.outer([1, -1, 1, -1], np.kron(qmath.I2, paulis[b])) / 12
-    totals = counts.sum(axis=1)
-    freq = (counts / np.where(totals == 0, 1.0, totals)[:, None]).reshape(1, -1)
-    return np.eye(4) / 4 + (freq @ lmap.reshape(-1, 16)).reshape(4, 4)
 
 
 bloch = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
@@ -783,7 +784,7 @@ class TestVectorisedMeasurement:
         data = certify.simulate_counts(SINGLET, [], 10, 1)
         assert len(data) == 0 and data.bases.shape == (0, 2, 3) and data.n.shape == (0, 4)
         with pytest.raises(certify.CertifyError, match="rank 0 of 16"):
-            certify._linear_inversion(certify.projector_table(data.bases), data.n[None])
+            certify._check_complete(certify.projector_table(data.bases))
 
     def test_outcome_probabilities_need_two_qubits(self):
         with pytest.raises(qmath.QmathError, match="expected a two-qubit state"):
@@ -800,24 +801,3 @@ class TestVectorisedMeasurement:
         for v, i in zip(vectors, idx):
             assert (certify.AXIS_NAMES[i] if i >= 0 else None) == _axis_label(v)
         assert (idx[:24] >= 0).all() == labelled
-
-    def test_linear_inversion_equals_the_per_label_loop(self):
-        # Pauli-only sets, in any order: the per-label map.  Sets with extra or
-        # repeated rows: the least-squares solution, which averages repeats.
-        rng = np.random.default_rng(11)
-        pauli = [certify.PAULI_SETTINGS, certify.PAULI_SETTINGS[rng.permutation(9)]]
-        extra = [np.concatenate([certify.PAULI_SETTINGS, rows]) for rows in (
-            [[[0.6, 0.8, 0.0], Z], [X, Y], [[1.0, 1e-10, 0.0], Z]], [[Z, Z], [X, X], [X, X]])]
-        for bases in pauli + extra:
-            table = certify.projector_table(bases)
-            # tr(rho Pi) as a (4S, 16) map on the entries of rho.
-            lmap = table.reshape(-1, 4, 4).swapaxes(-1, -2).reshape(-1, 16)
-            for _ in range(5):
-                counts = rng.poisson(500.0, size=(len(bases), 4)).astype(float)
-                got = certify._linear_inversion(table, counts[None])[0]
-                if len(bases) == 9:
-                    ref = _loop_linear_inversion(bases, counts)
-                else:
-                    freq = (counts / counts.sum(axis=1, keepdims=True)).reshape(-1)
-                    ref = np.linalg.lstsq(lmap, freq.astype(complex), rcond=None)[0]
-                assert np.max(np.abs(got - ref.reshape(4, 4))) < 1e-14

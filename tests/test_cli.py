@@ -306,11 +306,13 @@ class TestSimulateCountsAndCertify:
             cli.load_counts_csv(str(p))
 
     def test_counts_short_row_reports_line(self, tmp_path):
+        # A row with more than four counts is rejected too, not cut to four.
         p = tmp_path / "short.csv"
-        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,Y,1,2,3,4\nX,X,1,2\n")
-        with pytest.raises(cli.ParseError, match=":3: expected 4 counts, got 2"):
-            cli.load_counts_csv(str(p))
-        assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
+        for row, got in (("X,X,1,2", 2), ("X,X,1,2,3,4,5", 5)):
+            p.write_text(f"setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\nX,Y,1,2,3,4\n{row}\n")
+            with pytest.raises(cli.ParseError, match=f":3: expected 4 counts, got {got}"):
+                cli.load_counts_csv(str(p))
+            assert run("--out", str(tmp_path / "o"), "certify", "--counts", str(p)) == 2
 
     def test_counts_axis_not_unit_reports_line(self, tmp_path):
         p = tmp_path / "nan.csv"
@@ -319,11 +321,19 @@ class TestSimulateCountsAndCertify:
         with pytest.raises(cli.ParseError, match=r":4: axis b is not a finite unit Bloch "
                                                  r"vector: \[nan, 0.0, 1.0\]"):
             cli.load_counts_csv(str(p))
+        # A quoted field that spans lines 2-3 moves no later row's line number.
+        p.write_text('setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"X\n",X,1,2,3,4\nX,Y,1,2,3,-4\n')
+        with pytest.raises(cli.ParseError, match=":4: negative count"):
+            cli.load_counts_csv(str(p))
 
     def test_counts_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n")
         with pytest.raises(cli.ParseError, match=":1"):
+            cli.load_counts_csv(str(p))
+        # A header column beyond the six is no count column either.
+        p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm,extra\nX,X,1,2,3,4,5\n")
+        with pytest.raises(cli.ParseError, match=":1: bad counts header"):
             cli.load_counts_csv(str(p))
 
     def test_bloch_vector_settings_parse(self, tmp_path):
