@@ -256,10 +256,8 @@ class TomographyResult:
 
 
 # A log-likelihood change below this is a stall.  |l| is about 1e5 at 10^4
-# counts per setting, where 1e-10 is a few ulp: a step that lowers l by no
-# more than this is rounding, not an overshoot, so its step size is kept.
+# counts per setting, where 1e-10 is a few ulp.
 STALL_TOL = 1e-10
-_MIN_STEP = 0.5 ** 39  # the step sizes are 1, 1/2, ..., 2^-39
 _MOMENTUM = 0.7  # weight of the last step in the next extrapolation
 # Every member starts at I/4, from its factor I/2 as a real 8x8 image: the
 # fixed point cannot leave the support of its iterate, so the start is full rank.
@@ -278,26 +276,26 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
 
     Member b saw ``counts[b, s]`` (shape (B, S, 4)) outcomes of the setting
     tuple ``bases[s]`` (shape (S, 2, 3)) and iterates a factor X of its state,
-    rho = X^dagger X / tr.  The plain step X <- X M, M = (1 - eps) I + eps R/N,
-    R = sum_k (n_k/p_k) Pi_k and N its total count, is rho <- M rho M / tr:
-    Hradil's fixed point at eps = 1, the diluted step of Rehacek et al. (PRA 75,
-    042108, 2007) below.  After a step that gained at least ``STALL_TOL`` the
-    next point is A + ``_MOMENTUM`` (A - A_prev), A the new plain step and
-    A_prev the last (O'Donoghue & Candes, Found. Comput. Math. 15, 715, 2015);
-    after any other it is A.  A point that lowers the likelihood by more than
-    ``STALL_TOL`` overshoots and the iterate stays: with momentum the next step
-    is plain (a restart), without it eps halves, down to 2^-39; neither is a
-    stall.  Any other step, or a plain overshoot at 2^-39, resets eps to 1, is a
-    stall if it gains less than ``STALL_TOL`` and keeps the iterate if it lowers
-    the likelihood.  10 stalls in a row converge; ``max_iter`` steps give up.
-    Every member starts at I/4 and drops its all-zero settings; when some
-    member drops none, the settings must be informationally complete
-    (``_check_complete``, CertifyError otherwise).  X, M and each Pi_k are real
-    8x8 images (``_real_image``), so every iterate is PSD by construction, and
-    every product is a stacked per-member one, so no bit of a member's result
-    depends on its stack.  Returns arrays ``(rho, log_likelihood, converged,
-    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite input raises
-    CertifyError.
+    rho = X^dagger X / tr.  The plain step X <- X R/N, R = sum_k (n_k/p_k) Pi_k
+    and N its total count, is Hradil's fixed point rho <- R rho R / tr (PRA 55,
+    R1561, 1997).  After a step that gained at least ``STALL_TOL`` the next
+    point is A + ``_MOMENTUM`` (A - A_prev), A the new plain step and A_prev
+    the last (O'Donoghue & Candes, Found. Comput. Math. 15, 715, 2015); after
+    any other it is A.  A momentum point that lowers the likelihood by more
+    than ``STALL_TOL`` restarts: the iterate stays, the next step is plain and
+    the stall count carries over.  A plain step that lowers it by more than
+    ``STALL_TOL`` and by more than the rounding bound 2 (4S + 1) eps |l| of the
+    4S count terms gives up: the member ends unconverged at its iterate.  Any
+    other step is a stall if it gains less than ``STALL_TOL`` and keeps the
+    iterate if it lowers the likelihood.  10 stalls in a row converge;
+    ``max_iter`` steps give up.  Every member starts at I/4 and drops its
+    all-zero settings; when some member drops none, the settings must be
+    informationally complete (``_check_complete``, CertifyError otherwise).
+    X, R/N and each Pi_k are real 8x8 images (``_real_image``), so every
+    iterate is PSD by construction, and every product is a stacked per-member
+    one, so no bit of a member's result depends on its stack.  Returns arrays
+    ``(rho, log_likelihood, converged, iterations, dropped)``, rho as complex
+    (B, 4, 4).  Non-finite input raises CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
     for name, arr in (("bases", bases), ("counts", counts)):
@@ -331,27 +329,25 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
 
     x, p = point(x)
     x_out, ll_out = x.copy(), loglike(p, n)
-    converged, iterations = np.zeros(b, dtype=bool), np.full(b, max_iter)
+    converged, iterations = np.ones(b, dtype=bool), np.full(b, max_iter)
     live = np.arange(b)  # members still iterating; the per-member arrays follow it
-    ll, stall, eps, beta = ll_out.copy(), np.zeros(b, dtype=int), np.ones(b), np.zeros(b)
+    ll, stall, beta = ll_out.copy(), np.zeros(b, dtype=int), np.zeros(b)
     step = x  # each member's previous plain step
     for it in range(1, max_iter + 1):
-        m = ((freq / p)[:, None] @ proj).reshape(-1, 8, 8)  # R/N
-        diluting = eps.min() < 1
-        if diluting:
-            w = eps[:, None, None]
-            m = np.where(w < 1, (1 - w) * np.eye(8) + w * m, m)
-        new = x @ m
+        new = x @ ((freq / p)[:, None] @ proj).reshape(-1, 8, 8)  # X R/N
         new, step = new + beta[:, None, None] * (new - step), new
         new, p_new = point(new)
         ll_new = loglike(p_new, n)
         gain = ll_new - ll
         small, over = gain < STALL_TOL, gain < -STALL_TOL
         stall = np.where(small, stall + 1, 0)
-        if diluting or over.any():
-            retry = over & (beta == 0) & (eps > _MIN_STEP)
-            stall -= over & ((beta > 0) | retry)  # a restart or a halving is no stall
-            eps = np.where(retry, eps / 2, 1.0)
+        if over.any():
+            stall -= over & (beta > 0)  # a restart is no stall
+            # A plain step that loses more than the rounding bound 2 (4S + 1) eps |l|
+            # of l's 4S terms gives up: ten stalls end the member, unconverged.
+            lost = over & (beta == 0) & (
+                gain < -2 * (n.shape[1] + 1) * np.finfo(float).eps * np.abs(ll))
+            converged[live[lost]], stall[lost] = False, 10
         # Momentum carries on only after a step that gained at least STALL_TOL;
         # a member whose step lowers the likelihood keeps its iterate.
         beta = np.where(small, 0.0, _MOMENTUM)
@@ -361,13 +357,12 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
         if stall.max() >= 10:
             done = stall >= 10
             idx = live[done]
-            x_out[idx], ll_out[idx] = x[done], ll[done]
-            converged[idx], iterations[idx] = True, it
-            live, x, p, ll, stall, eps, beta, step, freq, n = (
-                a[~done] for a in (live, x, p, ll, stall, eps, beta, step, freq, n))
+            x_out[idx], ll_out[idx], iterations[idx] = x[done], ll[done], it
+            live, x, p, ll, stall, beta, step, freq, n = (
+                a[~done] for a in (live, x, p, ll, stall, beta, step, freq, n))
             if not len(live):
                 break
-    x_out[live], ll_out[live] = x, ll
+    x_out[live], ll_out[live], converged[live] = x, ll, False
     rho = x_out.swapaxes(-1, -2) @ x_out[:, :, :4]  # columns 0-3 of X^T X
     return rho[:, :4] + 1j * rho[:, 4:], ll_out, converged, iterations, dropped
 

@@ -229,12 +229,12 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
         return np.array([float(p) for p in parts])
 
     linenos, bases, counts = [], [], []
-    lines = [(no, ln) for no, ln in enumerate(io.StringIO(_read_text(path, "counts")), start=1)
-             if not ln.startswith("#")]
-    reader = csv.reader(ln for _, ln in lines)
-    # Each row's line number in the file, metadata comments included: the line
-    # it ends on, also when a quoted field spans lines.
-    rows = [(lines[reader.line_num - 1][0], row) for row in reader]
+    lines = list(io.StringIO(_read_text(path, "counts")))
+    # Metadata comments come before the header; each row's line number in the
+    # file is the line it ends on, also when a quoted field spans lines.
+    skip = next((i for i, ln in enumerate(lines) if not ln.startswith("#")), len(lines))
+    reader = csv.reader(lines[skip:])
+    rows = [(skip + reader.line_num, row) for row in reader]
     if not rows or [h.strip() for h in rows[0][1]] != [
         "setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm",
     ]:

@@ -325,6 +325,12 @@ class TestSimulateCountsAndCertify:
         p.write_text('setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"X\n",X,1,2,3,4\nX,Y,1,2,3,-4\n')
         with pytest.raises(cli.ParseError, match=":4: negative count"):
             cli.load_counts_csv(str(p))
+        # A line that starts with "#" after the header is data, here the end of
+        # a quoted setting axis.
+        p.write_text('setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"X\n# note",X,1,2,3,4\n'
+                     'X,Y,1,2,3,-4\n')
+        with pytest.raises(cli.ParseError, match=r":3: bad setting axis 'X\\n# note'"):
+            cli.load_counts_csv(str(p))
 
     def test_counts_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -439,6 +445,21 @@ class TestSimulateCountsAndCertify:
         v = read_json(tmp_path / "verdict.json")
         assert v["converged"] and v["mc_converged"] == 10 and v["dropped_settings"] == 0
         assert v["quantities"]["fidelity_to_target"] == pytest.approx(0.625, abs=0.01)
+
+    def test_a_fit_that_gives_up_exits_3(self, tmp_path, monkeypatch):
+        # From this nearly pure start the first plain step of the fit lowers the
+        # likelihood of these counts by more than rounding: the fit gives up.
+        rng = np.random.default_rng([239, 17])
+        truth, start = (qmath.PureState(v / np.linalg.norm(v)).density()
+                        for v in (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in "ab"))
+        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, 239)
+        cli.write_counts_csv(tmp_path / "counts.csv", cli.ExperimentConfig(), data)
+        factor = np.linalg.cholesky(0.999 * start.matrix + 0.001 * np.eye(4) / 4).conj().T
+        monkeypatch.setattr(certify, "_START", certify._real_image(factor))
+        assert run("--out", str(tmp_path), "certify", "--counts", str(tmp_path / "counts.csv"),
+                   "--mc-replicas", "10") == 3
+        v = read_json(tmp_path / "verdict.json")
+        assert v["converged"] is False and v["iterations"] == 1
 
     @pytest.mark.parametrize("rows", [["ZZ"], [a + b for a in "XYZ" for b in "XYZ"][:-1]],
                              ids=["zz-only", "pauli-without-zz"])
