@@ -1,9 +1,10 @@
-"""Entanglement certification toolbox for two-qubit states.
+"""Entanglement certification toolbox for stacks of two-qubit states.
 
 Pauli correlators, the coherence witness W = 1 - |<XX> + <YY>|, CHSH at
-fixed settings and the closed-form maximum over settings, Poissonian count
-simulation, maximum-likelihood tomography, partial transpose reporting, and
-Monte Carlo error intervals.
+fixed settings and the closed-form maximum over settings and the partial
+transpose (``derived_batch``), Poissonian count simulation
+(``simulate_counts_batch``), maximum-likelihood tomography (``fit``) and
+bootstrap error bars (``bootstrap``), each over a stack of states or datasets.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise, qmath
-from .qmath import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULI_VEC = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
@@ -104,8 +105,7 @@ def _trace(m: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Derived quantities over a stack of two-qubit states, shape (B, 4, 4).  The
-# single-state functions below are B = 1 calls of these kernels.
+# Derived quantities over a stack of two-qubit states, shape (B, 4, 4).
 
 
 def _correlations(rhos: np.ndarray) -> np.ndarray:
@@ -117,29 +117,19 @@ def _witness(t: np.ndarray) -> np.ndarray:
     return 1.0 - np.abs(t[:, 0, 0] + t[:, 1, 1])
 
 
-def _chsh_fixed(t: np.ndarray, settings) -> np.ndarray:
-    settings = np.asarray(settings, dtype=float)
+def _chsh_fixed(t: np.ndarray) -> np.ndarray:
+    """(B,) CHSH values at ``singlet_optimal_settings``."""
+    settings = singlet_optimal_settings()
     e = np.einsum("si,nij,sj->ns", settings[:, 0], t, settings[:, 1])
     return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
 
 
-def _chsh_max(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chsh_max(t: np.ndarray) -> np.ndarray:
     """(B,) maximal CHSH values 2 sqrt(s1^2 + s2^2) over all settings, s1 >= s2 the
-    two largest singular values of each T, and (B, 4, 2, 3) settings reaching them.
-
-    Alice measures along the top two left singular vectors, Bob along weighted
-    combinations of the right ones, so that E(a_i, v_j) = s_i delta_ij.
-    """
-    u, sv, vt = np.linalg.svd(t)
+    two largest singular values of each T (Horodecki et al., PLA 200, 340, 1995)."""
+    sv = np.linalg.svd(t)[1]
     norm = np.hypot(sv[:, 0], sv[:, 1])
-    zero = norm < 1e-15  # zero correlation matrix: any settings reach the zero maximum
-    cs = sv[:, :2, None] / np.where(zero, 1.0, norm)[:, None, None]
-    a0, a1 = u[:, :, 0], u[:, :, 1]
-    b0, b1 = cs[:, 0] * vt[:, 0] + cs[:, 1] * vt[:, 1], cs[:, 0] * vt[:, 0] - cs[:, 1] * vt[:, 1]
-    settings = np.stack([a0, b0, a0, b1, a1, b0, a1, b1], axis=1).reshape(-1, 4, 2, 3)
-    if zero.any():
-        settings[zero] = singlet_optimal_settings()
-    return np.where(zero, 0.0, 2.0 * norm), settings
+    return np.where(norm < 1e-15, 0.0, 2.0 * norm)  # a rounding-level T reads exactly 0
 
 
 def _pt_spectra(rhos: np.ndarray) -> np.ndarray:
@@ -171,8 +161,8 @@ def derived_batch(rhos: np.ndarray, targets=None) -> dict:
     eigs = _pt_spectra(rhos)
     q = {
         "witness": _witness(t),
-        "chsh_max": _chsh_max(t)[0],
-        "chsh_fixed": _chsh_fixed(t, singlet_optimal_settings()),
+        "chsh_max": _chsh_max(t),
+        "chsh_fixed": _chsh_fixed(t),
         "negativity": _negativity(eigs),
         "ppt_eigenvalues": eigs,
         "min_pt_eigenvalue": eigs[:, -1],
@@ -182,36 +172,12 @@ def derived_batch(rhos: np.ndarray, targets=None) -> dict:
     return q
 
 
-def witness_w(rho: DensityMatrix) -> float:
-    """W = 1 - |<XX> + <YY>|; W < 0 certifies entanglement."""
-    return float(_witness(_correlations(rho.matrix[None]))[0])
-
-
 def singlet_optimal_settings() -> np.ndarray:
     """(4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
     z, x = AXES["Z"], AXES["X"]
     b0 = -(z + x) / np.sqrt(2)
     b1 = (x - z) / np.sqrt(2)
     return np.array([[z, b0], [z, b1], [x, b0], [x, b1]])
-
-
-def chsh(rho: DensityMatrix, settings) -> float:
-    """|E(A0 B0) + E(A0 B1) + E(A1 B0) - E(A1 B1)| for four settings.
-
-    ``settings`` (4, 2, 3) lists the four (A_i, B_j) pairs in the order
-    (A0B0, A0B1, A1B0, A1B1).
-    """
-    if len(settings) != 4:
-        raise CertifyError("chsh needs exactly four settings")
-    return float(_chsh_fixed(_correlations(rho.matrix[None]), settings)[0])
-
-
-def chsh_max(rho: DensityMatrix) -> tuple[float, np.ndarray]:
-    """Maximal CHSH value 2 sqrt(l1 + l2) over all settings, plus (4, 2, 3) settings
-    reaching it; l1 >= l2 are the two largest eigenvalues of T^T T for the Pauli
-    correlation matrix T."""
-    value, settings = _chsh_max(_correlations(rho.matrix[None]))
-    return float(value[0]), settings[0]
 
 
 def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) -> np.ndarray:
@@ -226,11 +192,6 @@ def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) ->
                      for seed, p in zip(seeds, probs)])
 
 
-def simulate_counts(rho: DensityMatrix, bases, n_per_setting: int, seed: int) -> Counts:
-    """The dataset of ``simulate_counts_batch`` for one two-qubit state."""
-    return Counts(bases, simulate_counts_batch(rho.matrix[None], bases, n_per_setting, [seed])[0])
-
-
 def _check_complete(table: np.ndarray) -> None:
     """CertifyError unless the (4S, 16) map rho -> tr(rho Pi_k) of the settings with
     projector table ``table`` (S, 4, 4, 4) has rank 16 (numpy's ``matrix_rank``
@@ -239,20 +200,6 @@ def _check_complete(table: np.ndarray) -> None:
     rank = int(np.sum(sv > sv.max(initial=0.0) * max(4 * len(table), 16) * np.finfo(float).eps))
     if rank < 16:
         raise CertifyError(f"settings not informationally complete: rank {rank} of 16")
-
-
-@dataclass(frozen=True)
-class TomographyResult:
-    """MLE reconstruction plus derived certification quantities."""
-
-    rho_hat: DensityMatrix
-    log_likelihood: float
-    fidelity_to_target: float
-    ppt_eigenvalues: tuple[float, float, float, float]
-    negativity: float
-    converged: bool
-    iterations: int
-    dropped_settings: int = 0
 
 
 # A log-likelihood change below this is a stall.  |l| is about 1e5 at 10^4
@@ -367,12 +314,6 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     return rho[:, :4] + 1j * rho[:, 4:], ll_out, converged, iterations, dropped
 
 
-def ppt_report(rho: DensityMatrix) -> tuple[tuple[float, ...], float]:
-    """Partial-transpose eigenvalues (descending) and the negativity."""
-    eigs = _pt_spectra(rho.matrix[None])
-    return tuple(float(v) for v in eigs[0]), float(_negativity(eigs)[0])
-
-
 # What ``fit`` returns besides the quantities of ``derived_batch``.
 FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_settings")
 
@@ -390,19 +331,7 @@ def fit(bases: np.ndarray, counts: np.ndarray, targets) -> dict:
     return q
 
 
-def tomography_mle(data: Counts, target: DensityMatrix | None = None) -> TomographyResult:
-    """``fit`` of one dataset as a TomographyResult; ``target`` (default the singlet)
-    is the reference for the fidelity figure."""
-    target = noise.SINGLET if target is None else target.matrix
-    q = {key: val[0].tolist() for key, val in fit(data.bases, data.n[None], target).items()}
-    return TomographyResult(
-        DensityMatrix((2, 2), q["rho"]), q["log_likelihood"], q["fidelity_to_target"],
-        tuple(q["ppt_eigenvalues"]), q["negativity"], q["converged"], q["iterations"],
-        q["dropped_settings"],
-    )
-
-
-def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict, int, int, dict]:
+def bootstrap(data: Counts, replicas: int, seed: int) -> tuple[dict, int, int, dict]:
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     The settings with counts must be informationally complete (CertifyError
@@ -414,30 +343,22 @@ def bootstrap(data: Counts, replicas: int, seed: int, target=None) -> tuple[dict
     Returns the sample standard deviations of the fitted replicas'
     ``derived_batch`` quantities, the number of replicas whose MLE converged,
     the most iterations a fitted replica took, and member 0's ``fit`` fields:
-    the point estimate.  ``target`` is a (4, 4) state, default the singlet.
-    Deterministic given the seed.
+    the point estimate, with fidelities to the singlet.  Deterministic given
+    the seed.
     """
     if replicas < 2:
         raise CertifyError("replicas must be >= 2")
     kept = data.n.any(axis=1)  # the rank test of the settings the data measured
     _check_complete(projector_table(data.bases[kept]))
-    target = noise.SINGLET if target is None else target
     drawn = [n for n in (np.random.default_rng([seed, rep]).poisson(data.n)
                          for rep in range(replicas)) if n.any()]
     if len(drawn) < 2:
         raise CertifyError(f"only {len(drawn)} of {replicas} bootstrap replicas drew counts")
-    q = fit(data.bases, np.stack([data.n, *drawn]), target)
+    q = fit(data.bases, np.stack([data.n, *drawn]), noise.SINGLET)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
     return (sd, int(np.sum(q["converged"][1:])), int(np.max(q["iterations"][1:])),
             {key: val[0] for key, val in q.items()})
-
-
-def monte_carlo_errors(data: Counts, replicas: int, seed: int,
-                       target: DensityMatrix | None = None) -> dict:
-    """The standard deviations of ``bootstrap``."""
-    target = None if target is None else target.matrix
-    return bootstrap(data, replicas, seed, target)[0]
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:

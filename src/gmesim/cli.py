@@ -217,8 +217,9 @@ def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) ->
     write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"], rows)
 
 
+# ``total_expected`` is unused; it stays because benchmarks/test_benchmark.py passes it.
 def load_counts_csv(path: str, total_expected: float | None = None) -> certify.Counts:
-    """The dataset of a counts CSV; ``total_expected`` is unused (benchmark tests pass it)."""
+    """The dataset of a counts CSV."""
     def parse_axis(tok: str, lineno: int) -> np.ndarray:
         tok = tok.strip()
         if tok in certify.AXES:

@@ -5,8 +5,7 @@ Two one-parameter families are modeled: polarization-delay dephasing
 polarizations) and photon-distinguishability mixing (parameter v, the
 weight of the singlet component).  Each family maps an array of parameters,
 or one number, to the (..., 4, 4) stack of its states, range-checked and
-density-checked once; ``dephased_singlet``, ``distinguishable_state`` and
-``baseline_state`` are its single-state views.
+density-checked once.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ for _m in (SINGLET, RHO_MIX, RHO_DIST, _Z2):
 BASELINE_WEIGHT = 0.86  # the baseline's singlet weight: the measured W = 1 - 2 * 0.86 = -0.72
 
 
-def rho_mix() -> DensityMatrix:
-    """Fully dephased singlet: (|HV><HV| + |VH><VH|)/2."""
-    return DensityMatrix((2, 2), RHO_MIX.copy())
-
-
+# Kept for benchmarks/test_benchmark.py, which checks its reference states against it.
 def rho_dist() -> DensityMatrix:
     """Fully distinguishable-photon state: (|H+><H+| + |+H><+H|)/2."""
     return DensityMatrix((2, 2), RHO_DIST.copy())
@@ -50,31 +45,24 @@ def _dephased(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def dephased_singlets(eta) -> np.ndarray:
-    """(1 - eta)|S><S| + eta rho_mix."""
+    """(1 - eta)|S><S| + eta RHO_MIX."""
     return check_density(_dephased(SINGLET, _unit(eta, "eta")))
 
 
 def distinguishable_states(v) -> np.ndarray:
-    """v |S><S| + (1 - v) rho_dist."""
+    """v |S><S| + (1 - v) RHO_DIST."""
     v = _unit(v, "v")
     return check_density(v * SINGLET + (1 - v) * RHO_DIST)
 
 
 def baseline_states(eta, weight: float = BASELINE_WEIGHT) -> np.ndarray:
-    """Experimental-baseline model: dephased mixture of singlet and rho_mix."""
+    """Experimental-baseline model: dephased mixture of singlet and RHO_MIX."""
     weight = check_unit(weight, "weight")
     m = weight * SINGLET + (1 - weight) * RHO_MIX
     return check_density(_dephased(m, _unit(eta, "eta")))
 
 
-def dephased_singlet(eta: float) -> DensityMatrix:
-    return DensityMatrix((2, 2), dephased_singlets(eta))
-
-
-def distinguishable_state(v: float) -> DensityMatrix:
-    return DensityMatrix((2, 2), distinguishable_states(v))
-
-
+# Kept for benchmarks/test_benchmark.py, which checks its reference states against it.
 def baseline_state(eta: float, weight: float = BASELINE_WEIGHT) -> DensityMatrix:
     return DensityMatrix((2, 2), baseline_states(eta, weight))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, noise, qmath
-from .qmath import DensityMatrix, OutOfRange, check_unit  # noqa: F401
+from .qmath import OutOfRange, check_unit  # noqa: F401
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
 POLS = ("H", "V")
@@ -229,11 +229,6 @@ def cz_channel(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
 
 
-def cz_success_probabilities(net: np.ndarray) -> np.ndarray:
-    """Coincidence mass per logical input branch (1/9 each for the ideal network)."""
-    return cz_channel(net)[1]
-
-
 def channel_fidelity_to_cz(m: np.ndarray) -> float:
     """Process fidelity of a post-selected channel matrix M to the ideal CZ gate.
 
@@ -243,11 +238,6 @@ def channel_fidelity_to_cz(m: np.ndarray) -> float:
     cz = np.diag([1, 1, 1, -1]).astype(complex)
     denom = 4 * np.trace(m.conj().T @ m).real
     return float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom)
-
-
-def process_fidelity_to_cz(net: np.ndarray) -> float:
-    """Process fidelity of the post-selected channel of ``net`` to the ideal CZ gate."""
-    return channel_fidelity_to_cz(cz_channel(net)[0])
 
 
 def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
@@ -287,13 +277,6 @@ def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray,
     return post_select_coincidence(_mix_labels(t, gammas, "gamma"))
 
 
-def simulate_pipeline(gamma: float = 1.0) -> tuple[DensityMatrix, float]:
-    """The two-qubit polarization state and success probability at one overlap gamma,
-    through the ideal beam splitters."""
-    rho, mass = simulate_pipeline_grid([gamma])
-    return DensityMatrix((2, 2), rho[0]), float(mass[0])
-
-
 def fit_visibility_weights(rho_canonical: np.ndarray) -> np.ndarray:
     """(G,) least-squares weights v of the singlet in v|S><S| + (1-v) rho_dist, one per
     state of a stack."""
@@ -301,14 +284,6 @@ def fit_visibility_weights(rho_canonical: np.ndarray) -> np.ndarray:
     # tr(A^dag B) = sum_ij conj(A_ij) B_ij
     return (np.einsum("gij,ij->g", (rho_canonical - noise.RHO_DIST).conj(), diff).real
             / np.sum(np.abs(diff) ** 2))
-
-
-def fit_visibility_weight(rho_canonical: DensityMatrix) -> tuple[float, float]:
-    """(v, trace_distance) for one state: its ``fit_visibility_weights`` and the trace
-    distance between it and the best member of the family."""
-    v = float(fit_visibility_weights(rho_canonical.matrix[None])[0])
-    delta = rho_canonical.matrix - (v * noise.SINGLET + (1 - v) * noise.RHO_DIST)
-    return v, 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))))
 
 
 def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray, float]:

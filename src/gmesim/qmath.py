@@ -60,6 +60,7 @@ class PureState:
         if abs(norm - 1.0) > NORM_TOL:
             raise QmathError(f"state not normalized: sum |amp|^2 = {norm!r}")
 
+    # A method, not an inline outer product, because benchmarks/test_benchmark.py calls it.
     def density(self) -> "DensityMatrix":
         """Projector |psi><psi| as a DensityMatrix."""
         v = self.amplitudes

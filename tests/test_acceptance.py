@@ -37,9 +37,8 @@ def test_01_circuit_fidelity():
 
 def test_02_photonic_cz_oracle():
     t0 = time.perf_counter()
-    net = photonic.build_cz_network()
-    fid = photonic.process_fidelity_to_cz(net)
-    probs = photonic.cz_success_probabilities(net)
+    channel, probs = photonic.cz_channel(photonic.build_cz_network())
+    fid = photonic.channel_fidelity_to_cz(channel)
     elapsed = time.perf_counter() - t0
     ok = (
         fid >= 1 - 1e-10
@@ -66,9 +65,8 @@ def test_03_hom_visibility():
 
 
 def test_04_witness_endpoints():
-    w_s = certify.witness_w(circuit.singlet().density())
-    w_mix = certify.witness_w(noise.rho_mix())
-    w_dist = certify.witness_w(noise.rho_dist())
+    states = [circuit.singlet().density().matrix, noise.RHO_MIX, noise.rho_dist().matrix]
+    w_s, w_mix, w_dist = certify.derived_batch(np.stack(states))["witness"].tolist()
     ok = abs(w_s + 1) <= 1e-12 and abs(w_mix - 1) <= 1e-12 and abs(w_dist - 1) <= 1e-12
     report(
         "witness endpoints -1 / +1 / +1",
@@ -82,7 +80,7 @@ def bisect_baseline_crossing(weight: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        if certify.witness_w(noise.baseline_state(mid, weight)) < 0:
+        if certify.derived_batch(noise.baseline_state(mid, weight).matrix[None])["witness"][0] < 0:
             lo = mid
         else:
             hi = mid
@@ -91,9 +89,8 @@ def bisect_baseline_crossing(weight: float) -> float:
 
 def test_05_dephasing_law_and_baseline_crossing():
     grid = np.linspace(0.0, 1.0, 101)
-    err = max(
-        abs(certify.witness_w(noise.dephased_singlet(e)) - (2 * e - 1)) for e in grid
-    )
+    w = certify.derived_batch(noise.dephased_singlets(grid))["witness"]
+    err = float(np.max(np.abs(w - (2 * grid - 1))))
     crossing = bisect_baseline_crossing(0.86)
     ok = err <= 1e-12 and abs(crossing - 0.419) <= 1e-3
     report(
@@ -116,18 +113,16 @@ def test_no_crossing_below_half_weight(weight):
 
 def test_06_distinguishability_law_and_fock_family():
     grid = np.linspace(0.0, 1.0, 101)
-    err = max(
-        abs(certify.witness_w(noise.distinguishable_state(v)) - (1 - 2 * v))
-        for v in grid
-    )
-    max_dist = 0.0
-    endpoints = {}
-    for gamma in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rho, _ = photonic.simulate_pipeline(gamma=gamma)
-        canon = circuit.canonicalize_to_singlet(rho)
-        v, dist = photonic.fit_visibility_weight(canon)
-        max_dist = max(max_dist, dist)
-        endpoints[gamma] = v
+    w = certify.derived_batch(noise.distinguishable_states(grid))["witness"]
+    err = float(np.max(np.abs(w - (1 - 2 * grid))))
+    gammas = [0.0, 0.25, 0.5, 0.75, 1.0]
+    canon = circuit.singlet_frame(photonic.simulate_pipeline_grid(gammas)[0])
+    v = photonic.fit_visibility_weights(canon)[:, None, None]
+    # Trace distance of each state to the best member v|S><S| + (1 - v) rho_dist.
+    delta = canon - (v * noise.SINGLET + (1 - v) * noise.RHO_DIST)
+    eigs = np.linalg.eigvalsh((delta + delta.conj().swapaxes(1, 2)) / 2)
+    max_dist = float(np.max(0.5 * np.sum(np.abs(eigs), axis=1)))
+    endpoints = dict(zip(gammas, v.ravel().tolist()))
     ok = (
         err <= 1e-12
         and abs(endpoints[0.0]) <= 1e-9
@@ -143,16 +138,14 @@ def test_06_distinguishability_law_and_fock_family():
 
 
 def test_07_chsh():
-    singlet = circuit.singlet().density()
-    s_fixed = certify.chsh(singlet, certify.singlet_optimal_settings())
+    singlet = circuit.singlet().density().matrix[None]
+    s_fixed = float(certify.derived_batch(singlet)["chsh_fixed"][0])
     tsirelson = 2 * math.sqrt(2)
     rng = np.random.default_rng(2024)
     states = certify.random_density_matrices(rng, 10_000)
     worst = float(np.max(certify.derived_batch(states)["chsh_max"]))
-    baseline_ok = all(
-        certify.chsh_max(noise.baseline_state(e))[0] > 2.0
-        for e in np.linspace(0.0, 0.3, 31, endpoint=False)
-    )
+    baseline = noise.baseline_states(np.linspace(0.0, 0.3, 31, endpoint=False))
+    baseline_ok = bool(np.all(certify.derived_batch(baseline)["chsh_max"] > 2.0))
     ok = (
         abs(s_fixed - tsirelson) <= 1e-9
         and worst <= tsirelson + 1e-9
@@ -168,16 +161,14 @@ def test_07_chsh():
 
 def test_08_ppt_family_and_mle_pipeline():
     grid = np.linspace(0.0, 1.0, 21)
-    spec_err = 0.0
-    for eta in grid:
-        eigs, _ = certify.ppt_report(noise.dephased_singlet(eta))
-        expect = sorted([0.5, 0.5, (1 - eta) / 2, -(1 - eta) / 2], reverse=True)
-        spec_err = max(spec_err, float(np.max(np.abs(np.array(eigs) - expect))))
-    truth = noise.dephased_singlet(0.6)
-    data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, 606)
-    res = certify.tomography_mle(data, target=truth)
-    errors = certify.monte_carlo_errors(data, 100, 606, target=truth)
-    min_pt = res.ppt_eigenvalues[-1]
+    eigs = certify.derived_batch(noise.dephased_singlets(grid))["ppt_eigenvalues"]
+    half = np.full_like(grid, 0.5)
+    expect = np.stack([half, half, (1 - grid) / 2, -(1 - grid) / 2], axis=1)  # descending
+    spec_err = float(np.max(np.abs(eigs - expect)))
+    truth = noise.dephased_singlets(0.6)
+    counts = certify.simulate_counts_batch(truth[None], certify.PAULI_SETTINGS, 10_000, [606])
+    min_pt = float(certify.fit(certify.PAULI_SETTINGS, counts, truth)["min_pt_eigenvalue"][0])
+    errors = certify.bootstrap(certify.Counts(certify.PAULI_SETTINGS, counts[0]), 100, 606)[0]
     sigma = errors["min_pt_eigenvalue"]
     ok = (
         spec_err <= 1e-10
@@ -193,24 +184,21 @@ def test_08_ppt_family_and_mle_pipeline():
 
 def test_09_tomography_round_trip():
     truths = {
-        "singlet": circuit.singlet().density(),
-        "dephased(0.5)": noise.dephased_singlet(0.5),
-        "rho_dist": noise.rho_dist(),
-        "maximally mixed": qmath.DensityMatrix((2, 2), np.eye(4) / 4),
+        "singlet": noise.SINGLET,
+        "dephased(0.5)": noise.dephased_singlets(0.5),
+        "rho_dist": noise.RHO_DIST,
+        "maximally mixed": np.eye(4, dtype=complex) / 4,
     }
     t0 = time.perf_counter()
     details = []
     ok = True
     for idx, (name, truth) in enumerate(truths.items()):
-        good = 0
-        for trial in range(100):
-            data = certify.simulate_counts(
-                truth, certify.PAULI_SETTINGS, 10_000,
-                int(np.random.SeedSequence([idx, trial]).generate_state(1)[0]),
-            )
-            res = certify.tomography_mle(data, target=truth)
-            if res.fidelity_to_target >= 0.99:
-                good += 1
+        seeds = [int(np.random.SeedSequence([idx, trial]).generate_state(1)[0])
+                 for trial in range(100)]
+        counts = certify.simulate_counts_batch(np.broadcast_to(truth, (100, 4, 4)),
+                                               certify.PAULI_SETTINGS, 10_000, seeds)
+        fidelity = certify.fit(certify.PAULI_SETTINGS, counts, truth)["fidelity_to_target"]
+        good = int(np.sum(fidelity >= 0.99))
         details.append(f"{name}: {good}/100")
         ok = ok and good >= 95
     elapsed = time.perf_counter() - t0

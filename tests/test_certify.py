@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from gmesim import certify, circuit, noise, qmath
 
-SINGLET = circuit.singlet().density()
+SINGLET = noise.SINGLET
+MIXED = np.eye(4, dtype=complex) / 4
 X, Y, Z = certify.AXES["X"], certify.AXES["Y"], certify.AXES["Z"]
 
 
@@ -22,12 +23,7 @@ def random_pure_state(rng: np.random.Generator) -> qmath.PureState:
     return qmath.PureState(random_unit_vector(rng, 4))
 
 
-def random_density_matrix(rng: np.random.Generator) -> qmath.DensityMatrix:
-    """One Ginibre-induced random mixed state: the n = 1 view of the stacked draw."""
-    return qmath.DensityMatrix((2, 2), certify.random_density_matrices(rng, 1)[0])
-
-
-def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> qmath.DensityMatrix:
+def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> np.ndarray:
     """Convex mixture of random product states (separable by construction)."""
     weights = rng.dirichlet(np.ones(n_terms))
     m = np.zeros((4, 4), dtype=complex)
@@ -36,7 +32,18 @@ def random_separable_state(rng: np.random.Generator, n_terms: int = 4) -> qmath.
         b = random_unit_vector(rng, 2)
         v = np.kron(a, b)
         m += w * np.outer(v, v.conj())
-    return qmath.DensityMatrix((2, 2), m)
+    return qmath.check_density(m)
+
+
+def simulated(rho: np.ndarray, bases, n_per_setting: int, seed: int) -> certify.Counts:
+    """The dataset of one ``simulate_counts_batch`` draw of the (4, 4) state ``rho``."""
+    counts = certify.simulate_counts_batch(rho[None], bases, n_per_setting, [seed])
+    return certify.Counts(bases, counts[0])
+
+
+def fit_one(data: certify.Counts, target=SINGLET) -> dict:
+    """Member 0 of the one-member ``fit`` of ``data``."""
+    return {key: val[0] for key, val in certify.fit(data.bases, data.n[None], target).items()}
 
 
 class TestSettings:
@@ -93,109 +100,111 @@ class TestCountsValue:
 
 class TestCorrelatorsAndWitness:
     def test_singlet_correlations(self):
-        (t,) = certify._correlations(SINGLET.matrix[None])
+        (t,) = certify._correlations(SINGLET[None])
         assert np.allclose(t, -np.eye(3), atol=1e-12)
 
     def test_witness_values(self):
-        assert certify.witness_w(SINGLET) == pytest.approx(-1.0, abs=1e-12)
-        assert certify.witness_w(noise.rho_mix()) == pytest.approx(1.0, abs=1e-12)
-        assert certify.witness_w(noise.rho_dist()) == pytest.approx(1.0, abs=1e-12)
+        w = certify.derived_batch(np.stack([SINGLET, noise.RHO_MIX, noise.RHO_DIST]))["witness"]
+        assert np.allclose(w, [-1.0, 1.0, 1.0], rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_witness_lower_bound(self, seed):
-        rho = random_density_matrix(np.random.default_rng(seed))
-        assert certify.witness_w(rho) >= -1.0 - 1e-12
+        rho = certify.random_density_matrices(np.random.default_rng(seed), 1)
+        assert certify.derived_batch(rho)["witness"][0] >= -1.0 - 1e-12
+
+
+def chsh_at(rhos: np.ndarray, settings_: np.ndarray) -> np.ndarray:
+    """Reference CHSH |E(A0 B0) + E(A0 B1) + E(A1 B0) - E(A1 B1)| of each state at its
+    (4, 2, 3) settings, with E(a, b) = tr(rho a.sigma x b.sigma)."""
+    out = []
+    for rho, pairs in zip(rhos, settings_):
+        e = [np.trace(rho @ np.kron(*(np.tensordot(v, certify._PAULI_VEC, axes=1) for v in p))).real
+             for p in pairs]
+        out.append(abs(e[0] + e[1] + e[2] - e[3]))
+    return np.array(out)
+
+
+def svd_settings(rhos: np.ndarray) -> np.ndarray:
+    """(B, 4, 2, 3) settings reaching the maximal CHSH value of each state: Alice
+    along the top two left singular vectors a_i of the correlation matrix T, Bob
+    along (s_1 v_1 +- s_2 v_2) / |.|, so that E(a_i, v_j) = s_i delta_ij."""
+    u, sv, vt = np.linalg.svd(certify._correlations(rhos))
+    cs = sv[:, :2, None] / np.hypot(sv[:, 0], sv[:, 1])[:, None, None]
+    a0, a1 = u[:, :, 0], u[:, :, 1]
+    b0, b1 = cs[:, 0] * vt[:, 0] + cs[:, 1] * vt[:, 1], cs[:, 0] * vt[:, 0] - cs[:, 1] * vt[:, 1]
+    return np.stack([a0, b0, a0, b1, a1, b0, a1, b1], axis=1).reshape(-1, 4, 2, 3)
 
 
 class TestChsh:
     def test_singlet_fixed_settings(self):
-        s = certify.chsh(SINGLET, certify.singlet_optimal_settings())
+        s = certify.derived_batch(SINGLET[None])["chsh_fixed"][0]
         assert s == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
     def test_chsh_max_matches_settings(self):
-        for rho in (SINGLET, noise.dephased_singlet(0.4), noise.baseline_state(0.2)):
-            val, settings_ = certify.chsh_max(rho)
-            assert certify.chsh(rho, settings_) == pytest.approx(val, abs=1e-9)
+        rhos = np.stack([SINGLET, noise.dephased_singlets(0.4), noise.baseline_states(0.2)])
+        values = certify.derived_batch(np.concatenate([rhos, MIXED[None]]))["chsh_max"]
+        np.testing.assert_allclose(chsh_at(rhos, svd_settings(rhos)), values[:-1],
+                                   rtol=0, atol=1e-9)
+        assert values[-1] == 0.0  # a zero correlation matrix
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_tsirelson_and_ordering(self, seed):
-        rho = random_density_matrix(np.random.default_rng(seed))
-        val, _ = certify.chsh_max(rho)
-        fixed = certify.chsh(rho, certify.singlet_optimal_settings())
-        assert fixed <= val + 1e-9
-        assert val <= 2 * np.sqrt(2) + 1e-9
+        q = certify.derived_batch(certify.random_density_matrices(np.random.default_rng(seed), 1))
+        assert q["chsh_fixed"][0] <= q["chsh_max"][0] + 1e-9
+        assert q["chsh_max"][0] <= 2 * np.sqrt(2) + 1e-9
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_separable_states_respect_classical_bound(self, seed):
         rho = random_separable_state(np.random.default_rng(seed))
-        val, _ = certify.chsh_max(rho)
-        assert val <= 2.0 + 1e-9
-
-    def test_wrong_setting_count(self):
-        with pytest.raises(certify.CertifyError):
-            certify.chsh(SINGLET, certify.singlet_optimal_settings()[:3])
-
-    def test_stacked_chsh_max_equals_the_single_state_call(self):
-        rng = np.random.default_rng(17)
-        states = [random_density_matrix(rng) for _ in range(200)]
-        states += [noise.distinguishable_state(v) for v in np.linspace(0.0, 1.0, 21)]
-        states += [qmath.DensityMatrix((2, 2), np.eye(4) / 4)]  # zero correlation matrix
-        stacked = certify.derived_batch(np.stack([rho.matrix for rho in states]))["chsh_max"]
-        single = np.array([certify.chsh_max(rho)[0] for rho in states])
-        assert np.array_equal(stacked, single)
-        assert single[-1] == 0.0
-        assert np.array_equal(certify.chsh_max(states[-1])[1], certify.singlet_optimal_settings())
+        assert certify.derived_batch(rho[None])["chsh_max"][0] <= 2.0 + 1e-9
 
     def test_stacked_chsh_fixed_is_at_the_singlet_optimal_settings(self):
-        rng = np.random.default_rng(19)
-        states = [random_density_matrix(rng) for _ in range(20)] + [SINGLET]
-        stacked = certify.derived_batch(np.stack([rho.matrix for rho in states]))["chsh_fixed"]
-        single = [certify.chsh(rho, certify.singlet_optimal_settings()) for rho in states]
-        assert np.array_equal(stacked, single)
+        states = np.concatenate([certify.random_density_matrices(np.random.default_rng(19), 20),
+                                 SINGLET[None]])
+        stacked = certify.derived_batch(states)["chsh_fixed"]
+        reference = chsh_at(states, [certify.singlet_optimal_settings()] * len(states))
+        np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)
         assert stacked[-1] == pytest.approx(2 * np.sqrt(2), abs=1e-12)
 
 
 class TestCounts:
     def test_simulation_is_deterministic(self):
-        a = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 7)
-        b = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 7)
-        assert np.array_equal(a.n, b.n)
-        assert np.array_equal(a.bases, certify.PAULI_SETTINGS)
+        a, b = (certify.simulate_counts_batch(SINGLET[None], certify.PAULI_SETTINGS, 1000, [7])
+                for _ in range(2))
+        assert a.shape == (1, 9, 4) and np.array_equal(a, b)
 
     def test_counts_track_probabilities(self):
-        data = certify.simulate_counts(SINGLET, [[Z, Z]], 100_000, 1)
+        data = simulated(SINGLET, [[Z, Z]], 100_000, 1)
         f = data.n[0] / data.n[0].sum()
-        p = _trace(SINGLET.matrix @ certify.projector_table([[Z, Z]])[0])
+        p = _trace(SINGLET @ certify.projector_table([[Z, Z]])[0])
         assert np.allclose(f, p, atol=0.01)
 
     def test_bad_count_target(self):
         with pytest.raises(certify.CertifyError):
-            certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 0, 1)
+            certify.simulate_counts_batch(SINGLET[None], certify.PAULI_SETTINGS, 0, [1])
 
 
 class TestTomography:
     def test_linear_inversion_missing_setting(self):
         # The rank test runs for the direct fits too, not only for the bootstrap.
-        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
+        data = simulated(SINGLET, certify.PAULI_SETTINGS[:-1], 100, 1)
         for call in (lambda: certify._check_complete(certify.projector_table(data.bases)),
-                     lambda: certify.fit(data.bases, data.n[None], noise.SINGLET),
-                     lambda: certify.tomography_mle(data)):
+                     lambda: certify.fit(data.bases, data.n[None], SINGLET)):
             with pytest.raises(certify.CertifyError, match="not informationally complete"):
                 call()
 
     def test_mle_recovers_mixed_truth(self):
-        truth = noise.dephased_singlet(0.5)
-        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, 11)
-        res = certify.tomography_mle(data, target=truth)
-        assert res.converged
-        assert res.fidelity_to_target > 0.99
+        truth = noise.dephased_singlets(0.5)
+        res = fit_one(simulated(truth, certify.PAULI_SETTINGS, 10_000, 11), truth)
+        assert res["converged"]
+        assert res["fidelity_to_target"] > 0.99
 
     def test_mle_monotone_likelihood_vs_linear(self):
-        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 2000, 3)
-        res = certify.tomography_mle(data)
+        data = simulated(SINGLET, certify.PAULI_SETTINGS, 2000, 3)
+        res = fit_one(data)
 
         def ll(rho):
             out = 0.0
@@ -204,67 +213,66 @@ class TestTomography:
                 out += np.dot(n, np.log(np.maximum(p, 1e-300)))
             return out
 
-        assert res.log_likelihood >= ll(_lstsq(data.bases, data.n)) - 1e-6
+        assert res["log_likelihood"] >= ll(_lstsq(data.bases, data.n)) - 1e-6
 
     def test_mle_drops_empty_settings(self):
-        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
+        data = simulated(SINGLET, certify.PAULI_SETTINGS, 5000, 5)
         n = data.n.copy()
         n[0] = 0
-        res = certify.tomography_mle(certify.Counts(data.bases, n))
-        assert res.dropped_settings == 1
-        assert res.converged
+        res = fit_one(certify.Counts(data.bases, n))
+        assert res["dropped_settings"] == 1
+        assert res["converged"]
 
 
 class TestPpt:
     @pytest.mark.parametrize("eta", [0.0, 0.3, 0.6, 1.0])
     def test_dephased_singlet_spectrum(self, eta):
-        eigs, neg = certify.ppt_report(noise.dephased_singlet(eta))
+        q = certify.derived_batch(noise.dephased_singlets([eta]))
         expect = sorted([0.5, 0.5, (1 - eta) / 2, -(1 - eta) / 2], reverse=True)
-        assert np.allclose(eigs, expect, atol=1e-10)
-        assert neg == pytest.approx((1 - eta) / 2, abs=1e-10)
+        assert np.allclose(q["ppt_eigenvalues"][0], expect, atol=1e-10)
+        assert q["negativity"][0] == pytest.approx((1 - eta) / 2, abs=1e-10)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_separable_states_have_ppt(self, seed):
         rho = random_separable_state(np.random.default_rng(seed))
-        eigs, neg = certify.ppt_report(rho)
-        assert eigs[-1] >= -1e-10
-        assert neg <= 1e-10
+        q = certify.derived_batch(rho[None])
+        assert q["min_pt_eigenvalue"][0] >= -1e-10
+        assert q["negativity"][0] <= 1e-10
 
 
 class TestFidelityAndErrors:
     def test_uhlmann_pure_limit_matches_overlap(self):
-        rho = noise.dephased_singlet(0.3)
-        (f,) = certify.derived_batch(rho.matrix[None], noise.SINGLET)["fidelity_to_target"]
-        assert f == pytest.approx(qmath.fidelity_pure(rho, circuit.singlet()), abs=1e-10)
+        rho = noise.dephased_singlets(0.3)
+        (f,) = certify.derived_batch(rho[None], SINGLET)["fidelity_to_target"]
+        overlap = qmath.fidelity_pure(qmath.DensityMatrix((2, 2), rho), circuit.singlet())
+        assert f == pytest.approx(overlap, abs=1e-10)
 
     def test_uhlmann_identical_states(self):
-        rho = noise.baseline_state(0.4)
-        (f,) = certify.derived_batch(rho.matrix[None], rho.matrix[None])["fidelity_to_target"]
+        rho = noise.baseline_states([0.4])
+        (f,) = certify.derived_batch(rho, rho)["fidelity_to_target"]
         assert f == pytest.approx(1.0, abs=1e-10)
 
     def test_a_shared_target_equals_its_broadcast_stack(self):
         rhos = noise.dephased_singlets(np.linspace(0.0, 1.0, 5))
-        for target in (noise.SINGLET, noise.baseline_states(0.4)):
+        for target in (SINGLET, noise.baseline_states(0.4)):
             shared = certify.derived_batch(rhos, target)["fidelity_to_target"]
             stacked = certify.derived_batch(rhos, np.stack([target] * 5))["fidelity_to_target"]
             np.testing.assert_allclose(shared, stacked, rtol=0, atol=1e-15)
             assert shared.shape == (5,)
 
     def test_monte_carlo_errors_deterministic_and_sized(self):
-        data = certify.simulate_counts(
-            noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
-        )
-        e1 = certify.monte_carlo_errors(data, 20, 5)
-        e2 = certify.monte_carlo_errors(data, 20, 5)
+        data = simulated(noise.dephased_singlets(0.6), certify.PAULI_SETTINGS, 10_000, 21)
+        e1 = certify.bootstrap(data, 20, 5)[0]
+        e2 = certify.bootstrap(data, 20, 5)[0]
         assert e1 == e2
         assert 1e-4 < e1["witness"] < 0.1
         assert 1e-4 < e1["min_pt_eigenvalue"] < 0.1
 
     def test_monte_carlo_needs_replicas(self):
-        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 100, 1)
-        with pytest.raises(certify.CertifyError):
-            certify.monte_carlo_errors(data, 1, 0)
+        data = simulated(SINGLET, certify.PAULI_SETTINGS, 100, 1)
+        with pytest.raises(certify.CertifyError, match="replicas must be >= 2"):
+            certify.bootstrap(data, 1, 0)
 
 
 def _trace(m):
@@ -272,7 +280,7 @@ def _trace(m):
 
 
 def _resampled_stack(truth, n_per_setting, seed, members):
-    data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, n_per_setting, seed)
+    data = simulated(truth, certify.PAULI_SETTINGS, n_per_setting, seed)
     rng = np.random.default_rng(seed)
     return data.bases, np.stack([rng.poisson(data.n) for _ in range(members)])
 
@@ -280,7 +288,7 @@ def _resampled_stack(truth, n_per_setting, seed, members):
 def _bootstrap_stack(truth, seed):
     """Pauli-pair counts of ``truth`` at 10^4 per setting and ``certify.bootstrap``'s
     fit stack of them: the counts as member 0, then 100 replicas seeded [seed, r]."""
-    data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 10_000, seed)
+    data = simulated(truth, certify.PAULI_SETTINGS, 10_000, seed)
     drawn = (np.random.default_rng([seed, r]).poisson(data.n) for r in range(100))
     return data.bases, np.stack([data.n, *drawn])
 
@@ -396,8 +404,8 @@ def _overshooting_stack(seeds=(239, 535, 635, 754)):
     counts, starts = [], []
     for seed in seeds:
         rng = np.random.default_rng([seed, 17])
-        truth = random_pure_state(rng).density()
-        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, seed)
+        truth = random_pure_state(rng).density().matrix
+        data = simulated(truth, certify.PAULI_SETTINGS, 1000, seed)
         counts.append(data.n)
         starts.append(random_pure_state(rng).density().matrix)
     counts = np.array(counts, dtype=float)
@@ -448,9 +456,8 @@ class TestBatchedEngine:
         # the reference take the same decisions.  Counted as a stall, the
         # restart would end the run early.
         monkeypatch.setattr(certify, "STALL_TOL", 1e-6)
-        mixed = qmath.DensityMatrix((2, 2), np.eye(4) / 4)
-        counts = np.stack([certify.simulate_counts(mixed, certify.PAULI_SETTINGS, 10_000, seed).n
-                           for seed in (6, 11)])
+        counts = certify.simulate_counts_batch(np.stack([MIXED] * 2), certify.PAULI_SETTINGS,
+                                               10_000, [6, 11])
         starts = [_lstsq(certify.PAULI_SETTINGS, n) for n in counts]
         with _starting_from(starts):
             _, ll, converged, iterations, _ = certify.mle_batch(certify.PAULI_SETTINGS, counts)
@@ -461,7 +468,7 @@ class TestBatchedEngine:
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
 
     def test_members_match_their_own_single_solve(self):
-        settings, counts = _resampled_stack(noise.dephased_singlet(0.6), 10_000, 31, 100)
+        settings, counts = _resampled_stack(noise.dephased_singlets(0.6), 10_000, 31, 100)
         rho, ll, converged, iterations, dropped = certify.mle_batch(settings, counts)
         assert rho.shape == (100, 4, 4) and converged.all() and not dropped.any()
         for b in range(100):
@@ -473,16 +480,16 @@ class TestBatchedEngine:
     def test_every_member_of_a_bootstrap_stack_is_its_own_single_solve(self):
         # Every per-member product is a product of that member's arrays alone,
         # so no bit of a member's solve depends on the stack it sits in.
-        settings, counts = _bootstrap_stack(noise.baseline_state(0.6), 41)
+        settings, counts = _bootstrap_stack(noise.baseline_states(0.6), 41)
         batch = certify.mle_batch(settings, counts)
         for b in range(len(counts)):
             for got, single in zip(batch, _single_fit(settings, counts[b])):
                 assert np.array_equal(got[b], single), b
 
     def test_momentum_halves_the_iterations_of_the_benchmark_sources(self):
-        sources = {"singlet": SINGLET, "baseline-0.3": noise.baseline_state(0.3),
-                   "baseline-0.6": noise.baseline_state(0.6), "distinguishable": noise.rho_dist(),
-                   "maximally-mixed": qmath.DensityMatrix((2, 2), np.eye(4) / 4)}
+        sources = {"singlet": SINGLET, "baseline-0.3": noise.baseline_states(0.3),
+                   "baseline-0.6": noise.baseline_states(0.6), "distinguishable": noise.RHO_DIST,
+                   "maximally-mixed": MIXED}
         worst = {name: int(certify.mle_batch(*_bootstrap_stack(truth, 11))[3].max())
                  for name, truth in sources.items()}
         assert sum(worst.values()) <= 0.5 * sum(_EM_WORST_ITERATIONS.values()), worst
@@ -493,8 +500,7 @@ class TestBatchedEngine:
         # maximally mixed state among them.  The engine is deterministic, so
         # the iterate after k steps is the result of a run with max_iter=k.
         stacks = [_resampled_stack(truth, 2000, 7, 4)
-                  for truth in (SINGLET, noise.rho_dist(), noise.rho_mix(),
-                                qmath.DensityMatrix((2, 2), np.eye(4) / 4))]
+                  for truth in (SINGLET, noise.RHO_DIST, noise.RHO_MIX, MIXED)]
         settings = stacks[0][0]
         counts = np.concatenate([c for _, c in stacks])
         prev = certify.mle_batch(settings, counts, max_iter=0)[1]
@@ -520,9 +526,7 @@ class TestBatchedEngine:
         # few ulp of |l| ~ 1e5.  Such a drop is a stall: the engine keeps its
         # iterate bit for bit, as it does after a restart, and never gives up.
         # The approach from the least-squares start takes such drops.
-        data = certify.simulate_counts(
-            qmath.DensityMatrix((2, 2), np.eye(4) / 4), certify.PAULI_SETTINGS, 10_000, 5
-        )
+        data = simulated(MIXED, certify.PAULI_SETTINGS, 10_000, 5)
         start = _lstsq(data.bases, data.n)
         with _starting_from([start]):
             total = _single_fit(data.bases, data.n)[3]
@@ -539,16 +543,16 @@ class TestBatchedEngine:
         assert ref[2] and ref[3] == total
         assert events["rounding drops"] > 0 and events["give-ups"] == 0
         assert kept == events["rounding drops"] + events["restarts"]
-        res = certify.tomography_mle(data)
-        assert res.converged and res.fidelity_to_target == pytest.approx(0.25, abs=0.01)
+        res = fit_one(data)
+        assert res["converged"] and res["fidelity_to_target"] == pytest.approx(0.25, abs=0.01)
 
     def test_rounding_level_drops_at_high_counts_are_stalls(self):
         # At 10^5 counts per setting |l| ~ 1e6, where one ulp exceeds STALL_TOL,
         # so a plain step near the optimum may lower l by more than STALL_TOL.
         # Such a drop is a stall, so bootstrap stacks converge in a few dozen
         # iterations.
-        for truth in (SINGLET, noise.rho_dist(), noise.baseline_state(0.6)):
-            data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 100_000, 3)
+        for truth in (SINGLET, noise.RHO_DIST, noise.baseline_states(0.6)):
+            data = simulated(truth, certify.PAULI_SETTINGS, 100_000, 3)
             drawn = [np.random.default_rng([3, r]).poisson(data.n) for r in range(20)]
             stack = np.stack([data.n, *drawn])
             _, _, converged, iterations, _ = certify.mle_batch(data.bases, stack)
@@ -562,29 +566,24 @@ class TestBatchedEngine:
             assert certify.mle_batch(bases, counts)[2].all()
 
     def test_stacked_tomography_matches_single_fits(self):
-        truths = [noise.dephased_singlet(eta) for eta in (0.0, 0.5, 1.0)]
-        datasets = [certify.simulate_counts(t, certify.PAULI_SETTINGS, 3000, i)
-                    for i, t in enumerate(truths)]
-        batch = certify.fit(certify.PAULI_SETTINGS, np.stack([d.n for d in datasets]),
-                            np.stack([t.matrix for t in truths]))
-        for b, (data, truth) in enumerate(zip(datasets, truths)):
-            single = certify.tomography_mle(data, target=truth)
-            assert np.max(np.abs(batch["rho"][b] - single.rho_hat.matrix)) <= 1e-9
+        truths = noise.dephased_singlets([0.0, 0.5, 1.0])
+        counts = certify.simulate_counts_batch(truths, certify.PAULI_SETTINGS, 3000, range(3))
+        batch = certify.fit(certify.PAULI_SETTINGS, counts, truths)
+        for b, truth in enumerate(truths):
+            single = fit_one(certify.Counts(certify.PAULI_SETTINGS, counts[b]), truth)
+            assert np.max(np.abs(batch["rho"][b] - single["rho"])) <= 1e-9
             assert batch["fidelity_to_target"][b] == pytest.approx(
-                single.fidelity_to_target, abs=1e-9)
+                single["fidelity_to_target"], abs=1e-9)
             assert batch["converged"][b] and batch["iterations"][b] > 0
 
     def test_bootstrap_reports_converged_replicas(self):
-        data = certify.simulate_counts(
-            noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
-        )
-        errors, converged, _, _ = certify.bootstrap(data, 20, 5)
+        data = simulated(noise.dephased_singlets(0.6), certify.PAULI_SETTINGS, 10_000, 21)
+        _, converged, _, _ = certify.bootstrap(data, 20, 5)
         assert converged == 20
-        assert errors == certify.monte_carlo_errors(data, 20, 5)
 
     def test_bootstrap_tests_the_settings_the_data_measured(self):
         # An all-zero row measures nothing: it cannot stand in for a missing setting.
-        data = certify.simulate_counts(SINGLET, certify.PAULI_SETTINGS, 1000, 4)
+        data = simulated(SINGLET, certify.PAULI_SETTINGS, 1000, 4)
         without_zz = certify.Counts(data.bases[:-1], data.n[:-1])
         zero_row = certify.Counts(np.concatenate([data.bases[:-1], [[Z, Z]]]),
                                   np.concatenate([data.n[:-1], [[0, 0, 0, 0]]]))
@@ -599,12 +598,10 @@ class TestBatchedEngine:
     def test_bootstrap_deviations_exclude_the_point_estimate(self):
         # Member 0 of the stack is the counts themselves: with two replicas
         # the deviations are those of the two replica fits alone.
-        data = certify.simulate_counts(
-            noise.dephased_singlet(0.6), certify.PAULI_SETTINGS, 10_000, 21
-        )
+        data = simulated(noise.dephased_singlets(0.6), certify.PAULI_SETTINGS, 10_000, 21)
         errors, converged, _, _ = certify.bootstrap(data, 2, 5)
         replicas = np.stack([np.random.default_rng([5, rep]).poisson(data.n) for rep in (0, 1)])
-        alone = certify.fit(data.bases, replicas, noise.SINGLET)
+        alone = certify.fit(data.bases, replicas, SINGLET)
         assert converged == 2 and errors.keys() == alone.keys() - set(certify.FIT_FIELDS)
         for key, sd in errors.items():
             np.testing.assert_allclose(sd, np.std(alone[key], axis=0, ddof=1), rtol=0, atol=1e-9)
@@ -625,7 +622,7 @@ def _loop_counts(rho, bases, n, seed):
     rng = np.random.default_rng(seed)
     out = []
     for pair in bases:
-        p = np.clip(np.array([np.trace(rho.matrix @ pi).real for pi in _kron_projectors(pair)]),
+        p = np.clip(np.array([np.trace(rho @ pi).real for pi in _kron_projectors(pair)]),
                     0.0, 1.0)
         out.append([int(c) for c in rng.poisson(n * p)])
     return out
@@ -659,16 +656,14 @@ class TestVectorisedMeasurement:
             assert np.array_equal(certify.projector_table(pair)[0], t)
 
     def test_counts_equal_the_per_setting_draws(self):
-        rng = np.random.default_rng(3)
-        states = [SINGLET, noise.baseline_state(0.3), noise.rho_dist(),
-                  random_density_matrix(rng), random_density_matrix(rng)]
+        states = np.concatenate([[SINGLET, noise.baseline_states(0.3), noise.RHO_DIST],
+                                 certify.random_density_matrices(np.random.default_rng(3), 2)])
         general = np.concatenate([certify.PAULI_SETTINGS, [[[0.6, 0.8, 0.0], Z]]])
-        for rho in states:
-            for seed, n in ((0, 1), (7, 10_000), (12345, 123_456), (99, 10**15)):
-                for bases in (certify.PAULI_SETTINGS, general):
-                    data = certify.simulate_counts(rho, bases, n, seed)
-                    assert data.n.tolist() == _loop_counts(rho, bases, n, seed)
-                    assert np.array_equal(data.bases, bases)
+        for seed, n in ((0, 1), (7, 10_000), (12345, 123_456), (99, 10**15)):
+            for bases in (certify.PAULI_SETTINGS, general):
+                counts = certify.simulate_counts_batch(states, bases, n, [seed] * len(states))
+                for rho, member in zip(states, counts):
+                    assert member.tolist() == _loop_counts(rho, bases, n, seed)
 
     def test_stacked_counts_equal_the_per_state_draws(self):
         rhos = np.concatenate([noise.dephased_singlets(np.linspace(0.0, 1.0, 5)),
@@ -680,9 +675,8 @@ class TestVectorisedMeasurement:
                 counts = certify.simulate_counts_batch(rhos, bases, n, seeds)
                 assert counts.shape == (len(rhos), len(bases), 4)
                 for rho, seed, member in zip(rhos, seeds, counts):
-                    single = certify.simulate_counts(qmath.DensityMatrix((2, 2), rho),
-                                                     bases, n, seed)
-                    assert np.array_equal(member, single.n)
+                    single = certify.simulate_counts_batch(rho[None], bases, n, [seed])
+                    assert np.array_equal(member, single[0])
 
     def test_random_stack_equals_the_per_state_draws(self):
         def one(rng):  # the single Ginibre draw
@@ -697,15 +691,15 @@ class TestVectorisedMeasurement:
 
     def test_no_settings_give_no_counts(self):
         assert certify.projector_table([]).shape == (0, 4, 4, 4)
-        data = certify.simulate_counts(SINGLET, [], 10, 1)
+        data = simulated(SINGLET, np.empty((0, 2, 3)), 10, 1)
         assert len(data) == 0 and data.bases.shape == (0, 2, 3) and data.n.shape == (0, 4)
         with pytest.raises(certify.CertifyError, match="rank 0 of 16"):
             certify._check_complete(certify.projector_table(data.bases))
 
     def test_outcome_probabilities_need_two_qubits(self):
-        with pytest.raises(qmath.QmathError, match="expected a two-qubit state"):
-            certify.simulate_counts(qmath.DensityMatrix((2, 2, 2), np.eye(8) / 8),
-                                    certify.PAULI_SETTINGS, 10, 1)
+        # The projectors are 4x4: a stack of three-qubit states does not broadcast.
+        with pytest.raises(ValueError, match="matmul"):
+            certify.simulate_counts_batch(np.eye(8)[None] / 8, certify.PAULI_SETTINGS, 10, [1])
 
     @pytest.mark.parametrize("offset, labelled", [(1e-10, True), (1e-8, False)])
     def test_axis_labels_match_allclose(self, offset, labelled):

@@ -88,16 +88,14 @@ class TestEvolution:
         rho = circuit.reduced_spin_state(
             circuit.run_circuit(circuit.build_gme_circuit(0.0))
         )
-        eigs, _ = certify.ppt_report(rho)
-        assert min(eigs) >= -1e-12
+        assert certify.derived_batch(rho.matrix[None])["min_pt_eigenvalue"][0] >= -1e-12
 
     def test_custom_phase_vector(self):
         # phi = 0 puts equal phases on all branches, only a global phase: no entanglement.
         c = circuit.build_gme_circuit(phi=0.0)
         assert c.phases == (0.0, 0.0, 0.0, 0.0)
         rho = circuit.reduced_spin_state(circuit.run_circuit(c))
-        eigs, _ = certify.ppt_report(rho)
-        assert min(eigs) >= -1e-12
+        assert certify.derived_batch(rho.matrix[None])["min_pt_eigenvalue"][0] >= -1e-12
 
 
 class TestCanonicalFrame:
@@ -118,6 +116,6 @@ class TestCanonicalFrame:
         assert np.allclose(
             np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-12
         )
-        (*_, n_in), _ = certify.ppt_report(rho)
-        (*_, n_out), _ = certify.ppt_report(out)
-        assert n_out == pytest.approx(n_in, abs=1e-12)
+        q = certify.derived_batch(np.stack([rho.matrix, out.matrix]))
+        for key in ("min_pt_eigenvalue", "negativity"):
+            assert q[key][1] == pytest.approx(q[key][0], abs=1e-12)

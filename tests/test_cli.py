@@ -223,13 +223,13 @@ class TestScan:
         cfg = cli.ExperimentConfig()
         assert len(rows) == len(cfg.eta_grid) == len(cfg.v_grid) == 21
         for row, x in zip(rows, cfg.eta_grid if param == "eta" else cfg.v_grid):
-            ideal = (noise.dephased_singlet(x) if param == "eta"
-                     else noise.distinguishable_state(x))
-            baseline = noise.baseline_state(x, cfg.baseline_weight) if param == "eta" else ideal
-            eigs, negativity = certify.ppt_report(ideal)
+            ideal = (noise.dephased_singlets([x]) if param == "eta"
+                     else noise.distinguishable_states([x]))
+            baseline = noise.baseline_states([x], cfg.baseline_weight) if param == "eta" else ideal
+            q = certify.derived_batch(ideal)
             assert [float(v) for v in row] == [
-                float(x), certify.witness_w(ideal), certify.witness_w(baseline),
-                certify.chsh_max(ideal)[0], negativity, eigs[-1]]
+                float(x), q["witness"][0], certify.derived_batch(baseline)["witness"][0],
+                q["chsh_max"][0], q["negativity"][0], q["min_pt_eigenvalue"][0]]
 
     def test_reported_quantities_derive_from_the_reported_fit(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -253,7 +253,7 @@ class TestScan:
         assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", param) == 0
         assert len(list(tmp_path.glob(f"tomography_{param}_*.json"))) == 21
         assert built == []
-        noise.dephased_singlet(0.5)  # the counter sees a single-state view
+        qmath.DensityMatrix((2, 2), noise.SINGLET)  # the counter sees one
         assert len(built) == 1
 
     def test_empty_grid_is_parse_error(self, tmp_path):
@@ -294,9 +294,8 @@ class TestSimulateCountsAndCertify:
         data = cli.load_counts_csv(str(path))
         assert len(data) == 9
         singlet = cli.model_state("singlet", cli.ExperimentConfig(), None, None)
-        direct = certify.simulate_counts(
-            qmath.DensityMatrix((2, 2), singlet), certify.PAULI_SETTINGS, 10_000, 3)
-        assert np.array_equal(data.n, direct.n)
+        direct = certify.simulate_counts_batch(singlet[None], certify.PAULI_SETTINGS, 10_000, [3])
+        assert np.array_equal(data.n, direct[0])
         assert np.array_equal(data.bases, certify.PAULI_SETTINGS)
 
     def test_counts_parse_error_reports_line(self, tmp_path):
@@ -436,8 +435,10 @@ class TestSimulateCountsAndCertify:
         # The 16 pairs of tetrahedral axes are informationally complete but hold
         # no Pauli pair; a full-rank source (Werner, p = 0.5) keeps the fit short.
         tet = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
-        werner = qmath.DensityMatrix((2, 2), 0.5 * noise.SINGLET + 0.5 * np.eye(4) / 4)
-        data = certify.simulate_counts(werner, [[a, b] for a in tet for b in tet], 10_000, 5)
+        werner = 0.5 * noise.SINGLET + 0.5 * np.eye(4) / 4
+        bases = [[a, b] for a in tet for b in tet]
+        counts = certify.simulate_counts_batch(werner[None], bases, 10_000, [5])
+        data = certify.Counts(bases, counts[0])
         assert (certify.axis_index(data.bases) < 0).all()
         cli.write_counts_csv(tmp_path / "counts.csv", cli.ExperimentConfig(), data)
         assert run("--out", str(tmp_path), "certify", "--counts", str(tmp_path / "counts.csv"),
@@ -452,7 +453,9 @@ class TestSimulateCountsAndCertify:
         rng = np.random.default_rng([239, 17])
         truth, start = (qmath.PureState(v / np.linalg.norm(v)).density()
                         for v in (rng.normal(size=4) + 1j * rng.normal(size=4) for _ in "ab"))
-        data = certify.simulate_counts(truth, certify.PAULI_SETTINGS, 1000, 239)
+        counts = certify.simulate_counts_batch(truth.matrix[None], certify.PAULI_SETTINGS, 1000,
+                                               [239])
+        data = certify.Counts(certify.PAULI_SETTINGS, counts[0])
         cli.write_counts_csv(tmp_path / "counts.csv", cli.ExperimentConfig(), data)
         factor = np.linalg.cholesky(0.999 * start.matrix + 0.001 * np.eye(4) / 4).conj().T
         monkeypatch.setattr(certify, "_START", certify._real_image(factor))

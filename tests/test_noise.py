@@ -15,25 +15,26 @@ def dephase_choi(eta: float) -> np.ndarray:
 
 class TestFixedStates:
     def test_rho_mix_is_dephased_singlet_endpoint(self):
-        assert np.allclose(noise.rho_mix().matrix, noise.dephased_singlet(1.0).matrix)
+        assert np.allclose(noise.RHO_MIX, noise.dephased_singlets(1.0))
 
     def test_rho_mix_diagonal(self):
-        m = noise.rho_mix().matrix
+        m = noise.RHO_MIX
         assert np.allclose(np.diag(np.diag(m)), m)
         assert m[1, 1] == m[2, 2] == 0.5
 
     def test_rho_dist_structure(self):
-        rho = noise.rho_dist()
-        assert np.trace(rho.matrix).real == pytest.approx(1.0)
-        assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(0.625)  # overlap 1/2 between the two kets
-        assert certify.witness_w(rho) == pytest.approx(1.0, abs=1e-12)
+        m = noise.rho_dist().matrix
+        assert np.array_equal(m, noise.RHO_DIST)
+        assert np.trace(m).real == pytest.approx(1.0)
+        assert np.trace(m @ m).real == pytest.approx(0.625)  # overlap 1/2 between the two kets
+        assert certify.derived_batch(m[None])["witness"][0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDephasing:
     @given(unit)
     @settings(max_examples=30, deadline=None)
     def test_interpolates_singlet_coherence(self, eta):
-        m = noise.dephased_singlet(eta).matrix
+        m = noise.dephased_singlets(eta)
         assert m[1, 2] == pytest.approx(-(1 - eta) / 2, abs=1e-12)
         assert m[1, 1] == pytest.approx(0.5, abs=1e-12)
 
@@ -52,34 +53,31 @@ class TestDephasing:
 
     def test_out_of_range(self):
         with pytest.raises(noise.OutOfRange):
-            noise.dephased_singlet(1.2)
+            noise.dephased_singlets(1.2)
 
 
 class TestDistinguishability:
     @given(unit)
     @settings(max_examples=30, deadline=None)
     def test_witness_law(self, v):
-        assert certify.witness_w(noise.distinguishable_state(v)) == pytest.approx(
-            1 - 2 * v, abs=1e-12
-        )
+        w = certify.derived_batch(noise.distinguishable_states([v]))["witness"][0]
+        assert w == pytest.approx(1 - 2 * v, abs=1e-12)
 
     def test_endpoints(self):
-        assert np.allclose(
-            noise.distinguishable_state(1.0).matrix, circuit.singlet().density().matrix
-        )
-        assert np.allclose(noise.distinguishable_state(0.0).matrix, noise.rho_dist().matrix)
+        ends = noise.distinguishable_states([1.0, 0.0])
+        assert np.allclose(ends[0], circuit.singlet().density().matrix)
+        assert np.allclose(ends[1], noise.RHO_DIST)
 
 
 class TestMixAndBaseline:
     def test_baseline_reproduces_reference_witness(self):
-        assert certify.witness_w(noise.baseline_state(0.0)) == pytest.approx(
-            -0.72, abs=1e-12
-        )
+        w = certify.derived_batch(noise.baseline_states([0.0]))["witness"][0]
+        assert w == pytest.approx(-0.72, abs=1e-12)
 
     @given(unit)
     @settings(max_examples=30, deadline=None)
     def test_baseline_witness_is_scaled_ideal_law(self, eta):
-        w = certify.witness_w(noise.baseline_state(eta))
+        w = certify.derived_batch(noise.baseline_states([eta]))["witness"][0]
         assert w == pytest.approx(1 - 2 * 0.86 * (1 - eta), abs=1e-12)
 
 
@@ -117,61 +115,69 @@ class TestConstantStates:
     @given(unit, unit)
     @settings(max_examples=40)
     def test_equal_to_the_channel_compositions(self, x, w):
-        s = circuit.singlet().density()
-        assert np.array_equal(noise.rho_mix().matrix, _old_rho_mix())
+        s = circuit.singlet().density().matrix
+        assert np.array_equal(noise.RHO_MIX, _old_rho_mix())
         assert np.array_equal(noise.rho_dist().matrix, _old_rho_dist())
-        baseline = _old_dephase(_old_mix(s.matrix, _old_rho_mix(), w), x)
+        baseline = _old_dephase(_old_mix(s, _old_rho_mix(), w), x)
         for state, matrix in [
-            (noise.dephased_singlet(x), _old_dephase(s.matrix, x)),
-            (noise.distinguishable_state(x), _old_mix(s.matrix, _old_rho_dist(), x)),
-            (noise.baseline_state(x, w), baseline),
+            (noise.dephased_singlets(x), _old_dephase(s, x)),
+            (noise.distinguishable_states(x), _old_mix(s, _old_rho_dist(), x)),
+            (noise.baseline_states(x, w), baseline),
         ]:
-            assert np.array_equal(state.matrix, matrix)
+            assert np.array_equal(state, matrix)
 
     def test_returned_states_share_no_memory_with_constants(self):
-        states = [noise.rho_mix(), noise.rho_dist()] + [
-            f(x) for f in (noise.dephased_singlet, noise.distinguishable_state,
-                           noise.baseline_state) for x in (0.0, 1.0)]
-        states += [noise.baseline_state(0.0, 1.0), noise.baseline_state(1.0, 0.0)]
+        states = [noise.rho_dist().matrix] + [
+            f(x) for f in (noise.dephased_singlets, noise.distinguishable_states,
+                           noise.baseline_states) for x in (0.0, 1.0, [0.0, 1.0])]
+        states += [noise.baseline_states(0.0, 1.0), noise.baseline_states(1.0, 0.0)]
         for rho in states:
-            assert rho.matrix.flags.writeable
-            assert not any(np.shares_memory(rho.matrix, c) for c in CONSTANTS)
+            assert rho.flags.writeable
+            assert not any(np.shares_memory(rho, c) for c in CONSTANTS)
         for c in CONSTANTS:
             assert not c.flags.writeable
 
     def test_out_of_range_parameters(self):
-        for call in (lambda: noise.baseline_state(1.5), lambda: noise.baseline_state(0.5, -0.1),
-                     lambda: noise.distinguishable_state(float("nan"))):
+        for call in (lambda: noise.baseline_states(1.5), lambda: noise.baseline_states(0.5, -0.1),
+                     lambda: noise.distinguishable_states(float("nan"))):
             with pytest.raises(noise.OutOfRange):
                 call()
 
 
 FAMILIES = {
-    "eta": (noise.dephased_singlets, noise.dephased_singlet),
-    "v": (noise.distinguishable_states, noise.distinguishable_state),
-    "baseline": (lambda x: noise.baseline_states(x, 0.7), lambda x: noise.baseline_state(x, 0.7)),
+    "eta": noise.dephased_singlets,
+    "v": noise.distinguishable_states,
+    "baseline": lambda x: noise.baseline_states(x, 0.7),
 }
 
 
 class TestStackedFamilies:
-    """Each family maps a parameter array to one stack; the single-state
-    constructors are views of the same formula."""
+    """Each family maps a parameter array to one stack, member for member the
+    state of its one parameter."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_members_equal_the_single_state_views(self, family):
-        stacked, single = FAMILIES[family]
+    def test_members_equal_their_own_parameter(self, family):
+        stacked = FAMILIES[family]
         grid = np.concatenate([np.linspace(0.0, 1.0, 21),
                                np.random.default_rng(5).random(50), [0.0, 1.0]])
         states = stacked(grid)
         assert states.shape == (len(grid), 4, 4)
         for x, rho in zip(grid, states):
-            assert np.array_equal(rho, single(float(x)).matrix)
+            assert np.array_equal(rho, stacked(float(x)))
         assert np.array_equal(stacked(grid.reshape(-1, 1)), states[:, None])
-        assert np.array_equal(stacked(0.3), single(0.3).matrix)
+        assert stacked(0.3).shape == (4, 4)
+
+    @pytest.mark.parametrize("family", ["baseline"])
+    def test_members_equal_the_single_state_views(self, family):
+        # noise.baseline_state stays as a DensityMatrix view for the benchmark tests.
+        grid = np.linspace(0.0, 1.0, 21)
+        states = FAMILIES[family](grid)
+        for x, rho in zip(grid, states):
+            assert np.array_equal(rho, noise.baseline_state(float(x), 0.7).matrix)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25, float("inf")])
     def test_a_bad_entry_is_named(self, family, bad):
         name = "v" if family == "v" else "eta"
         with pytest.raises(noise.OutOfRange, match=rf"^{name} = {bad!r} outside \[0, 1\]$"):
-            FAMILIES[family][0]([0.0, 0.5, bad, 1.0])
+            FAMILIES[family]([0.0, 0.5, bad, 1.0])

@@ -1,5 +1,4 @@
-"""Every definition in the package has a caller outside the unit tests, and
-the command line reaches its numbers through the stacked kernels.
+"""Every definition in the package has a caller outside the unit tests.
 
 The module-level functions and classes of ``src/gmesim`` must each be used
 somewhere else in the package, in the acceptance battery
@@ -10,9 +9,8 @@ derives from another package exception must be named in an ``except`` clause
 there: a subclass that only ``pytest.raises`` tells apart is its base with a
 message.  And every parameter with a default must be passed by some call
 there: a knob that only unit tests set is a branch nothing else runs.  The
-allowed references are read from those files with ``ast``; the lists kept by
-hand name the single-state views of ``certify`` and ``noise`` that ``cli``
-must not call, and the few parameters only unit tests pass, with the reason.
+allowed references are read from those files with ``ast``; the one list kept
+by hand names the few parameters only unit tests pass, with the reason.
 """
 
 import ast
@@ -125,26 +123,6 @@ def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     assert not unpassed, f"defaulted parameters only unit tests pass: {unpassed}"
     stale = sorted(set(TEST_ONLY_PARAMETERS) - {p[:3] for p in params})
     assert not stale, f"exempted parameters that do not exist: {stale}"
-
-
-# Single-state views: B = 1 calls of the stacked kernels and state families,
-# kept for the acceptance battery and the unit tests.  The command line builds
-# model states with the ``noise`` families, draws counts with
-# ``certify.simulate_counts_batch``, and fits and derives through ``certify.fit``
-# and ``certify.derived_batch`` instead.
-SINGLE_STATE_VIEWS = [
-    ("certify", "witness_w"), ("certify", "chsh"), ("certify", "chsh_max"),
-    ("certify", "ppt_report"), ("certify", "tomography_mle"),
-    ("certify", "monte_carlo_errors"),
-    ("certify", "simulate_counts"), ("noise", "dephased_singlet"),
-    ("noise", "distinguishable_state"), ("noise", "baseline_state"),
-]
-
-
-def test_cli_calls_no_single_state_view():
-    pairs, _ = _references(MODULES["cli"], "cli")
-    used = sorted(f"{mod}.{name}" for mod, name in SINGLE_STATE_VIEWS if (mod, name) in pairs)
-    assert not used, f"cli calls single-state views: {used}"
 
 
 def _last_name(node: ast.expr) -> str | None:

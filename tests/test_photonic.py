@@ -100,7 +100,7 @@ def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
                              photonic.build_full_network(bs))
     rho, _ = walk_post_selection(out)
     canon = circuit.canonicalize_to_singlet(qmath.DensityMatrix((2, 2), rho)).matrix
-    s, rd = circuit.singlet().density().matrix, noise.rho_dist().matrix
+    s, rd = circuit.singlet().density().matrix, noise.RHO_DIST
     diff = s - rd
     v = np.trace((canon - rd).conj().T @ diff).real / np.trace(diff.conj().T @ diff).real
     return p, v, rho
@@ -255,17 +255,16 @@ class TestCzGate:
         assert np.allclose(signs, [1, 1, 1, -1], atol=1e-12)
 
     def test_success_probability_one_ninth(self):
-        probs = photonic.cz_success_probabilities(photonic.build_cz_network())
+        _, probs = photonic.cz_channel(photonic.build_cz_network())
         assert np.allclose(probs, 1 / 9, atol=1e-12)
 
     def test_process_fidelity_ideal(self):
-        assert photonic.process_fidelity_to_cz(photonic.build_cz_network()) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        channel, _ = photonic.cz_channel(photonic.build_cz_network())
+        assert photonic.channel_fidelity_to_cz(channel) == pytest.approx(1.0, abs=1e-12)
 
     def test_process_fidelity_degrades_off_third(self):
-        net = photonic.build_cz_network(photonic.BsParams(0.5, 0.5))
-        assert photonic.process_fidelity_to_cz(net) < 0.99
+        channel, _ = photonic.cz_channel(photonic.build_cz_network(photonic.BsParams(0.5, 0.5)))
+        assert photonic.channel_fidelity_to_cz(channel) < 0.99
 
 
 def count_evolutions(monkeypatch) -> list[int]:
@@ -349,48 +348,44 @@ class TestGridKernels:
         assert len(self.GRID) == 37
         probs, weights, visibility = photonic.hom_scan(self.GRID, bs)
         assert visibility == photonic.hom_visibility(bs)
-        rho, _ = photonic.simulate_pipeline_grid(self.GRID, bs)
+        rho, mass = photonic.simulate_pipeline_grid(self.GRID, bs)
         for k, gamma in enumerate(self.GRID):
             p, v, r = reference_hom_point(float(gamma), bs)
             assert abs(probs[k] - p) < 1e-12
             assert abs(weights[k] - v) < 1e-12
             assert np.max(np.abs(rho[k] - r)) < 1e-12
-
-    def test_single_point_views_equal_the_grid(self):
-        rho, mass = photonic.simulate_pipeline_grid([0.3, 0.7])
-        one, p = photonic.simulate_pipeline(gamma=0.7)
-        assert np.max(np.abs(one.matrix - rho[1])) < 1e-15 and abs(p - mass[1]) < 1e-15
-        canon = circuit.canonicalize_to_singlet(one)
-        v = photonic.fit_visibility_weights(canon.matrix[None])
-        assert v.shape == (1,) and photonic.fit_visibility_weight(canon)[0] == v[0]
+            # A point of the grid is the grid of that point alone.
+            one, one_mass = photonic.simulate_pipeline_grid([gamma], bs)
+            assert np.max(np.abs(one[0] - rho[k])) < 1e-15 and abs(one_mass[0] - mass[k]) < 1e-15
 
 
 class TestPipeline:
     def test_ideal_pipeline_state_and_probability(self):
-        rho, prob = photonic.simulate_pipeline()
+        (rho,), (prob,) = photonic.simulate_pipeline_grid([1.0])
         assert prob == pytest.approx(1 / 9, abs=1e-12)
         target = circuit.ideal_spin_state(np.pi)
-        assert qmath.fidelity_pure(rho, target) == pytest.approx(1.0, abs=1e-12)
+        assert qmath.fidelity_pure(qmath.DensityMatrix((2, 2), rho), target) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_fully_distinguishable_pipeline(self):
-        rho, prob = photonic.simulate_pipeline(gamma=0.0)
-        canon = circuit.canonicalize_to_singlet(rho)
-        diff = canon.matrix - noise.rho_dist().matrix
+        rho, _ = photonic.simulate_pipeline_grid([0.0])
+        diff = circuit.singlet_frame(rho[0]) - noise.RHO_DIST
         assert np.max(np.abs(diff)) < 1e-12
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_gamma_family_matches_two_state_mixture(self, gamma):
-        rho, _ = photonic.simulate_pipeline(gamma=gamma)
-        canon = circuit.canonicalize_to_singlet(rho)
-        v, dist = photonic.fit_visibility_weight(canon)
-        assert dist < 1e-9
+        rho, _ = photonic.simulate_pipeline_grid([gamma])
+        canon = circuit.singlet_frame(rho)
+        (v,) = photonic.fit_visibility_weights(canon)
+        # The trace distance to the best member of the family.
+        delta = canon[0] - (v * noise.SINGLET + (1 - v) * noise.RHO_DIST)
+        assert 0.5 * np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))) < 1e-9
         assert 0.0 <= v <= 1.0 + 1e-12
 
     def test_visibility_weight_endpoints(self):
-        for gamma, expect in ((0.0, 0.0), (1.0, 1.0)):
-            rho, _ = photonic.simulate_pipeline(gamma=gamma)
-            v, _ = photonic.fit_visibility_weight(circuit.canonicalize_to_singlet(rho))
-            assert v == pytest.approx(expect, abs=1e-9)
+        rho, _ = photonic.simulate_pipeline_grid([0.0, 1.0])
+        v = photonic.fit_visibility_weights(circuit.singlet_frame(rho))
+        np.testing.assert_allclose(v, [0.0, 1.0], rtol=0, atol=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -439,11 +434,11 @@ class TestDelayedSinglet:
     @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_dephasing_channel(self, eta):
         a = delayed_singlet(eta).matrix
-        b = noise.dephased_singlet(eta).matrix
+        b = noise.dephased_singlets(eta)
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_bad_eta(self):
         # The optical reference and the channel it checks reject eta alike.
-        for model in (delayed_singlet, noise.dephased_singlet):
+        for model in (delayed_singlet, noise.dephased_singlets):
             with pytest.raises(photonic.OutOfRange):
                 model(-0.1)

@@ -65,23 +65,25 @@ class TestConstants:
 
 class TestPartialOps:
     def test_partial_transpose_rejects_wrong_dims(self):
-        # ppt_report and every other two-qubit entry point take a DensityMatrix,
-        # whose constructor accepts only dims (2, 2).
+        # A two-qubit state checked one at a time is a DensityMatrix, whose
+        # constructor accepts only dims (2, 2).
         with pytest.raises(qmath.QmathError, match=r"got dims \[4\] and a matrix of shape"):
             qmath.DensityMatrix((4,), np.eye(4) / 4)
 
 
-# Every entry point that takes a parameter in [0, 1].
+# Every entry point that takes a parameter in [0, 1].  The keys "simulate_pipeline",
+# "dephased_singlet" and "distinguishable_state" label a one-point call of a stacked
+# kernel: simulate_pipeline_grid, dephased_singlets and distinguishable_states.
 UNIT_PARAMETERS = {
     "BsParams.R_H": lambda x: photonic.BsParams(R_H=x),
     "BsParams.R_V": lambda x: photonic.BsParams(R_V=x),
     "coupler_unitary": photonic.coupler_unitary,
     "hom_coincidence": lambda x: photonic.hom_coincidence([0.5, x]),
-    "simulate_pipeline": lambda x: photonic.simulate_pipeline(gamma=x),
+    "simulate_pipeline": lambda x: photonic.simulate_pipeline_grid([x]),
     "simulate_pipeline_grid": lambda x: photonic.simulate_pipeline_grid([0.5, x]),
     "hom_scan": lambda x: photonic.hom_scan([0.5, x]),
-    "dephased_singlet": noise.dephased_singlet,
-    "distinguishable_state": noise.distinguishable_state,
+    "dephased_singlet": noise.dephased_singlets,
+    "distinguishable_state": noise.distinguishable_states,
     "baseline_state.eta": noise.baseline_state,
     "baseline_state.weight": lambda x: noise.baseline_state(0.5, weight=x),
     "baseline_witness_zero_crossing": noise.baseline_witness_zero_crossing,
