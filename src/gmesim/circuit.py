@@ -13,7 +13,6 @@ from math import pi
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, PureState
 
 # Fixed qubit <-> polarization dictionary (serialized with every output).
 BASIS_CONVENTION = {"0": "V", "1": "H"}
@@ -21,18 +20,17 @@ BASIS_CONVENTION = {"0": "V", "1": "H"}
 N_QUBITS = 4
 
 
-def singlet() -> PureState:
+def singlet() -> qmath.PureState:
     """(|HV> - |VH>)/sqrt(2) in the 0=V, 1=H encoding."""
     v = np.zeros(4, dtype=complex)
     v[2] = 1 / np.sqrt(2)   # |HV>
     v[1] = -1 / np.sqrt(2)  # |VH>
-    return PureState(v)
+    return qmath.PureState(v)
 
 
-def ideal_spin_state(phi: float) -> PureState:
-    """(|00> + |01> + |10> + e^{i phi}|11>)/2, the post-recombination spin state."""
-    v = np.array([1, 1, 1, np.exp(1j * phi)], dtype=complex) / 2
-    return PureState(v)
+def ideal_spin_state(phi: float) -> np.ndarray:
+    """Amplitudes (|00> + |01> + |10> + e^{i phi}|11>)/2 of the post-recombination spin state."""
+    return np.array([1, 1, 1, np.exp(1j * phi)], dtype=complex) / 2
 
 
 CNOT = np.array(
@@ -97,27 +95,24 @@ def apply_gate(state: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]) ->
     return np.moveaxis(psi, range(k), targets).reshape(-1)
 
 
-def run_circuit(c: GmeCircuit, stop_after_free_fall: bool = False) -> np.ndarray:
-    """Run the circuit on |0000> and return the (16,) amplitudes of the final state.
-
-    With ``stop_after_free_fall`` the state is returned at the mid-circuit
-    checkpoint, before the recombination stage erases the which-path record
-    held by the geometry qubits.
-    """
+def run_circuit(c: GmeCircuit) -> tuple[np.ndarray, np.ndarray]:
+    """Run the circuit on |0000>: the (16,) amplitudes at the free-fall checkpoint, before
+    recombination erases the geometry qubits' which-path record, and at the end."""
     psi = np.zeros(16, dtype=complex)
     psi[0] = 1.0
-    n_gates = 5 if stop_after_free_fall else len(c.gates)
-    for gate in c.gates[:n_gates]:
+    for gate in c.gates:
         psi = apply_gate(psi, gate.matrix, gate.targets)
-    return psi
+        if gate.name == "GEOMETRY_PHASE":
+            checkpoint = psi
+    return checkpoint, psi
 
 
-def reduced_spin_state(full: np.ndarray) -> DensityMatrix:
-    """Trace the geometry ququart out of the (16,) amplitudes of ``run_circuit``."""
+def reduced_spin_state(full: np.ndarray) -> np.ndarray:
+    """The checked (4, 4) spin state: the geometry traced out of ``run_circuit``'s final state."""
     psi = full.reshape(2, 2, 2, 2)
     # Axes (a, g1, g2, b, a', g1', g2', b'): trace g2 = g2', then g1 = g1'.
     rho = np.trace(np.multiply.outer(psi, psi.conj()), axis1=2, axis2=6)
-    return DensityMatrix((2, 2), np.trace(rho, axis1=1, axis2=4).reshape(4, 4))
+    return qmath.check_density(np.trace(rho, axis1=1, axis2=4).reshape(4, 4))
 
 
 def _canonical_rotation() -> np.ndarray:
@@ -127,7 +122,7 @@ def _canonical_rotation() -> np.ndarray:
     maximally entangled, so G is unique up to global phase; the phase is
     fixed by the construction below.
     """
-    m = ideal_spin_state(pi).amplitudes.reshape(2, 2)
+    m = ideal_spin_state(pi).reshape(2, 2)
     s = singlet().amplitudes.reshape(2, 2)
     g = np.linalg.solve(m, s).T
     if np.max(np.abs(g @ g.conj().T - np.eye(2))) > 1e-12:
@@ -140,15 +135,7 @@ U_CANON = np.kron(np.eye(2, dtype=complex), CANONICAL_G)
 
 
 def singlet_frame(m: np.ndarray) -> np.ndarray:
-    """(I x G) m (I x G)^dag for one (4, 4) matrix or a stack of them."""
+    """(I x G) m (I x G)^dag for one (4, 4) matrix or a stack of them: the fixed local frame
+    change taking the ideal state to the singlet.  The same map is applied to every input so
+    that noise families transform consistently; it changes no local-unitary invariant."""
     return U_CANON @ m @ U_CANON.conj().T
-
-
-def canonicalize_to_singlet(rho: DensityMatrix) -> DensityMatrix:
-    """Apply the fixed local frame change I x G taking the ideal state to the singlet.
-
-    The same map is applied to every input so that noise families transform
-    consistently; it never changes negativity or any other local-unitary
-    invariant.
-    """
-    return DensityMatrix((2, 2), singlet_frame(rho.matrix))

@@ -196,14 +196,14 @@ def pure_state_json(amplitudes: np.ndarray) -> dict:
     }
 
 
-def load_state_json(path: str) -> qmath.DensityMatrix:
+def load_state_json(path: str) -> np.ndarray:
     text = _read_text(path, "state")
     try:
         raw = json.loads(text)
         if not all(_is_real(x) for row in raw["matrix"] for z in row for x in z):
             raise ValueError("matrix entries must be finite numbers, not true/false, text or null")
         m = [[complex(re, im) for re, im in row] for row in raw["matrix"]]
-        return qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m)
+        return qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m).matrix
     except (KeyError, ValueError, TypeError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
@@ -278,8 +278,8 @@ def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | 
     if name == "maximally-mixed":
         return np.eye(4, dtype=complex) / 4
     # "circuit", the last name argparse's choices admit
-    full = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
-    return circuit.canonicalize_to_singlet(circuit.reduced_spin_state(full)).matrix
+    _, final = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
+    return qmath.check_density(circuit.singlet_frame(circuit.reduced_spin_state(final)))
 
 
 def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
@@ -296,25 +296,23 @@ def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
 def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     c = circuit.build_gme_circuit(cfg.phi)
-    full = circuit.run_circuit(c)
-    spins = circuit.reduced_spin_state(full)
-    canonical = circuit.canonicalize_to_singlet(spins)
-    q = certify.derived_batch(canonical.matrix[None])
+    checkpoint, final = circuit.run_circuit(c)
+    spins = circuit.reduced_spin_state(final)
+    canonical = qmath.check_density(circuit.singlet_frame(spins))
+    q = certify.derived_batch(canonical[None], noise.SINGLET)
     write_json(out / "state_full.json", cfg, {
         "circuit": c.to_json_dict(),
-        "checkpoint_after_free_fall": pure_state_json(
-            circuit.run_circuit(c, stop_after_free_fall=True)
-        ),
-        "state": pure_state_json(full),
+        "checkpoint_after_free_fall": pure_state_json(checkpoint),
+        "state": pure_state_json(final),
     })
-    write_json(out / "state_spins.json", cfg, state_json(spins.matrix))
-    write_json(out / "state_canonical.json", cfg, state_json(canonical.matrix))
+    write_json(out / "state_spins.json", cfg, state_json(spins))
+    write_json(out / "state_canonical.json", cfg, state_json(canonical))
     write_json(out / "summary.json", cfg, {
         "phi": cfg.phi,
         "witness": float(q["witness"][0]),
         "chsh_max": float(q["chsh_max"][0]),
         "negativity": float(q["negativity"][0]),
-        "fidelity_to_singlet": qmath.fidelity_pure(canonical, circuit.singlet()),
+        "fidelity_to_singlet": float(q["fidelity_to_target"][0]),
     })
     return EXIT_OK
 
@@ -452,7 +450,7 @@ def _verdict(summary: dict, errors: dict) -> str:
 def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     data = (load_counts_csv(args.counts) if args.counts is not None
-            else _simulated_counts(load_state_json(args.state).matrix, cfg))
+            else _simulated_counts(load_state_json(args.state), cfg))
     # Fidelity to the singlet, CHSH at its optimal settings: bootstrap's defaults.
     errors, mc_converged, mc_slowest, q = certify.bootstrap(data, cfg.mc_replicas, cfg.seed)
     summary = {key: val.tolist() for key, val in q.items() if key not in certify.FIT_FIELDS}

@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import singlet
-from .qmath import DensityMatrix, I2, OutOfRange, SIGMA_Z, check_density, check_unit  # noqa: F401
+from .qmath import DensityMatrix, I2, SIGMA_Z, check_density, check_unit
 
 # Read-only two-qubit matrices the state families are built from.
-SINGLET = singlet().density().matrix
+_SINGLET_KET = singlet().amplitudes
+SINGLET = np.outer(_SINGLET_KET, _SINGLET_KET.conj())
 RHO_MIX = np.diag([0, 0.5, 0.5, 0]).astype(complex)
 # (|HV> + |HH>)/sqrt(2) and (|VH> + |HH>)/sqrt(2)
 _H_PLUS, _PLUS_H = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=complex) / np.sqrt(2)

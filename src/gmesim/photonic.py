@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit, noise, qmath
-from .qmath import OutOfRange, check_unit  # noqa: F401
+from .qmath import check_unit
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
 POLS = ("H", "V")

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for two-qubit states.
 
-Provides the validated two-qubit ``PureState`` and ``DensityMatrix`` value
-types and the pure-state fidelity, together with the checks every module shares:
-``check_unit`` for a parameter, or an array of them, in [0, 1] (raising the one
-``OutOfRange``) and ``check_density`` for a matrix or a stack of them.  Every
-other failure raises ``QmathError`` with a message that says what failed.
+Provides the checks every module shares: ``check_unit`` for a parameter, or an array of
+them, in [0, 1] (raising the one ``OutOfRange``) and ``check_density`` for a matrix or a
+stack of them, which every command's (4, 4) states pass.  The ``PureState`` and
+``DensityMatrix`` value types only validate a state file and back the reference states the
+benchmark's tests read.  Every other failure raises ``QmathError`` saying what failed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class QmathError(Exception):
 
 
 class OutOfRange(QmathError):
-    """A physical parameter out of the unit interval; noise and photonic re-export it."""
+    """A physical parameter out of the unit interval."""
 
 
 def check_unit(x, name: str):
@@ -100,9 +100,3 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", (2, 2))
         check_density(m)
-
-
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """Overlap <psi| rho |psi> with a pure two-qubit target state."""
-    v = psi.amplitudes
-    return float(np.vdot(v, rho.matrix @ v).real)

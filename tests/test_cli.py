@@ -242,25 +242,43 @@ class TestScan:
             assert d["negativity"] == q["negativity"][0]
             assert d["fidelity_to_truth"] == q["fidelity_to_target"][0]
 
-    @pytest.mark.parametrize("param", ["eta", "v"])
-    def test_scan_builds_no_density_matrix(self, tmp_path, monkeypatch, param):
-        built = []
-        post_init = qmath.DensityMatrix.__post_init__
-        monkeypatch.setattr(qmath.DensityMatrix, "__post_init__",
-                            lambda self: built.append(self) or post_init(self))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"counts_per_setting": 200}))
-        assert run("--config", str(cfg), "--out", str(tmp_path), "scan", "--param", param) == 0
-        assert len(list(tmp_path.glob(f"tomography_{param}_*.json"))) == 21
-        assert built == []
-        qmath.DensityMatrix((2, 2), noise.SINGLET)  # the counter sees one
-        assert len(built) == 1
-
     def test_empty_grid_is_parse_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"eta_grid": []}))
         assert run("--config", str(cfg), "--out", str(tmp_path), "scan",
                    "--param", "eta") == 2
+
+
+# Each subcommand with the last file it writes.  Every command holds its states as
+# checked arrays; the one DensityMatrix a command builds validates a --state file.
+COMMANDS = {
+    "circuit": (["circuit"], "summary.json", 0),
+    "photonic-verify": (["photonic-verify"], "cz_verification.json", 0),
+    "scan-eta": (["scan", "--param", "eta"], "tomography_eta_20.json", 0),
+    "scan-v": (["scan", "--param", "v"], "tomography_v_20.json", 0),
+    "hom-scan": (["hom-scan"], "hom_summary.json", 0),
+    "simulate-counts": (["simulate-counts", "--model", "circuit"], "counts.csv", 0),
+    "certify-counts": (["certify", "--counts", "{tmp}/counts.csv"], "verdict.json", 0),
+    "certify-state": (["certify", "--state", "{tmp}/state.json"], "verdict.json", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_build_no_density_matrix(tmp_path, monkeypatch, command):
+    argv, written, n_built = COMMANDS[command]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"counts_per_setting": 200, "mc_replicas": 10}))
+    (tmp_path / "state.json").write_text(json.dumps(cli.state_json(noise.SINGLET)))
+    assert run("--out", str(tmp_path), "simulate-counts") == 0
+    built = []
+    post_init = qmath.DensityMatrix.__post_init__
+    monkeypatch.setattr(qmath.DensityMatrix, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    out = tmp_path / "out"
+    assert run("--config", str(cfg), "--out", str(out),
+               *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 0
+    assert (out / written).is_file()
+    assert len(built) == n_built
 
 
 class TestHomScan:
