@@ -19,7 +19,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +101,8 @@ class ExperimentConfig:
 
     @functools.cached_property
     def hash(self) -> str:
-        d = asdict(self)
-        d.pop("output_dir")  # reruns into a different directory stay byte-identical
+        # Without output_dir, reruns into a different directory stay byte-identical.
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -482,6 +482,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gme-sim",
@@ -499,22 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("circuit", help="run the abstract circuit and dump states")
     p.add_argument("--phi", type=float, help="free-fall phase in radians")
-    p.set_defaults(run=cmd_circuit)
 
     p = sub.add_parser("photonic-verify", help="verify the post-selected CZ network")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--bs", help="preset name")
     g.add_argument("--reflectivity", type=float, help="override both reflectivities")
-    p.set_defaults(run=cmd_photonic_verify)
 
     p = sub.add_parser("scan", parents=[per_setting],
                        help="decoherence / distinguishability scans")
     p.add_argument("--param", choices=["eta", "v"], required=True)
-    p.set_defaults(run=cmd_scan)
 
     p = sub.add_parser("hom-scan", help="two-photon interference dip scan")
     p.add_argument("--bs", help="preset name")
-    p.set_defaults(run=cmd_hom_scan)
 
     p = sub.add_parser("simulate-counts", parents=[per_setting],
                        help="write simulated tomography counts")
@@ -523,23 +520,24 @@ def build_parser() -> argparse.ArgumentParser:
                             "maximally-mixed", "circuit"])
     p.add_argument("--eta", type=float)
     p.add_argument("--v", type=float)
-    p.set_defaults(run=cmd_simulate_counts)
 
     p = sub.add_parser("certify", parents=[per_setting], help="full certification battery")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--counts", help="counts CSV input")
     g.add_argument("--state", help="state JSON input")
     p.add_argument("--mc-replicas", type=int, dest="mc_replicas")
-    p.set_defaults(run=cmd_certify)
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        # Built on every call, so ``run`` is the ``cmd_*`` this module holds at call time.
         args = build_parser().parse_args(argv)
         overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
-        return args.run(load_config(args.config, overrides), args)
+        # Looked up at call time, so a ``cmd_*`` rebound after import is the one that runs.
+        run = {"circuit": cmd_circuit, "photonic-verify": cmd_photonic_verify,
+               "scan": cmd_scan, "hom-scan": cmd_hom_scan,
+               "simulate-counts": cmd_simulate_counts, "certify": cmd_certify}[args.command]
+        return run(load_config(args.config, overrides), args)
     except (ParseError, certify.CertifyError, qmath.OutOfRange) as exc:
         code, line = EXIT_PARSE, f"error: {exc}"
     except VerificationFailure as exc:

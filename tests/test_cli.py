@@ -31,6 +31,12 @@ def read_csv_rows(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
+def config_from_json(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    return cli.load_config(str(path), {})
+
+
 class TestConfig:
     def test_defaults_validate(self):
         cli.ExperimentConfig().validate()
@@ -63,6 +69,24 @@ class TestConfig:
         b = cli.ExperimentConfig(output_dir="y")
         assert a.hash == b.hash
         assert a.hash != cli.ExperimentConfig(seed=1).hash
+
+    # Recorded when the hash was built with dataclasses.asdict; reading the fields
+    # directly must serialize the same values.
+    @pytest.mark.parametrize("make, digest", [
+        (lambda tmp: cli.ExperimentConfig(), "1d804693580bb46b"),
+        (lambda tmp: cli.ExperimentConfig(
+            phi=0.7, eta_grid=[0.1, 0.2], v_grid=[0.3], gamma_grid=[0.5, 1.0],
+            bs="experimental", counts_per_setting=500, mc_replicas=20, seed=7,
+            baseline_weight=0.25, coherence_sigma_ps=100.0, output_dir="elsewhere"),
+         "4070f15ca4819e4e"),
+        (lambda tmp: config_from_json(tmp, '{"phi": 3}'), "be08a4d21b940582"),
+        (lambda tmp: cli.ExperimentConfig(gamma_grid=[k / 99 for k in range(100)]),
+         "ce99457557780bd7"),
+    ], ids=["default", "every-field", "phi-json-int", "gamma-100"])
+    def test_hash_is_pinned(self, tmp_path, make, digest):
+        cfg = make(tmp_path)
+        cfg.validate()
+        assert cfg.hash == digest
 
     def test_flag_overrides_config_file(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -741,29 +765,33 @@ class TestOutOfRangeInputs:
         check()
 
 
+# Each rejected command line is one error line naming what argparse, or the
+# config check for --bs, found wrong; a newline or NUL is shown as \n or \0.
+REJECTED = [
+    (("circuit", "--phi", "abc"), "argument --phi: invalid float value: 'abc'"),
+    (("scan",), "the following arguments are required: --param"),
+    (("scan", "--param", "w"), "argument --param: invalid choice: 'w'"),
+    ((), "the following arguments are required: command"),
+    (("teleport",), "argument command: invalid choice: 'teleport'"),
+    (("circuit", "--frobnicate"), "unrecognized arguments: --frobnicate"),
+    (("certify",), "one of the arguments --counts --state is required"),
+    (("certify", "--counts", "c.csv", "--state", "s.json"),
+     "argument --state: not allowed with argument --counts"),
+    (("photonic-verify", "--bs", "ideal", "--reflectivity", "0.4"),
+     "argument --reflectivity: not allowed with argument --bs"),
+    (("hom-scan", "--bs", "foo"), "bs must be one of ['experimental', 'ideal'], got 'foo'"),
+    (("circuit", "--x\ny"), "unrecognized arguments: --x\\ny"),
+    (("--config", "{tmp}/no\nsuch.json", "circuit"), "cannot read config {tmp}/no\\nsuch.json"),
+    (("--config", "{tmp}/no\0such.json", "circuit"), "cannot read config {tmp}/no\\0such.json"),
+]
+REJECTED_IDS = ["phi-not-a-float", "scan-without-param", "scan-bad-param", "no-subcommand",
+                "unknown-subcommand", "unknown-flag", "certify-without-input",
+                "certify-counts-and-state", "bs-and-reflectivity", "hom-scan-bad-bs",
+                "argument-with-newline", "config-path-with-newline", "config-path-with-nul"]
+
+
 class TestParserRejections:
-    # Each rejected command line is one error line naming what argparse, or the
-    # config check for --bs, found wrong; a newline or NUL is shown as \n or \0.
-    @pytest.mark.parametrize("argv, named", [
-        (("circuit", "--phi", "abc"), "argument --phi: invalid float value: 'abc'"),
-        (("scan",), "the following arguments are required: --param"),
-        (("scan", "--param", "w"), "argument --param: invalid choice: 'w'"),
-        ((), "the following arguments are required: command"),
-        (("teleport",), "argument command: invalid choice: 'teleport'"),
-        (("circuit", "--frobnicate"), "unrecognized arguments: --frobnicate"),
-        (("certify",), "one of the arguments --counts --state is required"),
-        (("certify", "--counts", "c.csv", "--state", "s.json"),
-         "argument --state: not allowed with argument --counts"),
-        (("photonic-verify", "--bs", "ideal", "--reflectivity", "0.4"),
-         "argument --reflectivity: not allowed with argument --bs"),
-        (("hom-scan", "--bs", "foo"), "bs must be one of ['experimental', 'ideal'], got 'foo'"),
-        (("circuit", "--x\ny"), "unrecognized arguments: --x\\ny"),
-        (("--config", "{tmp}/no\nsuch.json", "circuit"), "cannot read config {tmp}/no\\nsuch.json"),
-        (("--config", "{tmp}/no\0such.json", "circuit"), "cannot read config {tmp}/no\\0such.json"),
-    ], ids=["phi-not-a-float", "scan-without-param", "scan-bad-param", "no-subcommand",
-            "unknown-subcommand", "unknown-flag", "certify-without-input",
-            "certify-counts-and-state", "bs-and-reflectivity", "hom-scan-bad-bs",
-            "argument-with-newline", "config-path-with-newline", "config-path-with-nul"])
+    @pytest.mark.parametrize("argv, named", REJECTED, ids=REJECTED_IDS)
     def test_rejected_command_line_exits_2_with_one_line(self, tmp_path, capsys, argv, named):
         out = tmp_path / "out"
         assert run("--out", str(out), *(a.format(tmp=tmp_path) for a in argv)) == 2
@@ -771,6 +799,38 @@ class TestParserRejections:
         assert err.startswith("error: " + named.format(tmp=tmp_path)) and err.count("\n") == 1
         assert "\0" not in err
         assert not out.exists()
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        assert run("--out", str(tmp_path / "a"), "circuit") == 0
+        built = []
+        init = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        assert run("--out", str(tmp_path / "b"), "photonic-verify", "--bs", "ideal") == 0
+        assert run("--out", str(tmp_path / "c"), "circuit", "--phi", "0.5") == 0
+        assert built == []
+        cli.build_parser.__wrapped__()  # a fresh build: the root and its six subcommands
+        assert len(built) == 7
+
+    def test_rejections_leave_no_state_in_the_parser(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(cli.state_json(noise.dephased_singlets([0.8])[0])))
+        valid = [("photonic-verify", "--bs", "ideal"),
+                 ("certify", "--state", str(state), "--mc-replicas", "10")]
+
+        def run_valid(out):
+            capsys.readouterr()
+            codes = [run("--out", str(out / str(k)), *argv) for k, argv in enumerate(valid)]
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            return codes, capsys.readouterr().err, files
+
+        before = run_valid(tmp_path / "before")
+        for argv, _ in REJECTED:
+            assert run("--out", str(tmp_path / "rejected"),
+                       *(a.format(tmp=tmp_path) for a in argv)) == 2
+        after = run_valid(tmp_path / "after")
+        assert before[0] == [0, 0] and len(before[2]) == 2
+        assert after == before
 
     def test_help_exits_0_and_shows_the_either_or_input(self, capsys):
         with pytest.raises(SystemExit) as exc:
