@@ -203,7 +203,11 @@ def load_state_json(path: str) -> np.ndarray:
         if not all(_is_real(x) for row in raw["matrix"] for z in row for x in z):
             raise ValueError("matrix entries must be finite numbers, not true/false, text or null")
         m = [[complex(re, im) for re, im in row] for row in raw["matrix"]]
-        return qmath.DensityMatrix(tuple(raw.get("dims", (2, 2))), m).matrix
+        dims, m = tuple(raw.get("dims", (2, 2))), np.asarray(m, dtype=complex)
+        if dims != (2, 2) or m.shape != (4, 4):
+            raise ValueError(f"expected a two-qubit state, got dims {list(dims)} "
+                             f"and a matrix of shape {m.shape}")
+        return qmath.check_density(m)
     except (KeyError, ValueError, TypeError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
@@ -219,7 +223,8 @@ def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) ->
 
 # ``total_expected`` is unused; it stays because benchmarks/test_benchmark.py passes it.
 def load_counts_csv(path: str, total_expected: float | None = None) -> certify.Counts:
-    """The dataset of a counts CSV."""
+    """The dataset of a counts CSV, each row checked as it is read: ParseError names the
+    file line of the first bad row."""
     def parse_axis(tok: str, lineno: int) -> np.ndarray:
         tok = tok.strip()
         if tok in certify.AXES:
@@ -229,7 +234,7 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
             raise ParseError(f"{path}:{lineno}: bad setting axis {tok!r}")
         return np.array([float(p) for p in parts])
 
-    linenos, bases, counts = [], [], []
+    bases, counts = [], []
     lines = list(io.StringIO(_read_text(path, "counts")))
     # Metadata comments come before the header; each row's line number in the
     # file is the line it ends on, also when a quoted field spans lines.
@@ -246,19 +251,23 @@ def load_counts_csv(path: str, total_expected: float | None = None) -> certify.C
         if len(row) != 6:
             raise ParseError(f"{path}:{lineno}: expected 4 counts, got {max(len(row) - 2, 0)}")
         try:
-            pair = [parse_axis(row[0], lineno), parse_axis(row[1], lineno)]
+            pair = np.array([parse_axis(row[0], lineno), parse_axis(row[1], lineno)])
             n = [int(x) for x in row[2:6]]
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from exc
         if any(c > MAX_COUNTS_PER_SETTING for c in n):
             raise ParseError(f"{path}:{lineno}: count above {MAX_COUNTS_PER_SETTING} in {n}")
-        linenos.append(lineno)
+        with np.errstate(all="ignore"):  # NaN, inf and an overflowing norm fail the test
+            unit = np.abs(np.linalg.norm(pair, axis=1) - 1.0) <= 1e-12
+        if not unit.all():
+            q = np.flatnonzero(~unit)[0]
+            raise ParseError(f"{path}:{lineno}: axis {'ab'[q]} is not a finite unit Bloch "
+                             f"vector: {pair[q].tolist()}")
+        if any(c < 0 for c in n):
+            raise ParseError(f"{path}:{lineno}: negative count in {n}")
         bases.append(pair)
         counts.append(n)
-    try:
-        return certify.Counts(bases, counts)
-    except certify.InvalidCounts as exc:
-        raise ParseError(f"{path}:{linenos[exc.setting]}: {exc.what}") from exc
+    return certify.Counts(bases, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +458,8 @@ def _verdict(summary: dict, errors: dict) -> str:
 
 def cmd_certify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
+    if args.counts is not None and args.counts_per_setting is not None:
+        raise ParseError("--counts does not read --counts-per-setting")
     data = (load_counts_csv(args.counts) if args.counts is not None
             else _simulated_counts(load_state_json(args.state), cfg))
     # Fidelity to the singlet, CHSH at its optimal settings: bootstrap's defaults.

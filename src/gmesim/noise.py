@@ -31,7 +31,7 @@ BASELINE_WEIGHT = 0.86  # the baseline's singlet weight: the measured W = 1 - 2 
 # Kept for benchmarks/test_benchmark.py, which checks its reference states against it.
 def rho_dist() -> DensityMatrix:
     """Fully distinguishable-photon state: (|H+><H+| + |+H><+H|)/2."""
-    return DensityMatrix((2, 2), RHO_DIST.copy())
+    return DensityMatrix(RHO_DIST.copy())
 
 
 def _unit(x, name: str) -> np.ndarray:
@@ -65,7 +65,7 @@ def baseline_states(eta, weight: float = BASELINE_WEIGHT) -> np.ndarray:
 
 # Kept for benchmarks/test_benchmark.py, which checks its reference states against it.
 def baseline_state(eta: float, weight: float = BASELINE_WEIGHT) -> DensityMatrix:
-    return DensityMatrix((2, 2), baseline_states(eta, weight))
+    return DensityMatrix(baseline_states(eta, weight))
 
 
 def baseline_witness_zero_crossing(weight: float = BASELINE_WEIGHT) -> float | None:

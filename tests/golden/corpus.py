@@ -58,6 +58,15 @@ COMMANDS = [
     ("reject-bs", ["hom-scan", "--bs", "lossy"]),
     ("reject-state", ["certify", "--state", "{root}/bad_state.json"]),
     ("reject-incomplete", ["certify", "--counts", "{root}/incomplete.csv"]),
+    ("reject-axis", ["certify", "--counts", "{root}/off_unit_axis.csv"]),
+    ("reject-negative", ["certify", "--counts", "{root}/negative.csv"]),
+    ("reject-two-bad-rows", ["certify", "--counts", "{root}/two_bad_rows.csv"]),
+    ("reject-non-hermitian", ["certify", "--state", "{root}/non_hermitian.json"]),
+    ("reject-counts-per-setting", ["certify", "--counts", "{root}/counts-singlet/counts.csv",
+                                   "--counts-per-setting", "10", *REPLICAS]),
+    # One count per setting on the default grid: grid point 5 (eta 0.25) draws nothing.
+    ("scan-empty-point", ["--seed", "461", "scan", "--param", "eta",
+                          "--counts-per-setting", "1"]),
 ]
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -89,6 +98,14 @@ INPUTS = {
                                           "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)]
                                                      for i in range(4)]}),
     "incomplete.csv": lambda: COUNTS_HEADER + "X,X,10,0,0,10\nY,Y,10,0,0,10\nZ,Z,0,10,10,0\n",
+    "off_unit_axis.csv": lambda: "# source: hand-written\n" + COUNTS_HEADER
+    + "X,X,10,0,0,10\nZ,0:0:1.00000000001,10,0,0,10\n",
+    "negative.csv": lambda: COUNTS_HEADER + "X,X,10,0,0,10\nY,Y,10,-1,0,10\n",
+    "two_bad_rows.csv": lambda: COUNTS_HEADER
+    + "X,X,10,0,0,10\nY,Y,10,-1,0,10\nZ,nan:0:1,10,0,0,10\n",
+    "non_hermitian.json": lambda: json.dumps({"matrix": [[[0.25 * (i == j) + 0.1 * (j == i + 1),
+                                                           0.0] for j in range(4)]
+                                                         for i in range(4)]}),
 }
 
 

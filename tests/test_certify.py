@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gmesim import certify, circuit, noise, qmath
+from gmesim import certify, circuit, cli, noise, qmath
 
 SINGLET = noise.SINGLET
+COUNTS_HEADER = "setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
 MIXED = np.eye(4, dtype=complex) / 4
 X, Y, Z = certify.AXES["X"], certify.AXES["Y"], certify.AXES["Z"]
 
@@ -57,16 +58,24 @@ class TestSettings:
         table = certify.projector_table([[X, Y]])[0]
         assert np.allclose(np.sum(table, axis=0), np.eye(4), atol=1e-14)
 
-    def test_non_unit_vector_rejected(self):
-        with pytest.raises(certify.CertifyError):
-            certify.Counts([[[1.0, 1.0, 0.0], Z]], [[1, 2, 3, 4]])
+    # A counts file is checked by its reader, which names the file line of a bad setting.
+    def test_non_unit_vector_rejected(self, tmp_path):
+        p = tmp_path / "counts.csv"
+        p.write_text(f"{COUNTS_HEADER}1:1:0,Z,1,2,3,4\n")
+        with pytest.raises(cli.ParseError, match=":2: axis a is not a finite unit Bloch vector"):
+            cli.load_counts_csv(str(p))
 
-    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [1e200, 0.0, 0.0],
-                                      [0.0, 0.0, 1.0 + 1e-11]])
-    def test_non_finite_or_off_unit_axis_names_its_setting(self, axis):
-        with pytest.raises(certify.InvalidCounts, match="setting 1: axis b") as exc:
-            certify.Counts([[X, Z], [Z, axis]], [[1, 2, 3, 4]] * 2)
-        assert exc.value.setting == 1
+    @pytest.mark.parametrize("axis", [("nan:0:1", [np.nan, 0.0, 1.0]),
+                                      ("inf:0:0", [np.inf, 0.0, 0.0]),
+                                      ("1e200:0:0", [1e200, 0.0, 0.0]),
+                                      ("0:0:1.00000000001", [0.0, 0.0, 1.0 + 1e-11])])
+    def test_non_finite_or_off_unit_axis_names_its_setting(self, tmp_path, axis):
+        token, vector = axis
+        p = tmp_path / "counts.csv"
+        p.write_text(f"{COUNTS_HEADER}X,Z,1,2,3,4\nZ,{token},1,2,3,4\n")
+        with pytest.raises(cli.ParseError) as exc:
+            cli.load_counts_csv(str(p))
+        assert str(exc.value) == f"{p}:3: axis b is not a finite unit Bloch vector: {vector}"
 
     def test_pauli_settings_complete(self):
         assert certify.PAULI_SETTINGS.shape == (9, 2, 3)
@@ -88,10 +97,12 @@ class TestCountsValue:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
-    def test_negative_count_names_its_setting(self):
-        with pytest.raises(certify.InvalidCounts, match="setting 2: negative count") as exc:
-            certify.Counts(certify.PAULI_SETTINGS[:3], [[1, 1, 1, 1]] * 2 + [[1, -1, 1, 1]])
-        assert exc.value.setting == 2
+    def test_negative_count_names_its_setting(self, tmp_path):
+        p = tmp_path / "counts.csv"
+        p.write_text(f"{COUNTS_HEADER}X,X,1,1,1,1\nX,Y,1,1,1,1\nX,Z,1,-1,1,1\n")
+        with pytest.raises(cli.ParseError) as exc:
+            cli.load_counts_csv(str(p))
+        assert str(exc.value) == f"{p}:4: negative count in [1, -1, 1, 1]"
 
     def test_rows_must_match_settings(self):
         with pytest.raises(certify.CertifyError, match="8 rows of counts for 9 settings"):
@@ -271,8 +282,10 @@ class TestFidelityAndErrors:
         assert 1e-4 < e1["min_pt_eigenvalue"] < 0.1
 
     def test_monte_carlo_needs_replicas(self):
+        # One replica is fewer than the two that must draw counts.
         data = simulated(SINGLET, certify.PAULI_SETTINGS, 100, 1)
-        with pytest.raises(certify.CertifyError, match="replicas must be >= 2"):
+        with pytest.raises(certify.CertifyError,
+                           match="^only 1 of 1 bootstrap replicas drew counts$"):
             certify.bootstrap(data, 1, 0)
 
 
@@ -521,6 +534,21 @@ class TestBatchedEngine:
         assert list(dropped) == [0, 1] and converged.all()
         single = _single_fit(settings, counts[1])
         assert single[4] == 1 and np.max(np.abs(rho[1] - single[0])) <= 1e-9
+
+    def test_a_member_without_counts_ends_at_its_start(self):
+        # It stays at I/4 with l = 0, unconverged after 0 iterations, every setting
+        # dropped; the other members are bit for bit their own solves.
+        settings, counts = _resampled_stack(SINGLET, 1000, 7, 3)
+        counts[1] = 0
+        rho, ll, converged, iterations, dropped = certify.mle_batch(settings, counts)
+        assert np.array_equal(rho[1], np.eye(4) / 4) and ll[1] == 0.0
+        assert not converged[1] and iterations[1] == 0 and dropped[1] == 9
+        for b in (0, 2):
+            single = _single_fit(settings, counts[b])
+            assert single[2] and single[3] > 0
+            for got, want in zip((rho, ll, converged, iterations, dropped), single):
+                assert np.array_equal(got[b], want)
+        assert [x.tolist() for x in _single_fit(settings, counts[1])[1:]] == [0.0, False, 0, 9]
 
     def test_rounding_level_drops_on_maximally_mixed_counts_are_stalls(self):
         # Near the maximally mixed optimum a step lowers the likelihood by a

@@ -229,6 +229,21 @@ class TestScan:
         assert all(1 <= d <= 8 for d in dropped[1])
         assert dropped[10**4] == [0] * len(cli.DEFAULT_GRID)
 
+    def test_a_point_without_counts_ends_at_its_start_and_exits_3(self, tmp_path):
+        # At seed 461 and one count per setting, grid point 5 (eta 0.25) draws nothing:
+        # its fit stays at I/4, unconverged, and every file is still written.
+        assert run("--seed", "461", "--out", str(tmp_path), "scan", "--param", "eta",
+                   "--counts-per-setting", "1") == 3
+        fits = [read_json(tmp_path / f"tomography_eta_{idx:02d}.json")
+                for idx in range(len(cli.DEFAULT_GRID))]
+        empty = fits.pop(5)
+        assert (empty["converged"], empty["iterations"], empty["log_likelihood"],
+                empty["dropped_settings"]) == (False, 0, 0.0, 9)
+        assert np.array_equal(load_rho(empty["rho_hat"])[0], np.eye(4) / 4)
+        assert all(d["iterations"] > 0 and d["dropped_settings"] < 9 for d in fits)
+        assert (tmp_path / "scan_eta.csv").is_file()
+        assert (tmp_path / "scan_eta_summary.json").is_file()
+
     def test_config_hash_is_computed_once(self, tmp_path, monkeypatch):
         calls = []
         sha256 = hashlib.sha256
@@ -274,22 +289,22 @@ class TestScan:
 
 
 # Each subcommand with the last file it writes.  Every command holds its states as
-# checked arrays; the one DensityMatrix a command builds validates a --state file.
+# checked arrays, a --state file included.
 COMMANDS = {
-    "circuit": (["circuit"], "summary.json", 0),
-    "photonic-verify": (["photonic-verify"], "cz_verification.json", 0),
-    "scan-eta": (["scan", "--param", "eta"], "tomography_eta_20.json", 0),
-    "scan-v": (["scan", "--param", "v"], "tomography_v_20.json", 0),
-    "hom-scan": (["hom-scan"], "hom_summary.json", 0),
-    "simulate-counts": (["simulate-counts", "--model", "circuit"], "counts.csv", 0),
-    "certify-counts": (["certify", "--counts", "{tmp}/counts.csv"], "verdict.json", 0),
-    "certify-state": (["certify", "--state", "{tmp}/state.json"], "verdict.json", 1),
+    "circuit": (["circuit"], "summary.json"),
+    "photonic-verify": (["photonic-verify"], "cz_verification.json"),
+    "scan-eta": (["scan", "--param", "eta"], "tomography_eta_20.json"),
+    "scan-v": (["scan", "--param", "v"], "tomography_v_20.json"),
+    "hom-scan": (["hom-scan"], "hom_summary.json"),
+    "simulate-counts": (["simulate-counts", "--model", "circuit"], "counts.csv"),
+    "certify-counts": (["certify", "--counts", "{tmp}/counts.csv"], "verdict.json"),
+    "certify-state": (["certify", "--state", "{tmp}/state.json"], "verdict.json"),
 }
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_commands_build_no_density_matrix(tmp_path, monkeypatch, command):
-    argv, written, n_built = COMMANDS[command]
+    argv, written = COMMANDS[command]
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"counts_per_setting": 200, "mc_replicas": 10}))
     (tmp_path / "state.json").write_text(json.dumps(cli.state_json(noise.SINGLET)))
@@ -302,7 +317,9 @@ def test_commands_build_no_density_matrix(tmp_path, monkeypatch, command):
     assert run("--config", str(cfg), "--out", str(out),
                *(a.replace("{tmp}", str(tmp_path)) for a in argv)) == 0
     assert (out / written).is_file()
-    assert len(built) == n_built
+    assert not built
+    noise.rho_dist()  # the counter counts
+    assert len(built) == 1
 
 
 class TestHomScan:
@@ -556,6 +573,18 @@ class TestSimulateCountsAndCertify:
         assert where in err and "Traceback" not in err
         assert not (tmp_path / "v" / "verdict.json").exists()
 
+    def test_the_first_bad_row_is_reported(self, tmp_path):
+        # Each row is checked as it is read: its counts against the cap, each
+        # axis, then the signs of its counts.
+        p = tmp_path / "counts.csv"
+        for rows, where in ((["X,X,1,-1,1,1", "nan:0:1,X,1,1,1,1"], ":2: negative count"),
+                            (["nan:0:1,X,1,1,1,1", "X,X,1,-1,1,1"], ":2: axis a"),
+                            ([f"X,nan:0:1,1,-1,1,{10**15 + 1}"], ":2: count above"),
+                            (["X,nan:0:1,1,-1,1,1"], ":2: axis b")):
+            p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n" + "\n".join(rows) + "\n")
+            with pytest.raises(cli.ParseError, match=where):
+                cli.load_counts_csv(str(p))
+
     def test_replicas_that_draw_no_counts_are_left_out(self, tmp_path, capsys):
         # One ++ count on each Pauli pair: at seed 2143 one of ten replicas draws
         # nothing, and at seed 7687 one of two does.
@@ -765,8 +794,9 @@ class TestOutOfRangeInputs:
         check()
 
 
-# Each rejected command line is one error line naming what argparse, or the
-# config check for --bs, found wrong; a newline or NUL is shown as \n or \0.
+# Each rejected command line is one error line naming what argparse, the config
+# check for --bs or a command's check of its flags found wrong; a newline or NUL is
+# shown as \n or \0.
 REJECTED = [
     (("circuit", "--phi", "abc"), "argument --phi: invalid float value: 'abc'"),
     (("scan",), "the following arguments are required: --param"),
@@ -783,11 +813,14 @@ REJECTED = [
     (("circuit", "--x\ny"), "unrecognized arguments: --x\\ny"),
     (("--config", "{tmp}/no\nsuch.json", "circuit"), "cannot read config {tmp}/no\\nsuch.json"),
     (("--config", "{tmp}/no\0such.json", "circuit"), "cannot read config {tmp}/no\\0such.json"),
+    (("certify", "--counts", "c.csv", "--counts-per-setting", "10"),
+     "--counts does not read --counts-per-setting"),
 ]
 REJECTED_IDS = ["phi-not-a-float", "scan-without-param", "scan-bad-param", "no-subcommand",
                 "unknown-subcommand", "unknown-flag", "certify-without-input",
                 "certify-counts-and-state", "bs-and-reflectivity", "hom-scan-bad-bs",
-                "argument-with-newline", "config-path-with-newline", "config-path-with-nul"]
+                "argument-with-newline", "config-path-with-newline", "config-path-with-nul",
+                "counts-with-counts-per-setting"]
 
 
 class TestParserRejections:

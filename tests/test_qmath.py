@@ -1,33 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
-from gmesim import noise, photonic, qmath
+from gmesim import cli, noise, photonic, qmath
 
 
 class TestTypes:
-    def test_pure_state_normalization_enforced(self):
-        with pytest.raises(qmath.QmathError):
-            qmath.PureState(np.array([1.0, 1.0, 0, 0]))
-
-    def test_pure_state_dim_mismatch(self):
-        for amps in (np.array([1.0, 0]), np.eye(8)[0], np.eye(4)[:, :1]):
-            with pytest.raises(qmath.QmathError, match="expected four amplitudes"):
-                qmath.PureState(amps)
-
+    # A state file is checked by its reader with check_density, on one matrix here.
     def test_density_matrix_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.3
         with pytest.raises(qmath.QmathError, match="not Hermitian"):
-            qmath.DensityMatrix((2, 2), m)
+            qmath.check_density(m)
 
     def test_density_matrix_rejects_negative_eigenvalue(self):
         m = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
-        with pytest.raises(qmath.QmathError):
-            qmath.DensityMatrix((2, 2), m)
+        with pytest.raises(qmath.QmathError, match="negative eigenvalue"):
+            qmath.check_density(m)
 
     def test_density_matrix_rejects_bad_trace(self):
-        with pytest.raises(qmath.QmathError):
-            qmath.DensityMatrix((2, 2), np.eye(4, dtype=complex))
+        with pytest.raises(qmath.QmathError, match="trace is 4.0, expected 1"):
+            qmath.check_density(np.eye(4, dtype=complex))
 
     def test_density_of_pure_state(self):
         psi = qmath.PureState(np.array([1, 0, 0, 1j]) / np.sqrt(2))
@@ -55,7 +49,7 @@ class TestTypes:
 
     def test_nan_rejected(self):
         with pytest.raises(qmath.QmathError, match="NaN or Inf"):
-            qmath.DensityMatrix((2, 2), np.diag([np.nan, 0, 0, 1]))
+            qmath.check_density(np.diag([np.nan, 0, 0, 1]))
 
 
 class TestConstants:
@@ -65,11 +59,12 @@ class TestConstants:
 
 
 class TestPartialOps:
-    def test_partial_transpose_rejects_wrong_dims(self):
-        # A two-qubit state checked one at a time is a DensityMatrix, whose
-        # constructor accepts only dims (2, 2).
-        with pytest.raises(qmath.QmathError, match=r"got dims \[4\] and a matrix of shape"):
-            qmath.DensityMatrix((4,), np.eye(4) / 4)
+    def test_partial_transpose_rejects_wrong_dims(self, tmp_path):
+        # A state file is a two-qubit state only with dims (2, 2) or none.
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"dims": [4], "matrix": cli.state_json(np.eye(4) / 4)["matrix"]}))
+        with pytest.raises(cli.ParseError, match=r"got dims \[4\] and a matrix of shape \(4, 4\)$"):
+            cli.load_state_json(str(p))
 
 
 # Every entry point that takes a parameter in [0, 1].  The keys "simulate_pipeline",
