@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -155,11 +156,25 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, creating its directory; OSError or ValueError (a NUL
-    byte or an unencodable character in the path) -> ParseError."""
+    """Write ``text`` to ``path``, making its directory only if the open needs one;
+    OSError or ValueError (a NUL byte or an unencodable character in the path) ->
+    ParseError.  An existing file is overwritten in place, not truncated on open (on a
+    ``discard``-mounted disk that frees every old block, at several times the cost of
+    the write): it keeps its inode, links and mode, and is cut to the new length only
+    if it was longer, which a device or FIFO never is.  An interrupted write leaves a
+    torn file, the new head over the old tail."""
+    data = text.encode()
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, newline="")
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        except (FileNotFoundError, NotADirectoryError):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            longer = os.fstat(fd).st_size > len(data)
+            fh.write(data)
+            if longer:
+                fh.truncate()
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 

@@ -719,16 +719,21 @@ class TestOutOfRangeInputs:
         assert err.startswith("error: ") and err.count("\n") == 1 and "\0" not in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("out, argv", [
-        ("afile", ("circuit",)),
-        ("afile/sub", ("hom-scan",)),
-    ], ids=["out-is-a-file", "out-under-a-file"])
-    def test_unwritable_output_exits_2_with_one_line_error(self, tmp_path, capsys, out, argv):
+    @pytest.mark.parametrize("out, argv, reason", [
+        ("afile", ("circuit",), "state_full.json: [Errno 17] File exists: '{tmp}/afile'"),
+        ("afile/sub", ("hom-scan",), "hom_scan.csv: [Errno 20] Not a directory: '{out}'"),
+        ("adir", ("circuit",),
+         "state_full.json: [Errno 21] Is a directory: '{out}/state_full.json'"),
+    ], ids=["out-is-a-file", "out-under-a-file", "output-is-a-directory"])
+    def test_unwritable_output_exits_2_with_one_line_error(self, tmp_path, capsys, out, argv,
+                                                           reason):
         (tmp_path / "afile").write_text("kept\n")
+        (tmp_path / "adir" / "state_full.json").mkdir(parents=True)
         assert run("--out", str(tmp_path / out), *argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write {tmp_path / out}/") and err.count("\n") == 1
+        reason = reason.format(tmp=tmp_path, out=tmp_path / out)
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path / out}/{reason}\n"
         assert (tmp_path / "afile").read_text() == "kept\n"
+        assert (tmp_path / "adir" / "state_full.json").is_dir()
 
     def test_state_dims_are_named(self, tmp_path, capsys):
         state = tmp_path / "s.json"
@@ -1095,6 +1100,41 @@ class TestExitCodeFuzz:
 
 
 class TestDeterminism:
+    def test_rerun_over_existing_outputs_rewrites_them_in_place(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_grid": [0.0, 0.5], "counts_per_setting": 500}))
+        commands = [("circuit",), ("scan", "--param", "eta")]
+        for argv in commands:
+            assert run("--config", str(cfg), "--out", str(tmp_path / "fresh"), *argv) == 0
+        names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+        assert len(names) == 4 + 2 + 2  # circuit's four, the scan's two and one per point
+        # Every other output name holds a longer file, the rest a shorter one; one is
+        # hard-linked from outside, one has its own mode, one is a link to /dev/null.
+        old = tmp_path / "old"
+        old.mkdir()
+        for i, name in enumerate(names):
+            size = (tmp_path / "fresh" / name).stat().st_size
+            (old / name).write_bytes(b"x" * (9000 if i % 2 else size // 2))
+            assert 9000 > size
+        linked, private = old / "summary.json", old / "scan_eta.csv"
+        null = old / "state_spins.json"
+        outside = tmp_path / "outside.json"
+        outside.hardlink_to(linked)
+        inode = linked.stat().st_ino
+        private.chmod(0o640)
+        null.unlink()
+        null.symlink_to("/dev/null")
+        for argv in commands:
+            assert run("--config", str(cfg), "--out", str(old), *argv) == 0
+        assert sorted(p.name for p in old.iterdir()) == names
+        for name in names:
+            if name != null.name:
+                assert (old / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        assert outside.read_bytes() == linked.read_bytes()
+        assert linked.stat().st_ino == outside.stat().st_ino == inode
+        assert private.stat().st_mode & 0o777 == 0o640
+        assert null.is_symlink() and str(null.readlink()) == "/dev/null"
+
     def test_certify_rerun_byte_identical(self, tmp_path):
         run("--out", str(tmp_path / "c"), "--seed", "9", "simulate-counts",
             "--model", "dephased", "--eta", "0.5")

@@ -11,10 +11,16 @@ message.  And every parameter with a default must be passed by some call
 there: a knob that only unit tests set is a branch nothing else runs.  The
 allowed references are read from those files with ``ast``; the one list kept
 by hand names the few parameters only unit tests pass, with the reason.
+
+One function writes files: ``cli._write_text``, which rewrites an existing
+output in place.  Any other writer in the package fails a guard here, so none
+can bring back truncate-on-open.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {p.stem: ast.parse(p.read_text(), str(p))
@@ -147,3 +153,44 @@ def test_every_exception_subclass_is_caught_by_name_outside_the_unit_tests():
     assert subclasses, "no exception subclasses found: the guard reads nothing"
     uncaught = sorted(subclasses - caught)
     assert not uncaught, f"exception subclasses no except clause names: {uncaught}"
+
+
+WRITER = ("cli", "_write_text")
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``os.open``, ``os.write``, ``write_text``,
+    ``write_bytes``, or an ``open`` whose mode is not a literal read mode."""
+    func, name = call.func, _last_name(call.func)
+    value = getattr(func, "value", None)
+    on = value.id if isinstance(value, ast.Name) else None
+    if on == "os" and name in ("open", "write") or name in ("write_text", "write_bytes"):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    # open(file, mode) and io.open take the file first; Path.open(mode) does not.
+    first = 1 if isinstance(func, ast.Name) or on in ("io", "os", "builtins") else 0
+    modes = [*call.args[first:first + 1], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+               or set(m.value) & set("wax+") for m in modes)
+
+
+@pytest.mark.parametrize("code, writes", [
+    ('open(p, "w")', True), ('open(p, mode="ab")', True), ('io.open(p, "r+")', True),
+    ('p.open("x")', True), ("open(p, mode)", True), ("p.write_text(s)", True),
+    ("p.write_bytes(b)", True), ("os.open(p, flags)", True), ("os.write(fd, b)", True),
+    ("os.fdopen(fd, 'wb')", True), ('open(p, encoding="utf-8")', False), ('open(p, "rb")', False),
+    ("p.open()", False), ("buf.write(s)", False), ("os.fstat(fd)", False),
+])
+def test_the_writer_guard_tells_writes_from_reads(code, writes):
+    assert _writes(ast.parse(code).body[0].value) is writes
+
+
+def test_only_cli_write_text_writes_a_file():
+    writers = [(mod, getattr(stmt, "name", None), node.lineno)
+               for mod, tree in MODULES.items() for stmt in tree.body
+               for node in ast.walk(stmt) if isinstance(node, ast.Call) and _writes(node)]
+    assert any(w[:2] == WRITER for w in writers), \
+        "no write found in cli._write_text: the guard reads nothing"
+    others = [f"{mod}.{name}:{line}" for mod, name, line in writers if (mod, name) != WRITER]
+    assert not others, f"files written outside cli._write_text: {others}"
