@@ -319,11 +319,16 @@ def bootstrap(data: Counts, replicas: int, seed: int) -> tuple[dict, int, int, d
     """Per-quantity standard deviations from Poisson resampling of the counts.
 
     The settings with counts must be informationally complete (CertifyError
-    otherwise): an all-zero row measures nothing.  Replica r redraws every count
-    from Poisson(count) with the generator seeded by ``[seed, r]``; the counts
-    themselves and every replica that drew a count are then fitted as one
-    ``fit`` stack, the counts as member 0 (a replica that drew none is left out
-    and counts as not converged; fewer than two left raise CertifyError).
+    otherwise): an all-zero row measures nothing.  All replicas are one
+    (replicas, S, 4) Poisson(count) draw from one generator on the stream
+    ``SeedSequence(seed, spawn_key=(0,))``, which no other draw in the package
+    uses: counts simulated from the same seed (``default_rng(seed)``, which is
+    ``default_rng([seed, 0])``) are never replayed.  The draw fills C order, so
+    replica r depends only on (seed, the counts, r) and the first R replicas
+    stay the same when R grows.  The counts themselves and every replica that
+    drew a count are then fitted as one ``fit`` stack, the counts as member 0
+    (a replica that drew none is left out and counts as not converged; fewer
+    than two left raise CertifyError).
     Returns the sample standard deviations of the fitted replicas'
     ``derived_batch`` quantities, the number of replicas whose MLE converged,
     the most iterations a fitted replica took, and member 0's ``fit`` fields:
@@ -332,11 +337,12 @@ def bootstrap(data: Counts, replicas: int, seed: int) -> tuple[dict, int, int, d
     """
     kept = data.n.any(axis=1)  # the rank test of the settings the data measured
     _check_complete(projector_table(data.bases[kept]))
-    drawn = [n for n in (np.random.default_rng([seed, rep]).poisson(data.n)
-                         for rep in range(replicas)) if n.any()]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    drawn = rng.poisson(data.n, size=(replicas, *data.n.shape))
+    drawn = drawn[drawn.any(axis=(1, 2))]
     if len(drawn) < 2:
         raise CertifyError(f"only {len(drawn)} of {replicas} bootstrap replicas drew counts")
-    q = fit(data.bases, np.stack([data.n, *drawn]), noise.SINGLET)
+    q = fit(data.bases, np.concatenate([data.n[None], drawn]), noise.SINGLET)
     sd = {key: np.std(vals[1:], axis=0, ddof=1).tolist()
           for key, vals in q.items() if key not in FIT_FIELDS}
     return (sd, int(np.sum(q["converged"][1:])), int(np.max(q["iterations"][1:])),

@@ -299,9 +299,15 @@ def _resampled_stack(truth, n_per_setting, seed, members):
     return data.bases, np.stack([rng.poisson(data.n) for _ in range(members)])
 
 
+def _replica_stream(seed):
+    """The one generator ``certify.bootstrap`` draws its replicas from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+
+
 def _bootstrap_stack(truth, seed):
-    """Pauli-pair counts of ``truth`` at 10^4 per setting and ``certify.bootstrap``'s
-    fit stack of them: the counts as member 0, then 100 replicas seeded [seed, r]."""
+    """Pauli-pair counts of ``truth`` at 10^4 per setting and a fit stack of them
+    shaped like ``certify.bootstrap``'s: the counts as member 0, then 100 Poisson
+    replicas, replica r from ``default_rng([seed, r])`` (a fixed engine fixture)."""
     data = simulated(truth, certify.PAULI_SETTINGS, 10_000, seed)
     drawn = (np.random.default_rng([seed, r]).poisson(data.n) for r in range(100))
     return data.bases, np.stack([data.n, *drawn])
@@ -629,11 +635,71 @@ class TestBatchedEngine:
         # the deviations are those of the two replica fits alone.
         data = simulated(noise.dephased_singlets(0.6), certify.PAULI_SETTINGS, 10_000, 21)
         errors, converged, _, _ = certify.bootstrap(data, 2, 5)
-        replicas = np.stack([np.random.default_rng([5, rep]).poisson(data.n) for rep in (0, 1)])
+        replicas = _replica_stream(5).poisson(data.n, size=(2, *data.n.shape))
         alone = certify.fit(data.bases, replicas, SINGLET)
         assert converged == 2 and errors.keys() == alone.keys() - set(certify.FIT_FIELDS)
         for key, sd in errors.items():
             np.testing.assert_allclose(sd, np.std(alone[key], axis=0, ddof=1), rtol=0, atol=1e-9)
+
+
+class TestBootstrapStream:
+    def test_replicas_never_replay_the_draw_of_the_counts(self, monkeypatch):
+        # Counts simulated from seed s, then bootstrapped with the same seed, as
+        # ``certify --state`` does: the counts' own noise (counts - mean) and
+        # each replica's resampling noise (replica - counts) must be
+        # uncorrelated.  I/4 puts 2500 counts on every outcome; over 300 seeds
+        # the correlation of independent noise has a standard error near 0.01.
+        seeds = range(300)
+        counts = certify.simulate_counts_batch(np.broadcast_to(MIXED, (300, 4, 4)),
+                                               certify.PAULI_SETTINGS, 10_000, seeds)
+
+        class Stacked(Exception):
+            pass
+
+        stacks = []
+
+        def capture(bases, stack, targets):
+            stacks.append(stack)
+            raise Stacked
+
+        monkeypatch.setattr(certify, "fit", capture)
+        for seed, n in zip(seeds, counts):
+            with pytest.raises(Stacked):
+                certify.bootstrap(certify.Counts(certify.PAULI_SETTINGS, n), 3, seed)
+        stacks = np.array(stacks)
+        data_noise = (stacks[:, 0] - 2500).ravel()
+        for r in (1, 2, 3):
+            resampling_noise = (stacks[:, r] - stacks[:, 0]).ravel()
+            assert abs(np.corrcoef(data_noise, resampling_noise)[0, 1]) < 0.1, r
+
+    def test_the_first_replicas_stay_when_more_are_drawn(self):
+        # The stream is consumed in C order: bootstrap(data, 10, s) fits the
+        # first 10 replicas of a 20-replica draw.
+        data = simulated(noise.dephased_singlets(0.6), certify.PAULI_SETTINGS, 10_000, 21)
+        errors = certify.bootstrap(data, 10, 5)[0]
+        first = _replica_stream(5).poisson(data.n, size=(20, *data.n.shape))[:10]
+        alone = certify.fit(data.bases, first, SINGLET)
+        for key, sd in errors.items():
+            np.testing.assert_array_equal(sd, np.std(alone[key], axis=0, ddof=1))
+
+    def test_deviations_match_per_replica_generators(self):
+        # The one stream and one generator per replica, default_rng([seed, r + 1])
+        # (off the counts' stream), give sigmas with the same mean over 20 seeds:
+        # each quantity's two means agree within 3 standard errors of their
+        # spread across seeds.
+        seeds = range(700, 720)
+        truths = np.broadcast_to(noise.dephased_singlets(0.6), (20, 4, 4))
+        counts = certify.simulate_counts_batch(truths, certify.PAULI_SETTINGS, 10_000, seeds)
+        stream = [certify.bootstrap(certify.Counts(certify.PAULI_SETTINGS, n), 100, seed)[0]
+                  for seed, n in zip(seeds, counts)]
+        drawn = np.stack([np.random.default_rng([seed, r + 1]).poisson(n)
+                          for seed, n in zip(seeds, counts) for r in range(100)])
+        q = certify.fit(certify.PAULI_SETTINGS, drawn, SINGLET)
+        for key in stream[0]:
+            new = np.array([sd[key] for sd in stream])
+            ref = np.std(q[key].reshape(20, 100, -1), axis=1, ddof=1).reshape(new.shape)
+            se = np.sqrt((np.var(new, axis=0, ddof=1) + np.var(ref, axis=0, ddof=1)) / 20)
+            assert np.all(np.abs(new.mean(axis=0) - ref.mean(axis=0)) <= 3 * se), key
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,14 @@ def load_rho(state):
     return np.array([[[complex(re, im) for re, im in row] for row in state["matrix"]]])
 
 
+def _replicas(n, replicas, seed):
+    """The (replicas, S, 4) Poisson redraws of the counts ``n`` that ``certify``
+    bootstraps with ``--seed seed``: one draw from the stream of SeedSequence
+    ``seed`` with spawn key (0,)."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    return rng.poisson(n, size=(replicas, *n.shape))
+
+
 def read_csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     header = lines[0].split(",")
@@ -586,26 +594,25 @@ class TestSimulateCountsAndCertify:
                 cli.load_counts_csv(str(p))
 
     def test_replicas_that_draw_no_counts_are_left_out(self, tmp_path, capsys):
-        # One ++ count on each Pauli pair: at seed 2143 one of ten replicas draws
-        # nothing, and at seed 7687 one of two does.
+        # One ++ count on each Pauli pair: at seed 365 one of ten replicas draws
+        # nothing, and at seed 477 one of two does (the smallest such seeds).
         p = tmp_path / "one.csv"
         p.write_text("setting_a,setting_b,n_pp,n_pm,n_mp,n_mm\n"
                      + "".join(f"{a},{b},1,0,0,0\n" for a in "XYZ" for b in "XYZ"))
         n = cli.load_counts_csv(str(p)).n
-        empty = {seed: [r for r in range(replicas)
-                        if not np.random.default_rng([seed, r]).poisson(n).any()]
-                 for seed, replicas in ((2143, 10), (7687, 2))}
-        assert empty == {2143: [2], 7687: [1]}
+        empty = {seed: np.flatnonzero(~_replicas(n, replicas, seed).any(axis=(1, 2))).tolist()
+                 for seed, replicas in ((365, 10), (477, 2))}
+        assert empty == {365: [8], 477: [0]}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mc_replicas": 10}))
-        assert run("--config", str(cfg), "--seed", "2143", "--out", str(tmp_path / "a"),
+        assert run("--config", str(cfg), "--seed", "365", "--out", str(tmp_path / "a"),
                    "certify", "--counts", str(p)) == 0
         v = read_json(tmp_path / "a" / "verdict.json")
         assert v["mc_replicas"] == 10 and v["mc_converged"] == 9
         assert "NaN" not in (tmp_path / "a" / "verdict.json").read_text()
         cfg.write_text(json.dumps({"mc_replicas": 2}))
         capsys.readouterr()
-        assert run("--config", str(cfg), "--seed", "7687", "--out", str(tmp_path / "b"),
+        assert run("--config", str(cfg), "--seed", "477", "--out", str(tmp_path / "b"),
                    "certify", "--counts", str(p)) == 2
         assert capsys.readouterr().err == "error: only 1 of 2 bootstrap replicas drew counts\n"
         assert not (tmp_path / "b").exists()
@@ -621,7 +628,7 @@ class TestSimulateCountsAndCertify:
         # The slowest replica: a member's solve does not depend on its stack,
         # so the replicas alone give the same iteration counts.
         data = cli.load_counts_csv(str(tmp_path / "counts.csv"))
-        replicas = np.stack([np.random.default_rng([8, r]).poisson(data.n) for r in range(25)])
+        replicas = _replicas(data.n, 25, 8)
         iterations = certify.mle_batch(data.bases, replicas)[3]
         assert v["mc_max_iterations"] == iterations.max() and isinstance(v["mc_max_iterations"], int)
 
