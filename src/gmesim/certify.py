@@ -155,12 +155,15 @@ def derived_batch(rhos: np.ndarray, targets=None) -> dict:
     return q
 
 
+# Alice's axes Z and X, each with Bob's two axes.
+_BOB = np.array([-(AXES["Z"] + AXES["X"]), AXES["X"] - AXES["Z"]]) / np.sqrt(2)
+_SINGLET_OPTIMAL = np.array([[a, b] for a in (AXES["Z"], AXES["X"]) for b in _BOB])
+_SINGLET_OPTIMAL.setflags(write=False)
+
+
 def singlet_optimal_settings() -> np.ndarray:
-    """(4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
-    z, x = AXES["Z"], AXES["X"]
-    b0 = -(z + x) / np.sqrt(2)
-    b1 = (x - z) / np.sqrt(2)
-    return np.array([[z, b0], [z, b1], [x, b0], [x, b1]])
+    """The read-only (4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
+    return _SINGLET_OPTIMAL
 
 
 def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) -> np.ndarray:
@@ -222,11 +225,14 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     all-zero settings; when some member drops none, the settings must be
     informationally complete (``_check_complete``, CertifyError otherwise).
     X, R/N and each Pi_k are real 8x8 images (``_real_image``), so every
-    iterate is PSD by construction, and every product is a stacked per-member
-    one, so no bit of a member's result depends on its stack.  A member with no
-    counts ends at its start, unconverged after 0 iterations.  Returns arrays
-    ``(rho, log_likelihood, converged, iterations, dropped)``, rho as complex
-    (B, 4, 4).  Non-finite input raises CertifyError.
+    iterate is PSD by construction.  Every product is a stacked per-member one
+    and every in-place update the operation it replaces, so no bit of a
+    member's result depends on its stack; ``proj_top``'s strided layout is part
+    of that contract (a contiguous copy hands BLAS another layout, which rounds
+    differently).  A member with no counts ends at its start, unconverged
+    after 0 iterations.  Returns arrays ``(rho, log_likelihood, converged,
+    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite input raises
+    CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
     for name, arr in (("bases", bases), ("counts", counts)):
@@ -243,20 +249,23 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     proj_top = proj[:, :4].reshape(len(proj), 32).T
     proj = proj.reshape(len(proj), 64)
     n = counts.reshape(b, -1)
-    x = np.broadcast_to(_START, (b, 8, 8))  # rho = X^T X
 
     def point(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x scaled to unit trace (the sum of setting 0's four probabilities) and its p."""
+        """x scaled in place to unit trace (setting 0's four p sum to it), and its p."""
         top = x.swapaxes(-1, -2)[:, :4] @ x  # rows 0-3 of X^T X
         p = (top.reshape(-1, 1, 32) @ proj_top)[:, 0]
         t = p[:, :4].sum(axis=1)
-        return x / np.sqrt(t)[:, None, None], np.maximum(p / t[:, None], 1e-300)
+        x /= np.sqrt(t)[:, None, None]
+        p /= t[:, None]
+        return x, np.maximum(p, 1e-300, out=p)
 
     def loglike(p: np.ndarray, nn: np.ndarray) -> np.ndarray:
-        return (nn * np.log(p)).sum(axis=-1)
+        terms = np.log(p)
+        terms *= nn
+        return terms.sum(axis=-1)
 
-    x, p = point(x)
-    x_out, ll_out = x.copy(), loglike(p, n)
+    x, p = point(np.array(np.broadcast_to(_START, (b, 8, 8))))  # rho = X^T X
+    x_out, ll_out = x, loglike(p, n)
     empty = dropped == len(bases)
     converged, iterations = ~empty, np.where(empty, 0, max_iter)
     live = np.flatnonzero(~empty)  # members still iterating; the per-member arrays follow it
@@ -268,31 +277,39 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
         if not len(live):
             break
         new = x @ ((freq / p)[:, None] @ proj).reshape(-1, 8, 8)  # X R/N
-        new, step = new + beta[:, None, None] * (new - step), new
+        # A + beta (A - A_prev), also at beta = 0: skipping it can turn -0.0 into +0.0.
+        step, new = new, new - step
+        new *= beta[:, None, None]
+        new += step
         new, p_new = point(new)
         ll_new = loglike(p_new, n)
         gain = ll_new - ll
-        small, over = gain < STALL_TOL, gain < -STALL_TOL
-        stall = np.where(small, stall + 1, 0)
-        if over.any():
+        small = gain < STALL_TOL
+        stall += 1
+        stall *= small
+        keep = gain < 0
+        if keep.any():
+            over = gain < -STALL_TOL
             stall -= over & (beta > 0)  # a restart is no stall
             # A plain step that loses more than the rounding bound 2 (4S + 1) eps |l|
             # of l's 4S terms gives up: ten stalls end the member, unconverged.
             lost = over & (beta == 0) & (
                 gain < -2 * (n.shape[1] + 1) * np.finfo(float).eps * np.abs(ll))
             converged[live[lost]], stall[lost] = False, 10
-        # Momentum carries on only after a step that gained at least STALL_TOL;
-        # a member whose step lowers the likelihood keeps its iterate.
+            # A member whose step lowers the likelihood keeps its iterate.
+            np.copyto(new, x, where=keep[:, None, None])
+            np.copyto(p_new, p, where=keep[:, None])
+            np.copyto(ll_new, ll, where=keep)
+        # Momentum carries on only after a step that gained at least STALL_TOL.
         beta = np.where(small, 0.0, _MOMENTUM)
-        keep = gain < 0
-        x = np.where(keep[:, None, None], x, new)
-        p, ll = np.where(keep[:, None], p, p_new), np.where(keep, ll, ll_new)
+        x, p, ll = new, p_new, ll_new
         if stall.max() >= 10:
             done = stall >= 10
             idx = live[done]
             x_out[idx], ll_out[idx], iterations[idx] = x[done], ll[done], it
+            rest = ~done
             live, x, p, ll, stall, beta, step, freq, n = (
-                a[~done] for a in (live, x, p, ll, stall, beta, step, freq, n))
+                a[rest] for a in (live, x, p, ll, stall, beta, step, freq, n))
     x_out[live], ll_out[live], converged[live] = x, ll, False
     rho = x_out.swapaxes(-1, -2) @ x_out[:, :, :4]  # columns 0-3 of X^T X
     return rho[:, :4] + 1j * rho[:, 4:], ll_out, converged, iterations, dropped

@@ -45,7 +45,7 @@ DEFAULT_GRID = [round(0.05 * k, 2) for k in range(21)]
 # Largest counts_per_setting: numpy's Poisson sampler rejects means above
 # about 9.2e18, and a count this large is far beyond any experiment.
 MAX_COUNTS_PER_SETTING = 10**15
-# Largest mc_replicas: the bootstrap fits all replicas as one stack (108 MB
+# Largest mc_replicas: the bootstrap fits all replicas as one stack (98 MB
 # peak RSS at 10^4 on four model sources), so millions would ask for several GB.
 MAX_MC_REPLICAS = 10_000
 
