@@ -43,8 +43,13 @@ PAULI_SETTINGS.setflags(write=False)
 def projector_table(bases) -> np.ndarray:
     """(S, 4, 4, 4) outcome projectors of the setting tuples ``bases`` (S, 2, 3),
     outcomes ordered ++, +-, -+, --: kron((I + s_a a.sigma)/2, (I + s_b b.sigma)/2)
-    for outcome signs (s_a, s_b) and Bloch vectors a = bases[s, 0], b = bases[s, 1]."""
+    for outcome signs (s_a, s_b) and Bloch vectors a = bases[s, 0], b = bases[s, 1].
+    CertifyError unless every axis is a unit vector within 1e-12, as the counts reader
+    requires: NaN and Inf fail that test too."""
     bases = np.asarray(bases, dtype=float).reshape(-1, 2, 3)
+    with np.errstate(all="ignore"):  # NaN, inf and an overflowing norm fail the test
+        if not np.all(np.abs(np.linalg.norm(bases, axis=2) - 1.0) <= 1e-12):
+            raise CertifyError("setting axes must be unit Bloch vectors, without NaN or Inf")
     obs = np.tensordot(bases, _PAULI_VEC, axes=1)[:, None]  # (S, sign, qubit, 2, 2)
     half = (I2 + np.array([1, -1])[:, None, None, None] * obs) / 2
     return _outer_kron(half[:, :, 0], half[:, :, 1]).reshape(-1, 4, 4, 4)
@@ -231,13 +236,12 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     of that contract (a contiguous copy hands BLAS another layout, which rounds
     differently).  A member with no counts ends at its start, unconverged
     after 0 iterations.  Returns arrays ``(rho, log_likelihood, converged,
-    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite input raises
-    CertifyError.
+    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite counts and
+    axes that ``projector_table`` rejects raise CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
-    for name, arr in (("bases", bases), ("counts", counts)):
-        if not np.all(np.isfinite(arr)):
-            raise CertifyError(f"mle_batch: {name} has NaN or Inf entries")
+    if not np.all(np.isfinite(counts)):
+        raise CertifyError("mle_batch: counts has NaN or Inf entries")
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     table = projector_table(bases)

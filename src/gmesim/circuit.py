@@ -7,7 +7,6 @@ leftmost tensor factor.  Qubit value 0 maps to vertical polarization V and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
@@ -16,8 +15,6 @@ from . import qmath
 
 # Fixed qubit <-> polarization dictionary (serialized with every output).
 BASIS_CONVENTION = {"0": "V", "1": "H"}
-
-N_QUBITS = 4
 
 
 def singlet() -> qmath.PureState:
@@ -38,71 +35,45 @@ CNOT = np.array(
 )
 
 
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    matrix: np.ndarray
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GmeCircuit:
-    """Gate list realizing superposition, free fall and recombination stages."""
-
-    phi: float
-    phases: tuple[float, float, float, float]
-    gates: tuple[Gate, ...] = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "phi": float(self.phi),
-            "phases": [float(p) for p in self.phases],
-            "gates": [{"name": g.name, "targets": list(g.targets)} for g in self.gates],
-        }
-
-
-def geometry_phase_gate(phases) -> np.ndarray:
-    """Diagonal phase on the geometry branches |00>, |01>, |10>, |11>."""
-    return np.diag(np.exp(1j * np.asarray(phases, dtype=float))).astype(complex)
-
-
-def build_gme_circuit(phi: float = pi) -> GmeCircuit:
-    """Assemble the circuit for free-fall phase ``phi``.
-
-    The geometry ququart's branch phases are (0, 0, 0, phi): only the
-    closest-approach branch picks up a phase, the regime the simulator targets.
-    """
+def gates(phi: float) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
+    """The circuit for free-fall phase ``phi`` as (name, matrix, targets) triples: the CNOTs
+    write which-path into the geometry qubits, the geometry branches |00>, |01>, |10>, |11>
+    pick up phases (0, 0, 0, phi) in free fall (only the closest-approach branch does, the
+    regime the simulator targets), and the same CNOTs then erase the record."""
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
-    phases = (0.0, 0.0, 0.0, float(phi))
-    gates = (
-        Gate("H", qmath.HADAMARD, (0,)),
-        Gate("H", qmath.HADAMARD, (3,)),
-        Gate("CNOT", CNOT, (0, 1)),
-        Gate("CNOT", CNOT, (3, 2)),
-        Gate("GEOMETRY_PHASE", geometry_phase_gate(phases), (1, 2)),
-        Gate("CNOT", CNOT, (0, 1)),
-        Gate("CNOT", CNOT, (3, 2)),
-    )
-    return GmeCircuit(float(phi), phases, gates)
+    phases = np.asarray((0.0, 0.0, 0.0, float(phi)), dtype=float)
+    which_path = [("CNOT", CNOT, (0, 1)), ("CNOT", CNOT, (3, 2))]
+    return [("H", qmath.HADAMARD, (0,)), ("H", qmath.HADAMARD, (3,)), *which_path,
+            ("GEOMETRY_PHASE", np.diag(np.exp(1j * phases)).astype(complex), (1, 2)),
+            *which_path]
+
+
+def circuit_json(phi: float) -> dict:
+    """The ``circuit`` block of ``state_full.json``, read from ``gates(phi)``."""
+    return {
+        "phi": float(phi),
+        "phases": [0.0, 0.0, 0.0, float(phi)],
+        "gates": [{"name": name, "targets": list(t)} for name, _, t in gates(phi)],
+    }
 
 
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a k-qubit gate to the given target qubits of a 4-qubit state."""
     k = len(targets)
-    psi = np.moveaxis(state.reshape([2] * N_QUBITS), targets, range(k))
+    psi = np.moveaxis(state.reshape(2, 2, 2, 2), targets, range(k))
     psi = (gate @ psi.reshape(2**k, -1)).reshape(psi.shape)
     return np.moveaxis(psi, range(k), targets).reshape(-1)
 
 
-def run_circuit(c: GmeCircuit) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on |0000>: the (16,) amplitudes at the free-fall checkpoint, before
-    recombination erases the geometry qubits' which-path record, and at the end."""
+def run_circuit(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``gates(phi)`` on |0000>: the (16,) amplitudes at the free-fall checkpoint,
+    before recombination erases the geometry qubits' which-path record, and at the end."""
     psi = np.zeros(16, dtype=complex)
     psi[0] = 1.0
-    for gate in c.gates:
-        psi = apply_gate(psi, gate.matrix, gate.targets)
-        if gate.name == "GEOMETRY_PHASE":
+    for name, matrix, targets in gates(phi):
+        psi = apply_gate(psi, matrix, targets)
+        if name == "GEOMETRY_PHASE":
             checkpoint = psi
     return checkpoint, psi
 

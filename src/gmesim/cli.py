@@ -302,7 +302,7 @@ def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | 
     if name == "maximally-mixed":
         return np.eye(4, dtype=complex) / 4
     # "circuit", the last name argparse's choices admit
-    _, final = circuit.run_circuit(circuit.build_gme_circuit(cfg.phi))
+    _, final = circuit.run_circuit(cfg.phi)
     return qmath.check_density(circuit.singlet_frame(circuit.reduced_spin_state(final)))
 
 
@@ -319,13 +319,12 @@ def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
 
 def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    c = circuit.build_gme_circuit(cfg.phi)
-    checkpoint, final = circuit.run_circuit(c)
+    checkpoint, final = circuit.run_circuit(cfg.phi)
     spins = circuit.reduced_spin_state(final)
     canonical = qmath.check_density(circuit.singlet_frame(spins))
     q = certify.derived_batch(canonical[None], noise.SINGLET)
     write_json(out / "state_full.json", cfg, {
-        "circuit": c.to_json_dict(),
+        "circuit": circuit.circuit_json(cfg.phi),
         "checkpoint_after_free_fall": pure_state_json(checkpoint),
         "state": pure_state_json(final),
     })

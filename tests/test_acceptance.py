@@ -20,11 +20,11 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_01_circuit_fidelity():
-    circuit.run_circuit(circuit.build_gme_circuit(math.pi))  # warm caches
+    circuit.run_circuit(math.pi)  # warm caches
     elapsed = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        _, full = circuit.run_circuit(circuit.build_gme_circuit(math.pi))
+        _, full = circuit.run_circuit(math.pi)
         rho = circuit.reduced_spin_state(full)
         elapsed = min(elapsed, time.perf_counter() - t0)
     ideal = circuit.ideal_spin_state(math.pi)

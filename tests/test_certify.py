@@ -207,6 +207,22 @@ class TestCounts:
         with pytest.raises(certify.CertifyError):
             certify.simulate_counts_batch(SINGLET[None], certify.PAULI_SETTINGS, 0, [1])
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "doubled"])
+    def test_non_unit_axis_is_rejected_at_every_entry(self, bad):
+        # A doubled axis used to give counts from clipped non-probabilities, a NaN or
+        # Inf one a numpy error from the Poisson sampler.
+        bases = np.array(certify.PAULI_SETTINGS)
+        if bad == "doubled":
+            bases[4, 1] *= 2
+        else:
+            bases[4, 1, 0] = float(bad)
+        data = certify.Counts(bases, np.full((9, 4), 25))
+        for call in (lambda: certify.simulate_counts_batch(SINGLET[None], bases, 100, [1]),
+                     lambda: certify.mle_batch(bases, data.n[None]),
+                     lambda: certify.bootstrap(data, 10, 1)):
+            with pytest.raises(certify.CertifyError, match="unit Bloch vectors"):
+                call()
+
 
 class TestTomography:
     def test_linear_inversion_missing_setting(self):

@@ -7,12 +7,11 @@ import pytest
 from gmesim import certify, circuit, qmath
 
 
-def full_unitary(c: circuit.GmeCircuit) -> np.ndarray:
+def full_unitary(phi: float) -> np.ndarray:
     """End-to-end 16x16 unitary of the circuit."""
     u = np.eye(16, dtype=complex)
-    for gate in c.gates:
-        u = np.column_stack([circuit.apply_gate(u[:, k], gate.matrix, gate.targets)
-                             for k in range(16)])
+    for _, matrix, targets in circuit.gates(phi):
+        u = np.column_stack([circuit.apply_gate(u[:, k], matrix, targets) for k in range(16)])
     return u
 
 
@@ -30,28 +29,41 @@ class TestStates:
 
 class TestCircuitStructure:
     def test_gate_list(self):
-        c = circuit.build_gme_circuit()
-        assert [g.name for g in c.gates] == [
+        assert [name for name, _, _ in circuit.gates(pi)] == [
             "H", "H", "CNOT", "CNOT", "GEOMETRY_PHASE", "CNOT", "CNOT",
         ]
-        assert c.phases == (0.0, 0.0, 0.0, pi)
+        assert circuit.circuit_json(pi)["phases"] == [0.0, 0.0, 0.0, pi]
 
     def test_json_round_trip(self):
-        c = circuit.build_gme_circuit(phi=1.25)
-        d = json.loads(json.dumps(c.to_json_dict(), sort_keys=True))
+        d = json.loads(json.dumps(circuit.circuit_json(1.25), sort_keys=True))
         assert d["phi"] == 1.25
         assert d["gates"][4] == {"name": "GEOMETRY_PHASE", "targets": [1, 2]}
+
+    @pytest.mark.parametrize("phi", [pi, 0.7, 2.5])
+    def test_written_circuit_is_the_run_circuit(self, phi):
+        # Rebuild the final state from what state_full.json writes: names, targets, phases.
+        d = json.loads(json.dumps(circuit.circuit_json(phi)))
+        matrices = {
+            "H": qmath.HADAMARD,
+            "CNOT": circuit.CNOT,
+            "GEOMETRY_PHASE": np.diag(np.exp(1j * np.asarray(d["phases"], dtype=float))).astype(complex),
+        }
+        psi = np.zeros(16, dtype=complex)
+        psi[0] = 1.0
+        for gate in d["gates"]:
+            psi = circuit.apply_gate(psi, matrices[gate["name"]], tuple(gate["targets"]))
+        assert np.array_equal(psi, circuit.run_circuit(phi)[1])
 
     def test_bad_phases_rejected(self):
         # phi is the closest-approach branch's phase; it must be finite.
         for phi in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
-                circuit.build_gme_circuit(phi=phi)
+                circuit.run_circuit(phi)
 
     def test_full_unitary_is_unitary(self):
-        u = full_unitary(circuit.build_gme_circuit())
+        u = full_unitary(pi)
         assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
-        _, psi = circuit.run_circuit(circuit.build_gme_circuit())
+        _, psi = circuit.run_circuit(pi)
         e0 = np.zeros(16)
         e0[0] = 1
         assert np.allclose(u @ e0, psi, atol=1e-12)
@@ -59,7 +71,7 @@ class TestCircuitStructure:
 
 class TestEvolution:
     def test_checkpoint_state(self):
-        psi, _ = circuit.run_circuit(circuit.build_gme_circuit())
+        psi, _ = circuit.run_circuit(pi)
         expect = np.zeros(16, dtype=complex)
         # (|0000> + |0011> + |1100> + e^{i pi}|1111>)/2
         expect[0b0000] = 0.5
@@ -69,7 +81,7 @@ class TestEvolution:
         assert np.allclose(psi, expect, atol=1e-12)
 
     def test_final_state_disentangles_geometry(self):
-        _, psi = circuit.run_circuit(circuit.build_gme_circuit())
+        _, psi = circuit.run_circuit(pi)
         # Axes (spin A, geometry ququart, spin B); the spins are traced out.
         amps = psi.reshape(2, 4, 2)
         geo = np.einsum("aib,ajb->ij", amps, amps.conj())
@@ -78,21 +90,20 @@ class TestEvolution:
 
     @pytest.mark.parametrize("phi", [0.0, 0.7, pi / 2, pi, 5.0])
     def test_reduced_spin_state_matches_closed_form(self, phi):
-        _, full = circuit.run_circuit(circuit.build_gme_circuit(phi))
+        _, full = circuit.run_circuit(phi)
         rho = circuit.reduced_spin_state(full)
         v = circuit.ideal_spin_state(phi)
         assert np.vdot(v, rho @ v).real == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_zero_is_product_state(self):
-        _, full = circuit.run_circuit(circuit.build_gme_circuit(0.0))
+        _, full = circuit.run_circuit(0.0)
         rho = circuit.reduced_spin_state(full)
         assert certify.derived_batch(rho[None])["min_pt_eigenvalue"][0] >= -1e-12
 
-    def test_custom_phase_vector(self):
+    def test_equal_branch_phases_give_no_entanglement(self):
         # phi = 0 puts equal phases on all branches, only a global phase: no entanglement.
-        c = circuit.build_gme_circuit(phi=0.0)
-        assert c.phases == (0.0, 0.0, 0.0, 0.0)
-        rho = circuit.reduced_spin_state(circuit.run_circuit(c)[1])
+        assert circuit.circuit_json(0.0)["phases"] == [0.0, 0.0, 0.0, 0.0]
+        rho = circuit.reduced_spin_state(circuit.run_circuit(0.0)[1])
         assert certify.derived_batch(rho[None])["min_pt_eigenvalue"][0] >= -1e-12
 
 
