@@ -132,8 +132,8 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 # Serialization helpers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# Every float of a CSV output, round-trip exact: "%.17g" % x.
+_fmt = "%.17g".__mod__
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
@@ -179,10 +179,56 @@ def _write_text(path: Path, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(doc, newline: str = "\n") -> str:
+    """The text ``json.dumps`` gives ``doc`` with ``sort_keys=True`` and ``indent=2``,
+    without json's pure-Python indenting encoder.  Each scalar takes json's own
+    rendering; a list of finite floats is one join.  A key that is not a string, or a
+    value json rejects (a set, ``np.int64``, ``np.bool_``), raises TypeError."""
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        finite = False
+        if isinstance(doc[0], float):
+            try:  # float.__repr__ raises TypeError on anything but a float
+                body = sep.join(map(float.__repr__, doc))
+                finite = "n" not in body  # no nan or inf, which json spells NaN and Infinity
+            except TypeError:
+                pass
+        if not finite:
+            body = sep.join([_json_text(x, inner) for x in doc])
+        return "[" + inner + body + newline + "]"
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            json.encoder.encode_basestring_ascii(key) + ": " + _json_text(val, inner)
+            for key, val in sorted(doc.items())]) + newline + "}"
+    if isinstance(doc, str):
+        return json.encoder.encode_basestring_ascii(doc)
+    if isinstance(doc, float):
+        text = float.__repr__(doc)
+        return _JSON_NON_FINITE.get(text, text)
+    if doc is None:
+        return "null"
+    if doc is True:
+        return "true"
+    if doc is False:
+        return "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     doc = {"meta": _meta(cfg)}
     doc.update(payload)
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(doc) + "\n")
 
 
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
@@ -191,24 +237,22 @@ def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> Non
         buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+    writer.writerows([_fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
     _write_text(path, buf.getvalue())
 
 
+def _re_im(z: np.ndarray) -> list:
+    """``z`` as nested lists with each complex entry an ``[re, im]`` pair of floats."""
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
 def state_json(matrix: np.ndarray) -> dict:
-    return {
-        "dims": [2, 2],
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
-    }
+    return {"dims": [2, 2], "matrix": _re_im(matrix)}
 
 
 def pure_state_json(amplitudes: np.ndarray) -> dict:
     """The (16,) amplitudes of a ``circuit.run_circuit`` state."""
-    return {
-        "dims": [2, 2, 2, 2],
-        "amplitudes": [[float(a.real), float(a.imag)] for a in amplitudes],
-    }
+    return {"dims": [2, 2, 2, 2], "amplitudes": _re_im(amplitudes)}
 
 
 def load_state_json(path: str) -> np.ndarray:
@@ -353,7 +397,7 @@ def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     cz_ok = fid >= 0.99 and np.max(np.abs(probs - probs[0])) < 0.05
     write_json(out / "cz_verification.json", cfg, {
         "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
-        "truth_table_amplitudes": [[float(a.real), float(a.imag)] for a in amps],
+        "truth_table_amplitudes": _re_im(amps),
         "amplitude_magnitudes": [float(abs(a)) for a in amps],
         "success_probabilities": [float(p) for p in probs],
         "process_fidelity_to_cz": float(fid),

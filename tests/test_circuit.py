@@ -96,14 +96,10 @@ class TestEvolution:
         assert np.vdot(v, rho @ v).real == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_zero_is_product_state(self):
-        _, full = circuit.run_circuit(0.0)
-        rho = circuit.reduced_spin_state(full)
-        assert certify.derived_batch(rho[None])["min_pt_eigenvalue"][0] >= -1e-12
-
-    def test_equal_branch_phases_give_no_entanglement(self):
         # phi = 0 puts equal phases on all branches, only a global phase: no entanglement.
         assert circuit.circuit_json(0.0)["phases"] == [0.0, 0.0, 0.0, 0.0]
-        rho = circuit.reduced_spin_state(circuit.run_circuit(0.0)[1])
+        _, full = circuit.run_circuit(0.0)
+        rho = circuit.reduced_spin_state(full)
         assert certify.derived_batch(rho[None])["min_pt_eigenvalue"][0] >= -1e-12
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -1177,3 +1178,104 @@ class TestDeterminism:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+
+# Documents for the JSON writer: every leaf json renders (NaN, +-inf, -0.0,
+# np.float64, non-ASCII and control-character text), float-only lists (the
+# writer's one-join path, with and without non-finite items), tuples, empty and
+# nested containers, and chains up to 60 levels deep.
+JSON_FLOAT = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308]))
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**20, 10**20), JSON_FLOAT,
+    JSON_FLOAT.map(np.float64), st.text(max_size=6),
+    st.sampled_from(["", "\x00\x1f\x7f\n\t", "é∂😀\u2028", '"\\/', "\ud800"]),
+)
+JSON_KEY = st.one_of(st.text(max_size=4), st.sampled_from(["", "é", "\x01", "a\"b"]))
+JSON_DOC = st.recursive(
+    st.one_of(JSON_LEAF, st.lists(JSON_FLOAT | JSON_FLOAT.map(np.float64), max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(JSON_KEY, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@st.composite
+def deep_json_doc(draw):
+    doc = draw(JSON_DOC)
+    for _ in range(draw(st.integers(0, 60))):
+        doc = draw(st.sampled_from([[doc], (doc, 1.5), {"k": doc, "a": []}]))
+    return doc
+
+
+def csv_reference(cfg, header, rows):
+    """A CSV output as ``write_csv`` rendered it with one ``csv.writer.writerow`` per row
+    and each float through ``format(float(x), ".17g")``."""
+    buf = io.StringIO()
+    for key, val in sorted(cli._meta(cfg).items()):
+        buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(float(x), ".17g") if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+class TestWriters:
+    @settings(max_examples=200)
+    @given(deep_json_doc())
+    def test_json_text_is_json_dumps_indent_2(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("leaf", [{1, 2}, np.int64(3), np.bool_(True), np.float32(0.5),
+                                      np.array([1.0]), complex(1, 2), b"x", object()])
+    def test_a_leaf_json_rejects_raises_type_error(self, leaf):
+        for doc in (leaf, [0.5, leaf], {"a": {"b": [leaf]}}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                cli._json_text(doc)
+
+    @pytest.mark.parametrize("doc", [{1: 0.5}, {"a": 1, None: 2}, [{True: []}], {1.5: "x"}])
+    def test_a_key_that_is_not_a_string_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
+
+    def test_write_json_appends_one_newline(self, tmp_path):
+        cfg = cli.ExperimentConfig()
+        payload = {"x": [0.1, math.nan], "s": "é"}
+        cli.write_json(tmp_path / "t.json", cfg, payload)
+        doc = {"meta": cli._meta(cfg), **payload}
+        assert (tmp_path / "t.json").read_bytes() == (
+            json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_csv_rows_render_as_before(self, tmp_path):
+        cfg = cli.ExperimentConfig()
+        header = ["a", "b", "c", "d", "e", "f", "g"]
+        rows = [
+            [0.1, np.float64(2 / 3), 7, "X", math.inf, math.nan, -0.0],
+            [np.float64(-math.inf), 10**20, "a,b", 5e-324, 'q"u', -1, np.float64(-0.0)],
+            [1e22, 0.5, 0, "", np.float64(math.nan), 123456789.125, 2.0**-1074],
+        ]
+        cli.write_csv(tmp_path / "t.csv", cfg, header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, header, rows)
+
+    def test_state_json_equals_the_per_entry_build(self):
+        rng = np.random.default_rng(3)
+        m = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).T
+        m[0, 1], m[2, 3] = complex(-0.0, 0.5), complex(0.25, -0.0)
+        assert not m.flags.c_contiguous
+        old = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        doc = cli.state_json(m)
+        assert json.dumps(doc["matrix"]) == json.dumps(old)
+        assert all(type(x) is float for row in doc["matrix"] for z in row for x in z)
+
+    def test_pure_state_json_equals_the_per_entry_build(self):
+        rng = np.random.default_rng(4)
+        a = (rng.normal(size=32) + 1j * rng.normal(size=32))[::2]
+        a[3], a[7] = complex(-0.0, -0.0), complex(1.0, -0.0)
+        assert not a.flags.c_contiguous
+        old = [[float(z.real), float(z.imag)] for z in a]
+        doc = cli.pure_state_json(a)
+        assert json.dumps(doc["amplitudes"]) == json.dumps(old)
+        assert all(type(x) is float for z in doc["amplitudes"] for x in z)
