@@ -231,13 +231,30 @@ def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     _write_text(path, _json_text(doc) + "\n")
 
 
+def _csv_writer_differs(line: str, row) -> bool:
+    """Whether csv.writer writes ``row``, which holds a cell that is not a float, otherwise
+    than its ``%`` line: it quotes a cell holding a delimiter, a quote or a line break, and
+    a lone empty cell, and it writes None as an empty cell."""
+    return (line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line
+            or not line or None in row)
+
+
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
+    """``#`` metadata lines, the header through csv.writer, and each data row as one ``%``
+    operation over its cells, "%.17g" for a float and "%s" for any other cell, ended by
+    csv.writer's "\r\n".  A row that csv.writer would write otherwise goes through it."""
     buf = io.StringIO()
     for key, val in sorted(_meta(cfg).items()):
         buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([_fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
+    for row in rows:
+        spec = ",".join(["%.17g" if isinstance(x, float) else "%s" for x in row])
+        line = spec % tuple(row)
+        if "%s" in spec and _csv_writer_differs(line, row):
+            writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
+        else:
+            buf.write(line + "\r\n")
     _write_text(path, buf.getvalue())
 
 

@@ -7,11 +7,12 @@ No optical element touches the label, so every network is U_12 (x) I_2.
 A two-photon state is its symmetric 24x24 creation tensor t, with
 state = sum_ij t_ij a_i^dag a_j^dag |0>, held in (K, 24, 24) stacks.  A
 network with mode unitary U acts on each as t -> A^T t A with A = U^dag;
-coincidence masses and post-selection are index masks on t.  The second
+coincidence masses and post-selection read the coincidence block of t, the
+rows of one set of paths against the columns of another.  The second
 photon's temporal label state is gamma|0> + sqrt(1 - gamma^2)|1>, so an
 input is linear in its two label components: a scan over gamma evolves the
-two components as one stack and works on the (G, 24, 24) stack of their
-combinations.
+two components as one stack, slices their coincidence blocks and combines
+only those, into a (G, 8, 8) or (G, 4, 4) stack of blocks.
 
 Logical path encoding of the geometry qubits follows the coupler layout:
 qubit 1 is 0 on path 1 / 1 on path 2, qubit 2 is 0 on path 4 / 1 on path 3;
@@ -52,12 +53,15 @@ def _path_modes(paths) -> np.ndarray:
 
 
 def _decoded_modes(paths) -> np.ndarray:
-    """[qubit, label] -> mode whose path and polarization (V=0, H=1) agree.
+    """[qubit, label] -> position, among ``_path_modes(paths)``, of the mode whose path and
+    polarization (V=0, H=1) agree.
 
     These are the modes the recombining beam displacers merge into the
     polarization qubit; every other coincidence mode exits an unused port.
     """
-    return np.array([[mode_index(paths[q], "VH"[q], l) for l in LABELS] for q in (0, 1)])
+    modes = list(_path_modes(paths))
+    return np.array([[modes.index(mode_index(paths[q], "VH"[q], l)) for l in LABELS]
+                     for q in (0, 1)])
 
 
 def _swap_table(pairs) -> np.ndarray:
@@ -171,25 +175,38 @@ def evolve(t: np.ndarray, net: np.ndarray) -> np.ndarray:
 
 
 def _mix_labels(t: np.ndarray, overlaps, name: str) -> np.ndarray:
-    """(G, N, N) tensors gamma t[0] + sqrt(1 - gamma^2) t[1], one per overlap gamma: t
-    holds the evolved pairs of the second photon's two temporal labels, which are
-    orthogonal, so each mixture stays normalized."""
+    """(G, n, m) blocks gamma t[0] + sqrt(1 - gamma^2) t[1], one per overlap gamma: t holds
+    one coincidence block of the evolved pairs of the second photon's two temporal labels,
+    which are orthogonal, so each mixture keeps its mass.
+
+    No entry is nonzero in both components, so each sum adds a scaled entry to an
+    exact zero.  The overlap axis is the fastest in memory, as in a block sliced
+    from a (G, N, N) stack: np.sum rounds by layout, so ``pair_mass`` stays bit for bit.
+    """
     g = check_unit(overlaps, name)
-    return np.tensordot(np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1), t, axes=1)
+    mixed = t[0, ..., None] * g + t[1, ..., None] * np.sqrt(np.maximum(0.0, 1.0 - g * g))
+    return np.moveaxis(mixed, -1, 0)
 
 
-def pair_mass(t: np.ndarray, paths_a, paths_b) -> np.ndarray:
-    """Probability of one photon in ``paths_a`` and the other in ``paths_b``, per tensor of t.
+def coincidence_block(t: np.ndarray, paths_a=LOGICAL_PATHS_A, paths_b=LOGICAL_PATHS_B):
+    """The (K, 4|paths_a|, 4|paths_b|) block of a (K, N, N) stack whose rows are the modes
+    of ``paths_a`` and whose columns are those of ``paths_b``, in ``_path_modes`` order."""
+    return t[:, _path_modes(paths_a)[:, None], _path_modes(paths_b)]
+
+
+def pair_mass(block: np.ndarray) -> np.ndarray:
+    """Probability of one photon in the row paths and the other in the column paths of each
+    ``coincidence_block`` of a stack.
 
     The two path sets must be disjoint: every such pair of modes (i, j) has
-    Fock amplitude 2 t_ij, so the mass is 4 sum |t[A, B]|^2.
+    Fock amplitude 2 t_ij, so the mass is 4 sum |block|^2.
     """
-    block = t[:, _path_modes(paths_a)[:, None], _path_modes(paths_b)]
     return 4 * np.sum(np.abs(block) ** 2, axis=(-2, -1))
 
 
-def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project each tensor of a (G, N, N) stack onto one photon in paths {1,2} and one in {3,4}.
+def post_select_coincidence(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project each tensor of a stack onto one photon in paths {1,2} and one in {3,4},
+    given the (G, 8, 8) stack of their ``coincidence_block``s, the only entries it reads.
 
     The two-qubit state is decoded through the recombining beam displacers,
     which coherently merge the path-polarization dictionary (path 1 <-> V,
@@ -200,18 +217,21 @@ def post_select_coincidence(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     NaN or Inf raises QmathError), and the (G,) pre-normalization coincidence
     masses.
     """
-    mass = pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
+    if block.ndim != 3 or block.shape[1:] != (8, 8):
+        raise PhotonicError(f"coincidence blocks must be (G, 8, 8), got {block.shape}")
+    mass = pair_mass(block)
     if np.any(mass < 1e-14):
         raise PhotonicError("post-selected mass below 1e-14")
     # Axes: (grid, qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
-    psi = 2 * t[:, DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
-    vec = psi.reshape(len(t), 16)
+    psi = 2 * block[:, DECODE_A[:, :, None, None], DECODE_B[None, None, :, :]]
+    g = len(block)
+    vec = psi.reshape(g, 16)
     decoded = np.sum(np.abs(vec) ** 2, axis=-1)
     if np.any(decoded < 1e-14):
         raise PhotonicError("no path-polarization-consistent coincidence terms")
     vec = vec / np.sqrt(decoded)[:, None]
     full = vec[:, :, None] * vec[:, None, :].conj()
-    pol = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
+    pol = np.einsum("gakblckdl->gabcd", full.reshape(g, *(2,) * 8)).reshape(g, 4, 4)
     return qmath.check_density(pol), mass
 
 
@@ -226,7 +246,7 @@ def cz_channel(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eye = np.eye(N_MODES, dtype=complex)
     t = evolve(pair_tensors(eye[np.repeat(a, 2)], eye[np.tile(b, 2)]), net)
     m = 2 * t[:, a[:, None], b].reshape(4, 4).T
-    return m, pair_mass(t, LOGICAL_PATHS_A, LOGICAL_PATHS_B)
+    return m, pair_mass(coincidence_block(t))
 
 
 def channel_fidelity_to_cz(m: np.ndarray) -> float:
@@ -245,12 +265,13 @@ def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
 
     Each overlap is the temporal wavepacket overlap amplitude gamma; the
     second photon enters with label state gamma|0> + sqrt(1-gamma^2)|1>.
-    One evolution of its two label components whatever the number of overlaps.
+    One evolution of its two label components whatever the number of overlaps;
+    only their (4, 4) blocks of paths 2 x 3 are combined.
     """
     photon_b = np.stack([single_photon("3", "V", l) for l in LABELS])
     t = evolve(pair_tensors(np.stack([single_photon("2", "V")] * 2), photon_b),
                build_cz_network(bs))
-    return pair_mass(_mix_labels(t, overlaps, "overlap"), ("2",), ("3",))
+    return pair_mass(_mix_labels(coincidence_block(t, ("2",), ("3",)), overlaps, "overlap"))
 
 
 def _dip_visibility(probs: np.ndarray) -> float:
@@ -268,13 +289,14 @@ def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray,
 
     Both photons enter in (|H> + |V>)/sqrt(2), on paths out1 and out4.  Returns the
     (G, 4, 4) polarization states and the (G,) success probabilities, from one
-    evolution of the two label components whatever the number of overlaps.
+    evolution of the two label components whatever the number of overlaps; only
+    their (8, 8) coincidence blocks are combined.
     """
     photon_a = (single_photon("out1", "H") + single_photon("out1", "V")) / np.sqrt(2)
     photon_b = np.stack([single_photon("out4", "H", l) + single_photon("out4", "V", l)
                          for l in LABELS]) / np.sqrt(2)
     t = evolve(pair_tensors(np.stack([photon_a] * 2), photon_b), build_full_network(bs))
-    return post_select_coincidence(_mix_labels(t, gammas, "gamma"))
+    return post_select_coincidence(_mix_labels(coincidence_block(t), gammas, "gamma"))
 
 
 def fit_visibility_weights(rho_canonical: np.ndarray) -> np.ndarray:
@@ -291,10 +313,11 @@ def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray,
     arrays, and the ``hom_visibility`` of ``bs``.
 
     Two ``evolve`` calls of two members each, whatever the number of
-    overlaps: the dip's two label components through the couplers, combined
-    for the overlaps and the visibility's endpoints 0 and 1, and the
-    pipeline's two through the full network.  v is fitted in the frame of
-    ``circuit.singlet_frame``.
+    overlaps: the dip's two label components through the couplers, whose
+    (4, 4) blocks of paths 2 x 3 are combined for the overlaps and the
+    visibility's endpoints 0 and 1, and the pipeline's two through the full
+    network, whose (8, 8) coincidence blocks are combined for the overlaps.
+    v is fitted in the frame of ``circuit.singlet_frame``.
     """
     probs = hom_coincidence([*overlaps, 0.0, 1.0], bs)
     rho, _ = simulate_pipeline_grid(overlaps, bs)

@@ -43,6 +43,10 @@ COMMANDS = [
     ("photonic-experimental", ["photonic-verify", "--bs", "experimental"]),
     ("photonic-r0.5", ["photonic-verify", "--reflectivity", "0.5"]),
     ("hom-scan", ["--config", "{root}/grids.json", "hom-scan"]),
+    ("hom-scan-irregular", ["--config", "{root}/irregular_gamma.json", "hom-scan",
+                            "--bs", "experimental"]),
+    # An empty grid writes header-only CSVs and exits 0.
+    ("hom-scan-empty", ["--config", "{root}/empty_gamma.json", "hom-scan"]),
     *((f"scan-{p}", ["--config", "{root}/grids.json", "scan", "--param", p,
                      "--counts-per-setting", "1000"]) for p in ("eta", "v")),
     *((f"counts-{m}", ["simulate-counts", "--model", m, *flags]) for m, flags in MODELS.items()),
@@ -91,8 +95,17 @@ def _tetrahedral_counts() -> str:
     return COUNTS_HEADER + "\n".join(rows) + "\n"
 
 
+def _irregular_gamma() -> str:
+    """A 100-point unsorted overlap grid with both endpoints, from a fixed generator."""
+    grid = np.random.default_rng(30).uniform(0.0, 1.0, 100)
+    grid[[17, 62]] = 0.0, 1.0
+    return json.dumps({"gamma_grid": grid.tolist()})
+
+
 INPUTS = {
     "grids.json": lambda: json.dumps(GRIDS, sort_keys=True),
+    "irregular_gamma.json": _irregular_gamma,
+    "empty_gamma.json": lambda: json.dumps({"gamma_grid": []}),
     "tetrahedral.csv": _tetrahedral_counts,
     "bad_state.json": lambda: json.dumps({"dims": [2, 2, 2],
                                           "matrix": [[[0.25 * (i == j), 0.0] for j in range(4)]

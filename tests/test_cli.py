@@ -1260,6 +1260,48 @@ class TestWriters:
         cli.write_csv(tmp_path / "t.csv", cfg, header, rows)
         assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, header, rows)
 
+    def test_csv_cell_types_may_change_between_rows(self, tmp_path):
+        cfg = cli.ExperimentConfig()
+        rows = [
+            [np.float64(0.5), 3, True, math.inf, "X", -0.0],
+            [7, np.float64(-0.0), 2.5, False, math.nan, "Y"],
+            [False, math.nan, np.float64(math.inf), -0.0, 10**30, np.float64(1 / 3)],
+            [-math.inf, True, 0, "Z", np.float64(math.nan), 12],
+        ]
+        cli.write_csv(tmp_path / "t.csv", cfg, list("abcdef"), rows)
+        assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, list("abcdef"), rows)
+
+    def test_text_csv_writer_quotes_is_quoted_identically(self, tmp_path):
+        cfg = cli.ExperimentConfig()
+        rows = [["a,b", 0.5], ['"q"', 1], ["line\nbreak", "cr\r"], [""], ["", ""], [None],
+                [None, 2.5], [], ["plain", "text", "None"]]
+        cli.write_csv(tmp_path / "t.csv", cfg, ["x", "y"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, ["x", "y"], rows)
+        with open(tmp_path / "t.csv", newline="") as fh:
+            back = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        assert back[1:4] == [["a,b", "0.5"], ['"q"', "1"], ["line\nbreak", "cr\r"]]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(), st.floats().map(np.float64), st.integers(), st.booleans(), st.none(),
+        st.text(alphabet=st.sampled_from(list(',"\r\n ab%s-0.')), max_size=4)),
+        max_size=5), max_size=6))
+    def test_csv_rows_render_as_csv_writer_does(self, tmp_path_factory, rows):
+        cfg = cli.ExperimentConfig()
+        path = tmp_path_factory.getbasetemp() / "rows.csv"
+        cli.write_csv(path, cfg, ["h"], rows)
+        assert path.read_bytes() == csv_reference(cfg, ["h"], rows)
+
+    def test_counts_csv_round_trips_tetrahedral_pairs(self, tmp_path):
+        axes = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        data = certify.Counts(np.array([[a, b] for a in axes for b in axes]),
+                              np.random.default_rng(30).integers(0, 10**4, size=(16, 4)))
+        cli.write_counts_csv(tmp_path / "counts.csv", cli.ExperimentConfig(), data)
+        _, rows = read_csv_rows(tmp_path / "counts.csv")
+        assert len(rows) == 16 and all(r[0].count(":") == r[1].count(":") == 2 for r in rows)
+        back = cli.load_counts_csv(str(tmp_path / "counts.csv"))
+        assert np.array_equal(back.bases, data.bases) and np.array_equal(back.n, data.n)
+
     def test_state_json_equals_the_per_entry_build(self):
         rng = np.random.default_rng(3)
         m = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).T

@@ -83,6 +83,51 @@ def walk_post_selection(t: np.ndarray) -> tuple[np.ndarray, float]:
     return np.einsum("akbl,ckdl->abcd", psi, psi.conj()).reshape(4, 4), mass
 
 
+# Reference grid kernels: the full-tensor way, which combines the two label
+# components over all 24 x 24 modes by one tensordot and then masks the
+# combined tensors.
+def full_modes(paths) -> np.ndarray:
+    return np.array([photonic.mode_index(p, pol, l)
+                     for p in paths for pol in photonic.POLS for l in photonic.LABELS])
+
+
+def full_mix(t: np.ndarray, overlaps) -> np.ndarray:
+    g = np.asarray(overlaps, dtype=float)
+    return np.tensordot(np.stack([g, np.sqrt(np.maximum(0.0, 1.0 - g * g))], axis=1), t, axes=1)
+
+
+def full_pair_mass(t: np.ndarray, paths_a, paths_b) -> np.ndarray:
+    return 4 * np.sum(np.abs(t[:, full_modes(paths_a)[:, None], full_modes(paths_b)]) ** 2,
+                      axis=(-2, -1))
+
+
+def full_post_selection(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    decode = [np.array([[photonic.mode_index(paths[q], "VH"[q], l) for l in photonic.LABELS]
+                        for q in (0, 1)]) for paths in (("1", "2"), ("4", "3"))]
+    psi = 2 * t[:, decode[0][:, :, None, None], decode[1][None, None, :, :]]
+    vec = psi.reshape(len(t), 16)
+    vec = vec / np.sqrt(np.sum(np.abs(vec) ** 2, axis=-1))[:, None]
+    full = vec[:, :, None] * vec[:, None, :].conj()
+    rho = np.einsum("gakblckdl->gabcd", full.reshape(len(t), *(2,) * 8)).reshape(len(t), 4, 4)
+    return rho, full_pair_mass(t, ("1", "2"), ("4", "3"))
+
+
+def full_grid_kernels(grid, bs):
+    """(dip, rho, mass) of ``grid``: the dip at the grid and at overlaps 0 and 1, and the
+    pipeline's post-selected states and masses, each from its full combined tensors."""
+    sp = photonic.single_photon
+    dip = photonic.evolve(photonic.pair_tensors(
+        np.stack([sp("2", "V")] * 2), np.stack([sp("3", "V", l) for l in photonic.LABELS])),
+        photonic.build_cz_network(bs))
+    photon_a = (sp("out1", "H") + sp("out1", "V")) / np.sqrt(2)
+    photon_b = np.stack([sp("out4", "H", l) + sp("out4", "V", l)
+                         for l in photonic.LABELS]) / np.sqrt(2)
+    pipe = photonic.evolve(photonic.pair_tensors(np.stack([photon_a] * 2), photon_b),
+                           photonic.build_full_network(bs))
+    probs = full_pair_mass(full_mix(dip, [*grid, 0.0, 1.0]), ("2",), ("3",))
+    return (probs, *full_post_selection(full_mix(pipe, grid)))
+
+
 def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
     """(P, v, rho) at one overlap, each from its own photon pair evolved on its own."""
     d = np.sqrt(1.0 - gamma * gamma)
@@ -297,6 +342,18 @@ class TestCommandCosts:
         # endpoints) in one call, and those of the pipeline in another.
         assert counts == [[2, 2], [2, 2]]
 
+    def test_hom_scan_mixes_only_coincidence_blocks(self, tmp_path, monkeypatch):
+        # The dip's (4, 4) blocks of paths 2 x 3 and the pipeline's (8, 8) blocks of
+        # paths {1, 2} x {4, 3}; never a full (2, 24, 24) stack.
+        shapes = []
+        mix = photonic._mix_labels
+        monkeypatch.setattr(photonic, "_mix_labels",
+                            lambda t, *args: shapes.append(t.shape) or mix(t, *args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_grid": [k / 99 for k in range(100)]}))
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path), "hom-scan"]) == 0
+        assert shapes == [(2, 4, 4), (2, 8, 8)]
+
     def test_hom_scan_builds_each_network_once(self, tmp_path, monkeypatch):
         built = []
         network = photonic._network
@@ -359,6 +416,21 @@ class TestGridKernels:
             assert np.max(np.abs(one[0] - rho[k])) < 1e-15 and abs(one_mass[0] - mass[k]) < 1e-15
 
 
+    @pytest.mark.parametrize("grid", [GRID, []], ids=["grid", "empty"])
+    @pytest.mark.parametrize("bs", [photonic.IDEAL_BS, photonic.EXPERIMENTAL_BS,
+                                    photonic.BsParams(0.3, 0.45)], ids=str)
+    def test_block_kernels_equal_the_full_tensor_kernels_bit_for_bit(self, bs, grid):
+        probs, rho, mass = full_grid_kernels(grid, bs)
+        assert np.array_equal(photonic.hom_coincidence([*grid, 0.0, 1.0], bs), probs)
+        got_rho, got_mass = photonic.simulate_pipeline_grid(grid, bs)
+        assert got_rho.shape == rho.shape == (len(grid), 4, 4)
+        assert np.array_equal(got_rho, rho) and np.array_equal(got_mass, mass)
+        dip, weights, visibility = photonic.hom_scan(grid, bs)
+        assert np.array_equal(dip, probs[:-2])
+        assert np.array_equal(weights, photonic.fit_visibility_weights(circuit.singlet_frame(rho)))
+        assert visibility == (probs[-2] - probs[-1]) / probs[-2]
+
+
 class TestPipeline:
     def test_ideal_pipeline_state_and_probability(self):
         (rho,), (prob,) = photonic.simulate_pipeline_grid([1.0])
@@ -393,14 +465,22 @@ class TestPipeline:
         t = photonic.evolve(pair(random_photon(rng), random_photon(rng)),
                             photonic.build_full_network(photonic.EXPERIMENTAL_BS))
         expect, mass = walk_post_selection(t[0])
-        rho, got_mass = photonic.post_select_coincidence(t)
+        rho, got_mass = photonic.post_select_coincidence(photonic.coincidence_block(t))
         assert got_mass[0] == pytest.approx(mass, abs=1e-12)
         assert np.max(np.abs(rho[0] - expect)) < 1e-12
+
+    def test_post_selection_takes_coincidence_blocks(self):
+        t = photonic.evolve(pair(photonic.single_photon("out1", "V"),
+                                 photonic.single_photon("out4", "H")),
+                            photonic.build_full_network())
+        assert photonic.coincidence_block(t).shape == (1, 8, 8)
+        with pytest.raises(photonic.PhotonicError, match=r"must be \(G, 8, 8\)"):
+            photonic.post_select_coincidence(t)
 
     def test_empty_post_selection_raises(self):
         t = pair(photonic.single_photon("out1", "V"), photonic.single_photon("out4", "V"))
         with pytest.raises(photonic.PhotonicError, match="post-selected mass below"):
-            photonic.post_select_coincidence(t)
+            photonic.post_select_coincidence(photonic.coincidence_block(t))
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
     def test_non_finite_or_overflowing_tensors_raise(self, entry):
@@ -408,7 +488,7 @@ class TestPipeline:
         # reduced states catches them, and a norm that overflows to inf.
         t = np.full((1, photonic.N_MODES, photonic.N_MODES), entry)
         with np.errstate(all="ignore"), pytest.raises(qmath.QmathError):
-            photonic.post_select_coincidence(t)
+            photonic.post_select_coincidence(photonic.coincidence_block(t))
 
 
 def delayed_singlet(eta: float) -> np.ndarray:
