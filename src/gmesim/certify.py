@@ -325,12 +325,13 @@ FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_setti
 
 def fit(bases: np.ndarray, counts: np.ndarray, targets) -> dict:
     """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
-    whose states are PSD by construction, checked as density matrices, and its
-    ``derived_batch`` quantities with ``targets`` the fidelity reference, one (4, 4)
-    state or one per member: one array over the members for each quantity and for
-    each of ``FIT_FIELDS``."""
+    whose states X^dagger X / tr are density matrices by construction (QmathError if a
+    scale overflowed to NaN or Inf), and its ``derived_batch`` quantities with
+    ``targets`` the fidelity reference, one (4, 4) state or one per member: one array
+    over the members for each quantity and for each of ``FIT_FIELDS``."""
     rho, *diagnostics = mle_batch(bases, counts)
-    rho = qmath.check_density(rho)
+    if not np.all(np.isfinite(rho)):
+        raise qmath.QmathError("density matrix contains NaN or Inf entries")
     q = derived_batch(rho, targets)
     q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
     return q
@@ -371,11 +372,11 @@ def bootstrap(data: Counts, replicas: int, seed: int) -> tuple[dict, int, int, d
 
 
 def random_density_matrices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """(n, 4, 4) Ginibre-induced random mixed states, checked once.  State k equals
-    the single draw g = normal(4, 4) + i normal(4, 4), g g^dagger / tr that follows
-    k others from ``rng``."""
+    """(n, 4, 4) Ginibre-induced random mixed states, PSD by construction.  State k
+    equals the single draw g = normal(4, 4) + i normal(4, 4), g g^dagger / tr that
+    follows k others from ``rng``."""
     x = rng.normal(size=(n, 2, 4, 4))
     g = x[:, 0] + 1j * x[:, 1]
     m = g @ _dagger(g)
     m /= _trace(m)[:, None, None]
-    return qmath.check_density(m)
+    return m

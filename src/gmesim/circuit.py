@@ -61,9 +61,10 @@ def circuit_json(phi: float) -> dict:
 def apply_gate(state: np.ndarray, gate: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a k-qubit gate to the given target qubits of a 4-qubit state."""
     k = len(targets)
-    psi = np.moveaxis(state.reshape(2, 2, 2, 2), targets, range(k))
+    order = [*targets, *(q for q in range(4) if q not in targets)]  # np.moveaxis's order
+    psi = state.reshape(2, 2, 2, 2).transpose(order)
     psi = (gate @ psi.reshape(2**k, -1)).reshape(psi.shape)
-    return np.moveaxis(psi, range(k), targets).reshape(-1)
+    return psi.transpose([order.index(q) for q in range(4)]).reshape(-1)
 
 
 def run_circuit(phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -79,11 +80,12 @@ def run_circuit(phi: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reduced_spin_state(full: np.ndarray) -> np.ndarray:
-    """The checked (4, 4) spin state: the geometry traced out of ``run_circuit``'s final state."""
+    """The (4, 4) spin state, the geometry traced out of ``run_circuit``'s final state: a
+    partial trace of a unit vector's projector, so a density matrix by construction."""
     psi = full.reshape(2, 2, 2, 2)
     # Axes (a, g1, g2, b, a', g1', g2', b'): trace g2 = g2', then g1 = g1'.
     rho = np.trace(np.multiply.outer(psi, psi.conj()), axis1=2, axis2=6)
-    return qmath.check_density(np.trace(rho, axis1=1, axis2=4).reshape(4, 4))
+    return np.trace(rho, axis1=1, axis2=4).reshape(4, 4)
 
 
 def _canonical_rotation() -> np.ndarray:

@@ -283,7 +283,7 @@ def load_state_json(path: str) -> np.ndarray:
         if dims != (2, 2) or m.shape != (4, 4):
             raise ValueError(f"expected a two-qubit state, got dims {list(dims)} "
                              f"and a matrix of shape {m.shape}")
-        return qmath.check_density(m)
+        return qmath.check_density(m)  # the one state from outside, checked where it enters
     except (KeyError, ValueError, TypeError, qmath.QmathError) as exc:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
@@ -364,7 +364,7 @@ def model_state(name: str, cfg: ExperimentConfig, eta: float | None, v: float | 
         return np.eye(4, dtype=complex) / 4
     # "circuit", the last name argparse's choices admit
     _, final = circuit.run_circuit(cfg.phi)
-    return qmath.check_density(circuit.singlet_frame(circuit.reduced_spin_state(final)))
+    return circuit.singlet_frame(circuit.reduced_spin_state(final))
 
 
 def _simulated_counts(rho: np.ndarray, cfg: ExperimentConfig) -> certify.Counts:
@@ -382,7 +382,7 @@ def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
     checkpoint, final = circuit.run_circuit(cfg.phi)
     spins = circuit.reduced_spin_state(final)
-    canonical = qmath.check_density(circuit.singlet_frame(spins))
+    canonical = circuit.singlet_frame(spins)
     q = certify.derived_batch(canonical[None], noise.SINGLET)
     write_json(out / "state_full.json", cfg, {
         "circuit": circuit.circuit_json(cfg.phi),

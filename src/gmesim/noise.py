@@ -4,8 +4,9 @@ Two one-parameter families are modeled: polarization-delay dephasing
 (parameter eta, erasing coherences between different second-qubit
 polarizations) and photon-distinguishability mixing (parameter v, the
 weight of the singlet component).  Each family maps an array of parameters,
-or one number, to the (..., 4, 4) stack of its states, range-checked and
-density-checked once.
+or one number, to the (..., 4, 4) stack of its states, range-checked once: convex
+mixes of fixed density matrices and their dephased images (m + Z m Z)/2, so density
+matrices by construction.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import singlet
-from .qmath import DensityMatrix, I2, SIGMA_Z, check_density, check_unit
+from .qmath import DensityMatrix, I2, SIGMA_Z, check_unit
 
 # Read-only two-qubit matrices the state families are built from.
 _SINGLET_KET = singlet().amplitudes
@@ -47,20 +48,20 @@ def _dephased(m: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 def dephased_singlets(eta) -> np.ndarray:
     """(1 - eta)|S><S| + eta RHO_MIX."""
-    return check_density(_dephased(SINGLET, _unit(eta, "eta")))
+    return _dephased(SINGLET, _unit(eta, "eta"))
 
 
 def distinguishable_states(v) -> np.ndarray:
     """v |S><S| + (1 - v) RHO_DIST."""
     v = _unit(v, "v")
-    return check_density(v * SINGLET + (1 - v) * RHO_DIST)
+    return v * SINGLET + (1 - v) * RHO_DIST
 
 
 def baseline_states(eta, weight: float = BASELINE_WEIGHT) -> np.ndarray:
     """Experimental-baseline model: dephased mixture of singlet and RHO_MIX."""
     weight = check_unit(weight, "weight")
     m = weight * SINGLET + (1 - weight) * RHO_MIX
-    return check_density(_dephased(m, _unit(eta, "eta")))
+    return _dephased(m, _unit(eta, "eta"))
 
 
 # Kept for benchmarks/test_benchmark.py, which checks its reference states against it.

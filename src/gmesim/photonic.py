@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuit, noise, qmath
+from . import circuit, noise
 from .qmath import check_unit
 
 PATHS = ("out1", "1", "2", "3", "4", "out4")
@@ -213,13 +213,16 @@ def post_select_coincidence(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     path 2 <-> H for the first photon; path 3 <-> H, path 4 <-> V for the
     second); components where path and polarization disagree exit through
     unused ports and are dropped.  Temporal labels are traced out.  Returns
-    the (G, 4, 4) decoded density matrices, checked as density matrices (so a
-    NaN or Inf raises QmathError), and the (G,) pre-normalization coincidence
-    masses.
+    the (G, 4, 4) decoded states, each a partial trace of a unit vector's
+    projector and so a density matrix by construction, and the (G,)
+    pre-normalization coincidence masses; a mass that is NaN or Inf (also by
+    overflow) raises PhotonicError before anything is normalized.
     """
     if block.ndim != 3 or block.shape[1:] != (8, 8):
         raise PhotonicError(f"coincidence blocks must be (G, 8, 8), got {block.shape}")
     mass = pair_mass(block)
+    if not np.all(np.isfinite(mass)):
+        raise PhotonicError("post-selected mass is NaN or Inf")
     if np.any(mass < 1e-14):
         raise PhotonicError("post-selected mass below 1e-14")
     # Axes: (grid, qubit_a, label_a, qubit_b, label_b); qubit value 0=V, 1=H.
@@ -232,7 +235,7 @@ def post_select_coincidence(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vec = vec / np.sqrt(decoded)[:, None]
     full = vec[:, :, None] * vec[:, None, :].conj()
     pol = np.einsum("gakblckdl->gabcd", full.reshape(g, *(2,) * 8)).reshape(g, 4, 4)
-    return qmath.check_density(pol), mass
+    return pol, mass
 
 
 def cz_channel(net: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

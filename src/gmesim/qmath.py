@@ -2,7 +2,8 @@
 
 Provides the checks every module shares: ``check_unit`` for a parameter, or an array of
 them, in [0, 1] (raising the one ``OutOfRange``) and ``check_density`` for a matrix or a
-stack of them, which every command's (4, 4) states and a state file pass.  The unchecked
+stack of them, which only a state file passes: every state the package builds is a density
+matrix by construction, pinned by the unit tests with this same check.  The unchecked
 ``PureState`` and ``DensityMatrix`` value types only back the reference states the
 benchmark's tests read.  Every other failure raises ``QmathError`` saying what failed.
 """

@@ -3,6 +3,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gmesim import certify, circuit, qmath
 
@@ -94,6 +95,19 @@ class TestEvolution:
         rho = circuit.reduced_spin_state(full)
         v = circuit.ideal_spin_state(phi)
         assert np.vdot(v, rho @ v).real == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e308)
+    @example(-1e308)
+    @settings(max_examples=60)
+    def test_spin_states_are_density_matrices(self, phi):
+        # Built unchecked: a partial trace of a unit pure state, and its unitary
+        # conjugate in the singlet frame.
+        rho = circuit.reduced_spin_state(circuit.run_circuit(phi)[1])
+        qmath.check_density(rho)
+        qmath.check_density(circuit.singlet_frame(rho))
 
     def test_phi_zero_is_product_state(self):
         # phi = 0 puts equal phases on all branches, only a global phase: no entanglement.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gmesim import certify, circuit, noise, qmath
 
@@ -113,8 +113,14 @@ class TestConstantStates:
     code's channel compositions, kept here as references."""
 
     @given(unit, unit)
+    @example(0.0, 0.0)
+    @example(0.0, 1.0)
+    @example(1.0, 0.0)
+    @example(1.0, 1.0)
     @settings(max_examples=40)
     def test_equal_to_the_channel_compositions(self, x, w):
+        # Each state, one or a stack with both endpoints, is also a density matrix
+        # by the check a state file passes: the families are built unchecked.
         s = circuit.singlet().density().matrix
         assert np.array_equal(noise.RHO_MIX, _old_rho_mix())
         assert np.array_equal(noise.rho_dist().matrix, _old_rho_dist())
@@ -125,6 +131,11 @@ class TestConstantStates:
             (noise.baseline_states(x, w), baseline),
         ]:
             assert np.array_equal(state, matrix)
+            qmath.check_density(state)
+        grid = [0.0, x, 1.0]
+        for stack in (noise.dephased_singlets(grid), noise.distinguishable_states(grid),
+                      noise.baseline_states(grid, w)):
+            assert qmath.check_density(stack).shape == (3, 4, 4)
 
     def test_returned_states_share_no_memory_with_constants(self):
         states = [noise.rho_dist().matrix] + [
@@ -162,6 +173,7 @@ class TestStackedFamilies:
                                np.random.default_rng(5).random(50), [0.0, 1.0]])
         states = stacked(grid)
         assert states.shape == (len(grid), 4, 4)
+        qmath.check_density(states)
         for x, rho in zip(grid, states):
             assert np.array_equal(rho, stacked(float(x)))
         assert np.array_equal(stacked(grid.reshape(-1, 1)), states[:, None])

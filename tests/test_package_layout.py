@@ -15,6 +15,10 @@ by hand names the few parameters only unit tests pass, with the reason.
 One function writes files: ``cli._write_text``, which rewrites an existing
 output in place.  Any other writer in the package fails a guard here, so none
 can bring back truncate-on-open.
+
+One function checks a density matrix: ``cli.load_state_json``, where a state
+from outside enters.  Every state the package builds is one by construction,
+which the unit tests pin with the same ``qmath.check_density``.
 """
 
 import ast
@@ -194,3 +198,12 @@ def test_only_cli_write_text_writes_a_file():
         "no write found in cli._write_text: the guard reads nothing"
     others = [f"{mod}.{name}:{line}" for mod, name, line in writers if (mod, name) != WRITER]
     assert not others, f"files written outside cli._write_text: {others}"
+
+
+def test_only_the_state_file_reader_checks_a_density_matrix():
+    calls = [(mod, getattr(stmt, "name", None), node.lineno)
+             for mod, tree in MODULES.items() for stmt in tree.body
+             for node in ast.walk(stmt)
+             if isinstance(node, ast.Call) and _last_name(node.func) == "check_density"]
+    assert [c[:2] for c in calls] == [("cli", "load_state_json")], \
+        f"check_density called outside cli.load_state_json: {calls}"

@@ -458,6 +458,16 @@ class TestPipeline:
         v = photonic.fit_visibility_weights(circuit.singlet_frame(rho))
         np.testing.assert_allclose(v, [0.0, 1.0], rtol=0, atol=1e-9)
 
+    @given(st.lists(st.floats(0.0, 1.0), max_size=6),
+           st.floats(1e-3, 1 - 1e-3), st.floats(1e-3, 1 - 1e-3))
+    @example([0.0, 1.0], 1 / 3, 1 / 3)
+    @example([0.0, 1.0], 0.329, 0.337)
+    @settings(max_examples=40, deadline=None)
+    def test_post_selected_states_are_density_matrices(self, gammas, r_h, r_v):
+        # Built unchecked: each state is a partial trace of a unit vector's projector.
+        rho, _ = photonic.simulate_pipeline_grid(gammas, photonic.BsParams(r_h, r_v))
+        assert qmath.check_density(rho).shape == (len(gammas), 4, 4)
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_post_selection_matches_a_walk_over_fock_terms(self, seed):
@@ -466,6 +476,7 @@ class TestPipeline:
                             photonic.build_full_network(photonic.EXPERIMENTAL_BS))
         expect, mass = walk_post_selection(t[0])
         rho, got_mass = photonic.post_select_coincidence(photonic.coincidence_block(t))
+        qmath.check_density(rho)
         assert got_mass[0] == pytest.approx(mass, abs=1e-12)
         assert np.max(np.abs(rho[0] - expect)) < 1e-12
 
@@ -484,10 +495,11 @@ class TestPipeline:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
     def test_non_finite_or_overflowing_tensors_raise(self, entry):
-        # NaN and inf pass the mass and norm tests; the density-matrix check of the
-        # reduced states catches them, and a norm that overflows to inf.
+        # A NaN or inf entry, or one whose square overflows, makes the mass non-finite,
+        # rejected before anything is normalized.
         t = np.full((1, photonic.N_MODES, photonic.N_MODES), entry)
-        with np.errstate(all="ignore"), pytest.raises(qmath.QmathError):
+        with np.errstate(all="ignore"), \
+                pytest.raises(photonic.PhotonicError, match="^post-selected mass is NaN or Inf$"):
             photonic.post_select_coincidence(photonic.coincidence_block(t))
 
 
