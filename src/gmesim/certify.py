@@ -106,8 +106,8 @@ def _witness(t: np.ndarray) -> np.ndarray:
 
 
 def _chsh_fixed(t: np.ndarray) -> np.ndarray:
-    """(B,) CHSH values at ``singlet_optimal_settings``."""
-    settings = singlet_optimal_settings()
+    """(B,) CHSH values at ``SINGLET_OPTIMAL_SETTINGS``."""
+    settings = SINGLET_OPTIMAL_SETTINGS
     e = np.einsum("si,nij,sj->ns", settings[:, 0], t, settings[:, 1])
     return np.abs(e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3])
 
@@ -142,7 +142,7 @@ def _fidelities(rhos: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def derived_batch(rhos: np.ndarray, targets=None) -> dict:
-    """Witness, maximal CHSH, CHSH at ``singlet_optimal_settings`` and partial-transpose
+    """Witness, maximal CHSH, CHSH at ``SINGLET_OPTIMAL_SETTINGS`` and partial-transpose
     spectrum of every member of a (B, 4, 4) stack; also the fidelity to ``targets``
     (see ``_fidelities``) when those are given."""
     t = _correlations(rhos)
@@ -160,15 +160,11 @@ def derived_batch(rhos: np.ndarray, targets=None) -> dict:
     return q
 
 
-# Alice's axes Z and X, each with Bob's two axes.
+# The read-only (4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet: Alice's
+# axes Z and X, each with Bob's two axes.
 _BOB = np.array([-(AXES["Z"] + AXES["X"]), AXES["X"] - AXES["Z"]]) / np.sqrt(2)
-_SINGLET_OPTIMAL = np.array([[a, b] for a in (AXES["Z"], AXES["X"]) for b in _BOB])
-_SINGLET_OPTIMAL.setflags(write=False)
-
-
-def singlet_optimal_settings() -> np.ndarray:
-    """The read-only (4, 2, 3) CHSH settings reaching 2 sqrt(2) on the singlet."""
-    return _SINGLET_OPTIMAL
+SINGLET_OPTIMAL_SETTINGS = np.array([[a, b] for a in (AXES["Z"], AXES["X"]) for b in _BOB])
+SINGLET_OPTIMAL_SETTINGS.setflags(write=False)
 
 
 def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) -> np.ndarray:
@@ -236,12 +232,15 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     of that contract (a contiguous copy hands BLAS another layout, which rounds
     differently).  A member with no counts ends at its start, unconverged
     after 0 iterations.  Returns arrays ``(rho, log_likelihood, converged,
-    iterations, dropped)``, rho as complex (B, 4, 4).  Non-finite counts and
-    axes that ``projector_table`` rejects raise CertifyError.
+    iterations, dropped)``, rho as complex (B, 4, 4).  Counts with a NaN or Inf
+    entry or a member total that overflows, and axes that ``projector_table``
+    rejects, raise CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
-    if not np.all(np.isfinite(counts)):
-        raise CertifyError("mle_batch: counts has NaN or Inf entries")
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = counts.sum(axis=(1, 2))
+    if not np.all(np.isfinite(totals)):  # a NaN or Inf entry, or a total that overflows
+        raise CertifyError("mle_batch: counts has NaN or Inf entries or a total that overflows")
     b = len(counts)
     dropped = np.sum(counts.sum(axis=2) == 0, axis=1)
     table = projector_table(bases)

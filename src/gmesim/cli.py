@@ -231,30 +231,18 @@ def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
     _write_text(path, _json_text(doc) + "\n")
 
 
-def _csv_writer_differs(line: str, row) -> bool:
-    """Whether csv.writer writes ``row``, which holds a cell that is not a float, otherwise
-    than its ``%`` line: it quotes a cell holding a delimiter, a quote or a line break, and
-    a lone empty cell, and it writes None as an empty cell."""
-    return (line.count(",") != len(row) - 1 or '"' in line or "\r" in line or "\n" in line
-            or not line or None in row)
-
-
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    """``#`` metadata lines, the header through csv.writer, and each data row as one ``%``
-    operation over its cells, "%.17g" for a float and "%s" for any other cell, ended by
-    csv.writer's "\r\n".  A row that csv.writer would write otherwise goes through it."""
+    """``#`` metadata lines, the header joined by commas, and each data row as one ``%``
+    operation over its cells, "%.17g" for a float and "%s" for any other cell, each row
+    ended by csv.writer's "\r\n".  Callers write floats, ints and axis names or
+    colon-joined floats, none of which csv.writer would quote, so the bytes are its own."""
     buf = io.StringIO()
     for key, val in sorted(_meta(cfg).items()):
         buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
+    buf.write(",".join(header) + "\r\n")
     for row in rows:
         spec = ",".join(["%.17g" if isinstance(x, float) else "%s" for x in row])
-        line = spec % tuple(row)
-        if "%s" in spec and _csv_writer_differs(line, row):
-            writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
-        else:
-            buf.write(line + "\r\n")
+        buf.write(spec % tuple(row) + "\r\n")
     _write_text(path, buf.getvalue())
 
 
@@ -403,17 +391,16 @@ def cmd_circuit(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    r = args.reflectivity
-    bs = photonic.BS_PRESETS[cfg.bs] if r is None else photonic.BsParams(r, r)
-    channel, probs = photonic.cz_channel(photonic.build_cz_network(bs))
+    r = photonic.BS_PRESETS[cfg.bs] if args.reflectivity is None else args.reflectivity
+    channel, probs = photonic.cz_channel(photonic.build_cz_network(r))
     amps = np.diagonal(channel)
     fid = photonic.channel_fidelity_to_cz(channel)
-    vis = photonic.hom_visibility(bs)
-    # Small reflectivity imbalance (the experimental preset) still counts as
+    vis = photonic.hom_visibility(r)
+    # A reflectivity slightly off 1/3 (the experimental preset) still counts as
     # a working CZ; a fidelity this far below 1 means the wrong gate.
     cz_ok = fid >= 0.99 and np.max(np.abs(probs - probs[0])) < 0.05
     write_json(out / "cz_verification.json", cfg, {
-        "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
+        "reflectivity": r,
         "truth_table_amplitudes": _re_im(amps),
         "amplitude_magnitudes": [float(abs(a)) for a in amps],
         "success_probabilities": [float(p) for p in probs],
@@ -488,9 +475,9 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     out = Path(cfg.output_dir)
-    bs = photonic.BS_PRESETS[cfg.bs]
+    r = photonic.BS_PRESETS[cfg.bs]
     grid = [float(g) for g in cfg.gamma_grid]
-    probs, weights, visibility = photonic.hom_scan(grid, bs)
+    probs, weights, visibility = photonic.hom_scan(grid, r)
     rows = [[g, math.inf if g == 0.0 else 0.0 if g >= 1.0
              else cfg.coherence_sigma_ps * math.sqrt(-2.0 * math.log(g)), p]
             for g, p in zip(grid, probs.tolist())]
@@ -498,7 +485,7 @@ def cmd_hom_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     write_csv(out / "hom_scan.csv", cfg, ["gamma", "delay_ps", "coincidence_prob"], rows)
     write_csv(out / "v_of_gamma.csv", cfg, ["gamma", "v"], vrows)
     write_json(out / "hom_summary.json", cfg, {
-        "bs": {"R_H": bs.R_H, "R_V": bs.R_V},
+        "reflectivity": r,
         "visibility": visibility,
         "visibility_ideal_theory": 0.8,
     })
@@ -590,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("photonic-verify", help="verify the post-selected CZ network")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--bs", help="preset name")
-    g.add_argument("--reflectivity", type=float, help="override both reflectivities")
+    g.add_argument("--reflectivity", type=float, help="beam-splitter reflectivity")
 
     p = sub.add_parser("scan", parents=[per_setting],
                        help="decoherence / distinguishability scans")

@@ -22,7 +22,6 @@ the beam displacers copy the polarization qubit (V=0, H=1) onto the path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,21 +80,10 @@ BEAM_DISPLACERS = _swap_table([(("out1", "V"), ("1", "V")), (("out1", "H"), ("2"
 HALF_WAVE_PLATES = _swap_table([(("2", "H"), ("2", "V")), (("3", "H"), ("3", "V"))])
 
 
-@dataclass(frozen=True)
-class BsParams:
-    """Power reflectivities of the central beam splitter, per polarization."""
-
-    R_H: float = 1 / 3
-    R_V: float = 1 / 3
-
-    def __post_init__(self):
-        for r in (self.R_H, self.R_V):
-            check_unit(r, "reflectivity")
-
-
-IDEAL_BS = BsParams()
-EXPERIMENTAL_BS = BsParams(R_H=0.329, R_V=0.337)
-BS_PRESETS = {"ideal": IDEAL_BS, "experimental": EXPERIMENTAL_BS}
+# Power reflectivity of the central beam splitter.  The half-wave plates turn
+# every photon V before it meets a coupler, so one reflectivity serves both
+# polarizations.
+BS_PRESETS = {"ideal": 1 / 3, "experimental": 0.337}
 
 
 def single_photon(path: str, pol: str, label: int = 0) -> np.ndarray:
@@ -136,25 +124,20 @@ def coupler_unitary(R: float) -> np.ndarray:
 
 
 @functools.cache
-def build_cz_network(bs: BsParams = IDEAL_BS) -> np.ndarray:
-    """Three parallel couplers on path pairs (out1,1), (2,3), (4,out4), built once per ``bs``.
-
-    The polarization sector with reflectivity R sees I_3 (x) C(R) on the
-    paths.
-    """
-    sectors = ((bs.R_H, np.diag([1.0, 0.0])), (bs.R_V, np.diag([0.0, 1.0])))
-    u = sum(np.kron(np.kron(np.eye(3), coupler_unitary(r)), proj) for r, proj in sectors)
-    return _network(u)
+def build_cz_network(R: float = 1 / 3) -> np.ndarray:
+    """Three parallel couplers of reflectivity ``R`` on path pairs (out1,1), (2,3),
+    (4,out4), I_3 (x) C(R) on the paths of each polarization, built once per ``R``."""
+    return _network(np.kron(np.kron(np.eye(3), coupler_unitary(R)), np.eye(len(POLS))))
 
 
 @functools.cache
-def build_full_network(bs: BsParams = IDEAL_BS) -> np.ndarray:
-    """BDs + HWPs + BS + HWPs up to the coincidence detection, built once per ``bs``.
+def build_full_network(R: float = 1 / 3) -> np.ndarray:
+    """BDs + HWPs + BS + HWPs up to the coincidence detection, built once per ``R``.
 
     The displacers and wave plates permute modes, so U_hwp U_bs U_hwp U_bd is
     a gather of the coupler's (path, polarization) block U_12.
     """
-    u = build_cz_network(bs)[::2, ::2]
+    u = build_cz_network(R)[::2, ::2]
     return _network(u[np.ix_(HALF_WAVE_PLATES, HALF_WAVE_PLATES[BEAM_DISPLACERS])])
 
 
@@ -263,7 +246,7 @@ def channel_fidelity_to_cz(m: np.ndarray) -> float:
     return float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom)
 
 
-def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
+def hom_coincidence(overlaps, R: float = 1 / 3) -> np.ndarray:
     """Coincidence probability for photons meeting on paths 2 and 3, per overlap.
 
     Each overlap is the temporal wavepacket overlap amplitude gamma; the
@@ -273,7 +256,7 @@ def hom_coincidence(overlaps, bs: BsParams = IDEAL_BS) -> np.ndarray:
     """
     photon_b = np.stack([single_photon("3", "V", l) for l in LABELS])
     t = evolve(pair_tensors(np.stack([single_photon("2", "V")] * 2), photon_b),
-               build_cz_network(bs))
+               build_cz_network(R))
     return pair_mass(_mix_labels(coincidence_block(t, ("2",), ("3",)), overlaps, "overlap"))
 
 
@@ -282,12 +265,12 @@ def _dip_visibility(probs: np.ndarray) -> float:
     return float((probs[-2] - probs[-1]) / probs[-2])
 
 
-def hom_visibility(bs: BsParams = IDEAL_BS) -> float:
+def hom_visibility(R: float = 1 / 3) -> float:
     """(P_max - P_min)/P_max between distinguishable and indistinguishable photons."""
-    return _dip_visibility(hom_coincidence([0.0, 1.0], bs))
+    return _dip_visibility(hom_coincidence([0.0, 1.0], R))
 
 
-def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray]:
+def simulate_pipeline_grid(gammas, R: float = 1 / 3) -> tuple[np.ndarray, np.ndarray]:
     """Run the full optical pipeline for each overlap gamma and post-select on coincidences.
 
     Both photons enter in (|H> + |V>)/sqrt(2), on paths out1 and out4.  Returns the
@@ -298,7 +281,7 @@ def simulate_pipeline_grid(gammas, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray,
     photon_a = (single_photon("out1", "H") + single_photon("out1", "V")) / np.sqrt(2)
     photon_b = np.stack([single_photon("out4", "H", l) + single_photon("out4", "V", l)
                          for l in LABELS]) / np.sqrt(2)
-    t = evolve(pair_tensors(np.stack([photon_a] * 2), photon_b), build_full_network(bs))
+    t = evolve(pair_tensors(np.stack([photon_a] * 2), photon_b), build_full_network(R))
     return post_select_coincidence(_mix_labels(coincidence_block(t), gammas, "gamma"))
 
 
@@ -311,9 +294,9 @@ def fit_visibility_weights(rho_canonical: np.ndarray) -> np.ndarray:
             / np.sum(np.abs(diff) ** 2))
 
 
-def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray, float]:
+def hom_scan(overlaps, R: float = 1 / 3) -> tuple[np.ndarray, np.ndarray, float]:
     """HOM dip P and singlet weight v of the post-selected state, per overlap, as (G,)
-    arrays, and the ``hom_visibility`` of ``bs``.
+    arrays, and the ``hom_visibility`` of ``R``.
 
     Two ``evolve`` calls of two members each, whatever the number of
     overlaps: the dip's two label components through the couplers, whose
@@ -322,6 +305,6 @@ def hom_scan(overlaps, bs: BsParams = IDEAL_BS) -> tuple[np.ndarray, np.ndarray,
     network, whose (8, 8) coincidence blocks are combined for the overlaps.
     v is fitted in the frame of ``circuit.singlet_frame``.
     """
-    probs = hom_coincidence([*overlaps, 0.0, 1.0], bs)
-    rho, _ = simulate_pipeline_grid(overlaps, bs)
+    probs = hom_coincidence([*overlaps, 0.0, 1.0], R)
+    rho, _ = simulate_pipeline_grid(overlaps, R)
     return probs[:-2], fit_visibility_weights(circuit.singlet_frame(rho)), _dip_visibility(probs)

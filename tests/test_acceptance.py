@@ -55,8 +55,8 @@ def test_02_photonic_cz_oracle():
 
 
 def test_03_hom_visibility():
-    v_third = photonic.hom_visibility(photonic.BsParams(1 / 3, 1 / 3))
-    v_half = photonic.hom_visibility(photonic.BsParams(0.5, 0.5))
+    v_third = photonic.hom_visibility(1 / 3)
+    v_half = photonic.hom_visibility(0.5)
     ok = abs(v_third - 0.8) <= 1e-9 and abs(v_half - 1.0) <= 1e-9
     report(
         "HOM visibility 0.8 at R=1/3 and 1.0 at R=1/2",

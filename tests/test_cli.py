@@ -104,6 +104,70 @@ class TestConfig:
         assert cfg.seed == 9
 
 
+# One command that reads each config field (set in a config file) and each model flag,
+# with two valid values.  Grids stay at three points and fits small.
+SMALL_GRIDS = {"eta_grid": [0.0, 0.5, 1.0], "v_grid": [0.0, 0.5, 1.0],
+               "gamma_grid": [0.0, 0.5, 1.0]}
+NO_FITS = ["--counts-per-setting", "0"]
+SETTING_READERS = {
+    "phi": (["circuit"], 0.7, 2.5),
+    "eta_grid": (["scan", "--param", "eta", *NO_FITS], [0.0, 0.5], [0.2, 0.9]),
+    "v_grid": (["scan", "--param", "v", *NO_FITS], [0.0, 0.5], [0.2, 0.9]),
+    "gamma_grid": (["hom-scan"], [0.0, 1.0], [0.3, 0.6]),
+    "bs": (["hom-scan"], "ideal", "experimental"),
+    "counts_per_setting": (["simulate-counts"], 100, 200),
+    "mc_replicas": (["certify", "--state", "{state}", "--counts-per-setting", "200"], 2, 5),
+    "seed": (["simulate-counts", "--counts-per-setting", "100"], 1, 2),
+    "baseline_weight": (["scan", "--param", "eta", *NO_FITS], 0.3, 0.6),
+    "coherence_sigma_ps": (["hom-scan"], 100.0, 300.0),
+    "--reflectivity": (["photonic-verify"], 0.333, 0.337),
+    "--eta": (["simulate-counts", "--model", "dephased", "--counts-per-setting", "100"],
+              0.2, 0.8),
+    "--v": (["simulate-counts", "--model", "distinguishable", "--counts-per-setting", "100"],
+            0.2, 0.8),
+}
+
+
+def stripped_outputs(out, echo: str) -> dict:
+    """Every output file under ``out`` without its metadata: the ``meta`` block of a JSON
+    file and the ``#`` lines of a CSV.  A JSON field named ``echo``, which only repeats the
+    setting, is dropped too."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".json":
+            doc = read_json(path)
+            files[path.name] = {k: v for k, v in doc.items() if k not in ("meta", echo)}
+        else:
+            files[path.name] = [ln for ln in path.read_text().splitlines()
+                                if not ln.startswith("#")]
+    return files
+
+
+class TestEverySettingIsRead:
+    def test_every_config_field_has_a_reader(self):
+        names = {f.name for f in dataclasses.fields(cli.ExperimentConfig)} - {"output_dir"}
+        assert names == {k for k in SETTING_READERS if not k.startswith("--")}
+
+    @pytest.mark.parametrize("setting", sorted(SETTING_READERS))
+    def test_the_setting_changes_an_output(self, tmp_path, setting):
+        state = tmp_path / "singlet.json"
+        state.write_text(json.dumps(cli.state_json(noise.SINGLET)))
+        command, *values = SETTING_READERS[setting]
+        command = [a.replace("{state}", str(state)) for a in command]
+        outputs = []
+        for k, value in enumerate(values):
+            cfg, argv = dict(SMALL_GRIDS), list(command)
+            if setting.startswith("--"):
+                argv += [setting, str(value)]
+            else:
+                cfg[setting] = value
+            (tmp_path / f"cfg{k}.json").write_text(json.dumps(cfg))
+            out = tmp_path / f"out{k}"
+            assert run("--config", str(tmp_path / f"cfg{k}.json"), "--out", str(out), *argv) == 0
+            outputs.append(stripped_outputs(out, setting.lstrip("-")))
+        assert outputs[0].keys() == outputs[1].keys() and outputs[0] != outputs[1]
+
+
 class TestCircuitCommand:
     def test_summary_values(self, tmp_path):
         assert run("--out", str(tmp_path), "circuit") == 0
@@ -163,7 +227,7 @@ class TestPhotonicVerify:
         cfg.write_text(json.dumps({"bs": "experimental"}))
         assert run("--config", str(cfg), "--out", str(tmp_path), "photonic-verify",
                    "--reflectivity", "0.34") == 0
-        assert read_json(tmp_path / "cz_verification.json")["bs"] == {"R_H": 0.34, "R_V": 0.34}
+        assert read_json(tmp_path / "cz_verification.json")["reflectivity"] == 0.34
 
     def test_half_reflectivity_fails_with_exit_4(self, tmp_path, capsys):
         code = run("--out", str(tmp_path), "photonic-verify", "--reflectivity", "0.5")
@@ -1063,7 +1127,7 @@ class TestExitCodeFuzz:
         outcomes = set()
 
         @given(certify_or_scan())
-        @settings(max_examples=60)
+        @settings(max_examples=200)
         def check(case):
             config, argv, csv_text = case
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -1208,6 +1272,13 @@ def deep_json_doc(draw):
     return doc
 
 
+# The cells a CSV writer is handed: floats, ints and setting axes, a name or three
+# "%.17g" floats joined by ":".
+AXIS_CELL = st.one_of(
+    st.sampled_from(["X", "Y", "Z"]),
+    st.lists(st.floats(), min_size=3, max_size=3).map(lambda v: ":".join(cli._fmt(x) for x in v)))
+
+
 def csv_reference(cfg, header, rows):
     """A CSV output as ``write_csv`` rendered it with one ``csv.writer.writerow`` per row
     and each float through ``format(float(x), ".17g")``."""
@@ -1254,8 +1325,8 @@ class TestWriters:
         header = ["a", "b", "c", "d", "e", "f", "g"]
         rows = [
             [0.1, np.float64(2 / 3), 7, "X", math.inf, math.nan, -0.0],
-            [np.float64(-math.inf), 10**20, "a,b", 5e-324, 'q"u', -1, np.float64(-0.0)],
-            [1e22, 0.5, 0, "", np.float64(math.nan), 123456789.125, 2.0**-1074],
+            [np.float64(-math.inf), 10**20, "Y", 5e-324, "0.6:-0:0.8", -1, np.float64(-0.0)],
+            [1e22, 0.5, 0, "Z", np.float64(math.nan), 123456789.125, 2.0**-1074],
         ]
         cli.write_csv(tmp_path / "t.csv", cfg, header, rows)
         assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, header, rows)
@@ -1271,20 +1342,9 @@ class TestWriters:
         cli.write_csv(tmp_path / "t.csv", cfg, list("abcdef"), rows)
         assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, list("abcdef"), rows)
 
-    def test_text_csv_writer_quotes_is_quoted_identically(self, tmp_path):
-        cfg = cli.ExperimentConfig()
-        rows = [["a,b", 0.5], ['"q"', 1], ["line\nbreak", "cr\r"], [""], ["", ""], [None],
-                [None, 2.5], [], ["plain", "text", "None"]]
-        cli.write_csv(tmp_path / "t.csv", cfg, ["x", "y"], rows)
-        assert (tmp_path / "t.csv").read_bytes() == csv_reference(cfg, ["x", "y"], rows)
-        with open(tmp_path / "t.csv", newline="") as fh:
-            back = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
-        assert back[1:4] == [["a,b", "0.5"], ['"q"', "1"], ["line\nbreak", "cr\r"]]
-
     @settings(max_examples=200, derandomize=True)
     @given(st.lists(st.lists(st.one_of(
-        st.floats(), st.floats().map(np.float64), st.integers(), st.booleans(), st.none(),
-        st.text(alphabet=st.sampled_from(list(',"\r\n ab%s-0.')), max_size=4)),
+        st.floats(), st.floats().map(np.float64), st.integers(), AXIS_CELL),
         max_size=5), max_size=6))
     def test_csv_rows_render_as_csv_writer_does(self, tmp_path_factory, rows):
         cfg = cli.ExperimentConfig()

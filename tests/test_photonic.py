@@ -20,10 +20,10 @@ def _ref_swaps(pairs) -> np.ndarray:
     return u
 
 
-def reference_cz_unitary(bs) -> np.ndarray:
+def reference_cz_unitary(R) -> np.ndarray:
     u = np.eye(photonic.N_MODES, dtype=complex)
-    for pol, r in (("H", bs.R_H), ("V", bs.R_V)):
-        block = photonic.coupler_unitary(r)
+    block = photonic.coupler_unitary(R)
+    for pol in photonic.POLS:
         for label in photonic.LABELS:
             for pa, pb in (("out1", "1"), ("2", "3"), ("4", "out4")):
                 i, j = photonic.mode_index(pa, pol, label), photonic.mode_index(pb, pol, label)
@@ -31,14 +31,22 @@ def reference_cz_unitary(bs) -> np.ndarray:
     return u
 
 
-def reference_full_unitary(bs) -> np.ndarray:
+def reference_wave_plates() -> np.ndarray:
+    return _ref_swaps([((p, "H", l), (p, "V", l)) for p in ("2", "3") for l in photonic.LABELS])
+
+
+def reference_coupler_entry() -> np.ndarray:
+    """The beam displacers, then the half-wave plates: the full network up to the couplers."""
     labels = photonic.LABELS
     bd1 = _ref_swaps([(("out1", "V", l), ("1", "V", l)) for l in labels]
                      + [(("out1", "H", l), ("2", "H", l)) for l in labels])
     bd2 = _ref_swaps([(("out4", "H", l), ("3", "H", l)) for l in labels]
                      + [(("out4", "V", l), ("4", "V", l)) for l in labels])
-    hwp = _ref_swaps([((p, "H", l), (p, "V", l)) for p in ("2", "3") for l in labels])
-    return hwp @ reference_cz_unitary(bs) @ hwp @ (bd2 @ bd1)
+    return reference_wave_plates() @ (bd2 @ bd1)
+
+
+def reference_full_unitary(R) -> np.ndarray:
+    return reference_wave_plates() @ reference_cz_unitary(R) @ reference_coupler_entry()
 
 
 def fock_terms(t: np.ndarray) -> dict[tuple[int, int], complex]:
@@ -112,23 +120,23 @@ def full_post_selection(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rho, full_pair_mass(t, ("1", "2"), ("4", "3"))
 
 
-def full_grid_kernels(grid, bs):
+def full_grid_kernels(grid, R):
     """(dip, rho, mass) of ``grid``: the dip at the grid and at overlaps 0 and 1, and the
     pipeline's post-selected states and masses, each from its full combined tensors."""
     sp = photonic.single_photon
     dip = photonic.evolve(photonic.pair_tensors(
         np.stack([sp("2", "V")] * 2), np.stack([sp("3", "V", l) for l in photonic.LABELS])),
-        photonic.build_cz_network(bs))
+        photonic.build_cz_network(R))
     photon_a = (sp("out1", "H") + sp("out1", "V")) / np.sqrt(2)
     photon_b = np.stack([sp("out4", "H", l) + sp("out4", "V", l)
                          for l in photonic.LABELS]) / np.sqrt(2)
     pipe = photonic.evolve(photonic.pair_tensors(np.stack([photon_a] * 2), photon_b),
-                           photonic.build_full_network(bs))
+                           photonic.build_full_network(R))
     probs = full_pair_mass(full_mix(dip, [*grid, 0.0, 1.0]), ("2",), ("3",))
     return (probs, *full_post_selection(full_mix(pipe, grid)))
 
 
-def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
+def reference_hom_point(gamma: float, R) -> tuple[float, float, np.ndarray]:
     """(P, v, rho) at one overlap, each from its own photon pair evolved on its own."""
     d = np.sqrt(1.0 - gamma * gamma)
     sp = photonic.single_photon
@@ -137,12 +145,12 @@ def reference_hom_point(gamma: float, bs) -> tuple[float, float, np.ndarray]:
         return sum(gamma * sp(path, pol, 0) + d * sp(path, pol, 1) for pol in pols)
 
     (dip,) = photonic.evolve(pair(sp("2", "V", 0), second("3", "V")),
-                             photonic.build_cz_network(bs))
+                             photonic.build_cz_network(R))
     p = sum(abs(amp) ** 2 for (i, j), amp in fock_terms(dip).items()
             if {MODES[i][0], MODES[j][0]} == {"2", "3"})
     photon_a = (sp("out1", "H", 0) + sp("out1", "V", 0)) / np.sqrt(2)
     (out,) = photonic.evolve(pair(photon_a, second("out4", "HV") / np.sqrt(2)),
-                             photonic.build_full_network(bs))
+                             photonic.build_full_network(R))
     rho, _ = walk_post_selection(out)
     canon = circuit.singlet_frame(qmath.check_density(rho))
     s, rd = circuit.singlet().density().matrix, noise.RHO_DIST
@@ -213,7 +221,7 @@ class TestFockState:
     def test_a_stack_evolves_as_its_members_alone(self):
         rng = np.random.default_rng(41)
         a, b = (np.stack([random_photon(rng) for _ in range(5)]) for _ in range(2))
-        net = photonic.build_full_network(photonic.EXPERIMENTAL_BS)
+        net = photonic.build_full_network(photonic.BS_PRESETS["experimental"])
         stacked = photonic.evolve(photonic.pair_tensors(a, b), net)
         for k in range(5):
             alone = photonic.evolve(pair(a[k], b[k]), net)[0]
@@ -228,7 +236,7 @@ class TestFockState:
                 photonic.evolve(t, photonic.build_cz_network())
 
     def test_output_amplitudes_are_permanents(self):
-        net = photonic.build_full_network(photonic.EXPERIMENTAL_BS)
+        net = photonic.build_full_network(photonic.BS_PRESETS["experimental"])
         # a_i^dag -> sum_r (U^dag)_ir b_r^dag: a single photon entering mode i
         # leaves in mode r with amplitude m[r, i].
         m = net.conj()
@@ -258,21 +266,20 @@ class TestNetworks:
         with pytest.raises(qmath.OutOfRange):
             photonic.coupler_unitary(1.5)
         with pytest.raises(qmath.OutOfRange):
-            photonic.BsParams(R_H=-0.1)
+            photonic.build_cz_network(-0.1)
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @example(1 / 3, 1 / 3)  # the ideal preset
-    @example(0.329, 0.337)  # the experimental preset
+    @given(st.floats(0.0, 1.0))
+    @example(1 / 3)  # the ideal preset
+    @example(0.337)  # the experimental preset
     @settings(max_examples=25, deadline=None)
-    def test_networks_equal_the_per_mode_reference(self, r_h, r_v):
-        bs = photonic.BsParams(r_h, r_v)
-        assert np.array_equal(photonic.build_cz_network(bs), reference_cz_unitary(bs))
-        assert np.array_equal(photonic.build_full_network(bs), reference_full_unitary(bs))
+    def test_networks_equal_the_per_mode_reference(self, R):
+        assert np.array_equal(photonic.build_cz_network(R), reference_cz_unitary(R))
+        assert np.array_equal(photonic.build_full_network(R), reference_full_unitary(R))
 
     def test_networks_are_cached_and_read_only(self):
         for build in (photonic.build_cz_network, photonic.build_full_network):
-            net = build(photonic.EXPERIMENTAL_BS)
-            assert build(photonic.BsParams(0.329, 0.337)) is net
+            net = build(photonic.BS_PRESETS["experimental"])
+            assert build(0.337) is net
             with pytest.raises(ValueError):
                 net[0, 0] = 0.0
 
@@ -284,10 +291,31 @@ class TestNetworks:
         for net in (
             photonic.build_cz_network(),
             photonic.build_full_network(),
-            photonic.build_full_network(photonic.EXPERIMENTAL_BS),
+            photonic.build_full_network(photonic.BS_PRESETS["experimental"]),
         ):
             assert net.shape == (photonic.N_MODES, photonic.N_MODES)
             assert np.allclose(net @ net.conj().T, np.eye(photonic.N_MODES), atol=1e-12)
+
+
+class TestPolarizationAtTheCouplers:
+    def test_every_evolved_input_enters_the_couplers_v_polarized(self, monkeypatch):
+        # Why one reflectivity serves both polarizations: each input the package
+        # evolves holds exactly zero amplitude in every H mode where it enters the
+        # couplers, so no H reflectivity could reach a number.
+        calls = []
+        evolve = photonic.evolve
+        monkeypatch.setattr(photonic, "evolve",
+                            lambda t, net: calls.append((t, net)) or evolve(t, net))
+        photonic.cz_channel(photonic.build_cz_network())  # the four logical inputs
+        photonic.hom_coincidence([0.5])  # the dip's two label components
+        photonic.simulate_pipeline_grid([0.5])  # the pipeline's two label components
+        assert [len(t) for t, _ in calls] == [4, 2, 2]
+        assert np.array_equal(calls[2][1], reference_full_unitary(1 / 3))
+        # The pipeline's inputs meet the couplers after the displacers and wave plates.
+        entering = [calls[0][0], calls[1][0], evolve(calls[2][0], reference_coupler_entry())]
+        h = [photonic.mode_index(p, "H", l) for p in photonic.PATHS for l in photonic.LABELS]
+        for t in entering:
+            assert t.any() and not t[:, h].any() and not t[:, :, h].any()
 
 
 class TestCzGate:
@@ -308,7 +336,7 @@ class TestCzGate:
         assert photonic.channel_fidelity_to_cz(channel) == pytest.approx(1.0, abs=1e-12)
 
     def test_process_fidelity_degrades_off_third(self):
-        channel, _ = photonic.cz_channel(photonic.build_cz_network(photonic.BsParams(0.5, 0.5)))
+        channel, _ = photonic.cz_channel(photonic.build_cz_network(0.5))
         assert photonic.channel_fidelity_to_cz(channel) < 0.99
 
 
@@ -373,8 +401,7 @@ class TestHom:
         assert photonic.hom_visibility() == pytest.approx(0.8, abs=1e-12)
 
     def test_visibility_balanced_splitter(self):
-        bs = photonic.BsParams(0.5, 0.5)
-        assert photonic.hom_visibility(bs) == pytest.approx(1.0, abs=1e-12)
+        assert photonic.hom_visibility(0.5) == pytest.approx(1.0, abs=1e-12)
 
     def test_dip_endpoints(self):
         p_dist, p_ind = photonic.hom_coincidence([0.0, 1.0])
@@ -399,33 +426,31 @@ class TestHom:
 class TestGridKernels:
     GRID = np.unique(np.concatenate([[0.0, 1.0], np.random.default_rng(37).uniform(0, 1, 35)]))
 
-    @pytest.mark.parametrize("bs", [photonic.IDEAL_BS, photonic.EXPERIMENTAL_BS,
-                                    photonic.BsParams(0.3, 0.45)], ids=str)
-    def test_kernels_match_a_per_point_reference(self, bs):
+    @pytest.mark.parametrize("R", [1 / 3, 0.337, 0.45], ids=str)
+    def test_kernels_match_a_per_point_reference(self, R):
         assert len(self.GRID) == 37
-        probs, weights, visibility = photonic.hom_scan(self.GRID, bs)
-        assert visibility == photonic.hom_visibility(bs)
-        rho, mass = photonic.simulate_pipeline_grid(self.GRID, bs)
+        probs, weights, visibility = photonic.hom_scan(self.GRID, R)
+        assert visibility == photonic.hom_visibility(R)
+        rho, mass = photonic.simulate_pipeline_grid(self.GRID, R)
         for k, gamma in enumerate(self.GRID):
-            p, v, r = reference_hom_point(float(gamma), bs)
+            p, v, r = reference_hom_point(float(gamma), R)
             assert abs(probs[k] - p) < 1e-12
             assert abs(weights[k] - v) < 1e-12
             assert np.max(np.abs(rho[k] - r)) < 1e-12
             # A point of the grid is the grid of that point alone.
-            one, one_mass = photonic.simulate_pipeline_grid([gamma], bs)
+            one, one_mass = photonic.simulate_pipeline_grid([gamma], R)
             assert np.max(np.abs(one[0] - rho[k])) < 1e-15 and abs(one_mass[0] - mass[k]) < 1e-15
 
 
     @pytest.mark.parametrize("grid", [GRID, []], ids=["grid", "empty"])
-    @pytest.mark.parametrize("bs", [photonic.IDEAL_BS, photonic.EXPERIMENTAL_BS,
-                                    photonic.BsParams(0.3, 0.45)], ids=str)
-    def test_block_kernels_equal_the_full_tensor_kernels_bit_for_bit(self, bs, grid):
-        probs, rho, mass = full_grid_kernels(grid, bs)
-        assert np.array_equal(photonic.hom_coincidence([*grid, 0.0, 1.0], bs), probs)
-        got_rho, got_mass = photonic.simulate_pipeline_grid(grid, bs)
+    @pytest.mark.parametrize("R", [1 / 3, 0.337, 0.45], ids=str)
+    def test_block_kernels_equal_the_full_tensor_kernels_bit_for_bit(self, R, grid):
+        probs, rho, mass = full_grid_kernels(grid, R)
+        assert np.array_equal(photonic.hom_coincidence([*grid, 0.0, 1.0], R), probs)
+        got_rho, got_mass = photonic.simulate_pipeline_grid(grid, R)
         assert got_rho.shape == rho.shape == (len(grid), 4, 4)
         assert np.array_equal(got_rho, rho) and np.array_equal(got_mass, mass)
-        dip, weights, visibility = photonic.hom_scan(grid, bs)
+        dip, weights, visibility = photonic.hom_scan(grid, R)
         assert np.array_equal(dip, probs[:-2])
         assert np.array_equal(weights, photonic.fit_visibility_weights(circuit.singlet_frame(rho)))
         assert visibility == (probs[-2] - probs[-1]) / probs[-2]
@@ -458,14 +483,13 @@ class TestPipeline:
         v = photonic.fit_visibility_weights(circuit.singlet_frame(rho))
         np.testing.assert_allclose(v, [0.0, 1.0], rtol=0, atol=1e-9)
 
-    @given(st.lists(st.floats(0.0, 1.0), max_size=6),
-           st.floats(1e-3, 1 - 1e-3), st.floats(1e-3, 1 - 1e-3))
-    @example([0.0, 1.0], 1 / 3, 1 / 3)
-    @example([0.0, 1.0], 0.329, 0.337)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=6), st.floats(1e-3, 1 - 1e-3))
+    @example([0.0, 1.0], 1 / 3)
+    @example([0.0, 1.0], 0.337)
     @settings(max_examples=40, deadline=None)
-    def test_post_selected_states_are_density_matrices(self, gammas, r_h, r_v):
+    def test_post_selected_states_are_density_matrices(self, gammas, R):
         # Built unchecked: each state is a partial trace of a unit vector's projector.
-        rho, _ = photonic.simulate_pipeline_grid(gammas, photonic.BsParams(r_h, r_v))
+        rho, _ = photonic.simulate_pipeline_grid(gammas, R)
         assert qmath.check_density(rho).shape == (len(gammas), 4, 4)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -473,7 +497,7 @@ class TestPipeline:
     def test_post_selection_matches_a_walk_over_fock_terms(self, seed):
         rng = np.random.default_rng(seed)
         t = photonic.evolve(pair(random_photon(rng), random_photon(rng)),
-                            photonic.build_full_network(photonic.EXPERIMENTAL_BS))
+                            photonic.build_full_network(photonic.BS_PRESETS["experimental"]))
         expect, mass = walk_post_selection(t[0])
         rho, got_mass = photonic.post_select_coincidence(photonic.coincidence_block(t))
         qmath.check_density(rho)

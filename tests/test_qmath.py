@@ -71,8 +71,7 @@ class TestPartialOps:
 # "dephased_singlet" and "distinguishable_state" label a one-point call of a stacked
 # kernel: simulate_pipeline_grid, dephased_singlets and distinguishable_states.
 UNIT_PARAMETERS = {
-    "BsParams.R_H": lambda x: photonic.BsParams(R_H=x),
-    "BsParams.R_V": lambda x: photonic.BsParams(R_V=x),
+    "build_cz_network": photonic.build_cz_network,
     "coupler_unitary": photonic.coupler_unitary,
     "hom_coincidence": lambda x: photonic.hom_coincidence([0.5, x]),
     "simulate_pipeline": lambda x: photonic.simulate_pipeline_grid([x]),
