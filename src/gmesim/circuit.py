@@ -92,15 +92,13 @@ def _canonical_rotation() -> np.ndarray:
     """Single-qubit unitary G with (I x G) |psi_ideal(pi)> = |singlet>.
 
     Solved from the coefficient matrix of the ideal phi=pi state, which is
-    maximally entangled, so G is unique up to global phase; the phase is
+    maximally entangled, so G is unique up to global phase and unitary (both
+    coefficient matrices are unitary up to the same 1/sqrt(2)); the phase is
     fixed by the construction below.
     """
     m = ideal_spin_state(pi).reshape(2, 2)
     s = singlet().amplitudes.reshape(2, 2)
-    g = np.linalg.solve(m, s).T
-    if np.max(np.abs(g @ g.conj().T - np.eye(2))) > 1e-12:
-        raise qmath.QmathError("canonical rotation is not unitary")
-    return g
+    return np.linalg.solve(m, s).T
 
 
 CANONICAL_G = _canonical_rotation()

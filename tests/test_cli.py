@@ -1023,7 +1023,9 @@ def fuzz_argv(draw):
 # certify --counts reads a generated CSV: each Pauli-pair row is kept, left
 # out, kept beside an all-zero copy (a dropped row, which measures nothing), or
 # given a Bloch-vector axis (unit, not unit, NaN or inf), with counts of at most
-# 50, not all zero.  scan runs grids of up to three points.
+# 50, not all zero; or it reads all nine Pauli-pair rows with counts of 1 to 50,
+# a file it runs to the end whatever else the draws meet.  scan runs grids of up
+# to three points.
 BLOCH_TEXT = st.one_of(
     st.sampled_from(["0.6:0.8:0", "0:0:-1", "0.7071067811865476:0:0.7071067811865476",
                      "nan:0:1", "inf:0:0", "1:1:0", "0:0"]),
@@ -1055,6 +1057,14 @@ def counts_csv_text(draw):
     return "\n".join(lines) + "\n"
 
 
+@st.composite
+def complete_counts_csv_text(draw):
+    rows = [",".join([a, b, *map(str, draw(st.lists(st.integers(1, 50), min_size=4,
+                                                     max_size=4)))])
+            for a in "XYZ" for b in "XYZ"]
+    return "\n".join(["setting_a,setting_b,n_pp,n_pm,n_mp,n_mm", *rows]) + "\n"
+
+
 SMALL_GRID = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
 
 
@@ -1062,7 +1072,8 @@ SMALL_GRID = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
 def certify_or_scan(draw):
     config = {"seed": draw(st.integers(0, 10**6)), "mc_replicas": 2}
     if draw(st.booleans()):
-        return config, ("certify", "--counts", "{csv}"), draw(counts_csv_text())
+        csv_text = draw(st.one_of(counts_csv_text(), complete_counts_csv_text()))
+        return config, ("certify", "--counts", "{csv}"), csv_text
     param = draw(st.sampled_from(["eta", "v"]))
     config.update({f"{param}_grid": draw(SMALL_GRID),
                    "counts_per_setting": draw(st.integers(0, 50)),

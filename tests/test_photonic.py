@@ -65,6 +65,26 @@ def pair(photon_a: np.ndarray, photon_b: np.ndarray) -> np.ndarray:
     return photonic.pair_tensors(photon_a[None], photon_b[None])
 
 
+def evolved_pairs(photon_a: np.ndarray, photon_b: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """The (K, N, N) stack of the pairs of two (K, N) photon stacks after ``net``."""
+    return photonic.pair_tensors(*photonic.evolve(np.stack([photon_a, photon_b]), net))
+
+
+def reference_evolve(t: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """A (K, N, N) stack of pair tensors pushed through ``net`` as a whole: the tensor
+    sandwich t -> A^T t A with A = U^dag, symmetrized."""
+    a = net.conj().T
+    out = a.T @ t @ a
+    return (out + out.swapaxes(1, 2)) / 2
+
+
+def raw_pair_norm(photon_a: np.ndarray, photon_b: np.ndarray) -> np.ndarray:
+    """(K,) norms of the pair tensors (a b^T + b a^T) / 2 of two (K, N) stacks, before
+    ``pair_tensors`` normalizes them."""
+    t = photon_a[:, :, None] * photon_b[:, None, :]
+    return 2 * np.sum(np.abs((t + t.swapaxes(1, 2)) / 2) ** 2, axis=(1, 2))
+
+
 def random_photon(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=photonic.N_MODES) + 1j * rng.normal(size=photonic.N_MODES)
     return v / np.linalg.norm(v)
@@ -122,16 +142,19 @@ def full_post_selection(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def full_grid_kernels(grid, R):
     """(dip, rho, mass) of ``grid``: the dip at the grid and at overlaps 0 and 1, and the
-    pipeline's post-selected states and masses, each from its full combined tensors."""
+    pipeline's post-selected states and masses, each from its full combined tensors.
+
+    The pairs are evolved as the package evolves them, photons first: this is the
+    reference for combining and slicing, compared bit for bit.  The tensor sandwich
+    gives the same pairs only within an ulp (``reference_hom_point`` uses it)."""
     sp = photonic.single_photon
-    dip = photonic.evolve(photonic.pair_tensors(
-        np.stack([sp("2", "V")] * 2), np.stack([sp("3", "V", l) for l in photonic.LABELS])),
-        photonic.build_cz_network(R))
+    dip = evolved_pairs(np.stack([sp("2", "V")] * 2),
+                        np.stack([sp("3", "V", l) for l in photonic.LABELS]),
+                        photonic.build_cz_network(R))
     photon_a = (sp("out1", "H") + sp("out1", "V")) / np.sqrt(2)
     photon_b = np.stack([sp("out4", "H", l) + sp("out4", "V", l)
                          for l in photonic.LABELS]) / np.sqrt(2)
-    pipe = photonic.evolve(photonic.pair_tensors(np.stack([photon_a] * 2), photon_b),
-                           photonic.build_full_network(R))
+    pipe = evolved_pairs(np.stack([photon_a] * 2), photon_b, photonic.build_full_network(R))
     probs = full_pair_mass(full_mix(dip, [*grid, 0.0, 1.0]), ("2",), ("3",))
     return (probs, *full_post_selection(full_mix(pipe, grid)))
 
@@ -144,13 +167,13 @@ def reference_hom_point(gamma: float, R) -> tuple[float, float, np.ndarray]:
     def second(path, pols):
         return sum(gamma * sp(path, pol, 0) + d * sp(path, pol, 1) for pol in pols)
 
-    (dip,) = photonic.evolve(pair(sp("2", "V", 0), second("3", "V")),
-                             photonic.build_cz_network(R))
+    (dip,) = reference_evolve(pair(sp("2", "V", 0), second("3", "V")),
+                              photonic.build_cz_network(R))
     p = sum(abs(amp) ** 2 for (i, j), amp in fock_terms(dip).items()
             if {MODES[i][0], MODES[j][0]} == {"2", "3"})
     photon_a = (sp("out1", "H", 0) + sp("out1", "V", 0)) / np.sqrt(2)
-    (out,) = photonic.evolve(pair(photon_a, second("out4", "HV") / np.sqrt(2)),
-                             photonic.build_full_network(R))
+    (out,) = reference_evolve(pair(photon_a, second("out4", "HV") / np.sqrt(2)),
+                              photonic.build_full_network(R))
     rho, _ = walk_post_selection(out)
     canon = circuit.singlet_frame(qmath.check_density(rho))
     s, rd = circuit.singlet().density().matrix, noise.RHO_DIST
@@ -185,12 +208,6 @@ class TestFockState:
         assert fock_terms(t) == pytest.approx({(i, i): np.sqrt(2) * 0.6 / n, (i, j): 0.8 / n})
         assert sum(abs(z) ** 2 for z in fock_terms(t).values()) == pytest.approx(1.0)
 
-    def test_wrong_tensor_shape_rejected(self):
-        net = photonic.build_cz_network()
-        for t in (np.zeros((1, 4, 4)), np.eye(photonic.N_MODES) / np.sqrt(2 * photonic.N_MODES)):
-            with pytest.raises(photonic.PhotonicError, match="must be"):
-                photonic.evolve(t, net)
-
     def test_zero_amplitude_vector_rejected(self):
         v = photonic.single_photon("2", "V")
         for scale in (0.0, np.nan):  # a NaN vector is rejected too
@@ -212,7 +229,13 @@ class TestFockState:
     def test_evolution_preserves_norm(self, seed):
         rng = np.random.default_rng(seed)
         a, b = (np.stack([random_photon(rng) for _ in range(3)]) for _ in range(2))
-        out = photonic.evolve(photonic.pair_tensors(a, b), photonic.build_full_network())
+        photons = photonic.evolve(np.stack([a, b]), photonic.build_full_network())
+        assert photons.shape == (2, 3, photonic.N_MODES)
+        # The network keeps each photon's norm and the overlap of the two, so the pair's
+        # norm before pair_tensors normalizes it is the input pair's.
+        np.testing.assert_allclose(np.linalg.norm(photons, axis=-1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(raw_pair_norm(*photons), raw_pair_norm(a, b), rtol=0, atol=1e-12)
+        out = photonic.pair_tensors(*photons)
         assert out.shape == (3, photonic.N_MODES, photonic.N_MODES)
         for t in out:
             assert np.array_equal(t, t.T)
@@ -222,18 +245,21 @@ class TestFockState:
         rng = np.random.default_rng(41)
         a, b = (np.stack([random_photon(rng) for _ in range(5)]) for _ in range(2))
         net = photonic.build_full_network(photonic.BS_PRESETS["experimental"])
-        stacked = photonic.evolve(photonic.pair_tensors(a, b), net)
+        stacked = evolved_pairs(a, b, net)
         for k in range(5):
-            alone = photonic.evolve(pair(a[k], b[k]), net)[0]
-            np.testing.assert_allclose(stacked[k], alone, rtol=0, atol=1e-15)
+            assert np.array_equal(stacked[k], evolved_pairs(a[k:k + 1], b[k:k + 1], net)[0])
 
-    def test_unnormalized_input_rejected(self):
-        v = photonic.single_photon("1", "V")
-        # Amplitude 0.5 on |2>_i has norm 0.25; a NaN member has a NaN norm.
-        for scale in (0.5, np.nan):
-            t = np.concatenate([pair(v, v), scale * pair(v, v)])
-            with pytest.raises(photonic.PhotonicError, match="not a normalized"):
-                photonic.evolve(t, photonic.build_cz_network())
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 1.0))
+    @example(0, 1 / 3)
+    @example(0, 0.337)
+    @settings(max_examples=20, deadline=None)
+    def test_evolving_photons_equals_evolving_their_pair_tensor(self, seed, R):
+        # The pair tensor of the evolved photons is the evolved pair tensor.
+        rng = np.random.default_rng(seed)
+        a, b = (np.stack([random_photon(rng) for _ in range(3)]) for _ in range(2))
+        for net in (photonic.build_cz_network(R), photonic.build_full_network(R)):
+            expect = reference_evolve(photonic.pair_tensors(a, b), net)
+            assert np.max(np.abs(evolved_pairs(a, b, net) - expect)) <= 1e-15
 
     def test_output_amplitudes_are_permanents(self):
         net = photonic.build_full_network(photonic.BS_PRESETS["experimental"])
@@ -243,7 +269,7 @@ class TestFockState:
         n = photonic.N_MODES
         eye = np.eye(n)
         i, j = np.triu_indices(n, 1)
-        out = photonic.evolve(photonic.pair_tensors(eye[i], eye[j]), net)
+        out = evolved_pairs(eye[i], eye[j], net)
         for k in range(len(i)):
             # perm[[m_ri, m_rj], [m_si, m_sj]] off the diagonal, sqrt(2) m_ri m_rj on it.
             expect = np.outer(m[:, i[k]], m[:, j[k]])
@@ -273,8 +299,13 @@ class TestNetworks:
     @example(0.337)  # the experimental preset
     @settings(max_examples=25, deadline=None)
     def test_networks_equal_the_per_mode_reference(self, R):
-        assert np.array_equal(photonic.build_cz_network(R), reference_cz_unitary(R))
-        assert np.array_equal(photonic.build_full_network(R), reference_full_unitary(R))
+        eye = np.eye(photonic.N_MODES)
+        for build, reference in ((photonic.build_cz_network, reference_cz_unitary),
+                                 (photonic.build_full_network, reference_full_unitary)):
+            net = build(R)
+            assert np.array_equal(net, reference(R))
+            # Unitary by construction: nothing checks it at run time.
+            assert np.max(np.abs(net @ net.conj().T - eye)) <= 1e-12
 
     def test_networks_are_cached_and_read_only(self):
         for build in (photonic.build_cz_network, photonic.build_full_network):
@@ -282,10 +313,6 @@ class TestNetworks:
             assert build(0.337) is net
             with pytest.raises(ValueError):
                 net[0, 0] = 0.0
-
-    def test_non_unitary_matrix_rejected(self):
-        with pytest.raises(photonic.PhotonicError):
-            photonic._network(2 * np.eye(12))
 
     def test_all_networks_unitary(self):
         for net in (
@@ -305,17 +332,20 @@ class TestPolarizationAtTheCouplers:
         calls = []
         evolve = photonic.evolve
         monkeypatch.setattr(photonic, "evolve",
-                            lambda t, net: calls.append((t, net)) or evolve(t, net))
+                            lambda photons, net: calls.append((photons, net))
+                            or evolve(photons, net))
         photonic.cz_channel(photonic.build_cz_network())  # the four logical inputs
         photonic.hom_coincidence([0.5])  # the dip's two label components
         photonic.simulate_pipeline_grid([0.5])  # the pipeline's two label components
-        assert [len(t) for t, _ in calls] == [4, 2, 2]
+        assert [photons.shape for photons, _ in calls] == [(2, 4, photonic.N_MODES),
+                                                           (2, 2, photonic.N_MODES),
+                                                           (2, 2, photonic.N_MODES)]
         assert np.array_equal(calls[2][1], reference_full_unitary(1 / 3))
-        # The pipeline's inputs meet the couplers after the displacers and wave plates.
+        # The pipeline's photons meet the couplers after the displacers and wave plates.
         entering = [calls[0][0], calls[1][0], evolve(calls[2][0], reference_coupler_entry())]
         h = [photonic.mode_index(p, "H", l) for p in photonic.PATHS for l in photonic.LABELS]
-        for t in entering:
-            assert t.any() and not t[:, h].any() and not t[:, :, h].any()
+        for photons in entering:
+            assert photons.any() and not photons[..., h].any()
 
 
 class TestCzGate:
@@ -344,7 +374,8 @@ def count_evolutions(monkeypatch) -> list[int]:
     """Record the number of members of every ``photonic.evolve`` call."""
     members = []
     evolve = photonic.evolve
-    monkeypatch.setattr(photonic, "evolve", lambda t, net: members.append(len(t)) or evolve(t, net))
+    monkeypatch.setattr(photonic, "evolve", lambda photons, net:
+                        members.append(photons.shape[-2]) or evolve(photons, net))
     return members
 
 
@@ -476,7 +507,17 @@ class TestPipeline:
         # The trace distance to the best member of the family.
         delta = canon[0] - (v * noise.SINGLET + (1 - v) * noise.RHO_DIST)
         assert 0.5 * np.sum(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2))) < 1e-9
-        assert 0.0 <= v <= 1.0 + 1e-12
+        # At gamma = 0 the exact weight is 0, and rounding leaves either sign.
+        assert -1e-12 <= v <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("R", photonic.BS_PRESETS.values(), ids=photonic.BS_PRESETS)
+    def test_visibility_weights_lie_in_the_unit_interval(self, R):
+        # Off R = 1/3 the states leave the two-state family (trace distance about 0.01
+        # at the experimental preset), but each fitted weight stays in [0, 1] up to
+        # rounding; at gamma = 0, where it is exactly 0, rounding leaves either sign.
+        rho, _ = photonic.simulate_pipeline_grid([0.0, 0.3, 0.6, 0.9, 1.0], R)
+        v = photonic.fit_visibility_weights(circuit.singlet_frame(rho))
+        assert np.all((-1e-12 <= v) & (v <= 1.0 + 1e-12))
 
     def test_visibility_weight_endpoints(self):
         rho, _ = photonic.simulate_pipeline_grid([0.0, 1.0])
@@ -496,8 +537,8 @@ class TestPipeline:
     @settings(max_examples=20, deadline=None)
     def test_post_selection_matches_a_walk_over_fock_terms(self, seed):
         rng = np.random.default_rng(seed)
-        t = photonic.evolve(pair(random_photon(rng), random_photon(rng)),
-                            photonic.build_full_network(photonic.BS_PRESETS["experimental"]))
+        t = evolved_pairs(random_photon(rng)[None], random_photon(rng)[None],
+                          photonic.build_full_network(photonic.BS_PRESETS["experimental"]))
         expect, mass = walk_post_selection(t[0])
         rho, got_mass = photonic.post_select_coincidence(photonic.coincidence_block(t))
         qmath.check_density(rho)
@@ -505,9 +546,8 @@ class TestPipeline:
         assert np.max(np.abs(rho[0] - expect)) < 1e-12
 
     def test_post_selection_takes_coincidence_blocks(self):
-        t = photonic.evolve(pair(photonic.single_photon("out1", "V"),
-                                 photonic.single_photon("out4", "H")),
-                            photonic.build_full_network())
+        t = evolved_pairs(photonic.single_photon("out1", "V")[None],
+                          photonic.single_photon("out4", "H")[None], photonic.build_full_network())
         assert photonic.coincidence_block(t).shape == (1, 8, 8)
         with pytest.raises(photonic.PhotonicError, match=r"must be \(G, 8, 8\)"):
             photonic.post_select_coincidence(t)
