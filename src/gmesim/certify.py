@@ -222,9 +222,13 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     4S count terms gives up: the member ends unconverged at its iterate.  Any
     other step is a stall if it gains less than ``STALL_TOL`` and keeps the
     iterate if it lowers the likelihood.  10 stalls in a row converge;
-    ``max_iter`` steps give up.  Every member starts at I/4 and drops its
-    all-zero settings; when some member drops none, the settings must be
-    informationally complete (``_check_complete``, CertifyError otherwise).
+    ``max_iter`` steps give up.  A plain step kept as a stall comes back bit for
+    bit at every later step, each one a stall, so its member ends at once:
+    converged at the iteration its tenth stall falls on, or unconverged at
+    ``max_iter`` if that lies past it, at the iterate it keeps.  Every member
+    starts at I/4 and drops its all-zero settings; when some member drops none,
+    the settings must be informationally complete (``_check_complete``,
+    CertifyError otherwise).
     X, R/N and each Pi_k are real 8x8 images (``_real_image``), so every
     iterate is PSD by construction.  Every product is a stacked per-member one
     and every in-place update the operation it replaces, so no bit of a
@@ -291,6 +295,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
         stall += 1
         stall *= small
         keep = gain < 0
+        repeat = False
         if keep.any():
             over = gain < -STALL_TOL
             stall -= over & (beta > 0)  # a restart is no stall
@@ -299,6 +304,9 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
             lost = over & (beta == 0) & (
                 gain < -2 * (n.shape[1] + 1) * np.finfo(float).eps * np.abs(ll))
             converged[live[lost]], stall[lost] = False, 10
+            # A kept plain step is taken again bit for bit at every later step, each
+            # a stall, so the member ends now, at the iteration of its tenth stall.
+            repeat = keep & (beta == 0)
             # A member whose step lowers the likelihood keeps its iterate.
             np.copyto(new, x, where=keep[:, None, None])
             np.copyto(p_new, p, where=keep[:, None])
@@ -306,10 +314,13 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
         # Momentum carries on only after a step that gained at least STALL_TOL.
         beta = np.where(small, 0.0, _MOMENTUM)
         x, p, ll = new, p_new, ll_new
-        if stall.max() >= 10:
-            done = stall >= 10
-            idx = live[done]
-            x_out[idx], ll_out[idx], iterations[idx] = x[done], ll[done], it
+        done = (stall >= 10) | repeat
+        if done.any():
+            idx, end = live[done], it + 10 - stall[done]
+            late = end > max_iter  # the tenth stall would fall past max_iter
+            converged[idx[late]] = False
+            x_out[idx], ll_out[idx] = x[done], ll[done]
+            iterations[idx] = np.where(late, max_iter, end)
             rest = ~done
             live, x, p, ll, stall, beta, step, freq, n = (
                 a[rest] for a in (live, x, p, ll, stall, beta, step, freq, n))

@@ -107,6 +107,12 @@ class ExperimentConfig:
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    @functools.cached_property
+    def meta_json(self) -> _Json:
+        """The ``meta`` object of every JSON output, rendered once per config (one
+        command) as ``_json_text`` renders it one level down."""
+        return _Json(_json_text(_meta(self), "\n  "))
+
 
 def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig()
@@ -160,21 +166,27 @@ def _write_text(path: Path, text: str) -> None:
     OSError or ValueError (a NUL byte or an unencodable character in the path) ->
     ParseError.  An existing file is overwritten in place, not truncated on open (on a
     ``discard``-mounted disk that frees every old block, at several times the cost of
-    the write): it keeps its inode, links and mode, and is cut to the new length only
-    if it was longer, which a device or FIFO never is.  An interrupted write leaves a
-    torn file, the new head over the old tail."""
-    data = text.encode()
+    the write): it keeps its inode, links and mode, and is cut to the new length by
+    ``os.ftruncate`` only if it was longer, which a device or FIFO never is.  The bytes
+    go out by ``os.write`` on the descriptor, looping until a short write has sent the
+    rest, with no Python file object.  An interrupted write leaves a torn file, the new
+    head over the old tail."""
+    data = memoryview(text.encode())
     try:
         try:
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         except (FileNotFoundError, NotADirectoryError):
             path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "wb") as fh:
+        try:
             longer = os.fstat(fd).st_size > len(data)
-            fh.write(data)
+            rest = data
+            while rest:
+                rest = rest[os.write(fd, rest):]
             if longer:
-                fh.truncate()
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except (OSError, ValueError) as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
@@ -182,21 +194,54 @@ def _write_text(path: Path, text: str) -> None:
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+class _Json(str):
+    """JSON text already rendered at the indent where it is placed; ``_json_text``
+    writes it as it is."""
+
+
+class _FloatBlock(list):
+    """A float array as the nested lists of ``ndarray.tolist``, which ``json.dumps`` and
+    ``==`` read as such, keeping its shape and flat values for ``_json_text`` to render
+    in one pass.  Built once and never changed."""
+
+    def __init__(self, a: np.ndarray):
+        super().__init__(a.tolist())
+        self.shape, self.flat = a.shape, tuple(a.ravel().tolist())
+
+
+@functools.cache
+def _template(shape: tuple, newline: str) -> str:
+    """The ``%`` template, one ``%r`` per float, of a (non-empty) float block of
+    ``shape`` rendered as ``_json_text`` renders its nested lists after ``newline``."""
+    if not shape:
+        return "%r"
+    inner = newline + "  "
+    body = ("," + inner).join([_template(shape[1:], inner)] * shape[0])
+    return "[" + inner + body + newline + "]"
+
+
 def _json_text(doc, newline: str = "\n") -> str:
     """The text ``json.dumps`` gives ``doc`` with ``sort_keys=True`` and ``indent=2``,
     without json's pure-Python indenting encoder.  Each scalar takes json's own
-    rendering; a list of finite floats is one join.  A key that is not a string, or a
-    value json rejects (a set, ``np.int64``, ``np.bool_``), raises TypeError."""
+    rendering; a list of finite floats is one join, and a ``_FloatBlock`` of finite
+    floats one ``%`` operation on its memoized template; a ``_FloatBlock`` that is empty
+    or holds a NaN or Inf goes the list way.  A ``_Json`` is written as it is.  A key
+    that is not a string, or a value json rejects (a set, ``np.int64``, ``np.bool_``,
+    an ``ndarray``), raises TypeError."""
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
+        if type(doc) is _FloatBlock and doc.flat:
+            text = _template(doc.shape, newline) % doc.flat
+            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+                return text
         inner = newline + "  "
         sep = "," + inner
         finite = False
         if isinstance(doc[0], float):
             try:  # float.__repr__ raises TypeError on anything but a float
                 body = sep.join(map(float.__repr__, doc))
-                finite = "n" not in body  # no nan or inf, which json spells NaN and Infinity
+                finite = "n" not in body
             except TypeError:
                 pass
         if not finite:
@@ -210,7 +255,7 @@ def _json_text(doc, newline: str = "\n") -> str:
             json.encoder.encode_basestring_ascii(key) + ": " + _json_text(val, inner)
             for key, val in sorted(doc.items())]) + newline + "}"
     if isinstance(doc, str):
-        return json.encoder.encode_basestring_ascii(doc)
+        return doc if type(doc) is _Json else json.encoder.encode_basestring_ascii(doc)
     if isinstance(doc, float):
         text = float.__repr__(doc)
         return _JSON_NON_FINITE.get(text, text)
@@ -226,29 +271,30 @@ def _json_text(doc, newline: str = "\n") -> str:
 
 
 def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
-    doc = {"meta": _meta(cfg)}
+    """``_json_text`` of the payload with the config's ``meta`` object, rendered once
+    per config, and one newline."""
+    doc = {"meta": cfg.meta_json}
     doc.update(payload)
     _write_text(path, _json_text(doc) + "\n")
 
 
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    """``#`` metadata lines, the header joined by commas, and each data row as one ``%``
-    operation over its cells, "%.17g" for a float and "%s" for any other cell, each row
-    ended by csv.writer's "\r\n".  Callers write floats, ints and axis names or
+    """``#`` metadata lines, the header joined by commas, and every data row formatted by
+    one ``%`` operation over all cells, "%.17g" for a float and "%s" for any other cell,
+    each row ended by csv.writer's "\r\n".  Callers write floats, ints and axis names or
     colon-joined floats, none of which csv.writer would quote, so the bytes are its own."""
-    buf = io.StringIO()
-    for key, val in sorted(_meta(cfg).items()):
-        buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-    buf.write(",".join(header) + "\r\n")
-    for row in rows:
-        spec = ",".join(["%.17g" if isinstance(x, float) else "%s" for x in row])
-        buf.write(spec % tuple(row) + "\r\n")
-    _write_text(path, buf.getvalue())
+    rows = list(rows)
+    spec = "".join([",".join(["%.17g" if isinstance(x, float) else "%s" for x in row]) + "\r\n"
+                    for row in rows])
+    _write_text(path, "".join([f"# {key}: {json.dumps(val, sort_keys=True)}\n"
+                               for key, val in sorted(_meta(cfg).items())])
+                + ",".join(header) + "\r\n" + spec % tuple([x for row in rows for x in row]))
 
 
-def _re_im(z: np.ndarray) -> list:
-    """``z`` as nested lists with each complex entry an ``[re, im]`` pair of floats."""
-    return np.stack([z.real, z.imag], -1).tolist()
+def _re_im(z: np.ndarray) -> _FloatBlock:
+    """``z`` as a ``_FloatBlock`` of nested lists, each complex entry an ``[re, im]`` pair
+    of floats: its JSON is one ``%`` operation when every entry is finite."""
+    return _FloatBlock(np.stack([z.real, z.imag], -1))
 
 
 def state_json(matrix: np.ndarray) -> dict:

@@ -231,10 +231,11 @@ def channel_fidelity_to_cz(m: np.ndarray) -> float:
 
     The channel is proportional to M; fidelity is |tr(CZ^dag M)|^2 /
     (4 tr(M^dag M)), which is 1 iff M is CZ up to a global complex factor.
+    It is clipped at 1, which rounding can pass by an ulp.
     """
     cz = np.diag([1, 1, 1, -1]).astype(complex)
     denom = 4 * np.trace(m.conj().T @ m).real
-    return float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom)
+    return min(1.0, float(abs(np.trace(cz.conj().T @ m)) ** 2 / denom))
 
 
 def hom_coincidence(overlaps, R: float = 1 / 3) -> np.ndarray:

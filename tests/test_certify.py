@@ -402,7 +402,9 @@ def _serial_em(bases, counts, max_iter, start=None):
     likelihood.  Returns (rho, log_likelihood, converged, iterations, events),
     ``events`` counting the "restarts", the restarts in the run of stalls that
     ends the solve ("restarts in the last run"), the steps that lowered the
-    likelihood and were kept as stalls ("rounding drops") and the "give-ups"."""
+    likelihood and were kept as stalls ("rounding drops") and the "give-ups",
+    and the iteration of the first plain step kept as a stall ("repeated from",
+    0 if none): every later step repeats it, each a stall."""
     rounding = 2 * (counts.size + 1) * np.finfo(float).eps
     kept = counts.sum(axis=1) > 0
     proj = np.concatenate([_kron_projectors(pair) for pair in bases[kept]])
@@ -421,7 +423,7 @@ def _serial_em(bases, counts, max_iter, start=None):
     a = normalized(a)
     ll, stall, momentum, prev = loglike(a), 0, False, a
     events = dict.fromkeys(["restarts", "restarts in the last run", "rounding drops",
-                            "give-ups"], 0)
+                            "give-ups", "repeated from"], 0)
     run_restarts = 0
     for it in range(1, max_iter + 1):
         r = np.einsum("k,kij->ij", counts / counts.sum() / probs(a), proj)
@@ -442,6 +444,8 @@ def _serial_em(bases, counts, max_iter, start=None):
         else:
             stall = run_restarts = 0
         events["rounding drops"] += gain < 0
+        if gain < 0 and not momentum and not events["repeated from"]:
+            events["repeated from"] = it
         momentum = gain >= certify.STALL_TOL
         if gain >= 0:
             a, ll = point, ll_new
@@ -540,6 +544,33 @@ class TestBatchedEngine:
             assert ref[4]["restarts in the last run"] > 0
             assert converged[b] and ref[2] and iterations[b] == ref[3]
             assert ll[b] == pytest.approx(ref[1], rel=1e-12)
+
+    def test_a_member_retired_at_its_first_repeated_step_equals_the_reference(self):
+        # From its first kept plain step on, a member takes that step again bit for
+        # bit, each time a stall; the engine ends it at once and reports the iteration
+        # its tenth stall falls on.  The reference steps on to that stall.
+        for truth, seed in ((MIXED, 4), (WERNER, 6)):
+            data = simulated(truth, certify.PAULI_SETTINGS, 10_000, seed)
+            ref = _serial_em(data.bases, data.n, 1000)
+            rho, ll, converged, iterations, _ = _single_fit(data.bases, data.n)
+            assert 0 < ref[4]["repeated from"] < iterations  # retired before its tenth stall
+            assert converged and ref[2] and iterations == ref[3]
+            assert np.max(np.abs(rho - ref[0])) <= 1e-12
+            assert ll == pytest.approx(ref[1], rel=1e-12)
+
+    def test_a_repeating_member_whose_tenth_stall_is_past_max_iter_ends_there(self):
+        # It ends unconverged at max_iter, at the iterate it repeats: the one a solve
+        # that steps on to max_iter returns, and the one its full solve converges at.
+        data = simulated(MIXED, certify.PAULI_SETTINGS, 10_000, 4)
+        full = _single_fit(data.bases, data.n)
+        start = _serial_em(data.bases, data.n, 1000)[4]["repeated from"]
+        assert 0 < start < full[3] - 1
+        for k in range(start, full[3]):
+            rho, ll, converged, iterations, _ = _single_fit(data.bases, data.n, max_iter=k)
+            ref = _serial_em(data.bases, data.n, k)
+            assert not converged and iterations == k and not ref[2] and ref[3] == k
+            assert np.array_equal(rho, full[0]) and ll == full[1]
+            assert np.max(np.abs(rho - ref[0])) <= 1e-12
 
     def test_members_match_their_own_single_solve(self):
         settings, counts = _resampled_stack(noise.dephased_singlets(0.6), 10_000, 31, 100)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -1290,6 +1291,30 @@ AXIS_CELL = st.one_of(
     st.lists(st.floats(), min_size=3, max_size=3).map(lambda v: ":".join(cli._fmt(x) for x in v)))
 
 
+# Float arrays for ``cli._FloatBlock``: the shapes the writers hand it ((k,) from no
+# writer yet, (k, 2) amplitudes and truth tables, (16, 2) amplitudes, (4, 4, 2) states),
+# empty shapes, finite floats with -0.0 and the extremes, sometimes one NaN or Inf,
+# and sometimes a strided (non-contiguous) view.
+@st.composite
+def float_block_array(draw):
+    shape = draw(st.sampled_from([(1,), (5,), (3, 2), (16, 2), (4, 4, 2), (0,), (0, 2),
+                                  (3, 0, 2)]))
+    size = math.prod(shape)
+    finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1]))
+    values = draw(st.lists(finite, min_size=size, max_size=size))
+    if size and draw(st.booleans()):
+        values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+    a = np.array(values, dtype=float).reshape(shape)
+    if draw(st.booleans()):
+        wide = np.zeros(shape + (2,))
+        wide[..., 1] = a
+        a = wide[..., 1]
+        assert not a.flags.c_contiguous or size < 2
+    return a
+
+
 def csv_reference(cfg, header, rows):
     """A CSV output as ``write_csv`` rendered it with one ``csv.writer.writerow`` per row
     and each float through ``format(float(x), ".17g")``."""
@@ -1322,6 +1347,63 @@ class TestWriters:
     def test_a_key_that_is_not_a_string_raises_type_error(self, doc):
         with pytest.raises(TypeError):
             cli._json_text(doc)
+
+    @settings(max_examples=300)
+    @given(float_block_array(), st.lists(st.sampled_from(["dict", "list"]), max_size=3))
+    def test_a_float_block_renders_as_json_dumps_at_its_indent(self, a, nesting):
+        block = cli._FloatBlock(a)
+        assert json.dumps(block) == json.dumps(a.tolist())
+        assert block == a.tolist() or np.isnan(a).any()  # NaN equals no NaN
+        doc = block
+        for kind in nesting:  # {"matrix": ...} and [..., 1.5] one level further in each
+            doc = {"matrix": doc, "dims": [2, 2]} if kind == "dict" else [doc, 1.5]
+        assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_float_block_with_a_non_finite_entry_takes_the_list_way(self, bad):
+        a = np.full((4, 4, 2), 0.25)
+        a[2, 1, 0] = bad
+        doc = {"rho_hat": {"matrix": cli._FloatBlock(a)}}
+        text = cli._json_text(doc)
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
+        assert json.dumps(bad) in text and "nan" not in text and "inf" not in text
+
+    def test_write_text_finishes_on_one_byte_writes(self, tmp_path, monkeypatch):
+        write, calls = os.write, []
+
+        def one_byte(fd, data):
+            calls.append(fd)
+            return write(fd, bytes(data[:1]))
+
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x" * 100)  # an older, longer file: cut to the new length
+        text = "# é\n" + "a,0.5\r\n" * 5
+        monkeypatch.setattr(os, "write", one_byte)
+        cli._write_text(path, text)
+        monkeypatch.undo()
+        assert path.read_bytes() == text.encode() and len(calls) == len(text.encode())
+
+    def test_every_json_output_is_json_dumps_of_its_document(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_grid": [0.0, 0.5], "v_grid": [0.25, 1.0],
+                                   "gamma_grid": [0.0, 0.5, 1.0], "counts_per_setting": 500,
+                                   "mc_replicas": 5}))
+        out = tmp_path / "out"
+        commands = [
+            ("circuit", "--phi", "1.25"), ("photonic-verify",),
+            ("photonic-verify", "--reflectivity", "0.5"), ("scan", "--param", "eta"),
+            ("scan", "--param", "v"), ("hom-scan",),
+            ("simulate-counts", "--model", "baseline", "--eta", "0.4"),
+            ("certify", "--counts", str(out / "6" / "counts.csv")),
+            ("certify", "--state", str(out / "0" / "state_canonical.json")),
+        ]
+        for i, argv in enumerate(commands):
+            assert run("--config", str(cfg), "--out", str(out / str(i)), *argv) in (0, 4)
+        files = sorted(out.rglob("*.json"))
+        assert len(files) == 4 + 1 + 1 + 3 + 3 + 1 + 1 + 1
+        for path in files:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
 
     def test_write_json_appends_one_newline(self, tmp_path):
         cfg = cli.ExperimentConfig()

@@ -369,6 +369,13 @@ class TestCzGate:
         channel, _ = photonic.cz_channel(photonic.build_cz_network(0.5))
         assert photonic.channel_fidelity_to_cz(channel) < 0.99
 
+    @given(st.floats(1e-3, 1 - 1e-3))
+    @example(1 / 3)  # the ideal network, whose unclipped ratio reads 1.0000000000000002
+    @example(0.337)
+    def test_process_fidelity_is_at_most_one(self, r):
+        channel, _ = photonic.cz_channel(photonic.build_cz_network(r))
+        assert 0.0 <= photonic.channel_fidelity_to_cz(channel) <= 1.0
+
 
 def count_evolutions(monkeypatch) -> list[int]:
     """Record the number of members of every ``photonic.evolve`` call."""
