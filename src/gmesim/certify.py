@@ -55,13 +55,6 @@ def projector_table(bases) -> np.ndarray:
     return _outer_kron(half[:, :, 0], half[:, :, 1]).reshape(-1, 4, 4, 4)
 
 
-def axis_index(vectors) -> np.ndarray:
-    """Index into ``AXIS_NAMES`` of the coordinate axis each Bloch vector (the last
-    array axis) matches within ``np.allclose(atol=1e-9)``; -1 where none does."""
-    hit = np.isclose(np.asarray(vectors, dtype=float)[..., None, :], np.eye(3), atol=1e-9).all(-1)
-    return np.where(hit.any(axis=-1), hit.argmax(axis=-1), -1)
-
-
 @dataclass(frozen=True, eq=False)
 class Counts:
     """Outcome counts ``n`` (S, 4), ordered ++, +-, -+, --, of the setting tuples
@@ -115,7 +108,7 @@ def _chsh_fixed(t: np.ndarray) -> np.ndarray:
 def _chsh_max(t: np.ndarray) -> np.ndarray:
     """(B,) maximal CHSH values 2 sqrt(s1^2 + s2^2) over all settings, s1 >= s2 the
     two largest singular values of each T (Horodecki et al., PLA 200, 340, 1995)."""
-    sv = np.linalg.svd(t)[1]
+    sv = np.linalg.svd(t, compute_uv=False)
     norm = np.hypot(sv[:, 0], sv[:, 1])
     return np.where(norm < 1e-15, 0.0, 2.0 * norm)  # a rounding-level T reads exactly 0
 
@@ -171,11 +164,14 @@ def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) ->
     """(B, S, 4) independent Poisson counts with means N tr(rho_b Pi) for each state of
     the (B, 4, 4) stack ``rhos`` and each setting tuple of ``bases`` (S, 2, 3), from
     one projector table.  Member b is one (S, 4) draw from ``default_rng(seeds[b])``:
-    numpy fills it in C order, the order of a draw of four per setting."""
+    numpy fills it in C order, the order of a draw of four per setting.  Each mean is
+    floored at 1e-300: numpy draws nothing for a mean of exactly 0 but one uniform for
+    any mean in (0, 1e-16], and returns 0 for both, so a probability that rounds to
+    +-1e-17 on one BLAS kernel and to 0 on another gives the same counts."""
     if n_per_setting < 1:
         raise CertifyError("counts_per_setting must be >= 1")
     probs = np.clip(_trace(rhos[:, None, None] @ projector_table(bases)), 0.0, 1.0)
-    return np.stack([np.random.default_rng(seed).poisson(n_per_setting * p)
+    return np.stack([np.random.default_rng(seed).poisson(np.maximum(n_per_setting * p, 1e-300))
                      for seed, p in zip(seeds, probs)])
 
 

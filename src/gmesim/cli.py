@@ -138,10 +138,6 @@ def load_config(path: str | None, overrides: dict) -> ExperimentConfig:
 # Serialization helpers
 
 
-# Every float of a CSV output, round-trip exact: "%.17g" % x.
-_fmt = "%.17g".__mod__
-
-
 def _meta(cfg: ExperimentConfig) -> dict:
     return {
         "artifact_version": __version__,
@@ -281,8 +277,8 @@ def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
     """``#`` metadata lines, the header joined by commas, and every data row formatted by
     one ``%`` operation over all cells, "%.17g" for a float and "%s" for any other cell,
-    each row ended by csv.writer's "\r\n".  Callers write floats, ints and axis names or
-    colon-joined floats, none of which csv.writer would quote, so the bytes are its own."""
+    each row ended by csv.writer's "\r\n".  Callers write floats, ints and axis names,
+    none of which csv.writer would quote, so the bytes are its own."""
     rows = list(rows)
     spec = "".join([",".join(["%.17g" if isinstance(x, float) else "%s" for x in row]) + "\r\n"
                     for row in rows])
@@ -322,13 +318,11 @@ def load_state_json(path: str) -> np.ndarray:
         raise ParseError(f"cannot read state {path}: {exc}") from exc
 
 
-def write_counts_csv(path: Path, cfg: ExperimentConfig, data: certify.Counts) -> None:
-    def axis_repr(i: int, v: np.ndarray) -> str:
-        return certify.AXIS_NAMES[i] if i >= 0 else ":".join(_fmt(x) for x in v)
-
-    rows = [[*map(axis_repr, idx, pair), *n]
-            for idx, pair, n in zip(certify.axis_index(data.bases), data.bases, data.n.tolist())]
-    write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"], rows)
+def write_counts_csv(path: Path, cfg: ExperimentConfig, n: np.ndarray) -> None:
+    """The (9, 4) counts ``n`` of ``certify.PAULI_SETTINGS``, each row led by its two axis names."""
+    names = [[a, b] for a in certify.AXIS_NAMES for b in certify.AXIS_NAMES]
+    write_csv(path, cfg, ["setting_a", "setting_b", "n_pp", "n_pm", "n_mp", "n_mm"],
+              [ab + row for ab, row in zip(names, n.tolist(), strict=True)])
 
 
 # ``total_expected`` is unused; it stays because benchmarks/test_benchmark.py passes it.
@@ -545,7 +539,7 @@ def cmd_simulate_counts(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         if value is not None and args.model not in readers:
             raise ParseError(f"--model {args.model} does not read {flag}")
     data = _simulated_counts(model_state(args.model, cfg, args.eta, args.v), cfg)
-    write_counts_csv(out / "counts.csv", cfg, data)
+    write_counts_csv(out / "counts.csv", cfg, data.n)
     return EXIT_OK
 
 

@@ -68,8 +68,8 @@ COMMANDS = [
     ("reject-non-hermitian", ["certify", "--state", "{root}/non_hermitian.json"]),
     ("reject-counts-per-setting", ["certify", "--counts", "{root}/counts-singlet/counts.csv",
                                    "--counts-per-setting", "10", *REPLICAS]),
-    # One count per setting on the default grid: grid point 5 (eta 0.25) draws nothing.
-    ("scan-empty-point", ["--seed", "461", "scan", "--param", "eta",
+    # One count per setting on the default grid: grid point 12 (eta 0.6) draws nothing.
+    ("scan-empty-point", ["--seed", "91", "scan", "--param", "eta",
                           "--counts-per-setting", "1"]),
 ]
 

@@ -4,10 +4,12 @@ Exit codes, stderr lines and every output file that is not a fit must match
 byte for byte; fit files match field by field within the fit bounds of
 ``corpus``.  ``rewrite_manifest.py`` records a new manifest.  The optics
 commands of the corpus must also write the same bytes under OpenBLAS's Haswell
-kernel as under the kernel this process loaded.
+kernel as under the kernel this process loaded, and the circuit's simulated
+counts the same bytes under its Sandybridge kernel.
 """
 
 import json
+import math
 import os
 import platform
 import subprocess
@@ -30,38 +32,61 @@ OPTICS = ("photonic-ideal", "photonic-experimental", "photonic-r0.5", "hom-scan"
           "hom-scan-irregular")
 
 
-def _has_avx2() -> bool:
+def _x86_64_with(flag: str) -> bool:
     cpuinfo = Path("/proc/cpuinfo")
     return (platform.machine() in ("x86_64", "AMD64") and cpuinfo.exists()
-            and "avx2" in cpuinfo.read_text().split())
+            and flag in cpuinfo.read_text().split())
 
 
-@pytest.mark.skipif(not _has_avx2(), reason="OpenBLAS's Haswell kernel needs x86-64 with AVX2")
-def test_optics_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
-    # One fresh interpreter under OpenBLAS's Haswell kernel, which the variable
-    # selects only when the library loads, against this process's own kernel.
-    for name in ("grids.json", "irregular_gamma.json"):
-        (tmp_path / name).write_text(INPUTS[name](), newline="")
-    argvs = {name: [a.replace("{root}", str(tmp_path)) for a in argv]
-             for name, argv in COMMANDS if name in OPTICS}
-    assert argvs.keys() == set(OPTICS)
+def _compare_under(kernel: str, argvs: dict, root: Path) -> tuple[list, list]:
+    """Run each ``argvs`` command with ``--out root/<kernel>/<name>`` in one fresh
+    interpreter under OpenBLAS's ``kernel``, which the variable selects only when the
+    library loads, and with ``--out root/host/<name>`` in this process.  Asserts equal
+    exit codes and file lists; returns the files, and those whose bytes differ."""
     script = ("import json, sys\nfrom gmesim import cli\n"
               "print(json.dumps([cli.main(['--out', out, *argv])"
               " for out, argv in json.loads(sys.argv[1])]))")
-    runs = [(str(tmp_path / "haswell" / name), argv) for name, argv in argvs.items()]
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+    runs = [(str(root / kernel / name), argv) for name, argv in argvs.items()]
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
            "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]),
                                           os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    codes = [cli.main(["--out", str(tmp_path / "host" / name), *argv])
+    codes = [cli.main(["--out", str(root / "host" / name), *argv])
              for name, argv in argvs.items()]
     assert json.loads(done.stdout.splitlines()[-1]) == codes
-    files = [sorted(p.relative_to(tmp_path / kernel) for p in (tmp_path / kernel).rglob("*")
-                    if p.is_file()) for kernel in ("host", "haswell")]
+    files = [sorted(p.relative_to(root / side) for p in (root / side).rglob("*") if p.is_file())
+             for side in ("host", kernel)]
+    assert files[0] == files[1] and files[0]
+    return files[0], [str(p) for p in files[0]
+                      if (root / "host" / p).read_bytes() != (root / kernel / p).read_bytes()]
+
+
+@pytest.mark.skipif(not _x86_64_with("avx2"),
+                    reason="OpenBLAS's Haswell kernel needs x86-64 with AVX2")
+def test_optics_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
+    for name in ("grids.json", "irregular_gamma.json"):
+        (tmp_path / name).write_text(INPUTS[name](), newline="")
+    argvs = {name: [a.replace("{root}", str(tmp_path)) for a in argv]
+             for name, argv in COMMANDS if name in OPTICS}
+    assert argvs.keys() == set(OPTICS)
+    files, differ = _compare_under("Haswell", argvs, tmp_path)
     # One file from each photonic-verify, three from each hom-scan.
-    assert files[0] == files[1] and len(files[0]) == 3 * 1 + 2 * 3
-    differ = [str(p) for p in files[0]
-              if (tmp_path / "host" / p).read_bytes() != (tmp_path / "haswell" / p).read_bytes()]
+    assert len(files) == 3 * 1 + 2 * 3
     assert not differ, f"differ under OPENBLAS_CORETYPE=Haswell: {differ}"
+
+
+@pytest.mark.skipif(not _x86_64_with("avx"),
+                    reason="OpenBLAS's Sandybridge kernel needs x86-64 with AVX")
+def test_circuit_counts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The canonical circuit states differ by about 1e-17 around exact zeros between
+    # kernels; floored Poisson means draw the same counts from either.
+    argvs = {}
+    for phi in (math.pi, 0.7, 2.5):
+        config = tmp_path / f"phi-{phi:.2f}.json"
+        config.write_text(json.dumps({"phi": phi}))
+        argvs[config.stem] = ["--config", str(config), "simulate-counts", "--model", "circuit"]
+    files, differ = _compare_under("Sandybridge", argvs, tmp_path)
+    assert len(files) == 3
+    assert not differ, f"differ under OPENBLAS_CORETYPE=Sandybridge: {differ}"
