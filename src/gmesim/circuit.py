@@ -39,9 +39,8 @@ def gates(phi: float) -> list[tuple[str, np.ndarray, tuple[int, ...]]]:
     """The circuit for free-fall phase ``phi`` as (name, matrix, targets) triples: the CNOTs
     write which-path into the geometry qubits, the geometry branches |00>, |01>, |10>, |11>
     pick up phases (0, 0, 0, phi) in free fall (only the closest-approach branch does, the
-    regime the simulator targets), and the same CNOTs then erase the record."""
-    if not np.isfinite(phi):
-        raise ValueError("phi must be finite")
+    regime the simulator targets), and the same CNOTs then erase the record.  ``phi`` is
+    finite: ``ExperimentConfig.validate`` rejects any other where it enters."""
     phases = np.asarray((0.0, 0.0, 0.0, float(phi)), dtype=float)
     which_path = [("CNOT", CNOT, (0, 1)), ("CNOT", CNOT, (3, 2))]
     return [("H", qmath.HADAMARD, (0,)), ("H", qmath.HADAMARD, (3,)), *which_path,

@@ -219,9 +219,10 @@ def _template(shape: tuple, newline: str) -> str:
 def _json_text(doc, newline: str = "\n") -> str:
     """The text ``json.dumps`` gives ``doc`` with ``sort_keys=True`` and ``indent=2``,
     without json's pure-Python indenting encoder.  Each scalar takes json's own
-    rendering; a list of finite floats is one join, and a ``_FloatBlock`` of finite
-    floats one ``%`` operation on its memoized template; a ``_FloatBlock`` that is empty
-    or holds a NaN or Inf goes the list way.  A ``_Json`` is written as it is.  A key
+    rendering; a ``_FloatBlock`` of finite floats is one ``%`` operation on its memoized
+    template, the one fast path, which the writers of float arrays take; a
+    ``_FloatBlock`` that is empty or holds a NaN or Inf, and any other list, is rendered
+    entry by entry.  A ``_Json`` is written as it is.  A key
     that is not a string, or a value json rejects (a set, ``np.int64``, ``np.bool_``,
     an ``ndarray``), raises TypeError."""
     if isinstance(doc, (list, tuple)):
@@ -232,16 +233,7 @@ def _json_text(doc, newline: str = "\n") -> str:
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
                 return text
         inner = newline + "  "
-        sep = "," + inner
-        finite = False
-        if isinstance(doc[0], float):
-            try:  # float.__repr__ raises TypeError on anything but a float
-                body = sep.join(map(float.__repr__, doc))
-                finite = "n" not in body
-            except TypeError:
-                pass
-        if not finite:
-            body = sep.join([_json_text(x, inner) for x in doc])
+        body = ("," + inner).join([_json_text(x, inner) for x in doc])
         return "[" + inner + body + newline + "]"
     if isinstance(doc, dict):
         if not doc:
@@ -276,15 +268,15 @@ def write_json(path: Path, cfg: ExperimentConfig, payload: dict) -> None:
 
 def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> None:
     """``#`` metadata lines, the header joined by commas, and every data row formatted by
-    one ``%`` operation over all cells, "%.17g" for a float and "%s" for any other cell,
-    each row ended by csv.writer's "\r\n".  Callers write floats, ints and axis names,
-    none of which csv.writer would quote, so the bytes are its own."""
+    one ``%`` operation over all cells, "%.17g" for a float and "%s" for any other cell.
+    Every line, the ``#`` lines too, ends with "\n".  Callers write floats, ints and axis
+    names, none of which a CSV reader needs quoted."""
     rows = list(rows)
-    spec = "".join([",".join(["%.17g" if isinstance(x, float) else "%s" for x in row]) + "\r\n"
+    spec = "".join([",".join(["%.17g" if isinstance(x, float) else "%s" for x in row]) + "\n"
                     for row in rows])
     _write_text(path, "".join([f"# {key}: {json.dumps(val, sort_keys=True)}\n"
                                for key, val in sorted(_meta(cfg).items())])
-                + ",".join(header) + "\r\n" + spec % tuple([x for row in rows for x in row]))
+                + ",".join(header) + "\n" + spec % tuple([x for row in rows for x in row]))
 
 
 def _re_im(z: np.ndarray) -> _FloatBlock:
@@ -442,8 +434,8 @@ def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     write_json(out / "cz_verification.json", cfg, {
         "reflectivity": r,
         "truth_table_amplitudes": _re_im(amps),
-        "amplitude_magnitudes": [float(abs(a)) for a in amps],
-        "success_probabilities": [float(p) for p in probs],
+        "amplitude_magnitudes": _FloatBlock(np.abs(amps)),
+        "success_probabilities": _FloatBlock(probs),
         "process_fidelity_to_cz": float(fid),
         "hom_visibility": float(vis),
         "hom_visibility_ideal_theory": 0.8,
@@ -494,7 +486,7 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
                 "rho_hat": state_json(fitted["rho"][idx]),
                 "log_likelihood": float(fitted["log_likelihood"][idx]),
                 "fidelity_to_truth": float(fitted["fidelity_to_target"][idx]),
-                "ppt_eigenvalues": fitted["ppt_eigenvalues"][idx].tolist(),
+                "ppt_eigenvalues": _FloatBlock(fitted["ppt_eigenvalues"][idx]),
                 "negativity": float(fitted["negativity"][idx]),
                 "converged": bool(fitted["converged"][idx]),
                 "iterations": int(fitted["iterations"][idx]),
@@ -504,7 +496,7 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",
               "pt_min_eigenvalue"]
     write_csv(out / f"scan_{param}.csv", cfg, header, rows)
-    summary: dict = {"param": param, "grid": [float(x) for x in grid]}
+    summary: dict = {"param": param, "grid": _FloatBlock(np.asarray(grid, dtype=float))}
     if param == "eta":
         summary["baseline_witness_zero_crossing"] = noise.baseline_witness_zero_crossing(
             cfg.baseline_weight

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gmesim import certify, circuit, qmath
+from gmesim import certify, circuit, cli, qmath
 
 
 def full_unitary(phi: float) -> np.ndarray:
@@ -56,10 +56,11 @@ class TestCircuitStructure:
         assert np.array_equal(psi, circuit.run_circuit(phi)[1])
 
     def test_bad_phases_rejected(self):
-        # phi is the closest-approach branch's phase; it must be finite.
-        for phi in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                circuit.run_circuit(phi)
+        # phi is the closest-approach branch's phase; it must be finite.  The config
+        # rejects any other where phi enters, so circuit.gates never sees one.
+        for phi in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(cli.ParseError, match="^phi must be a finite number, got "):
+                cli.ExperimentConfig(phi=phi).validate()
 
     def test_full_unitary_is_unitary(self):
         u = full_unitary(pi)

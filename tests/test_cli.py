@@ -1329,12 +1329,12 @@ def float_block_array(draw):
 
 
 def csv_reference(cfg, header, rows):
-    """A CSV output as ``write_csv`` rendered it with one ``csv.writer.writerow`` per row
-    and each float through ``format(float(x), ".17g")``."""
+    """A CSV output as ``write_csv`` rendered it with one ``csv.writer.writerow`` per row,
+    each line ended by "\n", and each float through ``format(float(x), ".17g")``."""
     buf = io.StringIO()
     for key, val in sorted(cli._meta(cfg).items()):
         buf.write(f"# {key}: {json.dumps(val, sort_keys=True)}\n")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([format(float(x), ".17g") if isinstance(x, float) else x for x in row])

@@ -4,13 +4,14 @@ The module-level functions and classes of ``src/gmesim`` must each be used
 somewhere else in the package, in the acceptance battery
 (``tests/test_acceptance.py``) or in the benchmark harness
 (``benchmarks/``); so must every method of those classes.  A helper that only
-a unit test calls belongs in that test file.  Likewise an exception class that
-derives from another package exception must be named in an ``except`` clause
-there: a subclass that only ``pytest.raises`` tells apart is its base with a
-message.  And every parameter with a default must be passed by some call
-there: a knob that only unit tests set is a branch nothing else runs.  The
-allowed references are read from those files with ``ast``; the one list kept
-by hand names the few parameters only unit tests pass, with the reason.
+a unit test calls belongs in that test file.  Likewise every package exception
+class must be named in an ``except`` clause there: one that nothing catches
+makes a raise on a command's path a traceback with exit status 1, and a
+subclass that only ``pytest.raises`` tells apart is its base with a message.
+And every parameter with a default must be passed by some call there: a knob
+that only unit tests set is a branch nothing else runs.  The allowed
+references are read from those files with ``ast``; the one list kept by hand
+names the few parameters only unit tests pass, with the reason.
 
 One function writes files: ``cli._write_text``, which rewrites an existing
 output in place.  Any other writer in the package fails a guard here, so none
@@ -140,23 +141,22 @@ def _last_name(node: ast.expr) -> str | None:
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def test_every_exception_subclass_is_caught_by_name_outside_the_unit_tests():
+def test_every_exception_class_is_caught_by_name_outside_the_unit_tests():
     classes = [node for tree in MODULES.values() for node in tree.body
                if isinstance(node, ast.ClassDef)]
     errors = {"Exception"}
     for _ in classes:  # the base of a package exception may come later in the list
         errors |= {c.name for c in classes if {_last_name(b) for b in c.bases} & errors}
-    subclasses = {c.name for c in classes
-                  if {_last_name(b) for b in c.bases} & (errors - {"Exception"})}
+    errors.discard("Exception")
     caught = set()
     for tree in [*MODULES.values(), *CONSUMERS]:
         for handler in ast.walk(tree):
             if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
                 types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
                 caught |= {_last_name(t) for t in types}
-    assert subclasses, "no exception subclasses found: the guard reads nothing"
-    uncaught = sorted(subclasses - caught)
-    assert not uncaught, f"exception subclasses no except clause names: {uncaught}"
+    assert errors, "no exception classes found: the guard reads nothing"
+    uncaught = sorted(errors - caught)
+    assert not uncaught, f"exception classes no except clause names: {uncaught}"
 
 
 WRITER = ("cli", "_write_text")

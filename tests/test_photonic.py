@@ -208,11 +208,20 @@ class TestFockState:
         assert fock_terms(t) == pytest.approx({(i, i): np.sqrt(2) * 0.6 / n, (i, j): 0.8 / n})
         assert sum(abs(z) ** 2 for z in fock_terms(t).values()) == pytest.approx(1.0)
 
-    def test_zero_amplitude_vector_rejected(self):
-        v = photonic.single_photon("2", "V")
-        for scale in (0.0, np.nan):  # a NaN vector is rejected too
-            with pytest.raises(photonic.PhotonicError, match="cancel"):
-                photonic.pair_tensors(np.stack([v, v]), np.stack([v, scale * v]))
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_pair_norm_of_unit_photons_is_at_least_one(self, seed):
+        # Why pair_tensors divides unchecked: for unit photons a and b the pair's norm is
+        # |a|^2 |b|^2 + |<b|a>|^2, from 1 (orthogonal photons) to 2 (the same photon).
+        rng = np.random.default_rng(seed)
+        a, b = (np.stack([random_photon(rng) for _ in range(3)]) for _ in range(2))
+        b[0] = a[0]
+        b[1] -= np.vdot(a[1], b[1]) * a[1]
+        b[1] /= np.linalg.norm(b[1])
+        norms = raw_pair_norm(a, b)
+        overlap = np.abs(np.einsum("kn,kn->k", b.conj(), a)) ** 2
+        np.testing.assert_allclose(norms, 1 + overlap, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(norms[:2], [2.0, 1.0], rtol=0, atol=1e-12)
 
     def test_product_state_same_mode_gives_doubly_occupied(self):
         v = photonic.single_photon("2", "V")
@@ -531,14 +540,21 @@ class TestPipeline:
         v = photonic.fit_visibility_weights(circuit.singlet_frame(rho))
         np.testing.assert_allclose(v, [0.0, 1.0], rtol=0, atol=1e-9)
 
-    @given(st.lists(st.floats(0.0, 1.0), max_size=6), st.floats(1e-3, 1 - 1e-3))
-    @example([0.0, 1.0], 1 / 3)
-    @example([0.0, 1.0], 0.337)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=6), st.floats(0.0, 1.0))
+    @example([0.0, 1 / 3, 0.337, 2 / 7, 1.0], 0.0)
+    @example([0.0, 1 / 3, 0.337, 2 / 7, 1.0], 1.0)
+    @example([0.0, 1 / 3, 0.337, 2 / 7, 1.0], 1 / 3)
+    @example([0.0, 1 / 3, 0.337, 2 / 7, 1.0], 0.337)
+    @example([0.0, 1 / 3, 0.337, 2 / 7, 1.0], 2 / 7)  # the least mass, 3/28, at gamma = 1
     @settings(max_examples=40, deadline=None)
     def test_post_selected_states_are_density_matrices(self, gammas, R):
-        # Built unchecked: each state is a partial trace of a unit vector's projector.
-        rho, _ = photonic.simulate_pipeline_grid(gammas, R)
+        # Built unchecked: each state is a partial trace of a unit vector's projector, and
+        # post_select_coincidence normalizes it by a mass that no R or gamma in [0, 1]
+        # brings below 3/28.
+        rho, mass = photonic.simulate_pipeline_grid(gammas, R)
+        assert np.all(np.isfinite(rho))
         assert qmath.check_density(rho).shape == (len(gammas), 4, 4)
+        assert np.all((0.1 <= mass) & (mass <= 1.0 + 1e-12))
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -556,22 +572,24 @@ class TestPipeline:
         t = evolved_pairs(photonic.single_photon("out1", "V")[None],
                           photonic.single_photon("out4", "H")[None], photonic.build_full_network())
         assert photonic.coincidence_block(t).shape == (1, 8, 8)
-        with pytest.raises(photonic.PhotonicError, match=r"must be \(G, 8, 8\)"):
-            photonic.post_select_coincidence(t)
 
-    def test_empty_post_selection_raises(self):
-        t = pair(photonic.single_photon("out1", "V"), photonic.single_photon("out4", "V"))
-        with pytest.raises(photonic.PhotonicError, match="post-selected mass below"):
-            photonic.post_select_coincidence(photonic.coincidence_block(t))
+    @pytest.mark.parametrize("R, mass", [(2 / 7, [9 / 49, 3 / 28]),
+                                         (0.0, [0.25, 0.25]), (1.0, [1.0, 1.0])],
+                             ids=["least", "R-0", "R-1"])
+    def test_post_selected_mass_at_the_least_and_the_ends(self, R, mass):
+        # The bound post_select_coincidence divides by unchecked: the mass is least,
+        # 3/28, at R = 2/7 and gamma = 1; at R = 0 and R = 1 no gamma moves it.
+        got = photonic.simulate_pipeline_grid([0.5, 1.0], R)[1]
+        np.testing.assert_allclose(got, mass, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
-    def test_non_finite_or_overflowing_tensors_raise(self, entry):
-        # A NaN or inf entry, or one whose square overflows, makes the mass non-finite,
-        # rejected before anything is normalized.
-        t = np.full((1, photonic.N_MODES, photonic.N_MODES), entry)
-        with np.errstate(all="ignore"), \
-                pytest.raises(photonic.PhotonicError, match="^post-selected mass is NaN or Inf$"):
-            photonic.post_select_coincidence(photonic.coincidence_block(t))
+    def test_non_finite_or_overflowing_inputs_are_rejected_where_they_enter(self, entry):
+        # The values whose tensors the deleted mass checks caught stop at check_unit, as
+        # the reflectivity or as an overlap, before any tensor is built.
+        with pytest.raises(qmath.OutOfRange, match="^reflectivity = "):
+            photonic.simulate_pipeline_grid([0.5], entry)
+        with pytest.raises(qmath.OutOfRange, match="^gamma = "):
+            photonic.simulate_pipeline_grid([0.5, entry], 1 / 3)
 
 
 def delayed_singlet(eta: float) -> np.ndarray:
