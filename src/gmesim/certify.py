@@ -160,19 +160,30 @@ SINGLET_OPTIMAL_SETTINGS = np.array([[a, b] for a in (AXES["Z"], AXES["X"]) for 
 SINGLET_OPTIMAL_SETTINGS.setflags(write=False)
 
 
+def _outcome_probabilities(rhos: np.ndarray, bases) -> np.ndarray:
+    """(B, S, 4) probabilities tr(rho_b Pi) = sum_ij rho_ij Pi_ji, clipped to [0, 1], of
+    each state of the (B, 4, 4) stack ``rhos`` for the outcome projectors of ``bases``:
+    an elementwise product summed over the two matrix axes.  It calls no BLAS, and a
+    member's bits do not depend on the stack around it, which ``np.einsum`` does not
+    promise."""
+    table = projector_table(bases).swapaxes(-1, -2)
+    return np.clip((rhos[:, None, None] * table).sum(axis=(-2, -1)).real, 0.0, 1.0)
+
+
 def simulate_counts_batch(rhos: np.ndarray, bases, n_per_setting: int, seeds) -> np.ndarray:
     """(B, S, 4) independent Poisson counts with means N tr(rho_b Pi) for each state of
     the (B, 4, 4) stack ``rhos`` and each setting tuple of ``bases`` (S, 2, 3), from
-    one projector table.  Member b is one (S, 4) draw from ``default_rng(seeds[b])``:
-    numpy fills it in C order, the order of a draw of four per setting.  Each mean is
-    floored at 1e-300: numpy draws nothing for a mean of exactly 0 but one uniform for
-    any mean in (0, 1e-16], and returns 0 for both, so a probability that rounds to
-    +-1e-17 on one BLAS kernel and to 0 on another gives the same counts."""
+    one projector table (``_outcome_probabilities``).  Member b is one (S, 4) draw from
+    ``default_rng(seeds[b])``: numpy fills it in C order, the order of a draw of four
+    per setting.  Each mean is floored at 1e-300: numpy draws nothing for a mean of
+    exactly 0 but one uniform for any mean in (0, 1e-16], and returns 0 for both.  The
+    probabilities call no BLAS, but the model states are built with BLAS products
+    (``noise`` and ``circuit.singlet_frame``), so a probability that rounds to +-1e-17
+    from one kernel's state and to 0 from another's gives the same counts."""
     if n_per_setting < 1:
         raise CertifyError("counts_per_setting must be >= 1")
-    probs = np.clip(_trace(rhos[:, None, None] @ projector_table(bases)), 0.0, 1.0)
-    return np.stack([np.random.default_rng(seed).poisson(np.maximum(n_per_setting * p, 1e-300))
-                     for seed, p in zip(seeds, probs)])
+    means = np.maximum(n_per_setting * _outcome_probabilities(rhos, bases), 1e-300)
+    return np.stack([np.random.default_rng(seed).poisson(m) for seed, m in zip(seeds, means)])
 
 
 def _check_complete(table: np.ndarray) -> None:

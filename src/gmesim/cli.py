@@ -480,17 +480,23 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         counts = certify.simulate_counts_batch(
             ideals, certify.PAULI_SETTINGS, cfg.counts_per_setting, seeds)
         fitted = certify.fit(certify.PAULI_SETTINGS, counts, ideals)
+        # Every point's [re, im] block from one stack, and its scalars as Python values.
+        rho = fitted["rho"]
+        blocks = np.stack([rho.real, rho.imag], -1)
+        ll, fid, neg, conv, iters, dropped = (fitted[key].tolist() for key in (
+            "log_likelihood", "fidelity_to_target", "negativity", "converged", "iterations",
+            "dropped_settings"))
         for idx, x in enumerate(grid):
             write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
                 param: float(x),
-                "rho_hat": state_json(fitted["rho"][idx]),
-                "log_likelihood": float(fitted["log_likelihood"][idx]),
-                "fidelity_to_truth": float(fitted["fidelity_to_target"][idx]),
+                "rho_hat": {"dims": [2, 2], "matrix": _FloatBlock(blocks[idx])},
+                "log_likelihood": ll[idx],
+                "fidelity_to_truth": fid[idx],
                 "ppt_eigenvalues": _FloatBlock(fitted["ppt_eigenvalues"][idx]),
-                "negativity": float(fitted["negativity"][idx]),
-                "converged": bool(fitted["converged"][idx]),
-                "iterations": int(fitted["iterations"][idx]),
-                "dropped_settings": int(fitted["dropped_settings"][idx]),
+                "negativity": neg[idx],
+                "converged": conv[idx],
+                "iterations": iters[idx],
+                "dropped_settings": dropped[idx],
             })
         converged = fitted["converged"].all()
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",

@@ -4,8 +4,9 @@ Exit codes, stderr lines and every output file that is not a fit must match
 byte for byte; fit files match field by field within the fit bounds of
 ``corpus``.  ``rewrite_manifest.py`` records a new manifest.  The optics
 commands of the corpus must also write the same bytes under OpenBLAS's Haswell
-kernel as under the kernel this process loaded, and the circuit's simulated
-counts the same bytes under its Sandybridge kernel.
+kernel as under the kernel this process loaded, every model's simulated counts
+the same bytes under its Haswell kernel, and the circuit's under its Sandybridge
+kernel too.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from corpus import COMMANDS, INPUTS, MANIFEST, compare, run_corpus
+from corpus import COMMANDS, INPUTS, MANIFEST, MODELS, compare, run_corpus
 from gmesim import cli
 
 
@@ -77,16 +78,34 @@ def test_optics_outputs_do_not_depend_on_the_blas_kernel(tmp_path):
     assert not differ, f"differ under OPENBLAS_CORETYPE=Haswell: {differ}"
 
 
+def _circuit_counts_argvs(root: Path) -> dict:
+    """``simulate-counts --model circuit`` at phi = pi, 0.7 and 2.5, one config each."""
+    argvs = {}
+    for phi in (math.pi, 0.7, 2.5):
+        config = root / f"phi-{phi:.2f}.json"
+        config.write_text(json.dumps({"phi": phi}))
+        argvs[config.stem] = ["--config", str(config), "simulate-counts", "--model", "circuit"]
+    return argvs
+
+
 @pytest.mark.skipif(not _x86_64_with("avx"),
                     reason="OpenBLAS's Sandybridge kernel needs x86-64 with AVX")
 def test_circuit_counts_do_not_depend_on_the_blas_kernel(tmp_path):
     # The canonical circuit states differ by about 1e-17 around exact zeros between
     # kernels; floored Poisson means draw the same counts from either.
-    argvs = {}
-    for phi in (math.pi, 0.7, 2.5):
-        config = tmp_path / f"phi-{phi:.2f}.json"
-        config.write_text(json.dumps({"phi": phi}))
-        argvs[config.stem] = ["--config", str(config), "simulate-counts", "--model", "circuit"]
-    files, differ = _compare_under("Sandybridge", argvs, tmp_path)
+    files, differ = _compare_under("Sandybridge", _circuit_counts_argvs(tmp_path), tmp_path)
     assert len(files) == 3
     assert not differ, f"differ under OPENBLAS_CORETYPE=Sandybridge: {differ}"
+
+
+@pytest.mark.skipif(not _x86_64_with("avx2"),
+                    reason="OpenBLAS's Haswell kernel needs x86-64 with AVX2")
+def test_model_counts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The count probabilities call no BLAS, but the dephased, baseline and circuit
+    # states are built with BLAS products.
+    argvs = {f"counts-{m}": ["simulate-counts", "--model", m, *flags]
+             for m, flags in MODELS.items() if m != "circuit"}
+    argvs.update(_circuit_counts_argvs(tmp_path))
+    files, differ = _compare_under("Haswell", argvs, tmp_path)
+    assert len(files) == 5 + 3
+    assert not differ, f"differ under OPENBLAS_CORETYPE=Haswell: {differ}"

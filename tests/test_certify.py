@@ -862,8 +862,7 @@ class TestVectorisedMeasurement:
         # 1e-17 in the other; every other mean is the same float in both.
         bases = certify.PAULI_SETTINGS[::-1]
         rhos = np.stack([np.diag([0.0, 0.5, 0.5, 0.0]), np.diag([1e-17, 0.5, 0.5, 0.0])])
-        means = certify._trace(rhos.astype(complex)[:, None, None]
-                               @ certify.projector_table(bases))
+        means = certify._outcome_probabilities(rhos, bases)
         assert (means[0, 0, 0], means[1, 0, 0]) == (0.0, 1e-17)
         assert np.array_equal(means[0].ravel()[1:], means[1].ravel()[1:])
         for seed in range(20):
@@ -882,6 +881,20 @@ class TestVectorisedMeasurement:
                 for rho, seed, member in zip(rhos, seeds, counts):
                     single = certify.simulate_counts_batch(rho[None], bases, n, [seed])
                     assert np.array_equal(member, single[0])
+
+    def test_member_probabilities_do_not_depend_on_the_stack(self):
+        # Bit for bit, at every stack size: np.einsum's products fail this.
+        rng = np.random.default_rng(39)
+        axes = rng.normal(size=(6, 2, 3))
+        axes /= np.linalg.norm(axes, axis=2, keepdims=True)
+        for size in (1, 2, 5, 21, 51, 159):
+            rhos = certify.random_density_matrices(rng, size)
+            for bases in (certify.PAULI_SETTINGS, TETRAHEDRAL_PAIRS, axes):
+                probs = certify._outcome_probabilities(rhos, bases)
+                assert probs.shape == (size, len(bases), 4)
+                for rho, member in zip(rhos, probs):
+                    single = certify._outcome_probabilities(rho[None], bases)[0]
+                    assert member.tobytes() == single.tobytes()
 
     def test_random_stack_equals_the_per_state_draws(self):
         def one(rng):  # the single Ginibre draw
@@ -904,5 +917,5 @@ class TestVectorisedMeasurement:
 
     def test_outcome_probabilities_need_two_qubits(self):
         # The projectors are 4x4: a stack of three-qubit states does not broadcast.
-        with pytest.raises(ValueError, match="matmul"):
+        with pytest.raises(ValueError, match="could not be broadcast"):
             certify.simulate_counts_batch(np.eye(8)[None] / 8, certify.PAULI_SETTINGS, 10, [1])
