@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise, qmath
+from . import noise
 from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULI_VEC = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
@@ -212,6 +212,7 @@ def _real_image(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     """Maximize the Poisson log-likelihood of every member of a stack at once.
 
@@ -229,7 +230,10 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     4S count terms gives up: the member ends unconverged at its iterate.  Any
     other step is a stall if it gains less than ``STALL_TOL`` and keeps the
     iterate if it lowers the likelihood.  10 stalls in a row converge;
-    ``max_iter`` steps give up.  A plain step kept as a stall comes back bit for
+    ``max_iter`` steps give up.  A point whose log-likelihood is NaN (a step
+    from a nearly pure state, whose R/N near 1e285 overflows X^T X) reads -inf,
+    a loss beyond every bound, so its member keeps its last finite iterate;
+    numpy's overflow and invalid warnings are silenced.  A plain step kept as a stall comes back bit for
     bit at every later step, each one a stall, so its member ends at once:
     converged at the iteration its tenth stall falls on, or unconverged at
     ``max_iter`` if that lies past it, at the iterate it keeps.  Every member
@@ -248,8 +252,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     rejects, raise CertifyError.
     """
     counts = np.asarray(counts, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        totals = counts.sum(axis=(1, 2))
+    totals = counts.sum(axis=(1, 2))
     if not np.all(np.isfinite(totals)):  # a NaN or Inf entry, or a total that overflows
         raise CertifyError("mle_batch: counts has NaN or Inf entries or a total that overflows")
     b = len(counts)
@@ -276,7 +279,7 @@ def mle_batch(bases: np.ndarray, counts: np.ndarray, max_iter: int = 100_000):
     def loglike(p: np.ndarray, nn: np.ndarray) -> np.ndarray:
         terms = np.log(p)
         terms *= nn
-        return terms.sum(axis=-1)
+        return np.fmax(terms.sum(axis=-1), -np.inf)  # NaN, from an overflow, reads -inf
 
     x, p = point(np.array(np.broadcast_to(_START, (b, 8, 8))))  # rho = X^T X
     x_out, ll_out = x, loglike(p, n)
@@ -342,13 +345,10 @@ FIT_FIELDS = ("rho", "log_likelihood", "converged", "iterations", "dropped_setti
 
 def fit(bases: np.ndarray, counts: np.ndarray, targets) -> dict:
     """``mle_batch`` of the (B, S, 4) counts of the setting tuples ``bases`` (S, 2, 3),
-    whose states X^dagger X / tr are density matrices by construction (QmathError if a
-    scale overflowed to NaN or Inf), and its ``derived_batch`` quantities with
+    whose states X^dagger X / tr are finite density matrices by construction, and its ``derived_batch`` quantities with
     ``targets`` the fidelity reference, one (4, 4) state or one per member: one array
     over the members for each quantity and for each of ``FIT_FIELDS``."""
     rho, *diagnostics = mle_batch(bases, counts)
-    if not np.all(np.isfinite(rho)):
-        raise qmath.QmathError("density matrix contains NaN or Inf entries")
     q = derived_batch(rho, targets)
     q.update(zip(FIT_FIELDS, (rho, *diagnostics)))
     return q

@@ -195,20 +195,10 @@ class _Json(str):
     writes it as it is."""
 
 
-class _FloatBlock(list):
-    """A float array as the nested lists of ``ndarray.tolist``, which ``json.dumps`` and
-    ``==`` read as such, keeping its shape and flat values for ``_json_text`` to render
-    in one pass.  Built once and never changed."""
-
-    def __init__(self, a: np.ndarray):
-        super().__init__(a.tolist())
-        self.shape, self.flat = a.shape, tuple(a.ravel().tolist())
-
-
 @functools.cache
 def _template(shape: tuple, newline: str) -> str:
-    """The ``%`` template, one ``%r`` per float, of a (non-empty) float block of
-    ``shape`` rendered as ``_json_text`` renders its nested lists after ``newline``."""
+    """The ``%`` template, one ``%r`` per float, of a non-empty float array of ``shape``
+    rendered as ``json.dumps`` renders its ``tolist()`` after ``newline``."""
     if not shape:
         return "%r"
     inner = newline + "  "
@@ -217,21 +207,17 @@ def _template(shape: tuple, newline: str) -> str:
 
 
 def _json_text(doc, newline: str = "\n") -> str:
-    """The text ``json.dumps`` gives ``doc`` with ``sort_keys=True`` and ``indent=2``,
-    without json's pure-Python indenting encoder.  Each scalar takes json's own
-    rendering; a ``_FloatBlock`` of finite floats is one ``%`` operation on its memoized
-    template, the one fast path, which the writers of float arrays take; a
-    ``_FloatBlock`` that is empty or holds a NaN or Inf, and any other list, is rendered
-    entry by entry.  A ``_Json`` is written as it is.  A key
-    that is not a string, or a value json rejects (a set, ``np.int64``, ``np.bool_``,
-    an ``ndarray``), raises TypeError."""
+    """The text ``json.dumps`` gives ``doc`` with ``sort_keys=True``, ``indent=2`` and
+    ``default=np.ndarray.tolist``, without json's pure-Python indenting encoder.  Each
+    scalar takes json's own rendering.  A float64 ``ndarray`` that is non-empty and
+    finite is one ``%`` operation on its memoized template, the one fast path; one that
+    is empty or holds a NaN or Inf is rendered as its ``tolist()``, entry by entry, as
+    any list is.  A ``_Json`` is written as it is.  A key that is not a string, or a
+    value json rejects (a set, ``np.int64``, ``np.bool_``, an ``ndarray`` of any other
+    dtype), raises TypeError."""
     if isinstance(doc, (list, tuple)):
         if not doc:
             return "[]"
-        if type(doc) is _FloatBlock and doc.flat:
-            text = _template(doc.shape, newline) % doc.flat
-            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
-                return text
         inner = newline + "  "
         body = ("," + inner).join([_json_text(x, inner) for x in doc])
         return "[" + inner + body + newline + "]"
@@ -255,6 +241,12 @@ def _json_text(doc, newline: str = "\n") -> str:
         return "false"
     if isinstance(doc, int):
         return int.__repr__(doc)
+    if isinstance(doc, np.ndarray) and doc.dtype == np.float64:
+        if doc.size:
+            text = _template(doc.shape, newline) % tuple(doc.ravel().tolist())
+            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+                return text
+        return _json_text(doc.tolist(), newline)
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
@@ -279,10 +271,10 @@ def write_csv(path: Path, cfg: ExperimentConfig, header: list[str], rows) -> Non
                 + ",".join(header) + "\n" + spec % tuple([x for row in rows for x in row]))
 
 
-def _re_im(z: np.ndarray) -> _FloatBlock:
-    """``z`` as a ``_FloatBlock`` of nested lists, each complex entry an ``[re, im]`` pair
-    of floats: its JSON is one ``%`` operation when every entry is finite."""
-    return _FloatBlock(np.stack([z.real, z.imag], -1))
+def _re_im(z: np.ndarray) -> np.ndarray:
+    """The float array of the complex array ``z`` with one more axis, each entry an
+    ``[re, im]`` pair: the one format of a complex array in every JSON output."""
+    return np.stack([z.real, z.imag], -1)
 
 
 def state_json(matrix: np.ndarray) -> dict:
@@ -434,8 +426,8 @@ def cmd_photonic_verify(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     write_json(out / "cz_verification.json", cfg, {
         "reflectivity": r,
         "truth_table_amplitudes": _re_im(amps),
-        "amplitude_magnitudes": _FloatBlock(np.abs(amps)),
-        "success_probabilities": _FloatBlock(probs),
+        "amplitude_magnitudes": np.abs(amps),
+        "success_probabilities": probs,
         "process_fidelity_to_cz": float(fid),
         "hom_visibility": float(vis),
         "hom_visibility_ideal_theory": 0.8,
@@ -481,18 +473,17 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             ideals, certify.PAULI_SETTINGS, cfg.counts_per_setting, seeds)
         fitted = certify.fit(certify.PAULI_SETTINGS, counts, ideals)
         # Every point's [re, im] block from one stack, and its scalars as Python values.
-        rho = fitted["rho"]
-        blocks = np.stack([rho.real, rho.imag], -1)
+        blocks = _re_im(fitted["rho"])
         ll, fid, neg, conv, iters, dropped = (fitted[key].tolist() for key in (
             "log_likelihood", "fidelity_to_target", "negativity", "converged", "iterations",
             "dropped_settings"))
         for idx, x in enumerate(grid):
             write_json(out / f"tomography_{param}_{idx:02d}.json", cfg, {
                 param: float(x),
-                "rho_hat": {"dims": [2, 2], "matrix": _FloatBlock(blocks[idx])},
+                "rho_hat": {"dims": [2, 2], "matrix": blocks[idx]},
                 "log_likelihood": ll[idx],
                 "fidelity_to_truth": fid[idx],
-                "ppt_eigenvalues": _FloatBlock(fitted["ppt_eigenvalues"][idx]),
+                "ppt_eigenvalues": fitted["ppt_eigenvalues"][idx],
                 "negativity": neg[idx],
                 "converged": conv[idx],
                 "iterations": iters[idx],
@@ -502,7 +493,7 @@ def cmd_scan(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     header = [param, "witness_ideal", "witness_baseline", "chsh_max", "negativity",
               "pt_min_eigenvalue"]
     write_csv(out / f"scan_{param}.csv", cfg, header, rows)
-    summary: dict = {"param": param, "grid": _FloatBlock(np.asarray(grid, dtype=float))}
+    summary: dict = {"param": param, "grid": np.asarray(grid, dtype=float)}
     if param == "eta":
         summary["baseline_witness_zero_crossing"] = noise.baseline_witness_zero_crossing(
             cfg.baseline_weight
@@ -649,7 +640,7 @@ def main(argv=None) -> int:
                "scan": cmd_scan, "hom-scan": cmd_hom_scan,
                "simulate-counts": cmd_simulate_counts, "certify": cmd_certify}[args.command]
         return run(load_config(args.config, overrides), args)
-    except (ParseError, certify.CertifyError, qmath.OutOfRange) as exc:
+    except (ParseError, certify.CertifyError, qmath.QmathError) as exc:
         code, line = EXIT_PARSE, f"error: {exc}"
     except VerificationFailure as exc:
         code, line = EXIT_VERIFICATION, f"verification failure: {exc}"

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for two-qubit states.
 
-Provides the checks every module shares: ``check_unit`` for a parameter, or an array of
-them, in [0, 1] (raising the one ``OutOfRange``) and ``check_density`` for a matrix or a
-stack of them, which only a state file passes: every state the package builds is a density
-matrix by construction, pinned by the unit tests with this same check.  The unchecked
-``PureState`` and ``DensityMatrix`` value types only back the reference states the
-benchmark's tests read.  Every other failure raises ``QmathError`` saying what failed.
+Provides the checks every module shares, each raising ``QmathError`` saying what failed:
+``check_unit`` for a parameter, or an array of them, in [0, 1], and ``check_density`` for
+a matrix or a stack of them, which only a state file passes: every state the package builds
+is a density matrix by construction, pinned by the unit tests with this same check.  The
+unchecked ``PureState`` and ``DensityMatrix`` value types only back the reference states
+the benchmark's tests read.
 """
 
 from __future__ import annotations
@@ -26,20 +26,17 @@ HADAMARD = (SIGMA_X + SIGMA_Z) / np.sqrt(2)
 
 
 class QmathError(Exception):
-    """Base class for errors raised by this module."""
-
-
-class OutOfRange(QmathError):
-    """A physical parameter out of the unit interval."""
+    """An input this module rejects, a parameter out of [0, 1] or a matrix that is no
+    density matrix, with a message saying what failed."""
 
 
 def check_unit(x, name: str):
-    """A number ``x`` as a float, an array as a float array; OutOfRange naming the
+    """A number ``x`` as a float, an array as a float array; QmathError naming the
     first entry not in [0, 1], so NaN is rejected too."""
     a = np.asarray(x, dtype=float)
     bad = ~((0.0 <= a) & (a <= 1.0))
     if bad.any():
-        raise OutOfRange(f"{name} = {float(a[bad][0])!r} outside [0, 1]")
+        raise QmathError(f"{name} = {float(a[bad][0])!r} outside [0, 1]")
     return float(a) if a.ndim == 0 else a
 
 

@@ -52,7 +52,7 @@ class TestDephasing:
             assert np.allclose(np.einsum("kikj->ij", t), np.eye(4), atol=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(qmath.OutOfRange):
+        with pytest.raises(qmath.QmathError):
             noise.dephased_singlets(1.2)
 
 
@@ -151,7 +151,7 @@ class TestConstantStates:
     def test_out_of_range_parameters(self):
         for call in (lambda: noise.baseline_states(1.5), lambda: noise.baseline_states(0.5, -0.1),
                      lambda: noise.distinguishable_states(float("nan"))):
-            with pytest.raises(qmath.OutOfRange):
+            with pytest.raises(qmath.QmathError):
                 call()
 
 
@@ -191,5 +191,5 @@ class TestStackedFamilies:
     @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.25, float("inf")])
     def test_a_bad_entry_is_named(self, family, bad):
         name = "v" if family == "v" else "eta"
-        with pytest.raises(qmath.OutOfRange, match=rf"^{name} = {bad!r} outside \[0, 1\]$"):
+        with pytest.raises(qmath.QmathError, match=rf"^{name} = {bad!r} outside \[0, 1\]$"):
             FAMILIES[family]([0.0, 0.5, bad, 1.0])

@@ -62,7 +62,8 @@ class TestPartialOps:
     def test_partial_transpose_rejects_wrong_dims(self, tmp_path):
         # A state file is a two-qubit state only with dims (2, 2) or none.
         p = tmp_path / "state.json"
-        p.write_text(json.dumps({"dims": [4], "matrix": cli.state_json(np.eye(4) / 4)["matrix"]}))
+        p.write_text(json.dumps({"dims": [4], "matrix": cli.state_json(np.eye(4) / 4)["matrix"]},
+                                default=np.ndarray.tolist))
         with pytest.raises(cli.ParseError, match=r"got dims \[4\] and a matrix of shape \(4, 4\)$"):
             cli.load_state_json(str(p))
 
@@ -93,16 +94,15 @@ class TestRangeChecks:
         if 0.0 <= x <= 1.0:
             call(x)
         else:
-            with pytest.raises(qmath.OutOfRange, match=r"= .* outside \[0, 1\]$"):
+            with pytest.raises(qmath.QmathError, match=r"= .* outside \[0, 1\]$"):
                 call(x)
 
-    def test_one_out_of_range_class(self):
-        assert issubclass(qmath.OutOfRange, qmath.QmathError)
+    def test_a_number_is_returned_as_a_float(self):
         assert qmath.check_unit(1, "x") == 1.0 and type(qmath.check_unit(1, "x")) is float
 
     def test_an_array_is_checked_at_once(self):
         out = qmath.check_unit([0, 0.5, 1], "x")
         assert out.dtype == float and out.tolist() == [0.0, 0.5, 1.0]
         assert qmath.check_unit([], "x").shape == (0,)
-        with pytest.raises(qmath.OutOfRange, match=r"^x = nan outside \[0, 1\]$"):
+        with pytest.raises(qmath.QmathError, match=r"^x = nan outside \[0, 1\]$"):
             qmath.check_unit(np.array([[0.1, 0.2], [np.nan, 2.0]]), "x")
